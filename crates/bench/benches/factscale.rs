@@ -11,7 +11,7 @@
 //!   (the switch tables and their hash side tables are built here);
 //! * **point lookup** — host-time p50/p99 of `fact(k, V)` over a spread
 //!   of existing keys. Query compilation happens outside the timed
-//!   window ([`Kcm::prepare`] / [`Kcm::prepare_native`] once per key),
+//!   window ([`Kcm::prepare`] on the tier, once per key),
 //!   and the machine runs one untimed warm-up before the timed reps so
 //!   first-touch population of its memory zones — a host allocator
 //!   artifact proportional to nothing we measure — stays out of the
@@ -59,7 +59,7 @@
 
 use bench::{JsonlWriter, Record};
 use kcm_suite::table::{f2, f3, ratio, Table};
-use kcm_system::{Kcm, ProgramSource};
+use kcm_system::{Kcm, ProgramSource, QueryOpts, Tier};
 use std::time::Instant;
 
 /// How many distinct keys the point-lookup percentiles are taken over.
@@ -108,50 +108,32 @@ fn lookup_keys(n: usize) -> Vec<usize> {
 /// Times one query run on `tier`, compile excluded: the machine is
 /// prepared once, runs one untimed warm-up (populating its memory zones
 /// — first-touch page faults are a property of the host allocator, not
-/// of dispatch), then `reps` timed `run_query` calls on the same
-/// machine. Returns the minimum host seconds and whether the query
-/// succeeded.
-fn time_query(kcm: &mut Kcm, query: &str, tier: Tier, reps: u32) -> (f64, bool) {
-    // The two tiers' machines share the `run_query` signature but not a
-    // trait; the timing loop is tier-independent, so expand it once per
-    // machine type.
-    macro_rules! hot {
-        ($prepared:expr) => {{
-            let (mut m, vars) = $prepared.expect("query compiles");
-            let mut success = m.run_query(&vars, false).expect("query runs").success;
-            let mut best_s = f64::INFINITY;
-            for _ in 0..reps {
-                let t0 = Instant::now();
-                success = m.run_query(&vars, false).expect("query runs").success;
-                best_s = best_s.min(t0.elapsed().as_secs_f64());
-            }
-            (best_s, success)
-        }};
+/// of dispatch), then `reps` timed runs on the same machine. Returns the
+/// minimum host seconds and whether the query succeeded.
+fn time_query(kcm: &Kcm, query: &str, tier: Tier, reps: u32) -> (f64, bool) {
+    let mut prepared = kcm
+        .prepare(query, &QueryOpts::first().with_tier(tier))
+        .expect("query compiles");
+    let mut success = prepared.run(false).expect("query runs").success;
+    let mut best_s = f64::INFINITY;
+    for _ in 0..reps {
+        let t0 = Instant::now();
+        success = prepared.run(false).expect("query runs").success;
+        best_s = best_s.min(t0.elapsed().as_secs_f64());
     }
+    (best_s, success)
+}
+
+fn tier_name(tier: Tier) -> &'static str {
     match tier {
-        Tier::Cycle => hot!(kcm.prepare(query)),
-        Tier::Native => hot!(kcm.prepare_native(query)),
-    }
-}
-
-#[derive(Clone, Copy)]
-enum Tier {
-    Cycle,
-    Native,
-}
-
-impl Tier {
-    fn name(self) -> &'static str {
-        match self {
-            Tier::Cycle => "cycle",
-            Tier::Native => "native",
-        }
+        Tier::Cycle => "cycle",
+        Tier::Native => "native",
     }
 }
 
 /// Point-lookup percentiles on one tier: per key, the min over `reps`
 /// timed runs; p50/p99 across the key samples, in microseconds.
-fn lookup_percentiles(kcm: &mut Kcm, n: usize, tier: Tier, reps: u32) -> (f64, f64) {
+fn lookup_percentiles(kcm: &Kcm, n: usize, tier: Tier, reps: u32) -> (f64, f64) {
     let mut samples: Vec<f64> = lookup_keys(n)
         .iter()
         .map(|k| {
@@ -215,8 +197,8 @@ fn main() {
                 .f64("consult_host_ms", consult_ms),
         );
         for tier in [Tier::Cycle, Tier::Native] {
-            let (p50, p99) = lookup_percentiles(&mut kcm, n, tier, reps);
-            let (enum_s, enum_ok) = time_query(&mut kcm, "fact(K, V), fail", tier, reps);
+            let (p50, p99) = lookup_percentiles(&kcm, n, tier, reps);
+            let (enum_s, enum_ok) = time_query(&kcm, "fact(K, V), fail", tier, reps);
             assert!(!enum_ok, "the failure-driven loop must exhaust the facts");
             let kfacts_per_s = ratio(n as f64 / 1e3, enum_s);
             if matches!(tier, Tier::Native) {
@@ -224,7 +206,7 @@ fn main() {
             }
             t.row(vec![
                 n.to_string(),
-                tier.name().to_owned(),
+                tier_name(tier).to_owned(),
                 f2(consult_ms),
                 f2(p50),
                 f2(p99),
@@ -232,8 +214,8 @@ fn main() {
                 f2(kfacts_per_s),
             ]);
             jsonl.record(
-                &Record::row("factscale", &format!("n={n}/{}", tier.name()))
-                    .str("tier", tier.name())
+                &Record::row("factscale", &format!("n={n}/{}", tier_name(tier)))
+                    .str("tier", tier_name(tier))
                     .u64("facts", n as u64)
                     .f64("lookup_p50_us", p50)
                     .f64("lookup_p99_us", p99)
@@ -266,8 +248,12 @@ fn main() {
         for probe in [0, n / 2, n - 1] {
             let query = format!("fact({probe}, V)");
             for tier in [Tier::Cycle, Tier::Native] {
-                let (_, ok) = time_query(&mut restored, &query, tier, 1);
-                assert!(ok, "restored lookup fact({probe}, V) on {}", tier.name());
+                let (_, ok) = time_query(&restored, &query, tier, 1);
+                assert!(
+                    ok,
+                    "restored lookup fact({probe}, V) on {}",
+                    tier_name(tier)
+                );
             }
             assert_eq!(
                 restored.solve_all(&query).expect("restored query"),

@@ -10,8 +10,8 @@
 //! ("runs as fast as the hardware allows"), not the paper.
 //!
 //! Each program is timed on **both tiers** under identical conditions:
-//! the cycle-accurate simulator ([`Kcm::prepare`]) and the native
-//! execution tier ([`Kcm::prepare_native`], no cost model). Same decoded
+//! the cycle-accurate simulator and the native execution tier (no cost
+//! model), both built by [`Kcm::prepare`] with the tier option. Same decoded
 //! image, same answers, same inference counts — the `Nat x` column is
 //! therefore a pure measure of what the cycle/cache/MMU model costs per
 //! retired instruction. JSONL rows carry a `tier` field (`"cycle"` /
@@ -38,7 +38,7 @@ use bench::{JsonlWriter, Record};
 use kcm_suite::programs::{self, BenchProgram};
 use kcm_suite::runner::{run_suite_pooled, Variant};
 use kcm_suite::table::{f2, f3, ratio, Table};
-use kcm_system::{Kcm, Outcome};
+use kcm_system::{Kcm, Outcome, QueryOpts, Tier};
 use std::time::Instant;
 
 fn selected_programs() -> Vec<BenchProgram> {
@@ -94,34 +94,23 @@ fn main() {
     for p in &suite {
         let mut kcm = Kcm::with_config(config.clone());
         kcm.load(p.source).expect("suite program consults");
-        let mut best_s = f64::INFINITY;
-        let mut outcome: Option<Outcome> = None;
-        for _ in 0..reps {
-            // Fresh machine per rep (identical simulated numbers every
-            // time); only the query run is inside the timed window.
-            let (mut machine, vars) = kcm.prepare(p.query).expect("suite query compiles");
-            let t0 = Instant::now();
-            let o = machine
-                .run_query(&vars, p.enumerate)
-                .expect("suite program runs");
-            best_s = best_s.min(t0.elapsed().as_secs_f64());
-            outcome = Some(o);
-        }
-        // The native tier, same harness: fresh machine per rep, query
-        // run only in the timed window.
-        let mut best_native_s = f64::INFINITY;
-        let mut native_outcome: Option<Outcome> = None;
-        for _ in 0..reps {
-            let (mut machine, vars) = kcm.prepare_native(p.query).expect("suite query compiles");
-            let t0 = Instant::now();
-            let o = machine
-                .run_query(&vars, p.enumerate)
-                .expect("suite program runs natively");
-            best_native_s = best_native_s.min(t0.elapsed().as_secs_f64());
-            native_outcome = Some(o);
-        }
-        let outcome = outcome.expect("at least one rep");
-        let native = native_outcome.expect("at least one rep");
+        // Fresh machine per rep (identical simulated numbers every time);
+        // only the query run is inside the timed window.
+        let best_run = |tier: Tier| {
+            let opts = QueryOpts::first().with_tier(tier);
+            let mut best_s = f64::INFINITY;
+            let mut outcome: Option<Outcome> = None;
+            for _ in 0..reps {
+                let mut prepared = kcm.prepare(p.query, &opts).expect("suite query compiles");
+                let t0 = Instant::now();
+                let o = prepared.run(p.enumerate).expect("suite program runs");
+                best_s = best_s.min(t0.elapsed().as_secs_f64());
+                outcome = Some(o);
+            }
+            (best_s, outcome.expect("at least one rep"))
+        };
+        let (best_s, outcome) = best_run(Tier::Cycle);
+        let (best_native_s, native) = best_run(Tier::Native);
         // Not a difftest, but a broken tier must not publish numbers.
         assert_eq!(
             outcome.solutions, native.solutions,

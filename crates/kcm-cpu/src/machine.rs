@@ -639,15 +639,8 @@ impl<M: DataMem> Machine<M> {
         query_vars: &[String],
         enumerate_all: bool,
     ) -> Result<Outcome, MachineError> {
-        let entry = self
-            .image
-            .query_entry()
-            .ok_or(MachineError::BadCodeAddress(CodeAddr::new(0)))?;
-        if self.query_vars != query_vars {
-            self.query_vars = query_vars.to_vec();
-        }
-        self.enumerate_all = enumerate_all;
-        self.run(entry)
+        self.arm_query(query_vars, enumerate_all, false)?;
+        self.run_armed()
     }
 
     /// Arms a suspendable query session on the image's `$query/0` entry:
@@ -666,6 +659,16 @@ impl<M: DataMem> Machine<M> {
     /// Returns [`MachineError::BadCodeAddress`] if the image has no query
     /// entry.
     pub fn begin_query_session(&mut self, query_vars: &[String]) -> Result<(), MachineError> {
+        self.arm_query(query_vars, true, true)
+    }
+
+    /// Arms a run on the image's `$query/0` entry (see [`Machine::arm`]).
+    fn arm_query(
+        &mut self,
+        query_vars: &[String],
+        enumerate_all: bool,
+        yield_solutions: bool,
+    ) -> Result<(), MachineError> {
         let entry = self
             .image
             .query_entry()
@@ -673,15 +676,44 @@ impl<M: DataMem> Machine<M> {
         if self.query_vars != query_vars {
             self.query_vars = query_vars.to_vec();
         }
-        self.enumerate_all = true;
-        self.yield_solutions = true;
-        self.yielded = false;
+        self.enumerate_all = enumerate_all;
+        self.arm(entry, yield_solutions);
+        Ok(())
+    }
+
+    /// The one arm step under both drivers: clears the previous run's
+    /// solutions, output and halt state and points P at `entry`. With
+    /// `yield_solutions` the solution reporter suspends the machine
+    /// (a session); without it the run goes to halt (a one-shot run).
+    fn arm(&mut self, entry: CodeAddr, yield_solutions: bool) {
         self.halted = None;
+        self.yield_solutions = yield_solutions;
+        self.yielded = false;
         self.solutions.clear();
         self.output.clear();
         self.p = entry;
         self.cp = kcm_compiler::link::HALT_STUB;
-        Ok(())
+    }
+
+    /// The one slice step under both drivers: refills the cycle fuel
+    /// gauge, resumes a suspended session through the failure path the
+    /// reporter's `Fail` would have taken, drives to the next yield or
+    /// halt, and returns the slice's counter deltas. The step budget is
+    /// metered per slice inside [`Machine::drive`], so a one-shot run
+    /// (one slice) is bounded as a whole and a session per pull.
+    fn slice(&mut self) -> Result<RunStats, MachineError> {
+        self.budget = self.cfg.max_cycles;
+        let start = self.lifetime_stats();
+        if self.halted.is_none() {
+            if self.yielded {
+                self.yielded = false;
+                self.fail()?;
+            }
+            if self.halted.is_none() {
+                self.drive()?;
+            }
+        }
+        Ok(self.lifetime_stats().delta_since(&start))
     }
 
     /// Whether the armed session has run to completion (no further
@@ -706,28 +738,7 @@ impl<M: DataMem> Machine<M> {
     /// slice's budget runs out mid-search. After an error the session is
     /// dead: the machine is mid-backtrack and must not be resumed.
     pub fn next_solution(&mut self) -> Result<SessionStep, MachineError> {
-        self.budget = self.cfg.max_cycles;
-        let start_cycles = self.cycles;
-        let mut start_stats = self.stats;
-        start_stats.mem = self.mem.stats();
-        start_stats.prefetch = self.prefetch.stats();
-        if self.halted.is_none() {
-            if self.yielded {
-                // Resume: drive the failure path the reporter's `Fail`
-                // outcome would have taken in an enumerate-all run.
-                self.yielded = false;
-                self.fail()?;
-            }
-            if self.halted.is_none() {
-                self.drive()?;
-            }
-        }
-        let mut end_stats = self.stats;
-        end_stats.cycle_ns = self.cfg.cost.cycle_ns;
-        end_stats.cycles = start_stats.cycles + (self.cycles - start_cycles);
-        end_stats.mem = self.mem.stats();
-        end_stats.prefetch = self.prefetch.stats();
-        let stats = end_stats.delta_since(&start_stats);
+        let stats = self.slice()?;
         let solution = if self.halted.is_some() {
             self.solutions.clear();
             None
@@ -754,26 +765,15 @@ impl<M: DataMem> Machine<M> {
     ///
     /// Returns a [`MachineError`] on machine faults.
     pub fn run(&mut self, entry: CodeAddr) -> Result<Outcome, MachineError> {
-        self.halted = None;
-        self.yield_solutions = false;
-        self.yielded = false;
-        self.solutions.clear();
-        self.output.clear();
-        self.p = entry;
-        self.cp = kcm_compiler::link::HALT_STUB;
-        self.budget = self.cfg.max_cycles;
-        let start_cycles = self.cycles;
-        let mut start_stats = self.stats;
-        start_stats.mem = self.mem.stats();
-        start_stats.prefetch = self.prefetch.stats();
+        self.arm(entry, false);
+        self.run_armed()
+    }
+
+    /// A one-shot run of the armed machine: one slice that does not
+    /// yield, plus the per-run [`Profile`] delta and trace window.
+    fn run_armed(&mut self) -> Result<Outcome, MachineError> {
         let start_profile = self.prof;
-        self.drive()?;
-        let mut end_stats = self.stats;
-        end_stats.cycle_ns = self.cfg.cost.cycle_ns;
-        end_stats.cycles = start_stats.cycles + (self.cycles - start_cycles);
-        end_stats.mem = self.mem.stats();
-        end_stats.prefetch = self.prefetch.stats();
-        let stats = end_stats.delta_since(&start_stats);
+        let stats = self.slice()?;
         let profile = self.prof.delta_since(&start_profile);
         let success = self.halted == Some(true) || !self.solutions.is_empty();
         Ok(Outcome {

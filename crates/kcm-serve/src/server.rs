@@ -12,10 +12,12 @@
 //!   not a thread — 10k idle connections cost ~0 threads;
 //! * a fixed set of **worker threads** executes queries as isolated pool
 //!   sessions ([`kcm_system::pool::run_session`]) pulled from one bounded
-//!   queue; the compiled image travels to the worker as an `Arc`, exactly
-//!   as [`kcm_system::SessionPool`] ships it. Completions come back over
-//!   a channel plus a wake pipe byte; the loop also drains completions on
-//!   every tick, so a lost wake delays a reply by at most one tick;
+//!   queue; the program travels to the worker as one `Arc<Published>`
+//!   handle, whether it is a registry tenant or the connection's
+//!   `CONSULT`ed program, and the worker takes the machine configuration
+//!   from [`ServeConfig`]. Completions come back over a channel plus a
+//!   wake pipe byte; the loop also drains completions on every tick, so
+//!   a lost wake delays a reply by at most one tick;
 //! * the queue is a `sync_channel(queue_depth)`: when it is full the
 //!   loop answers `BUSY` immediately instead of queueing without bound —
 //!   backpressure is explicit and visible to clients. While a
@@ -30,7 +32,7 @@
 //!   bounded batch and the completion carries it back; while the pull is
 //!   in flight the cursor table holds `None`, and the owning connection
 //!   is `busy`, so no second operation can touch the session
-//!   concurrently. A cursor pins its tenant's `Arc<CodeImage>`: a
+//!   concurrently. A cursor pins its program's `Arc<Published>`: a
 //!   republish under an open cursor compiles a new image while the
 //!   cursor keeps streaming the one it opened against. Cursors die four
 //!   ways — `CLOSE`, exhaustion (`done=true` auto-releases), a slice
@@ -51,12 +53,10 @@
 
 use crate::poll::{Event, Interest, Poller};
 use crate::protocol::{encode_frame, render_batch, render_outcome, FrameBuf, Reply, Request};
-use kcm_arch::SymbolTable;
-use kcm_compiler::CodeImage;
 use kcm_system::pool::run_session;
 use kcm_system::registry::{ProgramRegistry, Published, TenantStats};
 use kcm_system::{
-    error_class, open_session, Kcm, KcmError, MachineConfig, Outcome, ProgramSource, QueryJob,
+    error_class, open_session, KcmError, MachineConfig, Outcome, ProgramSource, QueryJob,
     QueryOpts, RunStats, Solutions, Tier,
 };
 use std::collections::HashMap;
@@ -115,9 +115,10 @@ pub struct ServeConfig {
     /// (visible to the client through the reply's `answers=` count).
     pub cursor_batch_cap: u64,
     /// In-flight work items (queries, cursor opens, cursor pulls)
-    /// allowed per tenant; past the cap the tenant's requests answer
-    /// `BUSY` while other tenants keep being served. `None` leaves
-    /// tenants to contend for the shared queue.
+    /// allowed per program — a registry tenant or a connection's
+    /// `CONSULT`ed program; past the cap the program's requests answer
+    /// `BUSY` while other programs keep being served. `None` leaves
+    /// programs to contend for the shared queue.
     pub tenant_inflight_cap: Option<u64>,
 }
 
@@ -223,32 +224,27 @@ impl ServeMetrics {
 }
 
 /// One queued unit of work: everything a worker needs, plus the routing
-/// information for the reply. The `tenant` on each variant is the
-/// resolved registry entry, when the request named one: holding the
-/// `Arc` keeps the program alive across re-publish/eviction, the worker
-/// mirrors its accounting into the tenant's stats, and the in-flight
-/// slot claimed at dispatch is released against it.
+/// information for the reply. The `program` on each variant is the
+/// resolved program handle — a registry tenant or the connection's
+/// `CONSULT`ed program: holding the `Arc` keeps the program alive across
+/// re-publish/eviction/re-consult, the worker mirrors its accounting
+/// into the handle's stats, and the in-flight slot claimed at dispatch
+/// is released against it.
 enum WorkItem {
     /// A one-shot query (first solution or enumerate-all).
     Query {
         /// Connection token (index + generation) the reply belongs to.
         token: u64,
-        image: Arc<CodeImage>,
-        symbols: SymbolTable,
-        config: MachineConfig,
         job: QueryJob,
-        tenant: Option<Arc<Published>>,
+        program: Arc<Published>,
     },
     /// Compile a query and suspend it as cursor `cursor_id`.
     CursorOpen {
         token: u64,
         cursor_id: u64,
-        image: Arc<CodeImage>,
-        symbols: SymbolTable,
-        config: MachineConfig,
         query: String,
         opts: QueryOpts,
-        tenant: Option<Arc<Published>>,
+        program: Arc<Published>,
     },
     /// Pull up to `count` answers from a suspended session. The session
     /// travels by value: while it is here the loop's cursor entry holds
@@ -258,7 +254,7 @@ enum WorkItem {
         cursor_id: u64,
         session: Box<Solutions>,
         count: u64,
-        tenant: Option<Arc<Published>>,
+        program: Arc<Published>,
     },
 }
 
@@ -406,8 +402,10 @@ struct Conn {
     /// Pending reply bytes not yet accepted by the socket.
     wbuf: Vec<u8>,
     wpos: usize,
-    /// This connection's session-mode program state.
-    kcm: Kcm,
+    /// This connection's `CONSULT`ed program: loaded like a registry
+    /// tenant but never inserted into the registry, so it is private to
+    /// the connection and can be neither evicted nor named.
+    program: Option<Arc<Published>>,
     /// A request is with the workers; reads are paused and no further
     /// frame is processed until its completion, preserving per-connection
     /// FIFO order.
@@ -455,9 +453,9 @@ struct Cursor {
     /// by a request that passes the owner check — except through a
     /// closed-then-reused id, which the never-reused id space rules out.
     session: Option<Box<Solutions>>,
-    /// Pinned tenant entry (keeps the image alive across republish and
-    /// routes per-tenant accounting).
-    tenant: Option<Arc<Published>>,
+    /// Pinned program handle (keeps the image alive across republish and
+    /// routes per-program accounting).
+    program: Arc<Published>,
     /// Last open/pull touch, for the idle reaper.
     last_used: Instant,
 }
@@ -527,7 +525,7 @@ impl EventLoop {
                         frames: FrameBuf::new(),
                         wbuf: Vec::new(),
                         wpos: 0,
-                        kcm: Kcm::with_config(self.shared.cfg.machine.clone()),
+                        program: None,
                         busy: false,
                         read_closed: false,
                         interest: Interest::READ,
@@ -721,13 +719,13 @@ impl EventLoop {
         };
         let reply = match request {
             Request::Consult { source } => {
-                // CONSULT replaces the connection's program (Kcm::consult
+                // CONSULT replaces the connection's program (Kcm::load
                 // *adds* clauses; a service client re-sending its program
-                // wants idempotence, not accumulation).
-                let mut fresh = Kcm::with_config(self.shared.cfg.machine.clone());
-                match fresh.load(source.as_str()) {
-                    Ok(()) => {
-                        conn.kcm = fresh;
+                // wants idempotence, not accumulation). The program is
+                // unnamed: only this connection can reach it.
+                match Published::load("", source.as_str(), &self.shared.cfg.machine, None) {
+                    Ok(program) => {
+                        conn.program = Some(Arc::new(program));
                         self.shared.metrics.lock().expect("metrics").consults += 1;
                         Reply::Ok {
                             body: String::new(),
@@ -850,56 +848,44 @@ impl EventLoop {
         }
     }
 
-    /// Resolves the program a query addresses: the registry entry when a
-    /// tenant is named (with the budget priority request > tenant >
-    /// server default), the connection's consulted program otherwise.
+    /// Resolves the program a query addresses — the registry entry when a
+    /// tenant is named, the connection's consulted program otherwise —
+    /// and its step budget, with the priority request > program >
+    /// server default (a consulted program carries no budget of its own).
     fn resolve_program(
         &self,
         conn: &Conn,
         tenant: Option<&str>,
         step_budget: Option<u64>,
-    ) -> Result<Resolved, Reply> {
-        match tenant {
-            Some(name) => match self.shared.registry.lookup(name) {
-                Ok(t) => {
-                    let budget = step_budget
-                        .or(t.step_budget)
-                        .or(self.shared.cfg.default_step_budget);
-                    Ok(Resolved {
-                        image: Arc::clone(&t.image),
-                        symbols: t.symbols.clone(),
-                        config: self.shared.cfg.machine.clone(),
-                        tenant: Some(t),
-                        budget,
-                    })
-                }
-                Err(e) => Err(error_reply(&e, &self.shared, None)),
-            },
-            None => match conn.kcm.shared_image() {
-                Some(image) => Ok(Resolved {
-                    image,
-                    symbols: conn.kcm.symbols().clone(),
-                    config: conn.kcm.config().clone(),
-                    tenant: None,
-                    budget: step_budget.or(self.shared.cfg.default_step_budget),
-                }),
-                None => Err(error_reply(&KcmError::NoProgram, &self.shared, None)),
-            },
-        }
+    ) -> Result<(Arc<Published>, Option<u64>), Reply> {
+        let program = match tenant {
+            Some(name) => self
+                .shared
+                .registry
+                .lookup(name)
+                .map_err(|e| error_reply(&e, &self.shared, None))?,
+            None => conn
+                .program
+                .clone()
+                .ok_or_else(|| error_reply(&KcmError::NoProgram, &self.shared, None))?,
+        };
+        let budget = step_budget
+            .or(program.step_budget)
+            .or(self.shared.cfg.default_step_budget);
+        Ok((program, budget))
     }
 
-    /// Claims a per-tenant in-flight slot for a resolved target (a no-op
-    /// `true` for connection-local programs). A `false` return has
-    /// already been accounted as a tenant BUSY.
-    fn claim_tenant(&self, tenant: &Option<Arc<Published>>) -> bool {
-        let Some(t) = tenant else { return true };
-        if t.stats
+    /// Claims an in-flight slot on a resolved program's stats. A `false`
+    /// return has already been accounted as a BUSY.
+    fn claim_inflight(&self, program: &Published) -> bool {
+        if program
+            .stats
             .try_start_inflight(self.shared.cfg.tenant_inflight_cap)
         {
             return true;
         }
         self.shared.metrics.lock().expect("metrics").busy += 1;
-        t.stats.busy.fetch_add(1, Ordering::Relaxed);
+        program.stats.busy.fetch_add(1, Ordering::Relaxed);
         false
     }
 
@@ -920,12 +906,14 @@ impl EventLoop {
                     TrySendError::Full(item) => (true, item),
                     TrySendError::Disconnected(item) => (false, item),
                 };
-                let tenant = match item {
-                    WorkItem::Query { tenant, .. } | WorkItem::CursorOpen { tenant, .. } => tenant,
+                let program = match item {
+                    WorkItem::Query { program, .. } | WorkItem::CursorOpen { program, .. } => {
+                        program
+                    }
                     WorkItem::CursorNext {
                         cursor_id,
                         session,
-                        tenant,
+                        program,
                         ..
                     } => {
                         // Put the session back so the cursor survives
@@ -933,15 +921,13 @@ impl EventLoop {
                         if let Some(c) = self.cursors.get_mut(&cursor_id) {
                             c.session = Some(session);
                         }
-                        tenant
+                        program
                     }
                 };
-                release_tenant(&tenant);
+                program.stats.finish_inflight();
                 if full {
                     self.shared.metrics.lock().expect("metrics").busy += 1;
-                    if let Some(t) = &tenant {
-                        t.stats.busy.fetch_add(1, Ordering::Relaxed);
-                    }
+                    program.stats.busy.fetch_add(1, Ordering::Relaxed);
                     Some(Reply::Busy)
                 } else {
                     Some(error_reply(
@@ -966,33 +952,28 @@ impl EventLoop {
         enumerate_all: bool,
         step_budget: Option<u64>,
     ) -> Option<Reply> {
-        let resolved = match self.resolve_program(conn, tenant.as_deref(), step_budget) {
+        let (program, budget) = match self.resolve_program(conn, tenant.as_deref(), step_budget) {
             Ok(r) => r,
             Err(reply) => return Some(reply),
         };
-        if !self.claim_tenant(&resolved.tenant) {
+        if !self.claim_inflight(&program) {
             return Some(Reply::Busy);
         }
         let opts = QueryOpts {
             enumerate_all,
-            step_budget: resolved.budget,
+            step_budget: budget,
             trace: 0,
             tier: self.shared.cfg.tier,
         };
         let item = WorkItem::Query {
             token,
-            image: resolved.image,
-            symbols: resolved.symbols,
-            config: resolved.config,
             job: QueryJob::with_opts(query, opts),
-            tenant: resolved.tenant.clone(),
+            program: Arc::clone(&program),
         };
         let reply = self.enqueue(conn, item);
         if reply.is_none() {
             self.shared.metrics.lock().expect("metrics").queries += 1;
-            if let Some(t) = &resolved.tenant {
-                t.stats.queries.fetch_add(1, Ordering::Relaxed);
-            }
+            program.stats.queries.fetch_add(1, Ordering::Relaxed);
         }
         reply
     }
@@ -1012,18 +993,18 @@ impl EventLoop {
             self.shared.metrics.lock().expect("metrics").busy += 1;
             return Some(Reply::Busy);
         }
-        let resolved = match self.resolve_program(conn, tenant.as_deref(), step_budget) {
+        let (program, budget) = match self.resolve_program(conn, tenant.as_deref(), step_budget) {
             Ok(r) => r,
             Err(reply) => return Some(reply),
         };
-        if !self.claim_tenant(&resolved.tenant) {
+        if !self.claim_inflight(&program) {
             return Some(Reply::Busy);
         }
         let opts = QueryOpts {
             // A cursor session enumerates by construction; the flag only
             // matters if the session layer ever consults it.
             enumerate_all: true,
-            step_budget: resolved.budget,
+            step_budget: budget,
             trace: 0,
             tier: self.shared.cfg.tier,
         };
@@ -1032,28 +1013,23 @@ impl EventLoop {
         let item = WorkItem::CursorOpen {
             token,
             cursor_id,
-            image: resolved.image,
-            symbols: resolved.symbols,
-            config: resolved.config,
             query,
             opts,
-            tenant: resolved.tenant.clone(),
+            program: Arc::clone(&program),
         };
         let reply = self.enqueue(conn, item);
         if reply.is_none() {
+            program.stats.queries.fetch_add(1, Ordering::Relaxed);
             self.cursors.insert(
                 cursor_id,
                 Cursor {
                     owner: token,
                     session: None,
-                    tenant: resolved.tenant.clone(),
+                    program,
                     last_used: Instant::now(),
                 },
             );
             self.shared.metrics.lock().expect("metrics").queries += 1;
-            if let Some(t) = &resolved.tenant {
-                t.stats.queries.fetch_add(1, Ordering::Relaxed);
-            }
         }
         reply
     }
@@ -1079,9 +1055,9 @@ impl EventLoop {
             return Some(Reply::Busy);
         };
         cursor.last_used = Instant::now();
-        let tenant = cursor.tenant.clone();
-        if !self.claim_tenant(&tenant) {
-            // Re-borrow: claim_tenant released the map borrow.
+        let program = Arc::clone(&cursor.program);
+        if !self.claim_inflight(&program) {
+            // Re-borrow: claim_inflight released the map borrow.
             if let Some(c) = self.cursors.get_mut(&id) {
                 c.session = Some(session);
             }
@@ -1095,7 +1071,7 @@ impl EventLoop {
             cursor_id: id,
             session,
             count,
-            tenant,
+            program,
         };
         self.enqueue(conn, item)
     }
@@ -1183,15 +1159,6 @@ fn flush(conn: &mut Conn) -> std::io::Result<()> {
     Ok(())
 }
 
-/// The program resolution a dispatch works from.
-struct Resolved {
-    image: Arc<CodeImage>,
-    symbols: SymbolTable,
-    config: MachineConfig,
-    tenant: Option<Arc<Published>>,
-    budget: Option<u64>,
-}
-
 /// The reply for a `NEXT`/`CLOSE` that doesn't address a live cursor the
 /// requester owns — one message for missing, closed, expired, and
 /// someone-else's ids alike.
@@ -1199,13 +1166,6 @@ fn unknown_cursor(id: u64) -> Reply {
     Reply::Err {
         class: "protocol".to_owned(),
         message: format!("unknown cursor {id}"),
-    }
-}
-
-/// Releases the per-tenant in-flight slot a dispatch claimed.
-fn release_tenant(tenant: &Option<Arc<Published>>) {
-    if let Some(t) = tenant {
-        t.stats.finish_inflight();
     }
 }
 
@@ -1224,24 +1184,21 @@ fn worker_loop(
         let done = match item {
             WorkItem::Query {
                 token,
-                image,
-                symbols,
-                config,
                 job,
-                tenant,
+                program,
             } => {
-                let outcome = run_session(&image, &symbols, &config, &job);
-                let tstats = tenant.as_ref().map(|t| t.stats.as_ref());
+                let outcome =
+                    run_session(&program.image, &program.symbols, &shared.cfg.machine, &job);
                 let reply = match outcome {
                     Ok(outcome) => {
-                        account_served(shared, tstats, &outcome);
+                        account_served(shared, &program.stats, &outcome);
                         Reply::Ok {
                             body: render_outcome(&outcome),
                         }
                     }
-                    Err(e) => error_reply(&e, shared, tstats),
+                    Err(e) => error_reply(&e, shared, Some(&program.stats)),
                 };
-                release_tenant(&tenant);
+                program.stats.finish_inflight();
                 Completion {
                     token,
                     payload: reply.encode(),
@@ -1251,16 +1208,17 @@ fn worker_loop(
             WorkItem::CursorOpen {
                 token,
                 cursor_id,
-                image,
-                symbols,
-                config,
                 query,
                 opts,
-                tenant,
+                program,
             } => {
-                let tstats = tenant.as_ref().map(|t| t.stats.as_ref());
-                let (reply, session) = match open_session(&image, &symbols, &config, &query, &opts)
-                {
+                let (reply, session) = match open_session(
+                    &program.image,
+                    &program.symbols,
+                    &shared.cfg.machine,
+                    &query,
+                    &opts,
+                ) {
                     Ok(session) => {
                         shared.metrics.lock().expect("metrics").cursors_opened += 1;
                         (
@@ -1270,9 +1228,9 @@ fn worker_loop(
                             Some(Box::new(session)),
                         )
                     }
-                    Err(e) => (error_reply(&e, shared, tstats), None),
+                    Err(e) => (error_reply(&e, shared, Some(&program.stats)), None),
                 };
-                release_tenant(&tenant);
+                program.stats.finish_inflight();
                 Completion {
                     token,
                     payload: reply.encode(),
@@ -1287,7 +1245,7 @@ fn worker_loop(
                 cursor_id,
                 mut session,
                 count,
-                tenant,
+                program,
             } => {
                 let before_stats = *session.totals();
                 let before_output = session.output().len();
@@ -1311,15 +1269,14 @@ fn worker_loop(
                 // slice that discovers exhaustion is still charged.
                 let batch_stats = session.totals().delta_since(&before_stats);
                 let batch_output = session.output()[before_output..].to_owned();
-                let tstats = tenant.as_ref().map(|t| t.stats.as_ref());
                 let reply = match &failure {
                     // A slice error kills the cursor; answers pulled
                     // earlier in this batch die with it (the client
                     // never saw them, and the dead session cannot be
                     // resumed to re-derive them).
-                    Some(e) => error_reply(e, shared, tstats),
+                    Some(e) => error_reply(e, shared, Some(&program.stats)),
                     None => {
-                        account_batch(shared, tstats, answers.len() as u64, &batch_stats);
+                        account_batch(shared, &program.stats, answers.len() as u64, &batch_stats);
                         Reply::Ok {
                             body: render_batch(
                                 cursor_id,
@@ -1332,7 +1289,7 @@ fn worker_loop(
                     }
                 };
                 let keep = failure.is_none() && !exhausted;
-                release_tenant(&tenant);
+                program.stats.finish_inflight();
                 Completion {
                     token,
                     payload: reply.encode(),
@@ -1352,11 +1309,11 @@ fn worker_loop(
     }
 }
 
-/// Accounts one served cursor batch into the aggregate and per-tenant
+/// Accounts one served cursor batch into the aggregate and per-program
 /// counters. Cursor batches count work (`solutions`, `inferences`,
 /// `cycles`, `steps`) like queries do, but under the `cursor_*` serving
 /// counters instead of `served`.
-fn account_batch(shared: &Shared, tenant: Option<&TenantStats>, answers: u64, stats: &RunStats) {
+fn account_batch(shared: &Shared, program: &TenantStats, answers: u64, stats: &RunStats) {
     {
         let mut m = shared.metrics.lock().expect("metrics");
         m.cursor_batches += 1;
@@ -1366,15 +1323,17 @@ fn account_batch(shared: &Shared, tenant: Option<&TenantStats>, answers: u64, st
         m.cycles += stats.cycles;
         m.steps += stats.instructions;
     }
-    if let Some(t) = tenant {
-        t.solutions.fetch_add(answers, Ordering::Relaxed);
-        t.inferences.fetch_add(stats.inferences, Ordering::Relaxed);
-        t.cycles.fetch_add(stats.cycles, Ordering::Relaxed);
-        t.steps.fetch_add(stats.instructions, Ordering::Relaxed);
-    }
+    program.solutions.fetch_add(answers, Ordering::Relaxed);
+    program
+        .inferences
+        .fetch_add(stats.inferences, Ordering::Relaxed);
+    program.cycles.fetch_add(stats.cycles, Ordering::Relaxed);
+    program
+        .steps
+        .fetch_add(stats.instructions, Ordering::Relaxed);
 }
 
-fn account_served(shared: &Shared, tenant: Option<&TenantStats>, outcome: &Outcome) {
+fn account_served(shared: &Shared, program: &TenantStats, outcome: &Outcome) {
     let solutions = outcome.solutions.len() as u64;
     {
         let mut m = shared.metrics.lock().expect("metrics");
@@ -1388,15 +1347,17 @@ fn account_served(shared: &Shared, tenant: Option<&TenantStats>, outcome: &Outco
         m.switch_probes += outcome.profile.switches.probes;
         m.switch_depth2 += outcome.profile.switches.depth2;
     }
-    if let Some(t) = tenant {
-        t.served.fetch_add(1, Ordering::Relaxed);
-        t.solutions.fetch_add(solutions, Ordering::Relaxed);
-        t.inferences
-            .fetch_add(outcome.stats.inferences, Ordering::Relaxed);
-        t.cycles.fetch_add(outcome.stats.cycles, Ordering::Relaxed);
-        t.steps
-            .fetch_add(outcome.stats.instructions, Ordering::Relaxed);
-    }
+    program.served.fetch_add(1, Ordering::Relaxed);
+    program.solutions.fetch_add(solutions, Ordering::Relaxed);
+    program
+        .inferences
+        .fetch_add(outcome.stats.inferences, Ordering::Relaxed);
+    program
+        .cycles
+        .fetch_add(outcome.stats.cycles, Ordering::Relaxed);
+    program
+        .steps
+        .fetch_add(outcome.stats.instructions, Ordering::Relaxed);
 }
 
 fn error_reply(e: &KcmError, shared: &Shared, tenant: Option<&TenantStats>) -> Reply {

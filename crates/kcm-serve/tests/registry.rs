@@ -8,6 +8,17 @@ use kcm_serve::workload::{direct_body, standard};
 use kcm_serve::{Client, Reply, ServeConfig, Server};
 use kcm_system::Tier;
 use std::net::SocketAddr;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Every test here boots a server inside this one process, and
+/// `idle_connections_cost_buffers_not_threads` counts the process's
+/// threads: the tests take this lock so they run one at a time, and no
+/// sibling's server threads are counted.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn spawn_server(
     cfg: ServeConfig,
@@ -29,6 +40,7 @@ fn body_of(reply: Reply) -> String {
 
 #[test]
 fn published_programs_serve_every_connection_byte_identically() {
+    let _serial = serial();
     // One connection publishes the suite workload; N other connections
     // query by name concurrently. Every body must match the direct
     // in-process rendering — the same oracle as session mode.
@@ -103,6 +115,7 @@ fn published_programs_serve_every_connection_byte_identically() {
 
 #[test]
 fn republish_swaps_the_program_without_disturbing_other_tenants() {
+    let _serial = serial();
     let (addr, server) = spawn_server(ServeConfig::default());
     let mut a = Client::connect(addr).expect("connect");
     let mut b = Client::connect(addr).expect("connect");
@@ -133,6 +146,7 @@ fn republish_swaps_the_program_without_disturbing_other_tenants() {
 
 #[test]
 fn full_registry_evicts_the_least_recently_used_tenant() {
+    let _serial = serial();
     let (addr, server) = spawn_server(ServeConfig {
         max_programs: 2,
         ..ServeConfig::default()
@@ -161,6 +175,7 @@ fn full_registry_evicts_the_least_recently_used_tenant() {
 
 #[test]
 fn tenant_step_budget_caps_queries_and_request_budget_overrides() {
+    let _serial = serial();
     let (addr, server) = spawn_server(ServeConfig::default());
     let mut client = Client::connect(addr).expect("connect");
     assert!(client
@@ -197,6 +212,7 @@ fn tenant_step_budget_caps_queries_and_request_budget_overrides() {
 
 #[test]
 fn tenant_and_session_modes_coexist_on_one_connection() {
+    let _serial = serial();
     // A connection can consult its own program and also query tenants;
     // neither mode disturbs the other's state.
     let (addr, server) = spawn_server(ServeConfig::default());
@@ -220,12 +236,24 @@ fn tenant_and_session_modes_coexist_on_one_connection() {
         Reply::Ok { body } => assert!(body.starts_with("success=false"), "{body}"),
         other => panic!("cross-mode query answered {other:?}"),
     }
+    // The consulted program is the connection's alone: it is not a
+    // registry entry, so STATS counts and lists only the tenant.
+    let stats = client.stats().expect("stats");
+    assert!(stats.contains("programs=1\n"), "{stats}");
+    assert!(
+        stats
+            .lines()
+            .filter(|l| l.starts_with("tenant."))
+            .all(|l| l.starts_with("tenant.kb.")),
+        "{stats}"
+    );
     client.shutdown().expect("shutdown");
     server.join().expect("server thread").expect("run");
 }
 
 #[test]
 fn unknown_tenant_is_a_classed_error_not_a_dropped_connection() {
+    let _serial = serial();
     let (addr, server) = spawn_server(ServeConfig::default());
     let mut client = Client::connect(addr).expect("connect");
     match client.query_tenant("ghost", "p(X)").expect("query") {
@@ -261,6 +289,7 @@ fn thread_count() -> Option<usize> {
 
 #[test]
 fn idle_connections_cost_buffers_not_threads() {
+    let _serial = serial();
     // The structural claim of the readiness-loop front end: the server's
     // thread count is set by its worker pool, not its connection count.
     // Server and clients share this process, so /proc/self/status counts

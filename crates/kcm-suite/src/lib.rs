@@ -34,6 +34,4 @@ pub mod table;
 pub mod workloads;
 
 pub use programs::{program, suite, BenchProgram};
-#[allow(deprecated)]
-pub use runner::run_kcm;
 pub use runner::{run_program, Measurement, Variant};

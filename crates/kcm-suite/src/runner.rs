@@ -66,20 +66,6 @@ pub fn run_program(
     })
 }
 
-/// Compiles and runs one suite program on a fresh KCM machine.
-///
-/// # Errors
-///
-/// Same conditions as [`run_program`].
-#[deprecated(since = "0.1.0", note = "use `run_program` with a `KcmEngine`")]
-pub fn run_kcm(
-    program: &BenchProgram,
-    variant: Variant,
-    config: &MachineConfig,
-) -> Result<Measurement, KcmError> {
-    run_program(&KcmEngine::with_config(config.clone()), program, variant)
-}
-
 /// Runs a list of suite programs across a [`SessionPool`], one session
 /// per program. Results come back **in program order** whatever the
 /// worker count, so table drivers produce byte-identical output whether
@@ -173,14 +159,5 @@ mod tests {
         let plm = run_program(&plm::model(), &p, Variant::Starred).unwrap();
         assert_eq!(kcm.outcome.solutions, plm.outcome.solutions);
         assert!(plm.ms() > kcm.ms());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_run_kcm_still_matches() {
-        let p = programs::program("nrev1").unwrap();
-        let old = run_kcm(&p, Variant::Starred, &MachineConfig::default()).unwrap();
-        let new = run_program(&KcmEngine::new(), &p, Variant::Starred).unwrap();
-        assert_eq!(old.outcome.stats, new.outcome.stats);
     }
 }

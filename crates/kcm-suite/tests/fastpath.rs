@@ -10,7 +10,7 @@
 
 use kcm_suite::programs;
 use kcm_suite::runner::{run_suite_pooled, Variant};
-use kcm_system::{Kcm, MachineConfig, SessionPool};
+use kcm_system::{Kcm, MachineConfig, QueryOpts, SessionPool};
 
 /// The two configurations under comparison: identical except for the
 /// host-speed switch. Profiling is on so the per-address profile (the
@@ -77,13 +77,13 @@ fn fast_paths_preserve_the_predicate_profile() {
             let mut kcm = Kcm::with_config(cfg.clone());
             kcm.load(p.source)
                 .unwrap_or_else(|e| panic!("{}: consult: {e}", p.name));
-            let (mut machine, vars) = kcm
-                .prepare(p.query)
+            let mut prepared = kcm
+                .prepare(p.query, &QueryOpts::first())
                 .unwrap_or_else(|e| panic!("{}: prepare: {e}", p.name));
-            machine
-                .run_query(&vars, p.enumerate)
+            prepared
+                .run(p.enumerate)
                 .unwrap_or_else(|e| panic!("{}: run: {e}", p.name));
-            machine.profile()
+            prepared.profile()
         };
         assert_eq!(
             run(&fast_cfg),
@@ -105,9 +105,11 @@ fn reused_machines_stay_identical_across_runs() {
         let mut kcm = Kcm::with_config(cfg.clone());
         kcm.load(p.source)
             .unwrap_or_else(|e| panic!("consult: {e}"));
-        let (mut machine, vars) = kcm.prepare(p.query).unwrap_or_else(|e| panic!("{e}"));
-        let first = machine.run_query(&vars, p.enumerate).expect("first run");
-        let second = machine.run_query(&vars, p.enumerate).expect("second run");
+        let mut prepared = kcm
+            .prepare(p.query, &QueryOpts::first())
+            .unwrap_or_else(|e| panic!("{e}"));
+        let first = prepared.run(p.enumerate).expect("first run");
+        let second = prepared.run(p.enumerate).expect("second run");
         (first, second)
     };
     let (f1, f2) = run_twice(&fast_cfg);

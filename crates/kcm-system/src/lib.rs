@@ -90,7 +90,7 @@ pub use kcm_cpu::{
 };
 pub use pool::{QueryJob, SessionPool, SessionResult};
 pub use registry::{ProgramRegistry, PublishReceipt, Published, TenantSnapshot, TenantStats};
-pub use session::{open_session, SolutionStep, Solutions};
+pub use session::{open_session, prepare_query, PreparedQuery, SolutionStep, Solutions};
 
 use kcm_arch::snapshot::SnapshotError;
 use kcm_arch::{PredId, SymbolTable, Word};
@@ -219,9 +219,7 @@ pub enum Tier {
 /// pooled session).
 ///
 /// The [`Default`] is a plain first-solution query on the cycle-accurate
-/// tier with no deadline and no tracing — `kcm.query(q,
-/// &Default::default())` behaves exactly like the old `kcm.run(q,
-/// false)`.
+/// tier with no deadline and no tracing.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct QueryOpts {
     /// Backtrack through every solution instead of stopping at the first.
@@ -420,17 +418,6 @@ impl Kcm {
         }
     }
 
-    /// Consults Prolog source text.
-    ///
-    /// # Errors
-    ///
-    /// Returns parse or compile errors; the previous program is kept
-    /// intact on error.
-    #[deprecated(since = "0.1.0", note = "use `Kcm::load` with a `ProgramSource`")]
-    pub fn consult(&mut self, src: &str) -> Result<(), KcmError> {
-        self.load(ProgramSource::Source(src))
-    }
-
     /// Serializes the compiled program — code words, symbol table, hash
     /// side tables, format metadata — into the versioned, checksummed
     /// binary snapshot format of [`kcm_arch::snapshot`]. Feed the bytes
@@ -623,8 +610,9 @@ impl Kcm {
         self.image.as_deref()
     }
 
-    /// The linked code image behind its sharing handle: what a
-    /// [`SessionPool`] distributes to its worker threads.
+    /// The linked code image behind its sharing handle: what
+    /// [`open_session`] and [`pool::run_session`] take, so one compiled
+    /// program can serve sessions on many threads.
     pub fn shared_image(&self) -> Option<Arc<CodeImage>> {
         self.image.clone()
     }
@@ -654,7 +642,7 @@ impl Kcm {
     }
 
     /// Runs a query on a fresh machine, with [`QueryOpts`] controlling
-    /// enumeration, the per-query step deadline and tracing.
+    /// the tier, enumeration, the per-query step deadline and tracing.
     ///
     /// # Errors
     ///
@@ -662,23 +650,8 @@ impl Kcm {
     /// [`MachineError::BudgetExhausted`] when `opts.step_budget` ran out.
     /// A query that simply fails is a successful `Ok` with
     /// `success == false`.
-    pub fn query(&mut self, query: &str, opts: &QueryOpts) -> Result<Outcome, KcmError> {
-        let image = self.image.as_deref().ok_or(KcmError::NoProgram)?;
-        let goal = kcm_prolog::read_term(query)?;
-        let mut symbols = self.symbols.clone();
-        let (qimage, vars) = kcm_compiler::compile_query(image, &goal, &mut symbols)?;
-        let mut config = self.config.clone();
-        opts.apply(&mut config);
-        match opts.tier {
-            Tier::Cycle => {
-                let mut machine = Machine::new(qimage, symbols, config);
-                Ok(machine.run_query(&vars, opts.enumerate_all)?)
-            }
-            Tier::Native => {
-                let mut machine = kcm_native::native_machine(qimage, symbols, config);
-                Ok(machine.run_query(&vars, opts.enumerate_all)?)
-            }
-        }
+    pub fn query(&self, query: &str, opts: &QueryOpts) -> Result<Outcome, KcmError> {
+        self.prepare(query, opts)?.run(opts.enumerate_all)
     }
 
     /// Opens a suspendable session for `query`: a pull-based iterator
@@ -696,57 +669,20 @@ impl Kcm {
     /// Returns [`KcmError::NoProgram`] before the first consult, or query
     /// parse/compile errors.
     pub fn solutions(&self, query: &str, opts: &QueryOpts) -> Result<Solutions, KcmError> {
-        let image = self.image.clone().ok_or(KcmError::NoProgram)?;
-        session::open_session(&image, &self.symbols, &self.config, query, opts)
+        self.prepare(query, opts)?.into_session()
     }
 
-    /// Runs a query on a fresh machine. With `enumerate_all` the machine
-    /// backtracks through every solution; otherwise it stops at the first.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Kcm::query`].
-    #[deprecated(since = "0.1.0", note = "use `Kcm::query` with `QueryOpts`")]
-    pub fn run(&mut self, query: &str, enumerate_all: bool) -> Result<Outcome, KcmError> {
-        let opts = QueryOpts {
-            enumerate_all,
-            ..QueryOpts::default()
-        };
-        self.query(query, &opts)
-    }
-
-    /// Builds the machine for a query without running it (benchmark
-    /// harnesses use this to exclude compile time from measurement).
+    /// Builds the machine of `opts.tier` for a query without running it
+    /// (benchmark harnesses use this to exclude compile time from
+    /// measurement): [`prepare_query`] against this system's program.
     ///
     /// # Errors
     ///
     /// Returns [`KcmError::NoProgram`] before the first consult, or query
     /// parse/compile errors.
-    pub fn prepare(&mut self, query: &str) -> Result<(Machine, Vec<String>), KcmError> {
+    pub fn prepare(&self, query: &str, opts: &QueryOpts) -> Result<PreparedQuery, KcmError> {
         let image = self.image.as_deref().ok_or(KcmError::NoProgram)?;
-        let goal = kcm_prolog::read_term(query)?;
-        let mut symbols = self.symbols.clone();
-        let (qimage, vars) = kcm_compiler::compile_query(image, &goal, &mut symbols)?;
-        let machine = Machine::new(qimage, symbols, self.config.clone());
-        Ok((machine, vars))
-    }
-
-    /// [`Kcm::prepare`] for the native tier: builds a
-    /// [`kcm_native::NativeMachine`] for a query without running it.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Kcm::prepare`].
-    pub fn prepare_native(
-        &mut self,
-        query: &str,
-    ) -> Result<(kcm_native::NativeMachine, Vec<String>), KcmError> {
-        let image = self.image.as_deref().ok_or(KcmError::NoProgram)?;
-        let goal = kcm_prolog::read_term(query)?;
-        let mut symbols = self.symbols.clone();
-        let (qimage, vars) = kcm_compiler::compile_query(image, &goal, &mut symbols)?;
-        let machine = kcm_native::native_machine(qimage, symbols, self.config.clone());
-        Ok((machine, vars))
+        prepare_query(image, &self.symbols, &self.config, query, opts)
     }
 
     /// First solution of a query, if any.
@@ -754,7 +690,7 @@ impl Kcm {
     /// # Errors
     ///
     /// Same conditions as [`Kcm::query`].
-    pub fn solve_first(&mut self, query: &str) -> Result<Option<Answer>, KcmError> {
+    pub fn solve_first(&self, query: &str) -> Result<Option<Answer>, KcmError> {
         let outcome = self.query(query, &QueryOpts::first())?;
         Ok(outcome.solutions.into_iter().next().map(Answer::new))
     }
@@ -764,7 +700,7 @@ impl Kcm {
     /// # Errors
     ///
     /// Same conditions as [`Kcm::query`].
-    pub fn solve_all(&mut self, query: &str) -> Result<Vec<Answer>, KcmError> {
+    pub fn solve_all(&self, query: &str) -> Result<Vec<Answer>, KcmError> {
         let outcome = self.query(query, &QueryOpts::all())?;
         Ok(outcome.solutions.into_iter().map(Answer::new).collect())
     }
@@ -774,7 +710,7 @@ impl Kcm {
     /// # Errors
     ///
     /// Same conditions as [`Kcm::query`].
-    pub fn holds(&mut self, query: &str) -> Result<bool, KcmError> {
+    pub fn holds(&self, query: &str) -> Result<bool, KcmError> {
         Ok(self.query(query, &QueryOpts::first())?.success)
     }
 }
@@ -853,7 +789,7 @@ mod tests {
 
     #[test]
     fn query_before_consult_errors() {
-        let mut kcm = Kcm::new();
+        let kcm = Kcm::new();
         assert!(matches!(
             kcm.query("p(X)", &QueryOpts::first()),
             Err(KcmError::NoProgram)
@@ -867,17 +803,6 @@ mod tests {
         let outcome = kcm.query("p(2)", &QueryOpts::first()).unwrap();
         assert!(!outcome.success);
         assert!(outcome.solutions.is_empty());
-    }
-
-    #[test]
-    fn deprecated_run_still_matches_query() {
-        let mut kcm = Kcm::new();
-        kcm.load("p(1). p(2).").unwrap();
-        #[allow(deprecated)]
-        let old = kcm.run("p(X)", true).unwrap();
-        let new = kcm.query("p(X)", &QueryOpts::all()).unwrap();
-        assert_eq!(old.solutions, new.solutions);
-        assert_eq!(old.stats, new.stats);
     }
 
     #[test]
@@ -940,14 +865,6 @@ mod tests {
         kcm.load("p(1).").unwrap();
         assert!(kcm.load("q(").is_err());
         assert!(kcm.holds("p(1)").unwrap());
-    }
-
-    #[test]
-    fn deprecated_consult_still_matches_load() {
-        let mut kcm = Kcm::new();
-        #[allow(deprecated)]
-        kcm.consult("p(1). p(2).").unwrap();
-        assert_eq!(kcm.solve_all("p(X)").unwrap().len(), 2);
     }
 
     #[test]

@@ -34,7 +34,7 @@
 //! # }
 //! ```
 
-use crate::{Kcm, KcmError, Machine, MachineConfig, Outcome, Profile, QueryOpts, RunStats};
+use crate::{prepare_query, Kcm, KcmError, MachineConfig, Outcome, Profile, QueryOpts, RunStats};
 use kcm_arch::SymbolTable;
 use kcm_compiler::CodeImage;
 use std::sync::mpsc;
@@ -196,10 +196,10 @@ impl SessionPool {
         kcm: &Kcm,
         jobs: &[QueryJob],
     ) -> Result<Vec<SessionResult>, KcmError> {
-        let image = kcm.shared_image().ok_or(KcmError::NoProgram)?;
-        let symbols = kcm.symbols().clone();
-        let config = kcm.config().clone();
-        let outcomes = self.map(jobs, |job| run_session(&image, &symbols, &config, job));
+        if kcm.image().is_none() {
+            return Err(KcmError::NoProgram);
+        }
+        let outcomes = self.map(jobs, |job| kcm.query(&job.query, &job.opts));
         Ok(outcomes
             .into_iter()
             .zip(jobs)
@@ -269,32 +269,21 @@ impl Default for SessionPool {
     }
 }
 
-/// One isolated session: compile the query against the shared image and
-/// run it on a fresh machine. Only the `Arc` on the program image is
-/// shared; symbols are cloned per session because query compilation may
-/// intern new symbols. Public because query services (`kcm-serve`) run
-/// their worker loops on exactly this path.
+/// One isolated session: [`prepare_query`] against the shared image,
+/// then one run on the fresh machine. Only the `Arc` on the program image
+/// is shared. Public because query services (`kcm-serve`) run their
+/// worker loops on exactly this path.
+///
+/// # Errors
+///
+/// Query parse/compile errors or a machine fault.
 pub fn run_session(
     image: &Arc<CodeImage>,
     symbols: &SymbolTable,
     config: &MachineConfig,
     job: &QueryJob,
 ) -> Result<Outcome, KcmError> {
-    let goal = kcm_prolog::read_term(&job.query)?;
-    let mut session_symbols = symbols.clone();
-    let (qimage, vars) = kcm_compiler::compile_query(image, &goal, &mut session_symbols)?;
-    let mut config = config.clone();
-    job.opts.apply(&mut config);
-    match job.opts.tier {
-        crate::Tier::Cycle => {
-            let mut machine = Machine::new(qimage, session_symbols, config);
-            Ok(machine.run_query(&vars, job.opts.enumerate_all)?)
-        }
-        crate::Tier::Native => {
-            let mut machine = kcm_native::native_machine(qimage, session_symbols, config);
-            Ok(machine.run_query(&vars, job.opts.enumerate_all)?)
-        }
-    }
+    prepare_query(image, symbols, config, &job.query, &job.opts)?.run(job.opts.enumerate_all)
 }
 
 #[cfg(test)]
@@ -314,7 +303,7 @@ mod tests {
     #[test]
     fn pool_is_send_and_machine_stack_is_send() {
         fn assert_send<T: Send>() {}
-        assert_send::<Machine>();
+        assert_send::<crate::Machine>();
         assert_send::<Kcm>();
         assert_send::<SessionPool>();
         assert_send::<SessionResult>();

@@ -174,6 +174,38 @@ pub struct Published {
     from_snapshot: bool,
 }
 
+impl Published {
+    /// Loads a program artifact into an entry that no registry holds yet:
+    /// version 1, fresh stats. [`ProgramRegistry::publish`] builds every
+    /// entry through this loader; a server also uses it directly for a
+    /// connection-scoped program (`CONSULT`), which is never inserted into
+    /// a registry and so can be neither evicted nor named.
+    ///
+    /// # Errors
+    ///
+    /// Parse or compile errors from source; [`KcmError::Snapshot`] for a
+    /// damaged or version-skewed snapshot artifact.
+    pub fn load<'a>(
+        name: &str,
+        source: impl Into<ProgramSource<'a>>,
+        config: &MachineConfig,
+        step_budget: Option<u64>,
+    ) -> Result<Published, KcmError> {
+        let mut kcm = Kcm::with_config(config.clone());
+        kcm.load(source)?;
+        Ok(Published {
+            name: name.to_owned(),
+            version: 1,
+            image: kcm.image.expect("load succeeded"),
+            symbols: kcm.symbols,
+            step_budget,
+            stats: Arc::new(TenantStats::default()),
+            clauses: Arc::new(kcm.clauses),
+            from_snapshot: kcm.from_snapshot,
+        })
+    }
+}
+
 /// What a publish accomplished.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PublishReceipt {
@@ -260,44 +292,31 @@ impl ProgramRegistry {
         config: &MachineConfig,
         step_budget: Option<u64>,
     ) -> Result<PublishReceipt, KcmError> {
-        let mut kcm = Kcm::with_config(config.clone());
-        kcm.load(source)?;
-        let image = kcm.shared_image().expect("load succeeded");
-        let symbols = kcm.symbols().clone();
-        let clauses = Arc::new(std::mem::take(&mut kcm.clauses));
-        let from_snapshot = kcm.from_snapshot;
+        let mut entry = Published::load(name, source, config, step_budget)?;
         let now = self.tick();
         let mut slots = self.slots.lock().expect("registry lock");
-        let (version, stats, evicted) = match slots.get(name) {
-            Some(old) => (old.entry.version + 1, Arc::clone(&old.entry.stats), None),
-            None => {
-                let evicted = if slots.len() >= self.capacity {
-                    let lru = slots
-                        .iter()
-                        .min_by_key(|(_, s)| s.last_used)
-                        .map(|(n, _)| n.clone())
-                        .expect("full registry is nonempty");
-                    slots.remove(&lru);
-                    Some(lru)
-                } else {
-                    None
-                };
-                (1, Arc::new(TenantStats::default()), evicted)
+        let evicted = match slots.get(name) {
+            Some(old) => {
+                entry.version = old.entry.version + 1;
+                entry.stats = Arc::clone(&old.entry.stats);
+                None
             }
+            None if slots.len() >= self.capacity => {
+                let lru = slots
+                    .iter()
+                    .min_by_key(|(_, s)| s.last_used)
+                    .map(|(n, _)| n.clone())
+                    .expect("full registry is nonempty");
+                slots.remove(&lru);
+                Some(lru)
+            }
+            None => None,
         };
+        let version = entry.version;
         slots.insert(
             name.to_owned(),
             Slot {
-                entry: Arc::new(Published {
-                    name: name.to_owned(),
-                    version,
-                    image,
-                    symbols,
-                    step_budget,
-                    stats,
-                    clauses,
-                    from_snapshot,
-                }),
+                entry: Arc::new(entry),
                 last_used: now,
             },
         );

@@ -8,11 +8,11 @@ use kcm_cpu::RunStats;
 /// # Examples
 ///
 /// ```
-/// use kcm_system::{Kcm, report};
+/// use kcm_system::{report, Kcm, QueryOpts};
 /// # fn main() -> Result<(), kcm_system::KcmError> {
 /// let mut kcm = Kcm::new();
 /// kcm.load("p(1).")?;
-/// let outcome = kcm.run("p(X)", false)?;
+/// let outcome = kcm.query("p(X)", &QueryOpts::first())?;
 /// let text = report::summary(&outcome.stats);
 /// assert!(text.contains("cycles"));
 /// # Ok(())
@@ -71,11 +71,11 @@ pub fn summary(stats: &RunStats) -> String {
 /// # Examples
 ///
 /// ```
-/// use kcm_system::{Kcm, report};
+/// use kcm_system::{report, Kcm, QueryOpts};
 /// # fn main() -> Result<(), kcm_system::KcmError> {
 /// let mut kcm = Kcm::new();
 /// kcm.load("p(1).")?;
-/// let outcome = kcm.run("p(X)", false)?;
+/// let outcome = kcm.query("p(X)", &QueryOpts::first())?;
 /// let text = report::profile_summary(&outcome.profile);
 /// assert!(text.contains("mwac"));
 /// # Ok(())

@@ -1,4 +1,15 @@
-//! Suspendable query sessions: pull-based solution streaming.
+//! Prepared queries and suspendable sessions: the one path from query
+//! text to a machine on a tier to answers.
+//!
+//! [`prepare_query`] is the only place query text becomes a machine: it
+//! parses the goal, compiles and links it against the program image
+//! (§2.1: the host compiles and links the query, then downloads it),
+//! overlays the [`QueryOpts`] on the machine configuration and builds the
+//! machine of the chosen [`Tier`]. Every front end — [`crate::Kcm::query`],
+//! [`crate::Kcm::prepare`], [`crate::Kcm::solutions`], [`open_session`],
+//! [`crate::pool::run_session`] and the baseline engines — goes through
+//! it, and the resulting [`PreparedQuery`] either runs to completion or
+//! becomes a session.
 //!
 //! The paper's host-interface model (§2.1) has the workstation *pull*
 //! solutions from the KCM one backtrack at a time — the machine reports a
@@ -15,31 +26,106 @@
 //! instruction sequence an uninterrupted enumerate-all run would — the
 //! property the difftest enumeration oracle checks byte-for-byte.
 
-use crate::{KcmError, Machine, MachineConfig, QueryOpts, RunStats, Solution, Tier};
+use crate::{KcmError, Machine, MachineConfig, Outcome, QueryOpts, RunStats, Solution, Tier};
 use kcm_arch::SymbolTable;
 use kcm_compiler::CodeImage;
-use kcm_cpu::SessionStep;
 use std::sync::Arc;
 
-/// The suspended machine behind a session, one variant per tier.
+/// The machine behind a prepared query or session, one variant per tier.
 enum SessionMachine {
-    Cycle(Box<Machine>),
-    Native(Box<kcm_native::NativeMachine>),
+    Cycle(Machine),
+    Native(kcm_native::NativeMachine),
 }
 
-impl SessionMachine {
-    fn next_solution(&mut self) -> Result<SessionStep, KcmError> {
-        match self {
-            SessionMachine::Cycle(m) => Ok(m.next_solution()?),
-            SessionMachine::Native(m) => Ok(m.next_solution()?),
+/// Evaluates `$body` with `$m` bound to the machine of either tier: the
+/// two machine types share every method but no trait.
+macro_rules! on_tier {
+    ($machine:expr, $m:ident => $body:expr) => {
+        match $machine {
+            SessionMachine::Cycle($m) => $body,
+            SessionMachine::Native($m) => $body,
         }
+    };
+}
+
+/// Compiles `query` against `image` and loads it onto a fresh machine of
+/// `opts.tier`, configured by `config` with `opts` overlaid. The machine
+/// is built but not run.
+///
+/// The symbol table is cloned per query because query compilation may
+/// intern new symbols; the image is only read.
+///
+/// # Errors
+///
+/// Query parse or compile errors.
+pub fn prepare_query(
+    image: &CodeImage,
+    symbols: &SymbolTable,
+    config: &MachineConfig,
+    query: &str,
+    opts: &QueryOpts,
+) -> Result<PreparedQuery, KcmError> {
+    let goal = kcm_prolog::read_term(query)?;
+    let mut symbols = symbols.clone();
+    let (qimage, vars) = kcm_compiler::compile_query(image, &goal, &mut symbols)?;
+    let mut config = config.clone();
+    opts.apply(&mut config);
+    let machine = match opts.tier {
+        Tier::Cycle => SessionMachine::Cycle(Machine::new(qimage, symbols, config)),
+        Tier::Native => SessionMachine::Native(kcm_native::native_machine(qimage, symbols, config)),
+    };
+    Ok(PreparedQuery { machine, vars })
+}
+
+/// A query compiled, linked and loaded onto a machine of its tier, not
+/// yet run — what [`prepare_query`] and [`crate::Kcm::prepare`] return.
+///
+/// [`PreparedQuery::run`] may be called repeatedly on the same machine
+/// (benchmark harnesses time only the run that way);
+/// [`PreparedQuery::into_session`] turns it into a pull-based stream.
+pub struct PreparedQuery {
+    machine: SessionMachine,
+    vars: Vec<String>,
+}
+
+impl PreparedQuery {
+    /// Runs the query to completion: to the first solution, or with
+    /// `enumerate_all` through every solution. The step budget bounds
+    /// the whole run.
+    ///
+    /// # Errors
+    ///
+    /// A [`KcmError::Machine`] fault, including
+    /// [`crate::MachineError::BudgetExhausted`] when the step budget ran
+    /// out. A query that simply fails is an `Ok` with `success == false`.
+    pub fn run(&mut self, enumerate_all: bool) -> Result<Outcome, KcmError> {
+        let vars = &self.vars;
+        Ok(on_tier!(&mut self.machine, m => m.run_query(vars, enumerate_all))?)
     }
 
-    fn exhausted(&self) -> bool {
-        match self {
-            SessionMachine::Cycle(m) => m.session_exhausted(),
-            SessionMachine::Native(m) => m.session_exhausted(),
-        }
+    /// Arms the machine as a suspendable session (see [`Solutions`]).
+    ///
+    /// # Errors
+    ///
+    /// A fault arming the session.
+    pub fn into_session(mut self) -> Result<Solutions, KcmError> {
+        let vars = &self.vars;
+        on_tier!(&mut self.machine, m => m.begin_query_session(vars))?;
+        Ok(Solutions {
+            machine: self.machine,
+            dead: false,
+            pulled: 0,
+            totals: RunStats::default(),
+            output: String::new(),
+        })
+    }
+
+    /// The Prolog-level monitor over every run so far: cycles attributed
+    /// to each predicate, costliest first. Empty unless
+    /// [`MachineConfig::profile`] was set on the cycle tier (the native
+    /// tier has no clock to attribute).
+    pub fn profile(&self) -> Vec<(String, u64)> {
+        on_tier!(&self.machine, m => m.profile())
     }
 }
 
@@ -56,10 +142,11 @@ pub struct SolutionStep {
 
 /// A suspended query session: a pull-based stream of solutions.
 ///
-/// Obtained from [`crate::Kcm::solutions`] or [`open_session`]. Pull with
-/// [`Solutions::next_step`] for per-slice accounting, or use the
-/// [`Iterator`] impl for the solutions alone. Dropping the session at any
-/// point releases the machine — there is nothing else to clean up.
+/// Obtained from [`crate::Kcm::solutions`], [`open_session`] or
+/// [`PreparedQuery::into_session`]. Pull with [`Solutions::next_step`]
+/// for per-slice accounting, or use the [`Iterator`] impl for the
+/// solutions alone. Dropping the session at any point releases the
+/// machine — there is nothing else to clean up.
 pub struct Solutions {
     machine: SessionMachine,
     dead: bool,
@@ -84,14 +171,14 @@ impl Solutions {
     /// [`crate::MachineError::Fuel`] when one pull's budget slice is
     /// exhausted.
     pub fn next_step(&mut self) -> Result<Option<SolutionStep>, KcmError> {
-        if self.dead || self.machine.exhausted() {
+        if self.exhausted() {
             return Ok(None);
         }
-        let step = match self.machine.next_solution() {
+        let step = match on_tier!(&mut self.machine, m => m.next_solution()) {
             Ok(step) => step,
             Err(e) => {
                 self.dead = true;
-                return Err(e);
+                return Err(e.into());
             }
         };
         self.totals.cycle_ns = step.stats.cycle_ns;
@@ -112,7 +199,7 @@ impl Solutions {
 
     /// Whether the session has ended (exhausted, or dead after an error).
     pub fn exhausted(&self) -> bool {
-        self.dead || self.machine.exhausted()
+        self.dead || on_tier!(&self.machine, m => m.session_exhausted())
     }
 
     /// Solutions pulled so far.
@@ -162,28 +249,5 @@ pub fn open_session(
     query: &str,
     opts: &QueryOpts,
 ) -> Result<Solutions, KcmError> {
-    let goal = kcm_prolog::read_term(query)?;
-    let mut symbols = symbols.clone();
-    let (qimage, vars) = kcm_compiler::compile_query(image, &goal, &mut symbols)?;
-    let mut config = config.clone();
-    opts.apply(&mut config);
-    let machine = match opts.tier {
-        Tier::Cycle => {
-            let mut m = Machine::new(qimage, symbols, config);
-            m.begin_query_session(&vars)?;
-            SessionMachine::Cycle(Box::new(m))
-        }
-        Tier::Native => {
-            let mut m = kcm_native::native_machine(qimage, symbols, config);
-            m.begin_query_session(&vars)?;
-            SessionMachine::Native(Box::new(m))
-        }
-    };
-    Ok(Solutions {
-        machine,
-        dead: false,
-        pulled: 0,
-        totals: RunStats::default(),
-        output: String::new(),
-    })
+    prepare_query(image, symbols, config, query, opts)?.into_session()
 }

@@ -17,7 +17,7 @@
 #![warn(missing_docs)]
 
 use kcm_arch::{CostModel, Instr};
-use kcm_system::{KcmError, QueryOpts};
+use kcm_system::KcmError;
 use wam_baseline::BaselineModel;
 
 /// PLM cycle time: 100 ns (10 MHz).
@@ -54,24 +54,6 @@ pub fn model() -> BaselineModel {
         ..CostModel::default()
     };
     m
-}
-
-/// Runs a program/query pair on the PLM model.
-///
-/// # Errors
-///
-/// Propagates parse, compile and machine errors.
-#[deprecated(since = "0.1.0", note = "use `model().run` with `QueryOpts`")]
-pub fn run_plm(
-    source: &str,
-    query: &str,
-    enumerate_all: bool,
-) -> Result<kcm_cpu::Outcome, KcmError> {
-    let opts = QueryOpts {
-        enumerate_all,
-        ..QueryOpts::default()
-    };
-    model().run(source, query, &opts)
 }
 
 /// Static code size of a program under the PLM model.
@@ -174,6 +156,7 @@ pub fn static_size(source: &str) -> Result<PlmSize, KcmError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kcm_system::QueryOpts;
 
     #[test]
     fn plm_runs_and_answers_correctly() {

@@ -17,7 +17,6 @@
 #![warn(missing_docs)]
 
 use kcm_arch::CostModel;
-use kcm_system::{KcmError, QueryOpts};
 use wam_baseline::BaselineModel;
 
 /// Host cycle time: 40 ns (25 MHz M68020).
@@ -81,27 +80,10 @@ pub fn model() -> BaselineModel {
     m
 }
 
-/// Runs a program/query pair on the software-WAM model.
-///
-/// # Errors
-///
-/// Propagates parse, compile and machine errors.
-#[deprecated(since = "0.1.0", note = "use `model().run` with `QueryOpts`")]
-pub fn run_swam(
-    source: &str,
-    query: &str,
-    enumerate_all: bool,
-) -> Result<kcm_cpu::Outcome, KcmError> {
-    let opts = QueryOpts {
-        enumerate_all,
-        ..QueryOpts::default()
-    };
-    model().run(source, query, &opts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kcm_system::QueryOpts;
 
     #[test]
     fn swam_runs_and_answers_correctly() {
@@ -110,13 +92,6 @@ mod tests {
             .unwrap();
         assert_eq!(out.solutions.len(), 2);
         assert!((out.stats.cycle_ns - 40.0).abs() < f64::EPSILON);
-    }
-
-    #[test]
-    fn deprecated_run_swam_still_works() {
-        #[allow(deprecated)]
-        let out = run_swam("p(1). p(2).", "p(X)", true).unwrap();
-        assert_eq!(out.solutions.len(), 2);
     }
 
     #[test]

@@ -38,9 +38,12 @@
 
 use kcm_arch::CostModel;
 use kcm_compiler::CompileOptions;
-use kcm_cpu::{Machine, MachineConfig, Outcome};
+use kcm_cpu::{MachineConfig, Outcome};
 use kcm_mem::MemConfig;
-use kcm_system::{snapshot_unsupported, Engine, EngineOutcome, KcmError, ProgramSource, QueryOpts};
+use kcm_system::{
+    prepare_query, snapshot_unsupported, Engine, EngineOutcome, KcmError, ProgramSource, QueryOpts,
+    Tier,
+};
 
 /// A baseline machine model: how to compile and how to cost each
 /// micro-operation.
@@ -87,7 +90,8 @@ impl BaselineModel {
     }
 
     /// Compiles `source` for this baseline and runs `query` under `opts`
-    /// on a fresh machine.
+    /// on a fresh machine. A baseline is a cost model, so it always runs
+    /// on the cycle tier whatever `opts.tier` says.
     ///
     /// # Errors
     ///
@@ -96,12 +100,12 @@ impl BaselineModel {
         let clauses = kcm_prolog::read_program(source)?;
         let mut symbols = kcm_arch::SymbolTable::new();
         let image = kcm_compiler::compile_program_with(&clauses, &mut symbols, &self.compile)?;
-        let goal = kcm_prolog::read_term(query)?;
-        let (qimage, vars) = kcm_compiler::compile_query(&image, &goal, &mut symbols)?;
-        let mut config = self.machine_config();
-        opts.apply(&mut config);
-        let mut machine = Machine::new(qimage, symbols, config);
-        Ok(machine.run_query(&vars, opts.enumerate_all)?)
+        let opts = QueryOpts {
+            tier: Tier::Cycle,
+            ..opts.clone()
+        };
+        prepare_query(&image, &symbols, &self.machine_config(), query, &opts)?
+            .run(opts.enumerate_all)
     }
 }
 
@@ -120,25 +124,6 @@ impl Engine for BaselineModel {
         };
         EngineOutcome::new(self.name, result)
     }
-}
-
-/// Compiles `source` for the baseline and runs `query` on a fresh machine.
-///
-/// # Errors
-///
-/// Propagates parse, compile and machine errors.
-#[deprecated(since = "0.1.0", note = "use `BaselineModel::run` with `QueryOpts`")]
-pub fn run_baseline(
-    model: &BaselineModel,
-    source: &str,
-    query: &str,
-    enumerate_all: bool,
-) -> Result<Outcome, KcmError> {
-    let opts = QueryOpts {
-        enumerate_all,
-        ..QueryOpts::default()
-    };
-    model.run(source, query, &opts)
 }
 
 /// Compiles `source` for the baseline and returns the per-predicate sizes

@@ -11,7 +11,7 @@
 
 use kcm_repro::kcm_suite::runner::{run_program, Variant};
 use kcm_repro::kcm_suite::{program, programs};
-use kcm_repro::kcm_system::{Kcm, KcmEngine, Machine, MachineConfig, QueryOpts};
+use kcm_repro::kcm_system::{Kcm, KcmEngine, MachineConfig, QueryOpts};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let name = std::env::args()
@@ -88,10 +88,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..Default::default()
     });
     kcm2.load(bench.source)?;
-    let (mut machine, vars): (Machine, Vec<String>) = kcm2.prepare(bench.starred_query)?;
-    let outcome = machine.run_query(&vars, bench.enumerate)?;
+    let mut prepared = kcm2.prepare(bench.starred_query, &QueryOpts::first())?;
+    let outcome = prepared.run(bench.enumerate)?;
     println!("\n--- cycle profile (Prolog-level monitor) ---");
-    for (pred, cycles) in machine.profile().into_iter().take(8) {
+    for (pred, cycles) in prepared.profile().into_iter().take(8) {
         println!(
             "{pred:<24} {cycles:>10} cycles  ({:.1} %)",
             100.0 * cycles as f64 / outcome.stats.cycles as f64

@@ -66,7 +66,7 @@ fn cut_after_calls_discards_alternatives() {
 
 #[test]
 fn negation_as_failure() {
-    let mut k = kcm("p(1). p(2).
+    let k = kcm("p(1). p(2).
          not_p(X) :- \\+ p(X).");
     assert!(k.holds("not_p(3)").expect("query"));
     assert!(!k.holds("not_p(1)").expect("query"));
@@ -140,7 +140,7 @@ fn partial_lists_and_tails() {
 #[test]
 fn deep_recursion_grows_stacks() {
     // 40 000 recursive frames force local/global zone growth traps.
-    let mut k = kcm("count(0) :- !. count(N) :- M is N - 1, count(M).");
+    let k = kcm("count(0) :- !. count(N) :- M is N - 1, count(M).");
     assert!(k.holds("count(40000)").expect("query"));
 }
 
@@ -159,7 +159,7 @@ fn first_arg_indexing_is_transparent() {
 
 #[test]
 fn type_test_builtins() {
-    let mut k = kcm("t.");
+    let k = kcm("t.");
     for (q, expect) in [
         ("var(_)", true),
         ("nonvar(f(x))", true),
@@ -204,14 +204,14 @@ fn term_ordering_builtins() {
 
 #[test]
 fn write_output_is_captured() {
-    let mut k = kcm("greet :- write(hello), nl, write([1,2|x]), nl.");
+    let k = kcm("greet :- write(hello), nl, write([1,2|x]), nl.");
     let outcome = k.query("greet", &QueryOpts::first()).expect("query");
     assert_eq!(outcome.output, "hello\n[1,2|x]\n");
 }
 
 #[test]
 fn failure_driven_loop_terminates() {
-    let mut k = kcm("p(1). p(2). p(3).
+    let k = kcm("p(1). p(2). p(3).
          show :- p(X), write(X), nl, fail.
          show.");
     let outcome = k.query("show", &QueryOpts::first()).expect("query");
@@ -221,7 +221,7 @@ fn failure_driven_loop_terminates() {
 
 #[test]
 fn anonymous_variables_do_not_alias() {
-    let mut k = kcm("pair(_, _).");
+    let k = kcm("pair(_, _).");
     assert!(k.holds("pair(1, 2)").expect("query"));
 }
 
@@ -274,7 +274,7 @@ fn meta_call_dispatches_user_predicates() {
 
 #[test]
 fn meta_call_dispatches_builtins() {
-    let mut k = kcm("check(G) :- call(G).");
+    let k = kcm("check(G) :- call(G).");
     assert!(k.holds("check(integer(3))").expect("q"));
     assert!(!k.holds("check(integer(a))").expect("q"));
     assert!(k.holds("check(3 < 5)").expect("q"));
@@ -284,7 +284,7 @@ fn meta_call_dispatches_builtins() {
 
 #[test]
 fn meta_call_of_atom_goals() {
-    let mut k = kcm("hello. run(G) :- call(G).");
+    let k = kcm("hello. run(G) :- call(G).");
     assert!(k.holds("run(hello)").expect("q"));
     assert!(k.holds("run(true)").expect("q"));
     assert!(!k.holds("run(fail)").expect("q"));
@@ -308,7 +308,7 @@ fn meta_call_is_transparent_to_backtracking() {
 
 #[test]
 fn meta_call_on_unbound_goal_faults() {
-    let mut k = kcm("go(G) :- call(G).");
+    let k = kcm("go(G) :- call(G).");
     let r = k.query("go(_)", &QueryOpts::first());
     assert!(
         r.is_err(),
@@ -368,7 +368,7 @@ fn long_ground_lists_roundtrip_through_static_data() {
 
 #[test]
 fn copy_term_refreshes_variables() {
-    let mut k = kcm("t.");
+    let k = kcm("t.");
     // The copy's variables are fresh: binding them leaves the original
     // untouched.
     let o = k
@@ -387,7 +387,7 @@ fn copy_term_refreshes_variables() {
 
 #[test]
 fn ground_checks_the_whole_term() {
-    let mut k = kcm("t.");
+    let k = kcm("t.");
     assert!(k.holds("ground(f(1, [a, b]))").expect("q"));
     assert!(!k.holds("ground(f(1, [a | _]))").expect("q"));
     assert!(!k.holds("ground(_)").expect("q"));
@@ -411,7 +411,7 @@ fn codes_conversions() {
 
 #[test]
 fn atom_codes_of_digits_stays_an_atom() {
-    let mut k = kcm("t.");
+    let k = kcm("t.");
     let o = k
         .query("atom_codes(A, [52,50]), atom(A)", &QueryOpts::first())
         .expect("run");
@@ -474,14 +474,14 @@ fn deeply_nested_structures_compile() {
     }
     // Bounded by the register file? The tree shares no variables, so the
     // spine-queue keeps temporaries bounded.
-    let mut k = kcm(&format!("deep({term})."));
+    let k = kcm(&format!("deep({term})."));
     assert!(k.holds(&format!("deep({term})")).expect("runs"));
     assert!(!k.holds("deep(y)").expect("runs"));
 }
 
 #[test]
 fn occurs_check_builtin() {
-    let mut k = kcm("t.");
+    let k = kcm("t.");
     // Plain unification builds the rational tree; the checked version
     // fails soundly.
     assert!(!k.holds("unify_with_occurs_check(X, f(X))").expect("q"));
@@ -496,7 +496,7 @@ fn occurs_check_builtin() {
 
 #[test]
 fn statistics_memory_keys() {
-    let mut k = kcm("grow(0, []) :- !. grow(N, [N|T]) :- M is N - 1, grow(M, T).");
+    let k = kcm("grow(0, []) :- !. grow(N, [N|T]) :- M is N - 1, grow(M, T).");
     let o = k
         .query(
             "grow(50, L), statistics(heap, H), H > 50",
