@@ -15,32 +15,46 @@ use bench::jsonl::{validate_line, Json};
 use std::path::PathBuf;
 
 /// Bench-specific shape checks on top of the generic record schema:
-/// `factscale` cold-start rows must carry every metric the consult-vs-
-/// snapshot comparison is made of — a driver that stops emitting one of
-/// them would otherwise validate while quietly losing the acceptance
-/// number.
+/// `factscale` rows must carry every metric an acceptance number is made
+/// of — the cold-start comparison, the hot and end-to-end lookup
+/// percentiles per tier, and both O(1) scaling ratios — so a driver that
+/// stops emitting one of them fails here instead of validating while
+/// quietly losing the number.
 fn check_shape(v: &Json) -> Result<(), String> {
     let bench = v.get("bench").and_then(Json::as_str).unwrap_or("");
     let label = v.get("label").and_then(Json::as_str).unwrap_or("");
-    if bench == "factscale" && label.starts_with("coldstart") {
-        let required: &[&str] = if v.get("kind").and_then(Json::as_str) == Some("summary") {
-            &["facts_max", "load_host_ms_at_max"]
-        } else {
-            &[
-                "facts",
-                "consult_host_ms",
-                "snapshot_save_host_ms",
-                "snapshot_bytes",
-                "snapshot_load_host_ms",
-                "load_speedup",
-            ]
-        };
-        for key in required {
-            match v.get(key) {
-                Some(Json::Num(_)) => {}
-                Some(_) => return Err(format!("coldstart `{key}` is not a number")),
-                None => return Err(format!("coldstart record missing `{key}`")),
-            }
+    if bench != "factscale" {
+        return Ok(());
+    }
+    let summary = v.get("kind").and_then(Json::as_str) == Some("summary");
+    let required: &[&str] = match (label, summary) {
+        ("coldstart", true) => &["facts_max", "load_host_ms_at_max"],
+        (l, false) if l.starts_with("coldstart") => &[
+            "facts",
+            "consult_host_ms",
+            "snapshot_save_host_ms",
+            "snapshot_bytes",
+            "snapshot_load_host_ms",
+            "load_speedup",
+            "first_query_host_ms",
+            "chunks_decoded",
+            "chunks_total",
+        ],
+        ("native-p50-scaling", true) => &["p50_ratio_max_vs_min", "e2e_p50_ratio_max_vs_min"],
+        (_, false) if v.get("tier").is_some() => &[
+            "lookup_p50_us",
+            "lookup_p99_us",
+            "e2e_p50_us",
+            "e2e_p99_us",
+            "e2e_first_ms",
+        ],
+        _ => &[],
+    };
+    for key in required {
+        match v.get(key) {
+            Some(Json::Num(_)) => {}
+            Some(_) => return Err(format!("factscale {label}: `{key}` is not a number")),
+            None => return Err(format!("factscale {label}: record missing `{key}`")),
         }
     }
     Ok(())

@@ -11,6 +11,14 @@
 //! [`CodeImage::retract_fact_clause`]) patch fact predicates without a
 //! recompile — B-Prolog-style index maintenance over the switch tables.
 //!
+//! A query is linked as an *overlay* ([`CodeImage::overlay`]): a small
+//! image holding only the `$query/0` clause and its auxiliaries, which
+//! shares the program image behind an `Arc` and continues its code
+//! addresses, instruction indices and static-data area. Every read falls
+//! through to the program below the overlay's boundary, so compiling a
+//! query costs O(query), not O(program) — the paper's host links the
+//! query and downloads it next to the resident program (§2.1).
+//!
 //! The image lives in `kcm-arch` rather than the compiler crate so that
 //! snapshots and patching — pure image-structure concerns — need no
 //! compiler dependency; the compiler re-exports these types under its
@@ -22,6 +30,7 @@ use crate::swindex::SwitchIndex;
 use crate::symbol::SymbolTable;
 use crate::word::Word;
 use crate::zone::Zone;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
@@ -248,13 +257,13 @@ impl LazyCode {
 /// freshly linked images, or chunk-lazy decoding over a snapshot's
 /// encoded stream — what lets a million-fact snapshot restore without
 /// paying to decode five million instructions up front. Indexing reads
-/// through either representation; any mutation (push, `IndexMut`) forces
-/// full materialization first, so patched images behave exactly like
-/// linked ones.
+/// through either representation; any mutation forces full
+/// materialization first ([`CodeImage::instrs_mut`]), so patched images
+/// behave exactly like linked ones.
 #[derive(Debug, Clone)]
 pub(crate) enum CodeStore {
     Eager(Vec<Instr>),
-    /// `Arc` so per-query image clones share materialized chunks.
+    /// `Arc` so image clones share materialized chunks.
     Lazy(Arc<LazyCode>),
 }
 
@@ -274,13 +283,9 @@ impl CodeStore {
         }
     }
 
-    pub(crate) fn push(&mut self, instr: Instr) {
-        self.force_mut().push(instr);
-    }
-
-    /// Full materialization for mutation: a lazy store becomes eager
-    /// (decoding every untouched chunk) the first time the image is
-    /// patched, after which reads and writes are plain vector accesses.
+    /// Full materialization: a lazy store becomes eager (decoding every
+    /// untouched chunk), after which reads and writes are plain vector
+    /// accesses.
     fn force_mut(&mut self) -> &mut Vec<Instr> {
         if let CodeStore::Lazy(l) = self {
             let mut v = Vec::with_capacity(l.count);
@@ -292,6 +297,21 @@ impl CodeStore {
         match self {
             CodeStore::Eager(v) => v,
             CodeStore::Lazy(_) => unreachable!("just forced eager"),
+        }
+    }
+
+    /// How many lazy decode chunks have been materialized, out of how
+    /// many (an eager store counts as fully decoded).
+    fn decoded_chunks(&self) -> (usize, usize) {
+        match self {
+            CodeStore::Eager(v) => {
+                let n = v.len().div_ceil(1 << LAZY_CHUNK_SHIFT);
+                (n, n)
+            }
+            CodeStore::Lazy(l) => (
+                l.chunks.iter().filter(|c| c.get().is_some()).count(),
+                l.chunks.len(),
+            ),
         }
     }
 }
@@ -307,10 +327,44 @@ impl std::ops::Index<usize> for CodeStore {
     }
 }
 
-impl std::ops::IndexMut<usize> for CodeStore {
-    fn index_mut(&mut self, idx: usize) -> &mut Instr {
-        &mut self.force_mut()[idx]
-    }
+/// The native tier's resolved-dispatch table, parallel to the decoded
+/// stream: per instruction, its fall-through address (low 32 bits) and
+/// the stream index of the instruction there (high 32 bits), packed so
+/// the hot loop pays one load per step and never recomputes an
+/// instruction size. An index of `u32::MAX` means "not resolved here":
+/// no instruction starts there, or one was placed there after the entry
+/// was computed (a program's last instruction falls through to the
+/// first word of a query overlay) — the dispatcher then looks the
+/// address up, so a stale entry is never wrong, just a miss.
+///
+/// Built once per image and shared by every machine through the image's
+/// `Arc`; an eager image maintains it on every mutation, a lazily
+/// restored image builds it one decode chunk at a time alongside the
+/// chunk's instructions.
+#[derive(Debug, Clone)]
+pub(crate) enum Dispatch {
+    Eager(Vec<u64>),
+    /// One table per lazy decode chunk, built on the chunk's first run.
+    Lazy(Arc<[OnceLock<Box<[u64]>>]>),
+}
+
+/// A contiguous stretch of an image's decoded stream and its
+/// resolved-dispatch entries ([`CodeImage::span`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Span<'a> {
+    /// Stream index of `instrs[0]`.
+    pub start: u32,
+    /// The decoded instructions.
+    pub instrs: &'a [Instr],
+    /// Per instruction: its fall-through address (low 32 bits) and the
+    /// stream index of the instruction there (high 32 bits; `u32::MAX`
+    /// when not resolved — look the address up with
+    /// [`CodeImage::index_of`]).
+    pub next: &'a [u64],
+}
+
+const fn pack_next(next: u32, next_idx: u32) -> u64 {
+    next as u64 | ((next_idx as u64) << 32)
 }
 
 /// Encoded-words storage behind [`CodeImage`]: a plain vector for linked
@@ -324,7 +378,7 @@ pub(crate) enum WordStore {
     Lazy {
         code: Arc<LazyCode>,
         len: usize,
-        /// `Arc` so per-query image clones share the materialization.
+        /// `Arc` so image clones share the materialization.
         cache: Arc<OnceLock<Vec<u64>>>,
     },
 }
@@ -360,20 +414,43 @@ impl WordStore {
 /// their sequential successor, so only the cycle tier's code-fetch
 /// accounting at that site is approximate. All other patches re-encode
 /// their (fixed-size) site in place.
+///
+/// An image is either *flat* (a linked program) or a query *overlay* on
+/// a flat base ([`CodeImage::overlay`]). An overlay owns only the code,
+/// entries, sizes and static data it added, starting where its base
+/// ends; every read below that boundary falls through to the base. An
+/// overlay only grows: the patching entry points (`remove_entry`,
+/// `retarget_calls`, the fact patches) and the snapshot writer take a
+/// flat image and panic on an overlay.
 #[derive(Debug, Clone)]
 pub struct CodeImage {
+    /// The flat program image this overlay extends (`None` for a flat
+    /// image). Never itself an overlay: an overlay of an overlay copies
+    /// the upper overlay's own (small) part instead of chaining, so a
+    /// read falls through at most once.
+    base: Option<Arc<CodeImage>>,
+    /// The first stream index and the first word address this image
+    /// holds itself: its base's instruction count and word length (both
+    /// 0 for a flat image).
+    first_index: u32,
+    first_addr: u32,
+    /// This image's own instructions (stream indices from
+    /// `first_index`).
     instrs: CodeStore,
     /// Word address of each instruction in `instrs` (sorted).
     addrs: Vec<u32>,
-    /// Dense map word address → index into `instrs` (`u32::MAX` = not an
-    /// instruction start). Dense because the machine consults it on every
-    /// fetch.
+    /// Dense map word address − `first_addr` → stream index (`u32::MAX`
+    /// = not an instruction start). Dense because the machine consults
+    /// it on every taken control transfer.
     addr_index: Vec<u32>,
     /// Link-time hash side table, parallel to `instrs`: wide
     /// `switch_on_constant` / `switch_on_structure` tables get an
     /// open-addressing index here so dispatch is O(1) instead of a
-    /// linear scan. `Arc` so per-query image clones share the tables.
+    /// linear scan. `Arc` so image clones share the tables.
     switch_index: Vec<Option<Arc<SwitchIndex>>>,
+    /// The native tier's resolved-dispatch table, parallel to `instrs`.
+    dispatch: Dispatch,
+    /// This image's own code words (addresses from `first_addr`).
     words: WordStore,
     entries: HashMap<(String, u8), CodeAddr>,
     sizes: Vec<PredSize>,
@@ -381,7 +458,10 @@ pub struct CodeImage {
     query_vars: Vec<String>,
     aux_round: u32,
     options: CompileOptions,
+    /// This image's own static data words: an overlay's continue the
+    /// base's area.
     static_data: Vec<Word>,
+    /// Base address of the whole static data area.
     static_base: VAddr,
 }
 
@@ -390,10 +470,14 @@ impl CodeImage {
     /// linker places the stub instructions and pads the stub words.
     pub fn new(options: CompileOptions) -> CodeImage {
         CodeImage {
+            base: None,
+            first_index: 0,
+            first_addr: 0,
             instrs: CodeStore::Eager(Vec::new()),
             addrs: Vec::new(),
             addr_index: Vec::new(),
             switch_index: Vec::new(),
+            dispatch: Dispatch::Eager(Vec::new()),
             words: WordStore::Eager(Vec::new()),
             entries: HashMap::new(),
             sizes: Vec::new(),
@@ -406,24 +490,72 @@ impl CodeImage {
         }
     }
 
+    /// An empty overlay on `base`: code linked into it lands at
+    /// `base.len_words()` onward (instruction indices from
+    /// `base.num_instrs()`, static data after the base's), exactly where
+    /// extending a copy of `base` would put it, while `base` itself is
+    /// shared, not copied. The overlay starts from the base's options
+    /// and auxiliary-naming round.
+    ///
+    /// An overlay of an overlay is a copy of it (its own part is small)
+    /// sharing the same flat base, so reads fall through at most once.
+    pub fn overlay(base: &Arc<CodeImage>) -> CodeImage {
+        if base.base.is_some() {
+            return CodeImage::clone(base);
+        }
+        CodeImage {
+            base: Some(Arc::clone(base)),
+            first_index: base.num_instrs() as u32,
+            first_addr: base.len_words() as u32,
+            aux_round: base.aux_round,
+            static_base: base.static_base,
+            ..CodeImage::new(base.options.clone())
+        }
+    }
+
+    /// The flat image an overlay extends (`None` for a flat image).
+    pub fn base(&self) -> Option<&Arc<CodeImage>> {
+        self.base.as_ref()
+    }
+
     // ------------------------------------------------------------ reads
+
+    /// The image holding stream index `idx`, and the index within it.
+    #[inline]
+    fn layer(&self, idx: u32) -> (&CodeImage, usize) {
+        match &self.base {
+            Some(base) if idx < self.first_index => (base, idx as usize),
+            _ => (self, (idx - self.first_index) as usize),
+        }
+    }
 
     /// The entry address of a predicate, if linked.
     pub fn entry(&self, name: &str, arity: u8) -> Option<CodeAddr> {
-        self.entries.get(&(name.to_owned(), arity)).copied()
+        let key = (name.to_owned(), arity);
+        self.entries
+            .get(&key)
+            .or_else(|| self.base.as_ref().and_then(|b| b.entries.get(&key)))
+            .copied()
     }
 
-    /// Every linked entry point, unordered.
+    /// Every linked entry point, unordered (an overlay's own entries
+    /// shadow its base's).
     pub fn entries(&self) -> impl Iterator<Item = (&str, u8, CodeAddr)> {
+        let below = self
+            .base
+            .iter()
+            .flat_map(|b| b.entries.iter())
+            .filter(|(key, _)| !self.entries.contains_key(*key));
         self.entries
             .iter()
+            .chain(below)
             .map(|((name, arity), addr)| (name.as_str(), *arity, *addr))
     }
 
     /// The decoded instruction starting at `addr`, if any.
     #[inline]
     pub fn instr_at(&self, addr: CodeAddr) -> Option<&Instr> {
-        self.index_of(addr).map(|i| &self.instrs[i as usize])
+        self.index_of(addr).map(|i| self.instr_at_index(i))
     }
 
     /// Index into the decoded instruction stream of the instruction
@@ -431,7 +563,12 @@ impl CodeImage {
     /// [`CodeImage::instr_at`]).
     #[inline]
     pub fn index_of(&self, addr: CodeAddr) -> Option<u32> {
-        match self.addr_index.get(addr.value() as usize) {
+        let a = addr.value();
+        let image = match &self.base {
+            Some(base) if a < self.first_addr => base,
+            _ => self,
+        };
+        match image.addr_index.get((a - image.first_addr) as usize) {
             Some(&i) if i != u32::MAX => Some(i),
             _ => None,
         }
@@ -445,7 +582,50 @@ impl CodeImage {
     /// Panics if `idx` is out of range.
     #[inline]
     pub fn instr_at_index(&self, idx: u32) -> &Instr {
-        &self.instrs[idx as usize]
+        let (image, i) = self.layer(idx);
+        &image.instrs[i]
+    }
+
+    /// The contiguous stretch of the decoded stream holding stream index
+    /// `idx`, with its resolved-dispatch entries: the whole own stream of
+    /// the layer holding `idx` (the program's, or a query overlay's), or
+    /// for a lazily restored image the decode chunk — decoded and
+    /// resolved on first use. The native hot loop steps through a span
+    /// without consulting the image, and asks for the next span only when
+    /// control leaves it (an overlay boundary or a lazy chunk edge).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is out of range.
+    pub fn span(&self, idx: u32) -> Span<'_> {
+        let (image, i) = self.layer(idx);
+        match (&image.instrs, &image.dispatch) {
+            (CodeStore::Eager(instrs), Dispatch::Eager(next)) => Span {
+                start: image.first_index,
+                instrs,
+                next,
+            },
+            (CodeStore::Lazy(code), Dispatch::Lazy(tables)) => {
+                let c = i >> LAZY_CHUNK_SHIFT;
+                Span {
+                    start: image.first_index + (c << LAZY_CHUNK_SHIFT) as u32,
+                    instrs: code.chunk(c),
+                    next: tables[c].get_or_init(|| {
+                        let start = c << LAZY_CHUNK_SHIFT;
+                        let end = (start + (1 << LAZY_CHUNK_SHIFT)).min(image.instrs.len());
+                        (start..end).map(|i| image.resolve_next(i)).collect()
+                    }),
+                }
+            }
+            _ => unreachable!("a store and its dispatch table are eager or lazy together"),
+        }
+    }
+
+    /// Computes the dispatch entry of own instruction `i` from scratch.
+    fn resolve_next(&self, i: usize) -> u64 {
+        let next = self.addrs[i] + self.instrs[i].size_words() as u32;
+        let next_idx = self.index_of(CodeAddr::new(next)).unwrap_or(u32::MAX);
+        pack_next(next, next_idx)
     }
 
     /// The word address of the instruction at stream index `idx`, if any.
@@ -454,14 +634,15 @@ impl CodeImage {
     /// fall-through dispatch validates its hint with this.
     #[inline]
     pub fn addr_at_index(&self, idx: u32) -> Option<u32> {
-        self.addrs.get(idx as usize).copied()
+        let (image, i) = self.layer(idx);
+        image.addrs.get(i).copied()
     }
 
     /// Number of decoded instructions in the stream (valid stream indices
     /// are `0..num_instrs`).
     #[inline]
     pub fn num_instrs(&self) -> usize {
-        self.instrs.len()
+        self.first_index as usize + self.instrs.len()
     }
 
     /// The link-time hash index of the switch instruction at stream index
@@ -469,15 +650,34 @@ impl CodeImage {
     /// `switch_on_structure` tables get one).
     #[inline]
     pub fn switch_index(&self, idx: u32) -> Option<&SwitchIndex> {
-        self.switch_index
-            .get(idx as usize)
-            .and_then(|s| s.as_deref())
+        let (image, i) = self.layer(idx);
+        image.switch_index.get(i).and_then(|s| s.as_deref())
+    }
+
+    /// How many of a lazily restored image's decode chunks have been
+    /// materialized, out of how many. Diagnostic for tests of snapshot
+    /// laziness; an eagerly linked image reports every chunk decoded.
+    #[doc(hidden)]
+    pub fn decoded_chunks(&self) -> (usize, usize) {
+        match &self.base {
+            Some(base) => base.decoded_chunks(),
+            None => self.instrs.decoded_chunks(),
+        }
     }
 
     /// The encoded code words (loader image). An image restored from a
-    /// snapshot materializes them on first access (execution dispatches
-    /// on decoded instructions, never on these words).
-    pub fn words(&self) -> &[u64] {
+    /// snapshot materializes them on first access, and an overlay
+    /// concatenates its base's (execution dispatches on decoded
+    /// instructions, never on these words).
+    pub fn words(&self) -> Cow<'_, [u64]> {
+        match &self.base {
+            None => Cow::Borrowed(self.own_words()),
+            Some(base) => Cow::Owned([base.own_words(), self.own_words()].concat()),
+        }
+    }
+
+    /// This image's own words (from `first_addr`).
+    fn own_words(&self) -> &[u64] {
         match &self.words {
             WordStore::Eager(v) => v,
             WordStore::Lazy { code, len, cache } => {
@@ -488,11 +688,12 @@ impl CodeImage {
 
     /// Total code length in words.
     pub fn len_words(&self) -> usize {
-        self.words.len()
+        self.first_addr as usize + self.words.len()
     }
 
-    /// The words image as a mutable vector, materializing a lazy store
-    /// first (any mutation leaves the image eager, like [`CodeStore`]).
+    /// The own words image as a mutable vector, materializing a lazy
+    /// store first (any mutation leaves the image eager, like
+    /// [`CodeImage::instrs_mut`]).
     fn words_mut(&mut self) -> &mut Vec<u64> {
         if let WordStore::Lazy { code, len, cache } = &self.words {
             let v = cache
@@ -507,15 +708,46 @@ impl CodeImage {
         }
     }
 
-    /// Per-predicate static sizes, in layout order.
-    pub fn sizes(&self) -> &[PredSize] {
-        &self.sizes
+    /// The own instruction stream as a mutable vector. A lazily restored
+    /// image is decoded in full, and its dispatch table rebuilt whole,
+    /// the first time it is mutated; after that every mutation keeps the
+    /// table in step itself.
+    fn instrs_mut(&mut self) -> &mut Vec<Instr> {
+        if let CodeStore::Lazy(_) = self.instrs {
+            self.instrs.force_mut();
+            let table = (0..self.instrs.len())
+                .map(|i| self.resolve_next(i))
+                .collect();
+            self.dispatch = Dispatch::Eager(table);
+        }
+        self.instrs.force_mut()
+    }
+
+    /// Recomputes own instruction `i`'s dispatch entry after it changed.
+    fn refresh_dispatch(&mut self, i: usize) {
+        let entry = self.resolve_next(i);
+        if let Dispatch::Eager(table) = &mut self.dispatch {
+            table[i] = entry;
+        }
+    }
+
+    /// Per-predicate static sizes, in layout order (an overlay's after
+    /// its base's).
+    pub fn sizes(&self) -> impl Iterator<Item = &PredSize> {
+        self.base
+            .iter()
+            .flat_map(|b| b.sizes.iter())
+            .chain(&self.sizes)
     }
 
     /// Link warnings (calls to undefined predicates, resolved to a stub
-    /// that fails).
-    pub fn warnings(&self) -> &[String] {
-        &self.warnings
+    /// that fails), an overlay's after its base's.
+    pub fn warnings(&self) -> impl Iterator<Item = &str> {
+        self.base
+            .iter()
+            .flat_map(|b| b.warnings.iter())
+            .chain(&self.warnings)
+            .map(String::as_str)
     }
 
     /// For query images: the reported variable names, in A1..An order.
@@ -540,9 +772,15 @@ impl CodeImage {
     }
 
     /// The assembled static data area (ground literals) and its base
-    /// address: the loader installs these words before running.
-    pub fn static_data(&self) -> (VAddr, &[Word]) {
-        (self.static_base, &self.static_data)
+    /// address: the loader installs these words before running. An
+    /// overlay's literals follow its base's.
+    pub fn static_data(&self) -> (VAddr, Cow<'_, [Word]>) {
+        let words = match &self.base {
+            None => Cow::Borrowed(&self.static_data[..]),
+            Some(base) if self.static_data.is_empty() => Cow::Borrowed(&base.static_data[..]),
+            Some(base) => Cow::Owned([&base.static_data[..], &self.static_data[..]].concat()),
+        };
+        (self.static_base, words)
     }
 
     /// The decoded instructions of one predicate (by its size record).
@@ -564,17 +802,17 @@ impl CodeImage {
     /// Disassembles the whole image.
     pub fn disassemble(&self, symbols: &SymbolTable) -> String {
         use std::fmt::Write;
-        let mut rev: HashMap<u32, &(String, u8)> = HashMap::new();
-        for (k, v) in &self.entries {
-            rev.insert(v.value(), k);
-        }
+        let rev: HashMap<u32, (&str, u8)> = self
+            .entries()
+            .map(|(name, arity, addr)| (addr.value(), (name, arity)))
+            .collect();
         let mut out = String::new();
-        for (i, instr) in self.instrs.iter().enumerate() {
-            let addr = self.addrs[i];
+        for idx in 0..self.num_instrs() as u32 {
+            let addr = self.addr_at_index(idx).expect("index in range");
             if let Some((name, arity)) = rev.get(&addr) {
                 let _ = writeln!(out, "{name}/{arity}:");
             }
-            let text = match instr {
+            let text = match self.instr_at_index(idx) {
                 Instr::GetStructure { f, a } => format!(
                     "get_structure {}/{}, {a}",
                     symbols.functor_name(*f),
@@ -594,16 +832,18 @@ impl CodeImage {
 
     // ---------------------------------------------------------- builder
 
+    /// `addr`'s offset into this image's own code. An overlay adds code
+    /// only above its base.
+    fn own_offset(&self, addr: CodeAddr) -> usize {
+        addr.value()
+            .checked_sub(self.first_addr)
+            .expect("an overlay places code only above its base") as usize
+    }
+
     /// Records a decoded instruction at `addr` without touching the words
     /// image (the stub words, for example, stay zero). Builds the hash
     /// side table for wide switch tables.
     pub fn place(&mut self, addr: CodeAddr, instr: Instr) {
-        let at = addr.value() as usize;
-        if self.addr_index.len() <= at {
-            self.addr_index.resize(at + 1, u32::MAX);
-        }
-        self.addr_index[at] = self.instrs.len() as u32;
-        self.addrs.push(addr.value());
         let side = match &instr {
             Instr::SwitchOnConstant { table, .. } if table.len() >= HASH_INDEX_MIN_ENTRIES => {
                 Some(Arc::new(SwitchIndex::for_constants(table)))
@@ -613,8 +853,34 @@ impl CodeImage {
             }
             _ => None,
         };
+        self.push_instr(addr, instr, side);
+    }
+
+    /// Appends one instruction with its side table, keeping the address
+    /// index and the dispatch table in step: the new instruction's entry,
+    /// and its predecessor's when that falls through to `addr`.
+    fn push_instr(&mut self, addr: CodeAddr, instr: Instr, side: Option<Arc<SwitchIndex>>) {
+        self.instrs_mut();
+        let at = self.own_offset(addr);
+        if self.addr_index.len() <= at {
+            self.addr_index.resize(at + 1, u32::MAX);
+        }
+        let idx = self.num_instrs() as u32;
+        self.addr_index[at] = idx;
+        self.addrs.push(addr.value());
         self.switch_index.push(side);
-        self.instrs.push(instr);
+        self.instrs_mut().push(instr);
+        let own = self.instrs.len() - 1;
+        let entry = self.resolve_next(own);
+        let Dispatch::Eager(table) = &mut self.dispatch else {
+            unreachable!("instrs_mut left the image eager");
+        };
+        table.push(entry);
+        if let Some(prev) = own.checked_sub(1).map(|p| &mut table[p]) {
+            if *prev as u32 == addr.value() {
+                *prev = pack_next(addr.value(), idx);
+            }
+        }
     }
 
     /// Encodes `instr` into the words image at `addr` (which must be the
@@ -622,9 +888,10 @@ impl CodeImage {
     ///
     /// # Panics
     ///
-    /// Debug-asserts dense layout.
+    /// When an overlay emits below its boundary; debug-asserts dense
+    /// layout.
     pub fn emit(&mut self, addr: CodeAddr, instr: Instr) {
-        let at = addr.value() as usize;
+        let at = self.own_offset(addr);
         let words = self.words_mut();
         if words.len() < at {
             words.resize(at, 0);
@@ -636,23 +903,21 @@ impl CodeImage {
 
     /// Pads the words image with zeros up to `len` words (stub area).
     pub fn pad_words_to(&mut self, len: usize) {
-        if self.words.len() < len {
-            self.words_mut().resize(len, 0);
+        if self.len_words() < len {
+            let own = len - self.first_addr as usize;
+            self.words_mut().resize(own, 0);
         }
     }
 
-    /// Registers (or replaces) a predicate entry point.
+    /// Registers (or replaces) a predicate entry point. An overlay's
+    /// entry shadows a base entry of the same name.
     pub fn set_entry(&mut self, name: String, arity: u8, addr: CodeAddr) {
         self.entries.insert((name, arity), addr);
     }
 
-    /// Drops every entry the predicate-name filter rejects.
-    pub fn retain_entries(&mut self, mut keep: impl FnMut(&str, u8) -> bool) {
-        self.entries.retain(|(name, arity), _| keep(name, *arity));
-    }
-
     /// Removes one entry, returning its old address.
     pub fn remove_entry(&mut self, name: &str, arity: u8) -> Option<CodeAddr> {
+        self.assert_flat();
         self.entries.remove(&(name.to_owned(), arity))
     }
 
@@ -677,15 +942,29 @@ impl CodeImage {
         self.aux_round
     }
 
-    /// Takes the static data area for extension (see
-    /// [`CodeImage::set_static_data`]).
-    pub fn take_static_data(&mut self) -> Vec<Word> {
-        std::mem::take(&mut self.static_data)
+    /// Takes this image's own static data for extension, with the
+    /// address its first word sits at (see
+    /// [`CodeImage::set_static_data`]): the whole area for a flat image,
+    /// the words after the base's for an overlay.
+    pub fn take_static_data(&mut self) -> (VAddr, Vec<Word>) {
+        let below = self.base.as_ref().map_or(0, |b| b.static_data.len());
+        let at = self.static_base.offset(below as i64);
+        (at, std::mem::take(&mut self.static_data))
     }
 
-    /// Restores the (extended) static data area.
+    /// Restores the (extended) own static data taken with
+    /// [`CodeImage::take_static_data`].
     pub fn set_static_data(&mut self, words: Vec<Word>) {
         self.static_data = words;
+    }
+
+    /// Panics on a query overlay: only a flat program image is patched
+    /// or saved (an overlay lives inside one prepared query).
+    fn assert_flat(&self) {
+        assert!(
+            self.base.is_none(),
+            "a query overlay cannot be patched or saved"
+        );
     }
 
     // -------------------------------------------- incremental mutation
@@ -693,7 +972,7 @@ impl CodeImage {
     /// Appends `instr` at the end of the code image, keeping the words
     /// image in sync, and returns its address.
     fn append_instr(&mut self, instr: Instr) -> CodeAddr {
-        let addr = CodeAddr::new(self.words.len() as u32);
+        let addr = CodeAddr::new(self.len_words() as u32);
         self.emit(addr, instr);
         addr
     }
@@ -701,7 +980,8 @@ impl CodeImage {
     /// Replaces the decoded instruction at `addr` and re-encodes the site
     /// in place when the footprint allows (same word count, fixed-size
     /// encoding). Table switches are left to their caller, which knows
-    /// whether the site still fits.
+    /// whether the site still fits. The site's dispatch entry follows
+    /// the new instruction's size.
     fn patch_instr(&mut self, addr: CodeAddr, instr: Instr) {
         let idx = self.index_of(addr).expect("patching a placed instruction");
         let old_words = self.instrs[idx as usize].size_words();
@@ -717,7 +997,8 @@ impl CodeImage {
             let at = addr.value() as usize;
             self.words_mut()[at..at + new_words].copy_from_slice(&enc);
         }
-        self.instrs[idx as usize] = instr;
+        self.instrs_mut()[idx as usize] = instr;
+        self.refresh_dispatch(idx as usize);
     }
 
     /// Walks a `try_me_else` / `retry_me_else`* / `trust_me` chain from
@@ -840,7 +1121,7 @@ impl CodeImage {
         match (ordinal, old_target) {
             (Some(ord), Some(old)) => {
                 let new_target = self.extended_target(old, c_new)?;
-                let Instr::SwitchOnConstant { table, .. } = &mut self.instrs[idx] else {
+                let Instr::SwitchOnConstant { table, .. } = &mut self.instrs_mut()[idx] else {
                     unreachable!("checked above");
                 };
                 table[ord].1 = new_target;
@@ -849,7 +1130,11 @@ impl CodeImage {
                 }
             }
             _ => {
-                let Instr::SwitchOnConstant { table, .. } = &mut self.instrs[idx] else {
+                // Split borrows of the stream and the side tables: the
+                // store is made eager (with its dispatch table) first.
+                self.instrs_mut();
+                let Instr::SwitchOnConstant { table, .. } = &mut self.instrs.force_mut()[idx]
+                else {
                     unreachable!("checked above");
                 };
                 table.push((key, c_new));
@@ -865,6 +1150,9 @@ impl CodeImage {
                     }
                     None => {}
                 }
+                // The grown table is a longer instruction: its
+                // fall-through moved.
+                self.refresh_dispatch(idx);
             }
         }
         Ok(())
@@ -897,6 +1185,7 @@ impl CodeImage {
         if clause.is_empty() {
             return Err(unsup("empty clause code"));
         }
+        self.assert_flat();
         let Some(Instr::SwitchOnTerm {
             arg,
             on_var,
@@ -1003,10 +1292,10 @@ impl CodeImage {
         // --- mutate ---
         // 1. Extend the variable chain: patch its trust_me into a
         //    retry_me_else aimed at a fresh trust_me, then lay the clause.
-        let new_trust = CodeAddr::new(self.words.len() as u32);
+        let new_trust = CodeAddr::new(self.len_words() as u32);
         self.patch_instr(trust_at, Instr::RetryMeElse { alt: new_trust });
         self.append_instr(Instr::TrustMe);
-        let c_new = CodeAddr::new(self.words.len() as u32);
+        let c_new = CodeAddr::new(self.len_words() as u32);
         for i in clause {
             self.append_instr(i.clone());
         }
@@ -1087,6 +1376,7 @@ impl CodeImage {
         if clause.is_empty() {
             return Err(unsup("empty clause code"));
         }
+        self.assert_flat();
         let Some(Instr::SwitchOnTerm {
             arg,
             on_var,
@@ -1119,8 +1409,10 @@ impl CodeImage {
     /// Repoints every `call`/`execute` site targeting `old` to `new`,
     /// re-encoding each (one-word) site, and returns how many were
     /// patched. This is how a predicate recompiled at the end of the
-    /// image takes over from its previous code.
+    /// image takes over from its previous code. A one-word site stays one
+    /// word, so no dispatch entry moves.
     pub fn retarget_calls(&mut self, old: CodeAddr, new: CodeAddr) -> usize {
+        self.assert_flat();
         let mut patched = 0;
         for i in 0..self.instrs.len() {
             let replacement = match &self.instrs[i] {
@@ -1142,7 +1434,7 @@ impl CodeImage {
             if at + enc.len() <= self.words.len() && at >= CODE_BASE as usize {
                 self.words_mut()[at..at + enc.len()].copy_from_slice(&enc);
             }
-            self.instrs[i] = replacement;
+            self.instrs_mut()[i] = replacement;
             patched += 1;
         }
         patched
@@ -1163,7 +1455,8 @@ impl CodeImage {
 
     // ------------------------------------------------- snapshot support
 
-    /// Deconstructed borrow of every field, for the snapshot writer.
+    /// Deconstructed borrow of every field of a flat image, for the
+    /// snapshot writer.
     #[allow(clippy::type_complexity)]
     pub(crate) fn parts(
         &self,
@@ -1181,11 +1474,12 @@ impl CodeImage {
         &[Word],
         VAddr,
     ) {
+        self.assert_flat();
         (
             &self.instrs,
             &self.addrs,
             &self.switch_index,
-            self.words(),
+            self.own_words(),
             &self.entries,
             &self.sizes,
             &self.warnings,
@@ -1197,11 +1491,13 @@ impl CodeImage {
         )
     }
 
-    /// Reassembles an image from restored parts, rebuilding the dense
-    /// address index (cheap and fully determined by `addrs`).
+    /// Reassembles an image from restored parts over lazily decoded code,
+    /// rebuilding the dense address index (cheap and fully determined by
+    /// `addrs`). The dispatch table starts empty and is built one decode
+    /// chunk at a time, as chunks first run.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
-        instrs: CodeStore,
+        code: Arc<LazyCode>,
         addrs: Vec<u32>,
         switch_index: Vec<Option<Arc<SwitchIndex>>>,
         words: WordStore,
@@ -1236,11 +1532,16 @@ impl CodeImage {
             }
             out
         });
+        let dispatch = Dispatch::Lazy((0..code.chunks.len()).map(|_| OnceLock::new()).collect());
         CodeImage {
-            instrs,
+            base: None,
+            first_index: 0,
+            first_addr: 0,
+            instrs: CodeStore::Lazy(code),
             addrs,
             addr_index,
             switch_index,
+            dispatch,
             words,
             entries,
             sizes,

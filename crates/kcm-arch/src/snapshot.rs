@@ -47,8 +47,7 @@
 
 use crate::addr::{CodeAddr, VAddr};
 use crate::image::{
-    CodeImage, CodeStore, CompileOptions, LazyCode, PredId, PredSize, WordStore, CODE_BASE,
-    LAZY_CHUNK_SHIFT,
+    CodeImage, CompileOptions, LazyCode, PredId, PredSize, WordStore, CODE_BASE, LAZY_CHUNK_SHIFT,
 };
 use crate::isa::Instr;
 use crate::swindex::SwitchIndex;
@@ -219,6 +218,11 @@ impl Writer {
 
 /// Serializes a linked image and its symbol table to a self-contained
 /// snapshot artifact.
+///
+/// # Panics
+///
+/// On a query overlay ([`CodeImage::overlay`]): only a program image is
+/// saved.
 pub fn save(image: &CodeImage, symbols: &SymbolTable) -> Vec<u8> {
     let (
         instrs,
@@ -250,11 +254,11 @@ pub fn save(image: &CodeImage, symbols: &SymbolTable) -> Vec<u8> {
     w.u8(options.depth2_facts as u8);
 
     // Symbols.
-    w.u64(symbols.raw_atoms().len() as u64);
+    w.u64(symbols.atom_count() as u64);
     for atom in symbols.raw_atoms() {
         w.str(atom);
     }
-    w.u64(symbols.raw_functors().len() as u64);
+    w.u64(symbols.functor_count() as u64);
     for (atom, arity) in symbols.raw_functors() {
         w.u32(atom.index() as u32);
         w.u8(*arity);
@@ -588,10 +592,9 @@ pub fn load(bytes: &[u8]) -> Result<(Arc<CodeImage>, SymbolTable), SnapshotError
     };
     let chunk_offsets = scan_stream(instr_count, &chunks, &stream)?;
     let code = Arc::new(LazyCode::new(stream, chunk_offsets, instr_count));
-    let instrs = CodeStore::Lazy(Arc::clone(&code));
     let words = match eager_words {
         Some(v) => WordStore::Eager(v),
-        None => WordStore::lazy(code, words_len),
+        None => WordStore::lazy(Arc::clone(&code), words_len),
     };
 
     // Entries.
@@ -656,7 +659,7 @@ pub fn load(bytes: &[u8]) -> Result<(Arc<CodeImage>, SymbolTable), SnapshotError
     }
 
     let image = CodeImage::from_parts(
-        instrs,
+        code,
         addrs,
         switch_index,
         words,

@@ -6,6 +6,7 @@
 //! observable — a word's value part is an opaque table index either way.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// An interned atom (index into the atom table).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -43,7 +44,30 @@ impl FunctorId {
     }
 }
 
+/// One layer of interned symbols: spellings and functor pairs in id
+/// order, plus their reverse indices.
+#[derive(Debug, Clone, Default)]
+struct Symbols {
+    atoms: Vec<String>,
+    atom_index: HashMap<String, AtomId>,
+    functors: Vec<(AtomId, u8)>,
+    functor_index: HashMap<(AtomId, u8), FunctorId>,
+}
+
+impl Symbols {
+    fn is_empty(&self) -> bool {
+        self.atoms.is_empty() && self.functors.is_empty()
+    }
+}
+
 /// Interning table for atoms and functors.
+///
+/// The table is a frozen base shared behind an `Arc` plus a local delta
+/// whose ids continue the base's, so a clone costs O(delta), not
+/// O(program): a query compiled against a loaded program clones the
+/// program's table and interns its few new symbols into its own delta.
+/// [`SymbolTable::freeze`] folds the delta into the base once the table
+/// is to be shared.
 ///
 /// # Examples
 ///
@@ -58,10 +82,8 @@ impl FunctorId {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct SymbolTable {
-    atoms: Vec<String>,
-    atom_index: HashMap<String, AtomId>,
-    functors: Vec<(AtomId, u8)>,
-    functor_index: HashMap<(AtomId, u8), FunctorId>,
+    base: Arc<Symbols>,
+    delta: Symbols,
 }
 
 impl SymbolTable {
@@ -70,20 +92,39 @@ impl SymbolTable {
         SymbolTable::default()
     }
 
+    /// Folds the local delta into the shared base, so later clones copy
+    /// nothing. The base is copied first if another table still shares it
+    /// (O(program), once per load or update, never per query).
+    pub fn freeze(&mut self) {
+        if self.delta.is_empty() {
+            return;
+        }
+        let delta = std::mem::take(&mut self.delta);
+        let base = Arc::make_mut(&mut self.base);
+        base.atoms.extend(delta.atoms);
+        base.atom_index.extend(delta.atom_index);
+        base.functors.extend(delta.functors);
+        base.functor_index.extend(delta.functor_index);
+    }
+
     /// Interns an atom, returning its stable id.
     pub fn atom(&mut self, name: &str) -> AtomId {
-        if let Some(&id) = self.atom_index.get(name) {
+        if let Some(id) = self.find_atom(name) {
             return id;
         }
-        let id = AtomId::new(self.atoms.len());
-        self.atoms.push(name.to_owned());
-        self.atom_index.insert(name.to_owned(), id);
+        let id = AtomId::new(self.atom_count());
+        self.delta.atoms.push(name.to_owned());
+        self.delta.atom_index.insert(name.to_owned(), id);
         id
     }
 
     /// Looks up an atom without interning it.
     pub fn find_atom(&self, name: &str) -> Option<AtomId> {
-        self.atom_index.get(name).copied()
+        self.base
+            .atom_index
+            .get(name)
+            .or_else(|| self.delta.atom_index.get(name))
+            .copied()
     }
 
     /// The print name of an atom.
@@ -92,7 +133,10 @@ impl SymbolTable {
     ///
     /// Panics if the id does not come from this table.
     pub fn atom_name(&self, id: AtomId) -> &str {
-        &self.atoms[id.index()]
+        match self.base.atoms.get(id.index()) {
+            Some(name) => name,
+            None => &self.delta.atoms[id.index() - self.base.atoms.len()],
+        }
     }
 
     /// Interns a functor (name/arity pair).
@@ -103,13 +147,27 @@ impl SymbolTable {
 
     /// Interns a functor from an already-interned atom.
     pub fn functor_of(&mut self, atom: AtomId, arity: u8) -> FunctorId {
-        if let Some(&id) = self.functor_index.get(&(atom, arity)) {
+        let key = (atom, arity);
+        if let Some(&id) = self
+            .base
+            .functor_index
+            .get(&key)
+            .or_else(|| self.delta.functor_index.get(&key))
+        {
             return id;
         }
-        let id = FunctorId::new(self.functors.len());
-        self.functors.push((atom, arity));
-        self.functor_index.insert((atom, arity), id);
+        let id = FunctorId::new(self.functor_count());
+        self.delta.functors.push(key);
+        self.delta.functor_index.insert(key, id);
         id
+    }
+
+    /// The `(atom, arity)` pair of a functor.
+    fn functor_pair(&self, id: FunctorId) -> (AtomId, u8) {
+        match self.base.functors.get(id.index()) {
+            Some(&pair) => pair,
+            None => self.delta.functors[id.index() - self.base.functors.len()],
+        }
     }
 
     /// The functor's name atom.
@@ -118,7 +176,7 @@ impl SymbolTable {
     ///
     /// Panics if the id does not come from this table.
     pub fn functor_atom(&self, id: FunctorId) -> AtomId {
-        self.functors[id.index()].0
+        self.functor_pair(id).0
     }
 
     /// The functor's print name.
@@ -136,31 +194,35 @@ impl SymbolTable {
     ///
     /// Panics if the id does not come from this table.
     pub fn functor_arity(&self, id: FunctorId) -> u8 {
-        self.functors[id.index()].1
+        self.functor_pair(id).1
     }
 
     /// Number of interned atoms.
     pub fn atom_count(&self) -> usize {
-        self.atoms.len()
+        self.base.atoms.len() + self.delta.atoms.len()
     }
 
     /// Number of interned functors.
     pub fn functor_count(&self) -> usize {
-        self.functors.len()
+        self.base.functors.len() + self.delta.functors.len()
     }
 
     /// The atom spellings in intern order (snapshot writer).
-    pub(crate) fn raw_atoms(&self) -> &[String] {
-        &self.atoms
+    pub(crate) fn raw_atoms(&self) -> impl Iterator<Item = &str> {
+        self.base
+            .atoms
+            .iter()
+            .chain(&self.delta.atoms)
+            .map(String::as_str)
     }
 
     /// The functor (atom, arity) pairs in intern order (snapshot writer).
-    pub(crate) fn raw_functors(&self) -> &[(AtomId, u8)] {
-        &self.functors
+    pub(crate) fn raw_functors(&self) -> impl Iterator<Item = &(AtomId, u8)> {
+        self.base.functors.iter().chain(&self.delta.functors)
     }
 
-    /// Rebuilds a table from snapshot-restored raw parts, reconstructing
-    /// the intern indices.
+    /// Rebuilds a frozen table from snapshot-restored raw parts,
+    /// reconstructing the intern indices.
     pub(crate) fn from_raw(atoms: Vec<String>, functors: Vec<(AtomId, u8)>) -> SymbolTable {
         let atom_index = atoms
             .iter()
@@ -173,10 +235,13 @@ impl SymbolTable {
             .map(|(i, &key)| (key, FunctorId::new(i)))
             .collect();
         SymbolTable {
-            atoms,
-            atom_index,
-            functors,
-            functor_index,
+            base: Arc::new(Symbols {
+                atoms,
+                atom_index,
+                functors,
+                functor_index,
+            }),
+            delta: Symbols::default(),
         }
     }
 }
@@ -206,6 +271,32 @@ mod tests {
         assert_eq!(t.functor_name(f1), "f");
         assert_eq!(t.functor_arity(f2), 2);
         assert_eq!(t.functor_atom(f1), t.functor_atom(f2));
+    }
+
+    #[test]
+    fn clones_share_the_frozen_base_and_continue_its_ids() {
+        let mut program = SymbolTable::new();
+        let a = program.atom("a");
+        let f = program.functor("f", 2);
+        program.freeze();
+        let mut query = program.clone();
+        assert!(
+            Arc::ptr_eq(&program.base, &query.base),
+            "clone copies no symbols"
+        );
+        assert_eq!(query.atom("a"), a, "base ids are found, not re-interned");
+        let b = query.atom("b");
+        let g = query.functor("g", 1);
+        assert_eq!(b.index(), program.atom_count());
+        assert_eq!(g.index(), program.functor_count());
+        assert_eq!(query.atom_name(b), "b");
+        assert_eq!(query.functor_name(g), "g");
+        assert_eq!(query.functor_name(f), "f");
+        assert_eq!(program.find_atom("b"), None, "the delta stays local");
+        query.freeze();
+        assert_eq!(query.atom_name(b), "b");
+        assert_eq!(query.find_atom("b"), Some(b));
+        assert_eq!(program.atom_count() + 2, query.atom_count());
     }
 
     #[test]

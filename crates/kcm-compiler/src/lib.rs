@@ -149,10 +149,11 @@ pub fn compile_program_with(
 }
 
 /// Compiles a query goal (e.g. parsed from `"append(X, Y, [1,2])"`) against
-/// an existing image, producing a new image extended with a `$query/0`
-/// entry that reports the bindings of the query's variables.
+/// an existing image, producing a query overlay on it with a `$query/0`
+/// entry that reports the bindings of the query's variables. The program
+/// image is shared, not copied: the cost is O(query).
 ///
-/// Returns the extended image and the names of the reported variables, in
+/// Returns the overlay and the names of the reported variables, in
 /// reporting order (A1..An of the `ReportSolution` escape).
 ///
 /// # Errors
@@ -160,7 +161,7 @@ pub fn compile_program_with(
 /// Returns a [`CompileError`] if the query is malformed or has more than 16
 /// free variables.
 pub fn compile_query(
-    image: &CodeImage,
+    image: &std::sync::Arc<CodeImage>,
     goal: &Term,
     symbols: &mut SymbolTable,
 ) -> Result<(CodeImage, Vec<String>), CompileError> {

@@ -25,6 +25,7 @@ pub use kcm_arch::image::{
     CodeImage, PredSize, CALL_STUB, FAIL_STUB, HALT_STUB, STATIC_DATA_BASE, UNKNOWN_STUB,
 };
 use kcm_arch::CodeAddr;
+use std::sync::Arc;
 
 /// The static data area being assembled: ground compound literals live
 /// here, as tagged words in the static zone, and the code refers to them
@@ -46,8 +47,8 @@ impl StaticImage {
         }
     }
 
-    /// Resumes an area already holding `words` (query linking extends the
-    /// base image's data).
+    /// Resumes an area whose first word `words[0]` sits at `base` (a
+    /// query overlay resumes after its program's data).
     pub fn resume(base: VAddr, words: Vec<Word>) -> StaticImage {
         StaticImage {
             base,
@@ -176,15 +177,19 @@ impl Linker {
         image
     }
 
-    /// Extends `base` with a `$query/0` predicate for `goal`; returns the
-    /// extended image and the reported variable names.
+    /// Links a `$query/0` predicate for `goal` (and its auxiliaries) as
+    /// an overlay on `base` ([`CodeImage::overlay`]): the query's code,
+    /// entries and ground literals land exactly where extending a copy of
+    /// `base` would put them, while the program itself is shared, not
+    /// copied — O(query), as in a real incremental loader. Returns the
+    /// overlay and the reported variable names.
     ///
     /// # Errors
     ///
     /// Propagates compilation errors; rejects queries with more than 16
     /// variables ([`CompileError::TooManyQueryVars`]).
     pub fn link_query(
-        base: &CodeImage,
+        base: &Arc<CodeImage>,
         goal: &Term,
         symbols: &mut SymbolTable,
     ) -> Result<(CodeImage, Vec<String>), CompileError> {
@@ -192,12 +197,8 @@ impl Linker {
         if vars.len() > crate::clause::MAX_ARITY {
             return Err(CompileError::TooManyQueryVars(vars.len()));
         }
-        let mut image = base.clone();
+        let mut image = CodeImage::overlay(base);
         let round = image.bump_aux_round();
-        // Remove any previous query linkage so re-querying the same image
-        // works (entries are replaced; dead code words stay, as in a real
-        // incremental loader).
-        image.retain_entries(|name, _| name != "$query");
 
         let report = if vars.is_empty() {
             Term::Atom("$report".into())
@@ -230,8 +231,8 @@ impl Linker {
         let mut start = image.len_words() as u32;
         let mut compiled: Vec<(&crate::ir::Predicate, Vec<AsmItem>, CodeAddr)> = Vec::new();
         let options = image.options().clone();
-        let (static_base, _) = image.static_data();
-        let mut statics = StaticImage::resume(static_base, image.take_static_data());
+        let (static_at, static_words) = image.take_static_data();
+        let mut statics = StaticImage::resume(static_at, static_words);
         for pred in &program.predicates {
             let items = compile_predicate(pred, symbols, &mut statics, &options)?;
             let size: usize = items.iter().map(AsmItem::size_words).sum();
@@ -444,11 +445,11 @@ mod tests {
     use super::*;
     use kcm_prolog::{read_program, read_term};
 
-    fn link(src: &str) -> (CodeImage, SymbolTable) {
+    fn link(src: &str) -> (Arc<CodeImage>, SymbolTable) {
         let prog = Program::from_clauses(&read_program(src).unwrap()).unwrap();
         let mut symbols = SymbolTable::new();
         let image = Linker::new().link(&prog, &mut symbols).unwrap();
-        (image, symbols)
+        (Arc::new(image), symbols)
     }
 
     #[test]
@@ -471,20 +472,20 @@ mod tests {
             Some(Instr::Execute { addr, arity: 0 }) => assert_eq!(*addr, q),
             other => panic!("expected execute, got {other:?}"),
         }
-        assert!(image.warnings().is_empty());
+        assert_eq!(image.warnings().count(), 0);
     }
 
     #[test]
     fn forward_references_link() {
         // p calls q which is defined later in the file.
         let (image, _) = link("p :- q, r. q. r.");
-        assert!(image.warnings().is_empty());
+        assert_eq!(image.warnings().count(), 0);
     }
 
     #[test]
     fn undefined_predicates_warn_and_stub() {
         let (image, _) = link("p :- missing.");
-        assert_eq!(image.warnings().len(), 1);
+        assert_eq!(image.warnings().count(), 1);
         let p = image.entry("p", 0).unwrap();
         match image.instr_at(p) {
             Some(Instr::Execute { addr, .. }) => assert_eq!(*addr, UNKNOWN_STUB),
@@ -509,7 +510,7 @@ mod tests {
     #[test]
     fn sizes_are_recorded() {
         let (image, _) = link("app([], L, L). app([H|T], L, [H|R]) :- app(T, L, R).");
-        let s = &image.sizes()[0];
+        let s = image.sizes().next().unwrap();
         assert_eq!(s.id.name, "app");
         assert!(s.instrs > 5);
         assert!(s.words > s.instrs, "switch makes words exceed instrs");
@@ -526,15 +527,48 @@ mod tests {
     }
 
     #[test]
+    fn query_overlay_continues_the_program_and_shares_it() {
+        let (image, mut symbols) = link("p([1, 2]). p(3).");
+        let goal = read_term("p([4, 5])").unwrap();
+        let (qimage, _) = Linker::link_query(&image, &goal, &mut symbols).unwrap();
+        assert!(
+            Arc::ptr_eq(qimage.base().unwrap(), &image),
+            "the program is shared"
+        );
+        let at = image.len_words() as u32;
+        assert_eq!(qimage.query_entry(), Some(CodeAddr::new(at)));
+        assert_eq!(
+            qimage.index_of(CodeAddr::new(at)),
+            Some(image.num_instrs() as u32)
+        );
+        assert_eq!(qimage.aux_round(), image.aux_round() + 1);
+        // The query's literal follows the program's in the static area.
+        let (base_at, base_words) = image.static_data();
+        let (q_at, q_words) = qimage.static_data();
+        assert_eq!(base_at, q_at);
+        assert!(q_words.len() > base_words.len());
+        assert_eq!(q_words[..base_words.len()], base_words[..]);
+        // The overlay's layout is the program's followed by the query's.
+        let sizes: Vec<_> = qimage.sizes().map(|s| s.id.to_string()).collect();
+        assert_eq!(sizes.first().map(String::as_str), Some("p/1"));
+        assert_eq!(sizes.last().map(String::as_str), Some("$query/0"));
+        assert_eq!(image.query_entry(), None, "the program is untouched");
+    }
+
+    #[test]
     fn relinking_a_query_replaces_it() {
         let (image, mut symbols) = link("p(1).");
         let g1 = read_term("p(X)").unwrap();
         let (q1, _) = Linker::link_query(&image, &g1, &mut symbols).unwrap();
         let e1 = q1.query_entry().unwrap();
         let g2 = read_term("p(Y)").unwrap();
-        let (q2, vars) = Linker::link_query(&q1, &g2, &mut symbols).unwrap();
+        let (q2, vars) = Linker::link_query(&Arc::new(q1), &g2, &mut symbols).unwrap();
         assert_ne!(q2.query_entry().unwrap(), e1);
         assert_eq!(vars, vec!["Y".to_owned()]);
+        assert!(
+            Arc::ptr_eq(q2.base().unwrap(), &image),
+            "overlays stay one level deep"
+        );
     }
 
     #[test]

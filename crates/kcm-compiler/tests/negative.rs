@@ -157,7 +157,7 @@ fn query_with_too_many_variables_is_rejected() {
         .collect::<Vec<_>>()
         .join(",");
     let goal = kcm_prolog::read_term(&format!("p(1), f({vars}) = f({vars})")).unwrap();
-    let err = compile_query(&image, &goal, &mut symbols).unwrap_err();
+    let err = compile_query(&std::sync::Arc::new(image), &goal, &mut symbols).unwrap_err();
     assert_eq!(err, CompileError::TooManyQueryVars(17));
 }
 

@@ -4,7 +4,8 @@
 
 use kcm_arch::snapshot::{self, SnapshotError};
 use kcm_arch::{CodeAddr, Instr, SymbolTable};
-use kcm_compiler::{compile_program, CodeImage};
+use kcm_compiler::{compile_program, compile_query, CodeImage};
+use std::sync::Arc;
 
 fn build(src: &str) -> (CodeImage, SymbolTable) {
     let clauses = kcm_prolog::read_program(src).unwrap();
@@ -19,6 +20,11 @@ fn assert_images_equal(a: &CodeImage, b: &CodeImage, syms_a: &SymbolTable, syms_
     for idx in 0..a.num_instrs() as u32 {
         assert_eq!(a.instr_at_index(idx), b.instr_at_index(idx), "instr {idx}");
         assert_eq!(a.addr_at_index(idx), b.addr_at_index(idx));
+        assert_eq!(
+            next_of(a, idx) as u32,
+            next_of(b, idx) as u32,
+            "fall-through {idx}"
+        );
         match (a.switch_index(idx), b.switch_index(idx)) {
             (None, None) => {}
             (Some(sa), Some(sb)) => {
@@ -32,8 +38,10 @@ fn assert_images_equal(a: &CodeImage, b: &CodeImage, syms_a: &SymbolTable, syms_
             other => panic!("side-table presence differs at {idx}: {other:?}"),
         }
     }
-    assert_eq!(a.sizes(), b.sizes());
-    assert_eq!(a.warnings(), b.warnings());
+    assert_dispatch_sound(a);
+    assert_dispatch_sound(b);
+    assert!(a.sizes().eq(b.sizes()));
+    assert!(a.warnings().eq(b.warnings()));
     assert_eq!(a.query_vars(), b.query_vars());
     assert_eq!(a.options(), b.options());
     let (base_a, static_a) = a.static_data();
@@ -59,6 +67,36 @@ fn assert_images_equal(a: &CodeImage, b: &CodeImage, syms_a: &SymbolTable, syms_
     assert_eq!(ea, eb);
 }
 
+/// The packed resolved-dispatch entry of stream index `idx`.
+fn next_of(image: &CodeImage, idx: u32) -> u64 {
+    let span = image.span(idx);
+    span.next[(idx - span.start) as usize]
+}
+
+/// Every resolved dispatch entry names the instruction at its
+/// fall-through address (an unresolved one is looked up at run time).
+fn assert_dispatch_sound(image: &CodeImage) {
+    for idx in 0..image.num_instrs() as u32 {
+        let instr = image.instr_at_index(idx);
+        let packed = next_of(image, idx);
+        let next = packed as u32;
+        let at = image.addr_at_index(idx).unwrap();
+        assert_eq!(
+            next,
+            at + instr.size_words() as u32,
+            "fall-through of {idx}"
+        );
+        let resolved = (packed >> 32) as u32;
+        if resolved != u32::MAX {
+            assert_eq!(
+                image.index_of(CodeAddr::new(next)),
+                Some(resolved),
+                "index of {next}"
+            );
+        }
+    }
+}
+
 const PROGRAM: &str = "
     app([], L, L). app([H|T], L, [H|R]) :- app(T, L, R).
     p(1). p(2). p(a). p(b). p(c). p(d). p(e). p(f). p(g). p(h).
@@ -80,6 +118,20 @@ fn round_trip_restores_the_image() {
     for name in ["app", "edge", "path", "lit"] {
         assert_eq!(symbols.find_atom(name), loaded_syms.find_atom(name));
     }
+}
+
+#[test]
+fn query_overlay_on_a_restored_program_reads_like_one_on_the_compiled_program() {
+    let (image, symbols) = build(PROGRAM);
+    let bytes = snapshot::save(&image, &symbols);
+    let (loaded, loaded_syms) = snapshot::load(&bytes).expect("round trip");
+    let goal = kcm_prolog::read_term("lit(T), app([1, 2], [3], L), path(a, Y)").unwrap();
+    let (compiled, _) = compile_query(&Arc::new(image), &goal, &mut symbols.clone()).unwrap();
+    let (restored, _) = compile_query(&loaded, &goal, &mut loaded_syms.clone()).unwrap();
+    // Every read falls through to the base below the boundary: an
+    // eagerly linked one on one side, a lazily decoded one on the other.
+    assert!(compiled.base().is_some() && restored.base().is_some());
+    assert_images_equal(&compiled, &restored, &symbols, &loaded_syms);
 }
 
 #[test]

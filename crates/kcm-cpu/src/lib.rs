@@ -32,11 +32,12 @@
 //! ```
 //! use kcm_cpu::{Machine, MachineConfig};
 //! use kcm_arch::SymbolTable;
+//! use std::sync::Arc;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let clauses = kcm_prolog::read_program("app([],L,L). app([H|T],L,[H|R]) :- app(T,L,R).")?;
 //! let mut symbols = SymbolTable::new();
-//! let image = kcm_compiler::compile_program(&clauses, &mut symbols)?;
+//! let image = Arc::new(kcm_compiler::compile_program(&clauses, &mut symbols)?);
 //! let goal = kcm_prolog::read_term("app([1,2],[3],X)")?;
 //! let (qimage, vars) = kcm_compiler::compile_query(&image, &goal, &mut symbols)?;
 //! let mut m = Machine::new(qimage, symbols, MachineConfig::default());

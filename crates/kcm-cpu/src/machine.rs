@@ -428,16 +428,6 @@ pub struct Machine<M: DataMem = MemorySystem> {
     /// image before use, so a stale hint is never wrong, just a miss.
     ft_addr: u32,
     ft_index: u32,
-    /// Resolved-dispatch side table for the native tier: per stream
-    /// index, the fall-through address (`addr + size`, low 32 bits) and
-    /// its stream index (high 32 bits; `u32::MAX` when the fall-through
-    /// lands on no instruction), packed into one word so the hot loop
-    /// pays a single load and a single bounds check per step. Built once
-    /// per image — `resolved_key` identifies the image it was derived
-    /// from — so the native hot loop never recomputes instruction sizes
-    /// or validates fall-through hints. Empty on the simulated tier.
-    resolved_key: usize,
-    resolved_next: Vec<u64>,
     /// Scratch stack reused across unifications (unification is the
     /// single most frequent operation; a fresh allocation per call would
     /// dominate its host cost). Taken while a unification runs, so a
@@ -467,26 +457,17 @@ impl Machine {
     /// zone before execution. The backend is the cycle-accurate
     /// [`MemorySystem`]; [`Machine::with_backend`] selects another.
     pub fn new(image: CodeImage, symbols: SymbolTable, cfg: MachineConfig) -> Machine {
-        Machine::with_shared_image(Arc::new(image), symbols, cfg)
-    }
-
-    /// Like [`Machine::new`] for an image already behind an [`Arc`]: the
-    /// compiled program is shared immutably between sessions (and across
-    /// threads — `Machine` is `Send`), while this machine owns its
-    /// registers, caches, heap zones and trail.
-    pub fn with_shared_image(
-        image: Arc<CodeImage>,
-        symbols: SymbolTable,
-        cfg: MachineConfig,
-    ) -> Machine {
-        Machine::with_backend(image, symbols, cfg)
+        Machine::with_backend(Arc::new(image), symbols, cfg)
     }
 }
 
 impl<M: DataMem> Machine<M> {
-    /// Creates a machine over an explicit data-memory backend `M` —
-    /// the generic form of [`Machine::with_shared_image`]. The loader
-    /// installs the static data area (ground literals) and
+    /// Creates a machine over an explicit data-memory backend `M`, for
+    /// an image behind an [`Arc`]: the compiled code (and, for a query
+    /// overlay, the program below it) is shared immutably between
+    /// machines — and across threads, `Machine` is `Send` — while this
+    /// machine owns its registers, caches, heap zones and trail. The
+    /// loader installs the static data area (ground literals) and
     /// write-protects the static zone before execution, whatever the
     /// backend.
     pub fn with_backend(
@@ -540,8 +521,6 @@ impl<M: DataMem> Machine<M> {
             profile: Vec::new(),
             ft_addr: u32::MAX,
             ft_index: u32::MAX,
-            resolved_key: 0,
-            resolved_next: Vec::new(),
             unify_stack: Vec::new(),
             occurs_stack: Vec::new(),
             query_vars: Vec::new(),
@@ -554,44 +533,15 @@ impl<M: DataMem> Machine<M> {
             control_base,
         };
         m.install_static_data();
-        if !M::SIMULATED {
-            // Build the resolved-dispatch tables at load time, off the
-            // query path (a service measures the run, not the loader).
-            m.ensure_resolved_dispatch();
-        }
         m
-    }
-
-    /// (Re)builds the native tier's resolved-dispatch tables if the
-    /// loaded image is not the one they were derived from.
-    fn ensure_resolved_dispatch(&mut self) {
-        let key = Arc::as_ptr(&self.image) as usize;
-        if self.resolved_key == key {
-            return;
-        }
-        let image = Arc::clone(&self.image);
-        let n = image.num_instrs();
-        self.resolved_next.clear();
-        self.resolved_next.reserve(n);
-        for idx in 0..n as u32 {
-            let addr = image.addr_at_index(idx).expect("index in range");
-            let size = image.instr_at_index(idx).size_words() as u32;
-            let next = addr + size;
-            let next_idx = image.index_of(CodeAddr::new(next)).unwrap_or(u32::MAX);
-            self.resolved_next
-                .push(u64::from(next) | (u64::from(next_idx) << 32));
-        }
-        self.resolved_key = key;
     }
 
     /// Loader step: copies the image's static data area into machine
     /// memory and write-protects the static zone (§3.2.3: "each zone may
     /// be write-protected").
     fn install_static_data(&mut self) {
-        let (base, words) = {
-            let (b, w) = self.image.static_data();
-            (b, w.to_vec())
-        };
+        let image = Arc::clone(&self.image);
+        let (base, words) = image.static_data();
         for (i, w) in words.iter().enumerate() {
             self.mem
                 .poke(base.offset(i as i64), *w)
@@ -609,20 +559,6 @@ impl<M: DataMem> Machine<M> {
     /// The loaded code image.
     pub fn image(&self) -> &CodeImage {
         &self.image
-    }
-
-    /// Replaces the loaded image (consulting more code) without resetting
-    /// machine memory.
-    pub fn load_image(&mut self, image: CodeImage) {
-        self.image = Arc::new(image);
-        // New code may overwrite addresses already cached.
-        self.mem.invalidate_code_cache();
-        self.ft_addr = u32::MAX;
-        self.ft_index = u32::MAX;
-        self.resolved_key = 0;
-        if !M::SIMULATED {
-            self.ensure_resolved_dispatch();
-        }
     }
 
     /// Runs the image's `$query/0` entry. `enumerate_all` makes the
@@ -799,14 +735,10 @@ impl<M: DataMem> Machine<M> {
         // so the hot loop can borrow it without per-step `Arc` traffic.
         let image = Arc::clone(&self.image);
         if !M::SIMULATED && self.cfg.fast_paths && self.cfg.trace_depth == 0 {
-            // Native tier: the resolved-dispatch loop (pre-computed
-            // instruction sizes and fall-through indices; no clock, no
-            // fuel gauge, no macrocode trace window).
-            self.ensure_resolved_dispatch();
-            let resolved = std::mem::take(&mut self.resolved_next);
-            let r = self.run_resolved(&image, &resolved, start_instructions);
-            self.resolved_next = resolved;
-            r
+            // Native tier: the resolved-dispatch loop (the image's shared
+            // table of instruction sizes and fall-through indices; no
+            // clock, no fuel gauge, no macrocode trace window).
+            self.run_resolved(&image, start_instructions)
         } else {
             while self.halted.is_none() && !self.yielded {
                 self.step_in(&image)?;
@@ -829,27 +761,48 @@ impl<M: DataMem> Machine<M> {
 
     /// The native tier's hot loop: enum dispatch over the decoded stream
     /// with pre-resolved instruction sizes and fall-through indices (the
-    /// side tables built by [`Machine::ensure_resolved_dispatch`]).
-    /// Observable behaviour — execution order, retired-instruction
-    /// counting, the step budget's trip point, every error class — is
-    /// identical to the generic loop; only the per-step bookkeeping the
-    /// native tier does not need (cycle fuel, trace window, fall-through
-    /// hint validation) is gone.
+    /// image's dispatch table, built once per image and shared by every
+    /// machine). The stream is run one [`kcm_arch::image::Span`] at a
+    /// time — the program's code, a query overlay's, or a lazily restored
+    /// image's decode chunk — so leaving a span costs one predictable
+    /// range check per step. Observable behaviour — execution order,
+    /// retired-instruction counting, the step budget's trip point, every
+    /// error class — is identical to the generic loop; only the per-step
+    /// bookkeeping the native tier does not need (cycle fuel, trace
+    /// window, fall-through hint validation) is gone.
     fn run_resolved(
         &mut self,
         image: &CodeImage,
-        resolved: &[u64],
         start_instructions: u64,
     ) -> Result<(), MachineError> {
-        let step_budget = self.cfg.step_budget;
         let mut idx = match image.index_of(self.p) {
             Some(i) => i,
             None => return Err(MachineError::BadCodeAddress(self.p)),
         };
+        while let Some(next) = self.run_span(image, image.span(idx), idx, start_instructions)? {
+            idx = next;
+        }
+        Ok(())
+    }
+
+    /// The resolved loop within one span, from stream index `idx`:
+    /// returns the index control left the span for, or `None` once the
+    /// run halted or yielded.
+    fn run_span(
+        &mut self,
+        image: &CodeImage,
+        span: kcm_arch::image::Span<'_>,
+        mut idx: u32,
+        start_instructions: u64,
+    ) -> Result<Option<u32>, MachineError> {
+        let step_budget = self.cfg.step_budget;
+        let (start, instrs, resolved) = (span.start, span.instrs, span.next);
         loop {
-            let instr = image.instr_at_index(idx);
+            let Some(instr) = instrs.get(idx.wrapping_sub(start) as usize) else {
+                return Ok(Some(idx));
+            };
             self.stats.instructions += 1;
-            let packed = resolved[idx as usize];
+            let packed = resolved[(idx - start) as usize];
             let np = packed as u32;
             self.p = CodeAddr::new(np);
             self.exec_body(instr, image, idx)?;
@@ -859,13 +812,13 @@ impl<M: DataMem> Machine<M> {
                 });
             }
             if self.halted.is_some() || self.yielded {
-                return Ok(());
+                return Ok(None);
             }
-            idx = if self.p.value() == np {
-                let ni = (packed >> 32) as u32;
-                if ni == u32::MAX {
-                    return Err(MachineError::BadCodeAddress(self.p));
-                }
+            // Fall-through takes the resolved index; a transfer, or a
+            // fall-through the table leaves unresolved (a program's last
+            // word running into a query overlay), looks the address up.
+            let ni = (packed >> 32) as u32;
+            idx = if self.p.value() == np && ni != u32::MAX {
                 ni
             } else {
                 match image.index_of(self.p) {
@@ -2642,7 +2595,8 @@ mod tests {
         let image = kcm_compiler::compile_program(&clauses, &mut symbols).expect("compile");
         let goal = kcm_prolog::read_term("loop").expect("parse");
         let (qimage, vars) =
-            kcm_compiler::compile_query(&image, &goal, &mut symbols).expect("compile query");
+            kcm_compiler::compile_query(&std::sync::Arc::new(image), &goal, &mut symbols)
+                .expect("compile query");
         let cfg = MachineConfig {
             step_budget: 10_000,
             ..MachineConfig::default()
@@ -2661,7 +2615,8 @@ mod tests {
         let image = kcm_compiler::compile_program(&clauses, &mut symbols).expect("compile");
         let goal = kcm_prolog::read_term("p(X)").expect("parse");
         let (qimage, vars) =
-            kcm_compiler::compile_query(&image, &goal, &mut symbols).expect("compile query");
+            kcm_compiler::compile_query(&std::sync::Arc::new(image), &goal, &mut symbols)
+                .expect("compile query");
         let cfg = MachineConfig {
             step_budget: 1_000_000,
             ..MachineConfig::default()

@@ -9,7 +9,9 @@ fn run(src: &str, query: &str, cfg: MachineConfig) -> Result<Outcome, MachineErr
     let mut symbols = SymbolTable::new();
     let image = kcm_compiler::compile_program(&clauses, &mut symbols).expect("compile");
     let goal = kcm_prolog::read_term(query).expect("parse query");
-    let (qimage, vars) = kcm_compiler::compile_query(&image, &goal, &mut symbols).expect("link");
+    let (qimage, vars) =
+        kcm_compiler::compile_query(&std::sync::Arc::new(image), &goal, &mut symbols)
+            .expect("link");
     let mut m = Machine::new(qimage, symbols, cfg);
     m.run_query(&vars, false)
 }
@@ -232,7 +234,9 @@ fn lifetime_stats_accumulate_across_runs() {
     let mut symbols = SymbolTable::new();
     let image = kcm_compiler::compile_program(&clauses, &mut symbols).expect("compile");
     let goal = kcm_prolog::read_term("p(X)").expect("parse");
-    let (qimage, vars) = kcm_compiler::compile_query(&image, &goal, &mut symbols).expect("link");
+    let (qimage, vars) =
+        kcm_compiler::compile_query(&std::sync::Arc::new(image), &goal, &mut symbols)
+            .expect("link");
     let mut m = Machine::new(qimage, symbols, MachineConfig::default());
     let first = m.run_query(&vars, false).expect("run");
     let second = m.run_query(&vars, false).expect("run");
@@ -247,7 +251,9 @@ fn output_resets_between_runs() {
     let mut symbols = SymbolTable::new();
     let image = kcm_compiler::compile_program(&clauses, &mut symbols).expect("compile");
     let goal = kcm_prolog::read_term("say").expect("parse");
-    let (qimage, vars) = kcm_compiler::compile_query(&image, &goal, &mut symbols).expect("link");
+    let (qimage, vars) =
+        kcm_compiler::compile_query(&std::sync::Arc::new(image), &goal, &mut symbols)
+            .expect("link");
     let mut m = Machine::new(qimage, symbols, MachineConfig::default());
     let a = m.run_query(&vars, false).expect("run");
     let b = m.run_query(&vars, false).expect("run");
@@ -261,7 +267,9 @@ fn macrocode_monitor_keeps_a_window() {
     let mut symbols = SymbolTable::new();
     let image = kcm_compiler::compile_program(&clauses, &mut symbols).expect("compile");
     let goal = kcm_prolog::read_term("p(X)").expect("parse");
-    let (qimage, vars) = kcm_compiler::compile_query(&image, &goal, &mut symbols).expect("link");
+    let (qimage, vars) =
+        kcm_compiler::compile_query(&std::sync::Arc::new(image), &goal, &mut symbols)
+            .expect("link");
     let mut m = Machine::new(
         qimage,
         symbols,
@@ -287,7 +295,9 @@ fn tracing_off_keeps_no_window() {
     let mut symbols = SymbolTable::new();
     let image = kcm_compiler::compile_program(&clauses, &mut symbols).expect("compile");
     let goal = kcm_prolog::read_term("p(X)").expect("parse");
-    let (qimage, vars) = kcm_compiler::compile_query(&image, &goal, &mut symbols).expect("link");
+    let (qimage, vars) =
+        kcm_compiler::compile_query(&std::sync::Arc::new(image), &goal, &mut symbols)
+            .expect("link");
     let mut m = Machine::new(qimage, symbols, MachineConfig::default());
     m.run_query(&vars, false).expect("run");
     assert!(m.trace().is_empty());
@@ -516,7 +526,9 @@ fn prolog_level_profile_attributes_cycles() {
     let goal =
         kcm_prolog::read_term("nrev([1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20], R)")
             .expect("parse");
-    let (qimage, vars) = kcm_compiler::compile_query(&image, &goal, &mut symbols).expect("link");
+    let (qimage, vars) =
+        kcm_compiler::compile_query(&std::sync::Arc::new(image), &goal, &mut symbols)
+            .expect("link");
     let mut m = Machine::new(
         qimage,
         symbols,
@@ -573,7 +585,9 @@ fn build(src: &str, query: &str, cfg: MachineConfig) -> (Machine, Vec<String>) {
     let mut symbols = SymbolTable::new();
     let image = kcm_compiler::compile_program(&clauses, &mut symbols).expect("compile");
     let goal = kcm_prolog::read_term(query).expect("parse query");
-    let (qimage, vars) = kcm_compiler::compile_query(&image, &goal, &mut symbols).expect("link");
+    let (qimage, vars) =
+        kcm_compiler::compile_query(&std::sync::Arc::new(image), &goal, &mut symbols)
+            .expect("link");
     (Machine::new(qimage, symbols, cfg), vars)
 }
 

@@ -315,15 +315,14 @@ impl Engine for PooledCursorEngine {
         if !opts.enumerate_all {
             return EngineOutcome::new(name, kcm.query(query, opts));
         }
-        let image = match kcm.shared_image() {
-            Some(image) => image,
-            None => return EngineOutcome::new(name, Err(KcmError::NoProgram)),
+        let Some(image) = kcm.image() else {
+            return EngineOutcome::new(name, Err(KcmError::NoProgram));
         };
         let symbols = kcm.symbols().clone();
         let config = kcm.config().clone();
         let pool = SessionPool::new(self.workers);
         let results = pool.map(&[(); POOL_REPLICAS], |_| {
-            open_session(&image, &symbols, &config, query, opts).and_then(drain_session)
+            open_session(image, &symbols, &config, query, opts).and_then(drain_session)
         });
         let prints: Vec<String> = results.iter().map(replica_fingerprint).collect();
         if prints.iter().any(|p| p != &prints[0]) {

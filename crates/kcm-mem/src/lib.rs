@@ -296,9 +296,6 @@ pub trait DataMem: std::fmt::Debug + Send {
         0
     }
 
-    /// Invalidates the code cache (no-op without one).
-    fn invalidate_code_cache(&mut self) {}
-
     /// Cache/MMU statistics; untimed backends report all-zero counters.
     fn stats(&self) -> MemStats {
         MemStats::default()
@@ -346,10 +343,6 @@ impl DataMem for MemorySystem {
     #[inline]
     fn fetch_code_seq(&mut self, addr: CodeAddr, words: usize) -> Cycles {
         MemorySystem::fetch_code_seq(self, addr, words)
-    }
-
-    fn invalidate_code_cache(&mut self) {
-        MemorySystem::invalidate_code_cache(self)
     }
 
     fn stats(&self) -> MemStats {

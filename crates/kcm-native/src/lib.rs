@@ -33,10 +33,11 @@
 //! use kcm_arch::SymbolTable;
 //! use kcm_cpu::MachineConfig;
 //! use kcm_native::NativeMachine;
+//! use std::sync::Arc;
 //!
 //! let mut symbols = SymbolTable::new();
 //! let program = kcm_prolog::read_program("p(1). p(2).").unwrap();
-//! let image = kcm_compiler::compile_program(&program, &mut symbols).unwrap();
+//! let image = Arc::new(kcm_compiler::compile_program(&program, &mut symbols).unwrap());
 //! let goal = kcm_prolog::read_term("p(X)").unwrap();
 //! let (qimage, vars) = kcm_compiler::compile_query(&image, &goal, &mut symbols).unwrap();
 //! let mut m = kcm_native::native_machine(qimage, symbols, MachineConfig::default());
@@ -349,7 +350,8 @@ mod tests {
         let mut symbols = SymbolTable::new();
         let image = kcm_compiler::compile_program(&clauses, &mut symbols).unwrap();
         let goal = kcm_prolog::read_term(query).unwrap();
-        let (qimage, vars) = kcm_compiler::compile_query(&image, &goal, &mut symbols).unwrap();
+        let (qimage, vars) =
+            kcm_compiler::compile_query(&std::sync::Arc::new(image), &goal, &mut symbols).unwrap();
         let cfg = MachineConfig::default();
         let sim = Machine::new(qimage.clone(), symbols.clone(), cfg.clone());
         let native = native_machine(qimage, symbols, cfg);
@@ -362,7 +364,8 @@ mod tests {
         let mut symbols = SymbolTable::new();
         let image = kcm_compiler::compile_program(&clauses, &mut symbols).unwrap();
         let goal = kcm_prolog::read_term(query).unwrap();
-        let (qimage, vars) = kcm_compiler::compile_query(&image, &goal, &mut symbols).unwrap();
+        let (qimage, vars) =
+            kcm_compiler::compile_query(&std::sync::Arc::new(image), &goal, &mut symbols).unwrap();
         let cfg = MachineConfig::default();
         let mut sim = Machine::new(qimage.clone(), symbols.clone(), cfg.clone());
         let mut native = native_machine(qimage, symbols, cfg);
@@ -432,7 +435,8 @@ mod tests {
         let mut symbols = SymbolTable::new();
         let image = kcm_compiler::compile_program(&clauses, &mut symbols).unwrap();
         let goal = kcm_prolog::read_term("loop").unwrap();
-        let (qimage, vars) = kcm_compiler::compile_query(&image, &goal, &mut symbols).unwrap();
+        let (qimage, vars) =
+            kcm_compiler::compile_query(&std::sync::Arc::new(image), &goal, &mut symbols).unwrap();
         let cfg = MachineConfig {
             step_budget: 5_000,
             ..Default::default()

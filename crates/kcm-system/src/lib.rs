@@ -403,8 +403,7 @@ impl Kcm {
                 let mut symbols = self.symbols.clone();
                 let image = kcm_compiler::compile_program(&all, &mut symbols)?;
                 self.clauses = all;
-                self.symbols = symbols;
-                self.image = Some(Arc::new(image));
+                self.set_program(symbols, image);
                 Ok(())
             }
             ProgramSource::Snapshot(bytes) => {
@@ -459,8 +458,7 @@ impl Kcm {
             let mut symbols = self.symbols.clone();
             let image = kcm_compiler::compile_program(&all, &mut symbols)?;
             self.clauses = all;
-            self.symbols = symbols;
-            self.image = Some(Arc::new(image));
+            self.set_program(symbols, image);
             return Ok(());
         };
 
@@ -480,6 +478,7 @@ impl Kcm {
             match image_mut.assert_fact_clause(entry, key1, key2, &code) {
                 Ok(()) => {
                     self.symbols = symbols;
+                    self.symbols.freeze();
                     if !self.from_snapshot {
                         self.clauses.push(term);
                     }
@@ -517,8 +516,7 @@ impl Kcm {
         let mut image = (**self.image.as_ref().expect("image present")).clone();
         Linker::relink_predicate(&mut image, &pred, &pred_clauses, &mut symbols)?;
         self.clauses = all;
-        self.symbols = symbols;
-        self.image = Some(Arc::new(image));
+        self.set_program(symbols, image);
         Ok(())
     }
 
@@ -600,21 +598,24 @@ impl Kcm {
         let mut image = (**self.image.as_ref().expect("image present")).clone();
         Linker::relink_predicate(&mut image, &pred, &pred_clauses, &mut symbols)?;
         self.clauses = all;
-        self.symbols = symbols;
-        self.image = Some(Arc::new(image));
+        self.set_program(symbols, image);
         Ok(true)
     }
 
-    /// The linked code image, if a program has been consulted.
-    pub fn image(&self) -> Option<&CodeImage> {
-        self.image.as_deref()
+    /// Installs a freshly compiled program, freezing its symbol table so
+    /// every per-query clone of it copies nothing.
+    fn set_program(&mut self, mut symbols: SymbolTable, image: CodeImage) {
+        symbols.freeze();
+        self.symbols = symbols;
+        self.image = Some(Arc::new(image));
     }
 
-    /// The linked code image behind its sharing handle: what
-    /// [`open_session`] and [`pool::run_session`] take, so one compiled
-    /// program can serve sessions on many threads.
-    pub fn shared_image(&self) -> Option<Arc<CodeImage>> {
-        self.image.clone()
+    /// The linked code image behind its sharing handle, if a program has
+    /// been consulted: what [`prepare_query`], [`open_session`] and
+    /// [`pool::run_session`] take, so one compiled program serves query
+    /// overlays and sessions on many threads.
+    pub fn image(&self) -> Option<&Arc<CodeImage>> {
+        self.image.as_ref()
     }
 
     /// The symbol table.
@@ -627,7 +628,7 @@ impl Kcm {
     pub fn warnings(&self) -> Vec<String> {
         self.image
             .as_ref()
-            .map(|i| i.warnings().to_vec())
+            .map(|i| i.warnings().map(str::to_owned).collect())
             .unwrap_or_default()
     }
 
@@ -681,7 +682,7 @@ impl Kcm {
     /// Returns [`KcmError::NoProgram`] before the first consult, or query
     /// parse/compile errors.
     pub fn prepare(&self, query: &str, opts: &QueryOpts) -> Result<PreparedQuery, KcmError> {
-        let image = self.image.as_deref().ok_or(KcmError::NoProgram)?;
+        let image = self.image.as_ref().ok_or(KcmError::NoProgram)?;
         prepare_query(image, &self.symbols, &self.config, query, opts)
     }
 

@@ -157,8 +157,8 @@ pub struct Published {
     pub version: u64,
     /// The compiled, immutable program image.
     pub image: Arc<CodeImage>,
-    /// The symbol table the image was compiled against (query
-    /// compilation clones it per session).
+    /// The symbol table the image was compiled against, frozen: query
+    /// compilation clones it per session, and the clone copies nothing.
     pub symbols: SymbolTable,
     /// Per-tenant step budget applied to queries that don't carry their
     /// own `BUDGET`; `None` defers to the server default.

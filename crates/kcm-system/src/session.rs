@@ -52,14 +52,17 @@ macro_rules! on_tier {
 /// `opts.tier`, configured by `config` with `opts` overlaid. The machine
 /// is built but not run.
 ///
-/// The symbol table is cloned per query because query compilation may
-/// intern new symbols; the image is only read.
+/// Every step is O(query), not O(program): the query is linked as an
+/// overlay sharing `image` ([`kcm_compiler::compile_query`]); the symbol
+/// table clone copies only its unfrozen delta (query compilation may
+/// intern new symbols into its own copy); and the native tier dispatches
+/// through the image's shared resolved-dispatch table.
 ///
 /// # Errors
 ///
 /// Query parse or compile errors.
 pub fn prepare_query(
-    image: &CodeImage,
+    image: &Arc<CodeImage>,
     symbols: &SymbolTable,
     config: &MachineConfig,
     query: &str,

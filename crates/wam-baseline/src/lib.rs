@@ -44,6 +44,7 @@ use kcm_system::{
     prepare_query, snapshot_unsupported, Engine, EngineOutcome, KcmError, ProgramSource, QueryOpts,
     Tier,
 };
+use std::sync::Arc;
 
 /// A baseline machine model: how to compile and how to cost each
 /// micro-operation.
@@ -99,7 +100,11 @@ impl BaselineModel {
     pub fn run(&self, source: &str, query: &str, opts: &QueryOpts) -> Result<Outcome, KcmError> {
         let clauses = kcm_prolog::read_program(source)?;
         let mut symbols = kcm_arch::SymbolTable::new();
-        let image = kcm_compiler::compile_program_with(&clauses, &mut symbols, &self.compile)?;
+        let image = Arc::new(kcm_compiler::compile_program_with(
+            &clauses,
+            &mut symbols,
+            &self.compile,
+        )?);
         let opts = QueryOpts {
             tier: Tier::Cycle,
             ..opts.clone()
