@@ -17,12 +17,20 @@
 //! retired instruction. JSONL rows carry a `tier` field (`"cycle"` /
 //! `"native"`) so downstream tooling can separate the series.
 //!
-//! The per-program rows time the **query run only**: the program is
-//! consulted and the machine built outside the timed window (a fresh
-//! machine per rep, so the simulated numbers are those of a cold run),
-//! because the hot loop — not the compiler or the loader — is what this
-//! benchmark tracks. The pooled row times the whole suite end to end
-//! (consult + prepare + run) across the session pool, on the cycle tier.
+//! Each per-program row carries two host times, each the minimum over
+//! the reps:
+//!
+//! * `host_ms` times the **query run only**: the program is consulted and
+//!   the machine built outside the timed window (a fresh machine per
+//!   rep, so the simulated numbers are those of a cold run). This tracks
+//!   the hot loop.
+//! * `e2e_ms` times [`Kcm::query`] **end to end**, from query text to
+//!   answer: parse, compile and link the query, build the machine, run
+//!   and decode. This is what a caller pays.
+//!
+//! The serial totals sum both. The pooled row times the whole suite end
+//! to end (consult + prepare + run) across the session pool, on the
+//! cycle tier.
 //!
 //! Knobs:
 //!
@@ -80,37 +88,50 @@ fn main() {
         "Inferences",
         "Sim ms",
         "Host ms",
+        "E2E ms",
         "Sim/host",
         "Mcyc/host-s",
         "Host Klips",
         "Nat ms",
+        "Nat E2E",
         "Nat x",
     ]);
     let mut jsonl = JsonlWriter::for_bench("hostperf");
     let mut serial_host_s = 0.0;
     let mut native_host_s = 0.0;
+    let mut serial_e2e_s = 0.0;
+    let mut native_e2e_s = 0.0;
     let mut total_cycles: u64 = 0;
     let mut total_inferences: u64 = 0;
     for p in &suite {
         let mut kcm = Kcm::with_config(config.clone());
         kcm.load(p.source).expect("suite program consults");
-        // Fresh machine per rep (identical simulated numbers every time);
-        // only the query run is inside the timed window.
+        // Per rep: a fresh machine with only the run timed, then the
+        // whole `Kcm::query` timed (identical simulated numbers every
+        // time). Returns the best run-only and end-to-end seconds.
         let best_run = |tier: Tier| {
-            let opts = QueryOpts::first().with_tier(tier);
-            let mut best_s = f64::INFINITY;
+            let opts = QueryOpts {
+                enumerate_all: p.enumerate,
+                ..QueryOpts::first()
+            }
+            .with_tier(tier);
+            let (mut best_s, mut best_e2e_s) = (f64::INFINITY, f64::INFINITY);
             let mut outcome: Option<Outcome> = None;
             for _ in 0..reps {
                 let mut prepared = kcm.prepare(p.query, &opts).expect("suite query compiles");
                 let t0 = Instant::now();
                 let o = prepared.run(p.enumerate).expect("suite program runs");
                 best_s = best_s.min(t0.elapsed().as_secs_f64());
+                let t0 = Instant::now();
+                let e2e = kcm.query(p.query, &opts).expect("suite program runs");
+                best_e2e_s = best_e2e_s.min(t0.elapsed().as_secs_f64());
+                assert_eq!(e2e.solutions, o.solutions, "{}: e2e run differs", p.name);
                 outcome = Some(o);
             }
-            (best_s, outcome.expect("at least one rep"))
+            (best_s, best_e2e_s, outcome.expect("at least one rep"))
         };
-        let (best_s, outcome) = best_run(Tier::Cycle);
-        let (best_native_s, native) = best_run(Tier::Native);
+        let (best_s, e2e_s, outcome) = best_run(Tier::Cycle);
+        let (best_native_s, native_e2e, native) = best_run(Tier::Native);
         // Not a difftest, but a broken tier must not publish numbers.
         assert_eq!(
             outcome.solutions, native.solutions,
@@ -125,6 +146,8 @@ fn main() {
         let stats = &outcome.stats;
         serial_host_s += best_s;
         native_host_s += best_native_s;
+        serial_e2e_s += e2e_s;
+        native_e2e_s += native_e2e;
         total_cycles += stats.cycles;
         total_inferences += stats.inferences;
         let host_ms = best_s * 1e3;
@@ -138,10 +161,12 @@ fn main() {
             stats.inferences.to_string(),
             f3(stats.ms()),
             f3(host_ms),
+            f3(e2e_s * 1e3),
             f2(ratio(stats.ms(), host_ms)),
             f2(mcyc_per_s),
             f2(host_klips),
             f3(native_ms),
+            f3(native_e2e * 1e3),
             f2(speedup),
         ]);
         jsonl.record(
@@ -151,6 +176,7 @@ fn main() {
                 .u64("sim_cycles", stats.cycles)
                 .f64("sim_ms", stats.ms())
                 .f64("host_ms", host_ms)
+                .f64("e2e_ms", e2e_s * 1e3)
                 .f64("sim_mcycles_per_host_s", mcyc_per_s)
                 .f64("host_klips", host_klips)
                 .u64("fast_paths", u64::from(fast)),
@@ -160,6 +186,7 @@ fn main() {
                 .str("tier", "native")
                 .u64("inferences", stats.inferences)
                 .f64("host_ms", native_ms)
+                .f64("e2e_ms", native_e2e * 1e3)
                 .f64("host_klips", native_klips)
                 .f64("speedup_vs_cycle", speedup)
                 .u64("fast_paths", u64::from(fast)),
@@ -178,16 +205,18 @@ fn main() {
     let serial_mcyc_s = ratio(total_cycles as f64 / 1e6, serial_host_s);
     let pooled_mcyc_s = ratio(total_cycles as f64 / 1e6, pooled_s);
     println!(
-        "serial: {} programs in {} host ms  ({} Msim-cycles/host-s, {} host Klips)",
+        "serial: {} programs in {} host ms, {} ms end to end  ({} Msim-cycles/host-s, {} host Klips)",
         suite.len(),
         f2(serial_host_s * 1e3),
+        f2(serial_e2e_s * 1e3),
         f2(serial_mcyc_s),
         f2(ratio(total_inferences as f64 / 1e3, serial_host_s)),
     );
     println!(
-        "native: {} programs in {} host ms  ({} host Klips, {}x the cycle tier)",
+        "native: {} programs in {} host ms, {} ms end to end  ({} host Klips, {}x the cycle tier)",
         suite.len(),
         f2(native_host_s * 1e3),
+        f2(native_e2e_s * 1e3),
         f2(ratio(total_inferences as f64 / 1e3, native_host_s)),
         f2(ratio(serial_host_s, native_host_s)),
     );
@@ -205,6 +234,7 @@ fn main() {
             .u64("sim_cycles", total_cycles)
             .u64("inferences", total_inferences)
             .f64("host_ms", serial_host_s * 1e3)
+            .f64("e2e_ms", serial_e2e_s * 1e3)
             .f64("sim_mcycles_per_host_s", serial_mcyc_s)
             .f64(
                 "host_klips",
@@ -218,6 +248,7 @@ fn main() {
             .u64("programs", suite.len() as u64)
             .u64("inferences", total_inferences)
             .f64("host_ms", native_host_s * 1e3)
+            .f64("e2e_ms", native_e2e_s * 1e3)
             .f64(
                 "host_klips",
                 ratio(total_inferences as f64 / 1e3, native_host_s),

@@ -14,22 +14,23 @@
 use bench::jsonl::{validate_line, Json};
 use std::path::PathBuf;
 
-/// Bench-specific shape checks on top of the generic record schema:
-/// `factscale` rows must carry every metric an acceptance number is made
-/// of — the cold-start comparison, the hot and end-to-end lookup
-/// percentiles per tier, and both O(1) scaling ratios — so a driver that
-/// stops emitting one of them fails here instead of validating while
-/// quietly losing the number.
+/// Bench-specific shape checks on top of the generic record schema, so a
+/// driver that stops emitting a number an acceptance claim is made of
+/// fails here instead of validating while quietly losing it:
+///
+/// * `factscale` rows carry the cold-start comparison, the hot and
+///   end-to-end lookup percentiles per tier, and both O(1) scaling
+///   ratios;
+/// * `hostperf` rows of a tier (per program, and the serial totals)
+///   carry the run-only `host_ms` next to the end-to-end `e2e_ms`.
 fn check_shape(v: &Json) -> Result<(), String> {
     let bench = v.get("bench").and_then(Json::as_str).unwrap_or("");
     let label = v.get("label").and_then(Json::as_str).unwrap_or("");
-    if bench != "factscale" {
-        return Ok(());
-    }
     let summary = v.get("kind").and_then(Json::as_str) == Some("summary");
-    let required: &[&str] = match (label, summary) {
-        ("coldstart", true) => &["facts_max", "load_host_ms_at_max"],
-        (l, false) if l.starts_with("coldstart") => &[
+    let tier = v.get("tier").is_some();
+    let required: &[&str] = match (bench, label, summary) {
+        ("factscale", "coldstart", true) => &["facts_max", "load_host_ms_at_max"],
+        ("factscale", l, false) if l.starts_with("coldstart") => &[
             "facts",
             "consult_host_ms",
             "snapshot_save_host_ms",
@@ -40,21 +41,24 @@ fn check_shape(v: &Json) -> Result<(), String> {
             "chunks_decoded",
             "chunks_total",
         ],
-        ("native-p50-scaling", true) => &["p50_ratio_max_vs_min", "e2e_p50_ratio_max_vs_min"],
-        (_, false) if v.get("tier").is_some() => &[
+        ("factscale", "native-p50-scaling", true) => {
+            &["p50_ratio_max_vs_min", "e2e_p50_ratio_max_vs_min"]
+        }
+        ("factscale", _, false) if tier => &[
             "lookup_p50_us",
             "lookup_p99_us",
             "e2e_p50_us",
             "e2e_p99_us",
             "e2e_first_ms",
         ],
+        ("hostperf", _, _) if tier => &["host_ms", "e2e_ms"],
         _ => &[],
     };
     for key in required {
         match v.get(key) {
             Some(Json::Num(_)) => {}
-            Some(_) => return Err(format!("factscale {label}: `{key}` is not a number")),
-            None => return Err(format!("factscale {label}: record missing `{key}`")),
+            Some(_) => return Err(format!("{bench} {label}: `{key}` is not a number")),
+            None => return Err(format!("{bench} {label}: record missing `{key}`")),
         }
     }
     Ok(())

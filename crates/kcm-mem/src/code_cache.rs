@@ -29,10 +29,20 @@ struct Line {
 }
 
 /// The direct-mapped, write-through code cache with page-mode prefetch.
+///
+/// The cache lists the lines it fills, so [`CodeCache::invalidate`]
+/// clears those and nothing else.
 #[derive(Debug)]
 pub struct CodeCache {
     lines: Vec<Line>,
+    /// Indices of the lines made valid since the last invalidation.
+    filled: Vec<u16>,
 }
+
+const INVALID: Line = Line {
+    valid: false,
+    addr: CodeAddr::new(0),
+};
 
 impl Default for CodeCache {
     fn default() -> CodeCache {
@@ -44,18 +54,32 @@ impl CodeCache {
     /// An empty (all-invalid) cache.
     pub fn new() -> CodeCache {
         CodeCache {
-            lines: vec![
-                Line {
-                    valid: false,
-                    addr: CodeAddr::new(0)
-                };
-                ICACHE_WORDS
-            ],
+            lines: vec![INVALID; ICACHE_WORDS],
+            filled: Vec::with_capacity(ICACHE_WORDS),
+        }
+    }
+
+    /// A cache with no lines, left behind in a structure whose board was
+    /// moved out; never accessed.
+    pub(crate) const fn vacant() -> CodeCache {
+        CodeCache {
+            lines: Vec::new(),
+            filled: Vec::new(),
         }
     }
 
     fn index(addr: CodeAddr) -> usize {
         addr.value() as usize % ICACHE_WORDS
+    }
+
+    /// Makes the line at `idx` hold `addr`, listing the index if the line
+    /// was invalid.
+    #[inline]
+    fn fill(&mut self, idx: usize, addr: CodeAddr) {
+        if !self.lines[idx].valid {
+            self.filled.push(idx as u16);
+        }
+        self.lines[idx] = Line { valid: true, addr };
     }
 
     /// Times the fetch of the code word at `addr`: 0 extra cycles on a
@@ -82,11 +106,7 @@ impl CodeCache {
                 break; // prefetch beyond the top of the code space
             }
             let a = addr.offset(i as i64);
-            let j = Self::index(a);
-            self.lines[j] = Line {
-                valid: true,
-                addr: a,
-            };
+            self.fill(Self::index(a), a);
         }
         config.icache_miss
     }
@@ -117,14 +137,14 @@ impl CodeCache {
     /// writes "directly to the code cache", §3.2.1): the line becomes
     /// resident; memory is updated by the caller's code store.
     pub fn write_through(&mut self, addr: CodeAddr) {
-        let idx = Self::index(addr);
-        self.lines[idx] = Line { valid: true, addr };
+        self.fill(Self::index(addr), addr);
     }
 
-    /// Invalidates the whole cache.
+    /// Invalidates the whole cache: its power-on state. Clears only the
+    /// lines filled since the last invalidation.
     pub fn invalidate(&mut self) {
-        for line in &mut self.lines {
-            line.valid = false;
+        for idx in self.filled.drain(..) {
+            self.lines[usize::from(idx)] = INVALID;
         }
     }
 }
@@ -176,6 +196,8 @@ mod tests {
         let (mut c, mut mmu, cfg, mut s) = setup();
         c.fetch(CodeAddr::new(1), &mut mmu, &cfg, &mut s);
         c.invalidate();
+        assert!(c.filled.is_empty());
+        assert!(c.lines.iter().all(|l| !l.valid));
         assert!(c.fetch(CodeAddr::new(1), &mut mmu, &cfg, &mut s) > 0);
     }
 

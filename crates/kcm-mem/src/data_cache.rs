@@ -44,9 +44,14 @@ const EMPTY: Line = Line {
 /// index computation. The hint only short-circuits lookups whose outcome
 /// is a hit on that exact line and bumps the same counters, so the
 /// simulated numbers are byte-identical with it on or off.
+///
+/// The cache lists the lines it fills, so a reset clears those and
+/// nothing else.
 #[derive(Debug)]
 pub struct DataCache {
     lines: Vec<Line>,
+    /// Indices of the lines made valid since the last reset.
+    filled: Vec<u16>,
     sectioned: bool,
     fast: bool,
     last_idx: u32,
@@ -60,10 +65,54 @@ impl DataCache {
     pub fn new(sectioned: bool) -> DataCache {
         DataCache {
             lines: vec![EMPTY; DCACHE_WORDS],
+            filled: Vec::with_capacity(DCACHE_WORDS),
             sectioned,
             fast: true,
             last_idx: 0,
         }
+    }
+
+    /// A cache with no lines, left behind in a structure whose board was
+    /// moved out; never accessed.
+    pub(crate) const fn vacant() -> DataCache {
+        DataCache {
+            lines: Vec::new(),
+            filled: Vec::new(),
+            sectioned: true,
+            fast: true,
+            last_idx: 0,
+        }
+    }
+
+    /// Returns the cache to power-on: all lines invalid and the last-line
+    /// hint empty. Clears only the lines filled since the last reset.
+    /// Dirty lines are dropped, not written back.
+    pub(crate) fn reset(&mut self) {
+        for idx in self.filled.drain(..) {
+            self.lines[usize::from(idx)] = EMPTY;
+        }
+        self.last_idx = 0;
+    }
+
+    /// Selects sectioned or plain mode (see [`DataCache::new`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the cache is empty: a valid line sits where its
+    /// mode's index put it.
+    pub(crate) fn set_sectioned(&mut self, sectioned: bool) {
+        assert!(self.filled.is_empty(), "mode change on a non-empty cache");
+        self.sectioned = sectioned;
+    }
+
+    /// Stores `line` at `idx`, listing the index if the line was invalid.
+    #[inline]
+    fn fill(&mut self, idx: usize, line: Line) {
+        if !self.lines[idx].valid {
+            self.filled.push(idx as u16);
+        }
+        self.lines[idx] = line;
+        self.last_idx = idx as u32;
     }
 
     /// Whether this cache is in sectioned mode.
@@ -132,13 +181,15 @@ impl DataCache {
         extra += self.evict(idx, memory, mmu, config, stats)?;
         let phys = mmu.translate_data(addr, memory, stats)?;
         let data = memory.read(phys);
-        self.lines[idx] = Line {
-            valid: true,
-            dirty: false,
-            addr,
-            data,
-        };
-        self.last_idx = idx as u32;
+        self.fill(
+            idx,
+            Line {
+                valid: true,
+                dirty: false,
+                addr,
+                data,
+            },
+        );
         Ok((data, extra))
     }
 
@@ -179,13 +230,15 @@ impl DataCache {
         // write fully covers the line and no memory read is needed — the
         // allocation is free beyond a possible dirty-victim write-back.
         let extra = self.evict(idx, memory, mmu, config, stats)?;
-        self.lines[idx] = Line {
-            valid: true,
-            dirty: true,
-            addr,
-            data: value,
-        };
-        self.last_idx = idx as u32;
+        self.fill(
+            idx,
+            Line {
+                valid: true,
+                dirty: true,
+                addr,
+                data: value,
+            },
+        );
         // Ensure the page exists so a later write-back cannot fail late.
         mmu.translate_data(addr, memory, stats)?;
         Ok(extra)
@@ -344,6 +397,24 @@ mod tests {
         let wb = s.dcache_writebacks;
         c.flush(&mut m, &mut mmu, &mut s).unwrap();
         assert_eq!(s.dcache_writebacks, wb);
+    }
+
+    #[test]
+    fn reset_invalidates_filled_lines_and_allows_a_mode_change() {
+        let (mut c, mut m, mut mmu, cfg, mut s) = setup();
+        let g = a(Zone::Global, 7);
+        c.write(g, Word::int(1), &mut m, &mut mmu, &cfg, &mut s)
+            .unwrap();
+        c.read(a(Zone::Local, 7), &mut m, &mut mmu, &cfg, &mut s)
+            .unwrap();
+        c.reset();
+        c.set_sectioned(false);
+        assert!(c.filled.is_empty());
+        assert!(c.lines.iter().all(|l| !l.valid));
+        assert!(!c.is_sectioned());
+        assert_eq!(c.peek(g), None);
+        let (_, extra) = c.read(g, &mut m, &mut mmu, &cfg, &mut s).unwrap();
+        assert_eq!(extra, cfg.dcache_miss);
     }
 
     #[test]

@@ -26,6 +26,15 @@
 //! unit uses: tagged-pointer reads and writes that return the *extra* cycle
 //! penalty beyond the 1-cycle (80 ns) cache access.
 //!
+//! On the real machine the board, the translation RAM and both caches
+//! exist once and are brought to a known state at power-on. The simulator
+//! matches that per host thread: a dropped [`MemorySystem`] resets its
+//! board — the frames, the MMU and both caches — to power-on and retires
+//! it to a pool owned by the thread ([`recycle`]); the next
+//! [`MemorySystem::new`] on that thread takes it back. The reset clears
+//! only what the run touched, so a short query pays for a short reset,
+//! and a recycled board is indistinguishable from a new one.
+//!
 //! # Examples
 //!
 //! ```
@@ -46,6 +55,7 @@ pub mod code_cache;
 pub mod data_cache;
 pub mod main_memory;
 pub mod page_table;
+pub mod recycle;
 pub mod zone_check;
 
 pub use code_cache::CodeCache;
@@ -56,6 +66,7 @@ pub use zone_check::{ZoneFault, ZoneTable};
 
 use kcm_arch::timing::Cycles;
 use kcm_arch::{CodeAddr, Tag, VAddr, Word, Zone};
+use std::cell::RefCell;
 
 /// Configuration of the memory system.
 #[derive(Debug, Clone)]
@@ -215,7 +226,9 @@ pub trait DataMem: std::fmt::Debug + Send {
 
     /// Creates a backend from the memory configuration. Backends that do
     /// not model the hierarchy may ignore most fields but must honor
-    /// `zone_check`.
+    /// `zone_check`. Both backends reuse host memory retired on the same
+    /// thread ([`recycle`]); what they return is indistinguishable from
+    /// a backend built from scratch.
     fn with_config(config: MemConfig) -> Self;
 
     /// The zone table (limits may be changed dynamically, §3.2.3).
@@ -350,35 +363,87 @@ impl DataMem for MemorySystem {
     }
 }
 
+/// The simulated hardware that holds state between accesses: the memory
+/// board's frames, the translation RAM and both caches.
+#[derive(Debug)]
+struct Board {
+    memory: MainMemory,
+    mmu: Mmu,
+    dcache: DataCache,
+    icache: CodeCache,
+}
+
+impl Board {
+    /// What a dropped [`MemorySystem`] leaves in place of its board.
+    const VACANT: Board = Board {
+        memory: MainMemory::vacant(),
+        mmu: Mmu::vacant(),
+        dcache: DataCache::vacant(),
+        icache: CodeCache::vacant(),
+    };
+
+    fn new() -> Board {
+        Board {
+            memory: MainMemory::new(),
+            mmu: Mmu::new(),
+            dcache: DataCache::new(true),
+            icache: CodeCache::new(),
+        }
+    }
+
+    /// Back to power-on: no frame allocated, no page mapped, both caches
+    /// and the host TLB empty. Each part clears only what was touched.
+    fn reset(&mut self) {
+        self.memory.reset();
+        self.mmu.reset();
+        self.dcache.reset();
+        self.icache.invalidate();
+    }
+}
+
+thread_local! {
+    /// Boards retired on this thread, at power-on, for the next
+    /// [`MemorySystem::new`] here.
+    static BOARDS: RefCell<Vec<Board>> = const { RefCell::new(Vec::new()) };
+}
+
 /// The complete KCM memory system: caches in front of the MMU in front of
 /// the memory board, with the zone checker alongside (figure 4: "the memory
 /// management is in between the caches and the main memory, not in between
 /// the CPU and the caches, i.e. logical caches are used").
+///
+/// The board is recycled per thread (see the crate docs): dropping a
+/// memory system resets its board and retires it, whether its run
+/// finished, failed or was abandoned.
 #[derive(Debug)]
 pub struct MemorySystem {
     config: MemConfig,
-    memory: MainMemory,
-    mmu: Mmu,
+    board: Board,
     zones: ZoneTable,
-    dcache: DataCache,
-    icache: CodeCache,
     stats: MemStats,
 }
 
+impl Drop for MemorySystem {
+    fn drop(&mut self) {
+        let mut board = std::mem::replace(&mut self.board, Board::VACANT);
+        board.reset();
+        recycle::retire(&BOARDS, board);
+    }
+}
+
 impl MemorySystem {
-    /// Creates a memory system with empty caches and an unmapped page
-    /// table.
+    /// Creates a memory system at power-on: empty caches, an unmapped
+    /// page table, no frame allocated, zero counters and default zone
+    /// limits. The board is this thread's most recently retired one if
+    /// there is one, set to the modes `config` selects.
     pub fn new(config: MemConfig) -> MemorySystem {
-        let mut dcache = DataCache::new(config.sectioned_data_cache);
-        dcache.set_fast_paths(config.fast_paths);
-        let mut mmu = Mmu::new();
-        mmu.set_fast_paths(config.fast_paths);
+        let mut board = recycle::take(&BOARDS).unwrap_or_else(Board::new);
+        board.dcache.set_sectioned(config.sectioned_data_cache);
+        board.dcache.set_fast_paths(config.fast_paths);
+        board.mmu.set_fast_paths(config.fast_paths);
         MemorySystem {
-            dcache,
-            icache: CodeCache::new(),
             config,
-            memory: MainMemory::new(),
-            mmu,
+            board,
             zones: ZoneTable::new(),
             stats: MemStats::default(),
         }
@@ -397,11 +462,6 @@ impl MemorySystem {
     /// Statistics gathered so far.
     pub fn stats(&self) -> MemStats {
         self.stats
-    }
-
-    /// Resets the statistics (not the contents).
-    pub fn reset_stats(&mut self) {
-        self.stats = MemStats::default();
     }
 
     /// Reads the data word addressed by the tagged pointer `ptr`,
@@ -451,23 +511,24 @@ impl MemorySystem {
 
     #[inline]
     fn read_checked(&mut self, addr: VAddr) -> Result<(Word, Cycles), MemFault> {
-        let (word, extra) = self.dcache.read(
+        let b = &mut self.board;
+        b.dcache.read(
             addr,
-            &mut self.memory,
-            &mut self.mmu,
+            &mut b.memory,
+            &mut b.mmu,
             &self.config,
             &mut self.stats,
-        )?;
-        Ok((word, extra))
+        )
     }
 
     #[inline]
     fn write_checked(&mut self, addr: VAddr, value: Word) -> Result<Cycles, MemFault> {
-        self.dcache.write(
+        let b = &mut self.board;
+        b.dcache.write(
             addr,
             value,
-            &mut self.memory,
-            &mut self.mmu,
+            &mut b.memory,
+            &mut b.mmu,
             &self.config,
             &mut self.stats,
         )
@@ -479,8 +540,9 @@ impl MemorySystem {
     /// model fills the missed word plus the next.
     #[inline]
     pub fn fetch_code(&mut self, addr: CodeAddr) -> Cycles {
-        self.icache
-            .fetch(addr, &mut self.mmu, &self.config, &mut self.stats)
+        let b = &mut self.board;
+        b.icache
+            .fetch(addr, &mut b.mmu, &self.config, &mut self.stats)
     }
 
     /// Times the fetch of `words` sequential code words starting at
@@ -489,8 +551,9 @@ impl MemorySystem {
     /// calls; the returned penalty is their sum.
     #[inline]
     pub fn fetch_code_seq(&mut self, addr: CodeAddr, words: usize) -> Cycles {
-        self.icache
-            .fetch_seq(addr, words, &mut self.mmu, &self.config, &mut self.stats)
+        let b = &mut self.board;
+        b.icache
+            .fetch_seq(addr, words, &mut b.mmu, &self.config, &mut self.stats)
     }
 
     /// Invalidates the code cache — used when compiled code is moved from
@@ -498,7 +561,7 @@ impl MemorySystem {
     /// "can invalidate the virtual data page and attach the physical page
     /// to the code space").
     pub fn invalidate_code_cache(&mut self) {
-        self.icache.invalidate();
+        self.board.icache.invalidate();
     }
 
     /// Writes back all dirty data cache lines (used before the host reads
@@ -508,8 +571,8 @@ impl MemorySystem {
     ///
     /// Propagates page-allocation failure.
     pub fn flush_data_cache(&mut self) -> Result<(), MemFault> {
-        self.dcache
-            .flush(&mut self.memory, &mut self.mmu, &mut self.stats)
+        let b = &mut self.board;
+        b.dcache.flush(&mut b.memory, &mut b.mmu, &mut self.stats)
     }
 
     /// Host back-door read bypassing timing and checks. Reads through the
@@ -519,13 +582,12 @@ impl MemorySystem {
     ///
     /// Propagates page-allocation failure.
     pub fn peek(&mut self, addr: VAddr) -> Result<Word, MemFault> {
-        if let Some(w) = self.dcache.peek(addr) {
+        let b = &mut self.board;
+        if let Some(w) = b.dcache.peek(addr) {
             return Ok(w);
         }
-        let phys = self
-            .mmu
-            .translate_data(addr, &mut self.memory, &mut self.stats)?;
-        Ok(self.memory.read(phys))
+        let phys = b.mmu.translate_data(addr, &mut b.memory, &mut self.stats)?;
+        Ok(b.memory.read(phys))
     }
 
     /// Host back-door write bypassing timing (still keeps the cache
@@ -535,11 +597,10 @@ impl MemorySystem {
     ///
     /// Propagates page-allocation failure.
     pub fn poke(&mut self, addr: VAddr, value: Word) -> Result<(), MemFault> {
-        let phys = self
-            .mmu
-            .translate_data(addr, &mut self.memory, &mut self.stats)?;
-        self.memory.write(phys, value);
-        self.dcache.update_if_present(addr, value);
+        let b = &mut self.board;
+        let phys = b.mmu.translate_data(addr, &mut b.memory, &mut self.stats)?;
+        b.memory.write(phys, value);
+        b.dcache.update_if_present(addr, value);
         Ok(())
     }
 
@@ -560,6 +621,7 @@ impl MemorySystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::zone_check::DEFAULT_ZONE_WORDS;
 
     fn gaddr(off: u32) -> VAddr {
         VAddr::new(Zone::Global.base().value() + off)
@@ -648,6 +710,99 @@ mod tests {
         // Page-mode prefetch fetched a few words ahead: the sequentially
         // next word hits.
         assert_eq!(mem.fetch_code(a.offset(1)), 0);
+    }
+
+    fn pooled_boards() -> usize {
+        BOARDS.with(|pool| pool.borrow().len())
+    }
+
+    #[test]
+    fn a_retired_board_comes_back_at_power_on() {
+        let config = MemConfig::default();
+        let g = gaddr(40);
+        let g2 = gaddr(40 + data_cache::SECTION_WORDS as u32);
+        let trail = VAddr::new(Zone::Trail.base().value() + 3);
+        let stat = VAddr::new(Zone::Static.base().value() + 9);
+        let code = CodeAddr::new(7 * kcm_arch::PAGE_SIZE_WORDS);
+
+        let mut mem = MemorySystem::new(config.clone());
+        mem.write_ptr(Word::ptr(Tag::Ref, g), Word::int(11))
+            .unwrap();
+        // Evicts the dirty line for `g` into its frame; the lines for `g2`
+        // and `trail` stay dirty.
+        mem.write_ptr(Word::ptr(Tag::Ref, g2), Word::int(22))
+            .unwrap();
+        mem.poke(stat, Word::int(33)).unwrap();
+        mem.write_ptr(Word::ptr(Tag::DataPtr, trail), Word::int(44))
+            .unwrap();
+        assert!(mem.board.mmu.move_data_page_to_code(trail, code));
+        mem.fetch_code(code);
+        let grown = kcm_arch::ZoneLimits::new(Zone::Global.base(), gaddr(4 * DEFAULT_ZONE_WORDS));
+        mem.zones_mut().set_limits(Zone::Global, grown);
+        assert_ne!(mem.stats(), MemStats::default());
+
+        let pooled = pooled_boards();
+        drop(mem);
+        assert_eq!(pooled_boards(), pooled + 1, "the board was retired");
+        let mut mem = MemorySystem::new(config.clone());
+        assert_eq!(pooled_boards(), pooled, "the board was taken back");
+
+        assert_eq!(mem.stats(), MemStats::default());
+        assert_eq!(mem.board.memory.allocated_pages(), 0);
+        assert_eq!(mem.board.mmu.mapped_data_pages(), 0);
+        for z in Zone::DATA_ZONES {
+            assert_eq!(mem.zones().limits(z), ZoneTable::new().limits(z));
+        }
+        // The first access misses, faults in physical page 0 (the TLB
+        // forgot every page) and reads zero.
+        let (w, extra) = mem.read_ptr(Word::ptr(Tag::Ref, g)).unwrap();
+        assert_eq!((w, extra), (Word::ZERO, config.dcache_miss));
+        assert_eq!(mem.stats().dcache_misses, 1);
+        assert_eq!(mem.stats().data_page_faults, 1);
+        assert!(mem.board.mmu.data_page_mapped(g));
+        assert_eq!(mem.board.memory.allocated_pages(), 1);
+        assert!(mem.fetch_code(code) > 0);
+        assert_eq!(mem.stats().code_page_faults, 1);
+        for a in [g, g2, trail, stat] {
+            assert_eq!(mem.peek(a).unwrap(), Word::ZERO, "{a}");
+        }
+    }
+
+    #[test]
+    fn a_recycled_board_takes_the_new_configuration() {
+        let plain = MemConfig {
+            sectioned_data_cache: false,
+            zone_check: false,
+            fast_paths: false,
+            ..MemConfig::default()
+        };
+        let mut mem = MemorySystem::new(plain);
+        assert!(!mem.board.dcache.is_sectioned());
+        mem.write_ptr(Word::ptr(Tag::Ref, gaddr(1)), Word::int(1))
+            .unwrap();
+        drop(mem);
+        let mem = MemorySystem::new(MemConfig::default());
+        assert!(mem.board.dcache.is_sectioned());
+    }
+
+    #[test]
+    fn retiring_on_an_exiting_thread_frees_the_board() {
+        // A memory system parked in a thread-local registered before the
+        // pool is dropped after the pool's slot is destroyed; retiring
+        // must not panic (a panic there aborts the process).
+        thread_local! {
+            static PARKED: RefCell<Option<MemorySystem>> = const { RefCell::new(None) };
+        }
+        std::thread::spawn(|| {
+            PARKED.with(|_| {});
+            let mut mem = MemorySystem::new(MemConfig::default());
+            mem.write_ptr(Word::ptr(Tag::Ref, gaddr(1)), Word::int(1))
+                .unwrap();
+            drop(MemorySystem::new(MemConfig::default()));
+            PARKED.with(|p| *p.borrow_mut() = Some(mem));
+        })
+        .join()
+        .expect("the thread exits cleanly");
     }
 
     #[test]

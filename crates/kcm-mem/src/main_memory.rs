@@ -39,7 +39,46 @@ impl PhysAddr {
     }
 }
 
+/// Words per block of a frame's written-block mask: 16 blocks of 1K words.
+const BLOCK_WORDS: usize = PAGE_SIZE_WORDS as usize / 16;
+
+/// Frames a board keeps across a reset for later allocations (2 MiB).
+/// Frames beyond this are freed, so one giant run does not pin its
+/// memory in a pooled board.
+pub(crate) const FRAMES_KEPT: usize = 16;
+
+/// The host storage of one physical page.
+#[derive(Debug)]
+struct Frame {
+    words: Box<[u64]>,
+    /// Bit `b` set: block `b` may hold a word other than [`Word::ZERO`].
+    written: u16,
+}
+
+impl Frame {
+    fn zeroed() -> Frame {
+        Frame {
+            words: vec![Word::ZERO.bits(); PAGE_SIZE_WORDS as usize].into_boxed_slice(),
+            written: 0,
+        }
+    }
+
+    /// Zeroes the blocks a write touched.
+    fn scrub(&mut self) {
+        while self.written != 0 {
+            let block = self.written.trailing_zeros() as usize;
+            self.written &= self.written - 1;
+            self.words[block * BLOCK_WORDS..][..BLOCK_WORDS].fill(Word::ZERO.bits());
+        }
+    }
+}
+
 /// The physical memory board: demand-allocated 16K-word pages.
+///
+/// A reset returns the board to its power-on state at a cost that
+/// follows what the run touched: the frames of the allocated pages are
+/// zeroed block by block, only where a write landed, and kept for the
+/// next allocations.
 ///
 /// # Examples
 ///
@@ -55,9 +94,11 @@ impl PhysAddr {
 /// ```
 #[derive(Debug)]
 pub struct MainMemory {
-    pages: Vec<Option<Box<[u64]>>>,
+    pages: Vec<Option<Frame>>,
     next_free: u16,
-    allocated: u32,
+    /// Zeroed frames kept by [`MainMemory::reset`], handed out before
+    /// new ones.
+    spare: Vec<Frame>,
 }
 
 impl Default for MainMemory {
@@ -72,7 +113,17 @@ impl MainMemory {
         MainMemory {
             pages: (0..BOARD_PAGES).map(|_| None).collect(),
             next_free: 0,
-            allocated: 0,
+            spare: Vec::new(),
+        }
+    }
+
+    /// A board with no storage, left behind in a structure whose board
+    /// was moved out; never accessed.
+    pub(crate) const fn vacant() -> MainMemory {
+        MainMemory {
+            pages: Vec::new(),
+            next_free: 0,
+            spare: Vec::new(),
         }
     }
 
@@ -83,16 +134,32 @@ impl MainMemory {
             return None;
         }
         let page = self.next_free;
-        self.pages[page as usize] =
-            Some(vec![Word::ZERO.bits(); PAGE_SIZE_WORDS as usize].into_boxed_slice());
+        self.pages[page as usize] = Some(self.spare.pop().unwrap_or_else(Frame::zeroed));
         self.next_free += 1;
-        self.allocated += 1;
         Some(page)
     }
 
     /// Number of physical pages currently allocated.
     pub fn allocated_pages(&self) -> u32 {
-        self.allocated
+        u32::from(self.next_free)
+    }
+
+    /// Returns the board to power-on: no page allocated, the next
+    /// allocation is page 0 again, and every word reads [`Word::ZERO`].
+    /// Up to [`FRAMES_KEPT`] frames of the allocated pages are zeroed
+    /// where they were written and kept for reuse, so that a run which
+    /// allocates in the same order gets the same frames back; the rest
+    /// are freed.
+    pub(crate) fn reset(&mut self) {
+        for slot in self.pages[..usize::from(self.next_free)].iter_mut().rev() {
+            if let Some(mut frame) = slot.take() {
+                if self.spare.len() < FRAMES_KEPT {
+                    frame.scrub();
+                    self.spare.push(frame);
+                }
+            }
+        }
+        self.next_free = 0;
     }
 
     /// Reads a word. Unallocated memory reads as the zero pattern — on the
@@ -103,7 +170,7 @@ impl MainMemory {
         let page = (addr.value() / PAGE_SIZE_WORDS) as usize;
         let offset = (addr.value() % PAGE_SIZE_WORDS) as usize;
         match &self.pages[page] {
-            Some(p) => Word::from_bits(p[offset]),
+            Some(frame) => Word::from_bits(frame.words[offset]),
             None => Word::ZERO,
         }
     }
@@ -119,10 +186,11 @@ impl MainMemory {
     pub fn write(&mut self, addr: PhysAddr, value: Word) {
         let page = (addr.value() / PAGE_SIZE_WORDS) as usize;
         let offset = (addr.value() % PAGE_SIZE_WORDS) as usize;
-        let p = self.pages[page]
+        let frame = self.pages[page]
             .as_mut()
             .expect("write to unallocated physical page");
-        p[offset] = value.bits();
+        frame.words[offset] = value.bits();
+        frame.written |= 1 << (offset / BLOCK_WORDS);
     }
 }
 
@@ -172,6 +240,40 @@ mod tests {
     fn write_to_unallocated_page_panics() {
         let mut m = MainMemory::new();
         m.write(PhysAddr::new(3, 0), Word::int(1));
+    }
+
+    #[test]
+    fn reset_reallocates_from_page_zero_reading_zero() {
+        let mut m = MainMemory::new();
+        for _ in 0..3 {
+            m.allocate_page().unwrap();
+        }
+        m.write(PhysAddr::new(1, 5), Word::int(7));
+        m.write(PhysAddr::new(2, PAGE_SIZE_WORDS - 1), Word::int(8));
+        m.reset();
+        assert_eq!(m.allocated_pages(), 0);
+        assert_eq!(m.read(PhysAddr::new(1, 5)), Word::ZERO);
+        for page in 0..3 {
+            assert_eq!(m.allocate_page(), Some(page));
+        }
+        for page in 0..3 {
+            assert!(m.pages[page as usize]
+                .as_ref()
+                .unwrap()
+                .words
+                .iter()
+                .all(|&w| w == Word::ZERO.bits()));
+        }
+    }
+
+    #[test]
+    fn reset_keeps_at_most_the_frame_cap() {
+        let mut m = MainMemory::new();
+        for _ in 0..FRAMES_KEPT + 5 {
+            m.allocate_page().unwrap();
+        }
+        m.reset();
+        assert_eq!(m.spare.len(), FRAMES_KEPT);
     }
 
     #[test]

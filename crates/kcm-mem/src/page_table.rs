@@ -44,16 +44,16 @@ impl Entry {
 }
 
 /// One host-side TLB slot: a virtual data page whose table entry is known
-/// valid and referenced, with its physical page. `vp == u32::MAX` marks an
-/// empty slot (no virtual page has that index).
+/// valid and referenced, with its physical page. `vp == u16::MAX` marks an
+/// empty slot (no virtual page has that index: there are 16K).
 #[derive(Debug, Clone, Copy)]
 struct TlbSlot {
-    vp: u32,
+    vp: u16,
     page: u16,
 }
 
 const TLB_EMPTY: TlbSlot = TlbSlot {
-    vp: u32::MAX,
+    vp: u16::MAX,
     page: 0,
 };
 
@@ -70,6 +70,9 @@ const TLB_SLOTS: usize = 64;
 /// walk. It is filled only after an entry is valid and referenced, so a
 /// hit skips nothing but idempotent work — simulated state and fault
 /// counters are byte-identical with it on or off.
+///
+/// The MMU also lists the entries it has mapped, so a reset clears those
+/// and nothing else.
 ///
 /// # Examples
 ///
@@ -90,6 +93,11 @@ const TLB_SLOTS: usize = 64;
 pub struct Mmu {
     data_table: Vec<Entry>,
     code_table: Vec<Entry>,
+    /// Virtual pages of `data_table` mapped since the last reset (a page
+    /// moved to the code space and faulted in again appears twice).
+    mapped_data: Vec<u16>,
+    /// Virtual pages of `code_table` mapped since the last reset.
+    mapped_code: Vec<u16>,
     tlb: [TlbSlot; TLB_SLOTS],
     tlb_enabled: bool,
 }
@@ -106,9 +114,37 @@ impl Mmu {
         Mmu {
             data_table: vec![Entry::default(); kcm_arch::addr::PAGES_PER_SPACE as usize],
             code_table: vec![Entry::default(); kcm_arch::addr::PAGES_PER_SPACE as usize],
+            mapped_data: Vec::new(),
+            mapped_code: Vec::new(),
             tlb: [TLB_EMPTY; TLB_SLOTS],
             tlb_enabled: true,
         }
+    }
+
+    /// An MMU with no tables, left behind in a structure whose board was
+    /// moved out; never accessed.
+    pub(crate) const fn vacant() -> Mmu {
+        Mmu {
+            data_table: Vec::new(),
+            code_table: Vec::new(),
+            mapped_data: Vec::new(),
+            mapped_code: Vec::new(),
+            tlb: [TLB_EMPTY; TLB_SLOTS],
+            tlb_enabled: true,
+        }
+    }
+
+    /// Returns the MMU to power-on: no page mapped in either space and an
+    /// empty host TLB. Clears only the entries mapped since the last
+    /// reset.
+    pub(crate) fn reset(&mut self) {
+        for vp in self.mapped_data.drain(..) {
+            self.data_table[usize::from(vp)] = Entry::default();
+        }
+        for vp in self.mapped_code.drain(..) {
+            self.code_table[usize::from(vp)] = Entry::default();
+        }
+        self.tlb = [TLB_EMPTY; TLB_SLOTS];
     }
 
     /// Enables or disables the host-side TLB (on by default). Purely a
@@ -135,7 +171,7 @@ impl Mmu {
         let vp = addr.page().index();
         if self.tlb_enabled {
             let slot = self.tlb[vp % TLB_SLOTS];
-            if slot.vp == vp as u32 {
+            if usize::from(slot.vp) == vp {
                 // The slot was filled after the entry became valid and
                 // referenced, so the table walk below would only redo
                 // idempotent work.
@@ -148,13 +184,14 @@ impl Mmu {
                 .allocate_page()
                 .ok_or(MemFault::OutOfPhysicalMemory)?;
             *entry = Entry::map(page);
+            self.mapped_data.push(vp as u16);
             stats.data_page_faults += 1;
         }
         entry.0 |= ST_REFERENCED;
         let phys_page = entry.phys_page();
         if self.tlb_enabled {
             self.tlb[vp % TLB_SLOTS] = TlbSlot {
-                vp: vp as u32,
+                vp: vp as u16,
                 page: phys_page,
             };
         }
@@ -176,6 +213,7 @@ impl Mmu {
         let entry = &mut self.code_table[vp];
         if !entry.valid() {
             *entry = Entry::map(0);
+            self.mapped_code.push(vp as u16);
             stats.code_page_faults += 1;
         }
         entry.0 |= ST_REFERENCED;
@@ -201,7 +239,11 @@ impl Mmu {
             return false;
         }
         self.data_table[vp] = Entry::default();
-        self.code_table[code_addr.page().index()] = entry;
+        let code_vp = code_addr.page().index();
+        if !self.code_table[code_vp].valid() {
+            self.mapped_code.push(code_vp as u16);
+        }
+        self.code_table[code_vp] = entry;
         // The data mapping is gone: drop any host TLB entry for it.
         self.tlb[vp % TLB_SLOTS] = TLB_EMPTY;
         true
@@ -210,6 +252,10 @@ impl Mmu {
 
 /// Sanity check: page size constants agree between crates.
 const _: () = assert!(PAGE_SIZE_WORDS == 1 << 14);
+
+/// Virtual page numbers fit the `u16` lists and TLB slots, with
+/// `u16::MAX` to spare as the empty-slot marker.
+const _: () = assert!(kcm_arch::addr::PAGES_PER_SPACE <= u16::MAX as u32);
 
 #[cfg(test)]
 mod tests {
@@ -261,6 +307,31 @@ mod tests {
         mmu.translate_code(CodeAddr::new(0), &mut stats);
         mmu.translate_code(CodeAddr::new(1), &mut stats);
         assert_eq!(stats.code_page_faults, 1);
+    }
+
+    #[test]
+    fn reset_unmaps_both_spaces_and_empties_the_tlb() {
+        let mut mmu = Mmu::new();
+        let mut mem = MainMemory::new();
+        let mut stats = MemStats::default();
+        let (moved, kept) = (VAddr::new(0), VAddr::new(3 * PAGE_SIZE_WORDS));
+        mmu.translate_data(moved, &mut mem, &mut stats).unwrap();
+        mmu.translate_data(kept, &mut mem, &mut stats).unwrap();
+        mmu.move_data_page_to_code(moved, CodeAddr::new(5 * PAGE_SIZE_WORDS));
+        mmu.translate_code(CodeAddr::new(0), &mut stats);
+        mmu.reset();
+        mem.reset();
+        assert_eq!(mmu.mapped_data_pages(), 0);
+        assert!(mmu
+            .data_table
+            .iter()
+            .chain(&mmu.code_table)
+            .all(|e| *e == Entry::default()));
+        // The TLB forgot `kept`: touching it again faults in page 0.
+        let before = stats.data_page_faults;
+        let p = mmu.translate_data(kept, &mut mem, &mut stats).unwrap();
+        assert_eq!(stats.data_page_faults, before + 1);
+        assert_eq!(p.value() / PAGE_SIZE_WORDS, 0);
     }
 
     #[test]

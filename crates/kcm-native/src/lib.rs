@@ -51,7 +51,7 @@
 use kcm_arch::timing::Cycles;
 use kcm_arch::zone::ZONE_GRANULARITY_WORDS;
 use kcm_arch::{Tag, VAddr, Word, Zone};
-use kcm_mem::{DataMem, MemConfig, MemFault, ZoneTable};
+use kcm_mem::{recycle, DataMem, MemConfig, MemFault, ZoneTable};
 use std::cell::RefCell;
 
 /// The native machine: the `kcm-cpu` interpreter core over [`FlatMem`].
@@ -71,19 +71,17 @@ pub fn native_machine(
 /// page size (16K words), so first-touch granularity matches.
 const CHUNK_WORDS: usize = 16 * 1024;
 
-/// How many retired backing stores a thread keeps for reuse.
-const POOL_DEPTH: usize = 4;
-
 /// A store whose vectors total more than this many words is freed rather
 /// than pooled (a query that built a giant heap must not pin it forever).
 const POOL_MAX_TOTAL_WORDS: usize = 16 << 20;
 
 thread_local! {
     /// Retired backing stores, reused by the next [`FlatMem`] built on
-    /// this thread. The arrays keep their *length* (the pages the kernel
-    /// has already faulted in and the allocator already owns); the next
-    /// owner re-zeroes them on acquisition, which is much cheaper than
-    /// first-touching fresh pages inside the query run. This is the
+    /// this thread ([`kcm_mem::recycle`], which also caps how many a
+    /// thread keeps). The arrays keep their *length* (the pages the
+    /// kernel has already faulted in and the allocator already owns); the
+    /// next owner re-zeroes them on acquisition, which is much cheaper
+    /// than first-touching fresh pages inside the query run. This is the
     /// native tier's analogue of a runtime pre-allocating its stacks.
     static STORE_POOL: RefCell<Vec<[Vec<Word>; 16]>> = const { RefCell::new(Vec::new()) };
 }
@@ -231,12 +229,7 @@ impl Drop for FlatMem {
         if total == 0 || total > POOL_MAX_TOTAL_WORDS {
             return;
         }
-        STORE_POOL.with(|pool| {
-            let mut pool = pool.borrow_mut();
-            if pool.len() < POOL_DEPTH {
-                pool.push(store);
-            }
-        });
+        recycle::retire(&STORE_POOL, store);
     }
 }
 
@@ -244,8 +237,7 @@ impl DataMem for FlatMem {
     const SIMULATED: bool = false;
 
     fn with_config(config: MemConfig) -> FlatMem {
-        let store = STORE_POOL
-            .with(|pool| pool.borrow_mut().pop())
+        let store = recycle::take(&STORE_POOL)
             .map(|mut store| {
                 // Pages stay mapped; contents must read as fresh memory.
                 for v in &mut store {
@@ -446,6 +438,31 @@ mod tests {
         let a = sim.run_query(&vars, false).unwrap_err();
         let b = native.run_query(&vars, false).unwrap_err();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn machines_parked_in_a_thread_local_drop_cleanly_at_thread_exit() {
+        // The thread-local below is registered before either tier's pool,
+        // so at thread exit the pools are destroyed first and the parked
+        // machines retire their memory into pools that are gone. That
+        // must not panic: a panic in a thread-local destructor aborts the
+        // process.
+        thread_local! {
+            static PARKED: RefCell<Vec<(Machine, NativeMachine)>> =
+                const { RefCell::new(Vec::new()) };
+        }
+        std::thread::spawn(|| {
+            PARKED.with(|_| {});
+            let (mut sim, mut native) = machines("p(f(1)). p(f(2)).", "p(f(X))");
+            let vars = ["X".to_owned()];
+            sim.run_query(&vars, true).unwrap();
+            native.run_query(&vars, true).unwrap();
+            // A second pair, dropped here, leaves both pools non-empty.
+            drop(machines("p(1).", "p(X)"));
+            PARKED.with(|p| p.borrow_mut().push((sim, native)));
+        })
+        .join()
+        .expect("the thread exits cleanly");
     }
 
     #[test]

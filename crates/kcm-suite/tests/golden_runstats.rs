@@ -1,6 +1,10 @@
 //! Golden cycle-tier counters: the full [`RunStats`] of every suite
 //! program's `main` query, pinned to the committed file
-//! `golden_runstats.txt` next to this test.
+//! `golden_runstats.txt` next to this test, and of a second run of the
+//! same query on the same prepared machine, pinned to
+//! `golden_runstats_rerun.txt`. The rerun starts with warm caches, mapped
+//! pages and the first run's heap, so it pins the counters of a reused
+//! machine as well as those of a fresh one.
 //!
 //! `tests/reproduction.rs` asserts only bands around the paper's
 //! figures, so a change that moved code by one word — and with it the
@@ -18,6 +22,10 @@ use kcm_system::{Kcm, QueryOpts, RunStats};
 use std::fmt::Write;
 
 const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden_runstats.txt");
+const RERUN_PATH: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden_runstats_rerun.txt"
+);
 
 /// One line per counter, `program.field value`, so a diff names exactly
 /// what moved.
@@ -53,28 +61,51 @@ fn render(name: &str, success: bool, s: &RunStats) -> String {
     out
 }
 
+fn opts(p: &programs::BenchProgram) -> QueryOpts {
+    QueryOpts {
+        enumerate_all: p.enumerate,
+        ..QueryOpts::default()
+    }
+}
+
+fn loaded(p: &programs::BenchProgram) -> Kcm {
+    let mut kcm = Kcm::new();
+    kcm.load(p.source)
+        .unwrap_or_else(|e| panic!("{}: consult: {e}", p.name));
+    kcm
+}
+
 fn current() -> String {
     let mut out = String::new();
     for p in programs::suite() {
-        let mut kcm = Kcm::new();
-        kcm.load(p.source)
-            .unwrap_or_else(|e| panic!("{}: consult: {e}", p.name));
-        let opts = QueryOpts {
-            enumerate_all: p.enumerate,
-            ..QueryOpts::default()
-        };
-        let outcome = kcm
-            .query(p.query, &opts)
+        let outcome = loaded(&p)
+            .query(p.query, &opts(&p))
             .unwrap_or_else(|e| panic!("{}: query: {e}", p.name));
         out.push_str(&render(p.name, outcome.success, &outcome.stats));
     }
     out
 }
 
-#[test]
-fn suite_runstats_match_the_golden_file() {
-    let now = current();
-    let golden = std::fs::read_to_string(GOLDEN_PATH).expect("read the golden file");
+/// Each query prepared once and run twice: the first run must render
+/// exactly as [`current`] does; the second run is returned.
+fn rerun() -> (String, String) {
+    let (mut first, mut second) = (String::new(), String::new());
+    for p in programs::suite() {
+        let mut prepared = loaded(&p)
+            .prepare(p.query, &opts(&p))
+            .unwrap_or_else(|e| panic!("{}: prepare: {e}", p.name));
+        for out in [&mut first, &mut second] {
+            let outcome = prepared
+                .run(p.enumerate)
+                .unwrap_or_else(|e| panic!("{}: run: {e}", p.name));
+            out.push_str(&render(p.name, outcome.success, &outcome.stats));
+        }
+    }
+    (first, second)
+}
+
+fn assert_golden(path: &str, now: &str) {
+    let golden = std::fs::read_to_string(path).expect("read the golden file");
     let diffs: Vec<String> = golden
         .lines()
         .zip(now.lines())
@@ -83,7 +114,19 @@ fn suite_runstats_match_the_golden_file() {
         .collect();
     assert!(
         diffs.is_empty() && golden.lines().count() == now.lines().count(),
-        "cycle-tier RunStats drifted from {GOLDEN_PATH}:\n{}\n\ncurrent rendering:\n{now}",
+        "cycle-tier RunStats drifted from {path}:\n{}\n\ncurrent rendering:\n{now}",
         diffs.join("\n")
     );
+}
+
+#[test]
+fn suite_runstats_match_the_golden_file() {
+    assert_golden(GOLDEN_PATH, &current());
+}
+
+#[test]
+fn second_runs_on_a_prepared_machine_match_the_golden_file() {
+    let (first, second) = rerun();
+    assert_golden(GOLDEN_PATH, &first);
+    assert_golden(RERUN_PATH, &second);
 }
