@@ -40,9 +40,6 @@
 //!   smoke runs 10³/10⁴; default is the full 10³..10⁶ sweep).
 //! * `KCM_FACTSCALE_REPS=5` — repetitions per measurement; the minimum
 //!   is reported (default 3).
-//! * `KCM_HASH_SWITCH=0` — run with the hash side table disabled (the
-//!   linear reference scan), for before/after comparisons. Simulated
-//!   numbers are byte-identical either way; only host time moves.
 //!
 //! A fourth **cold start** section measures the snapshot path: for each
 //! size, the consulted image is saved with [`Kcm::snapshot`] and
@@ -205,17 +202,9 @@ fn e2e_percentiles(kcm: &Kcm, n: usize, tier: Tier, reps: u32) -> (f64, f64, f64
 }
 
 fn main() {
-    let config = bench::hostperf_config();
     bench::banner(
         "factscale: wide fact-base scaling (consult, point lookup, enumeration)",
-        &format!(
-            "host wall-clock, not simulated time; hash switch {}",
-            if config.hash_switch {
-                "ON"
-            } else {
-                "OFF (linear reference)"
-            }
-        ),
+        "host wall-clock, not simulated time",
     );
     let reps = reps();
     let mut t = Table::new(vec![
@@ -248,7 +237,7 @@ fn main() {
     let mut cold_loads: Vec<(usize, f64)> = Vec::new();
     for n in sizes() {
         let src = fact_base(n);
-        let mut kcm = Kcm::with_config(config.clone());
+        let mut kcm = Kcm::new();
         let t0 = Instant::now();
         kcm.load(&src).expect("fact base consults");
         let consult_ms = t0.elapsed().as_secs_f64() * 1e3;
@@ -303,9 +292,9 @@ fn main() {
             save_s = save_s.min(t0.elapsed().as_secs_f64());
         }
         let mut load_s = f64::INFINITY;
-        let mut restored = Kcm::with_config(config.clone());
+        let mut restored = Kcm::new();
         for _ in 0..reps {
-            let mut fresh = Kcm::with_config(config.clone());
+            let mut fresh = Kcm::new();
             let t0 = Instant::now();
             fresh
                 .load(ProgramSource::Snapshot(&bytes))

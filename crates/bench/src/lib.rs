@@ -29,7 +29,7 @@ pub use jsonl::{JsonlWriter, Record};
 
 use kcm_suite::programs::BenchProgram;
 use kcm_suite::runner::{run_program, Measurement, Variant};
-use kcm_system::{KcmEngine, MachineConfig, QueryOpts, SessionPool};
+use kcm_system::{KcmEngine, QueryOpts, SessionPool};
 
 /// All measurements needed for the time tables, for one program.
 #[derive(Debug, Clone)]
@@ -74,36 +74,6 @@ pub fn measure_program(p: &BenchProgram) -> ProgramTimes {
         plm_inferences: plm.stats.inferences,
         swam_ms: swam.stats.ms(),
     }
-}
-
-/// The machine configuration the `hostperf` driver runs with: the
-/// default config, with every host fast path switched off when
-/// `KCM_FAST_PATHS` is `0` or `off` (the naive reference interpreter —
-/// same simulated numbers, slower host), and hash switch dispatch
-/// switched off when `KCM_HASH_SWITCH` is `0` or `off` (the linear
-/// table scan — again same simulated numbers).
-pub fn hostperf_config() -> MachineConfig {
-    let mut cfg = MachineConfig::default();
-    if matches!(
-        std::env::var("KCM_FAST_PATHS").as_deref(),
-        Ok("0") | Ok("off")
-    ) {
-        cfg.fast_paths = false;
-        cfg.mem.fast_paths = false;
-    }
-    if matches!(
-        std::env::var("KCM_HASH_SWITCH").as_deref(),
-        Ok("0") | Ok("off")
-    ) {
-        cfg.hash_switch = false;
-    }
-    cfg
-}
-
-/// Whether `config` has any host fast path enabled (for labelling
-/// `hostperf` output).
-pub fn fast_paths_enabled(config: &MachineConfig) -> bool {
-    config.fast_paths || config.mem.fast_paths
 }
 
 /// The session pool every table driver fans out on. Worker count comes

@@ -29,7 +29,9 @@ pub type Cycles = u64;
 ///
 /// The [`Default`] instance is the paper-calibrated model. Ablation benches
 /// construct variants (e.g. no shallow backtracking, no trail hardware) by
-/// adjusting fields.
+/// adjusting fields. Cache miss and write-back penalties are not here:
+/// the memory system charges them from its own configuration
+/// (`kcm_mem::MemConfig`).
 ///
 /// # Examples
 ///
@@ -119,14 +121,6 @@ pub struct CostModel {
     /// Escape to a built-in: the paper's benchmark assumption charges a
     /// call/return-equivalent 5 cycles for `write/1` and `nl/0` (§4.2).
     pub escape_base: Cycles,
-    /// Data cache miss penalty: write-back of a dirty victim plus page-mode
-    /// fill of one 64-bit word as two 32-bit accesses (§3.2.4, §3.2.6).
-    pub dcache_miss: Cycles,
-    /// Extra penalty when the victim line is dirty (store-in cache).
-    pub dcache_writeback: Cycles,
-    /// Code cache miss penalty (write-through cache, page-mode prefetch
-    /// hides part of the latency, §3.2.4).
-    pub icache_miss: Cycles,
 }
 
 impl Default for CostModel {
@@ -158,9 +152,6 @@ impl Default for CostModel {
             allocate: 1,
             deallocate: 1,
             escape_base: 5,
-            dcache_miss: 4,
-            dcache_writeback: 2,
-            icache_miss: 4,
         }
     }
 }

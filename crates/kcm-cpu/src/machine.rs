@@ -54,15 +54,13 @@ pub struct MachineConfig {
     /// Spread the initial stack tops across cache sections (§3.2.4
     /// experiment). Irrelevant when the cache is sectioned.
     pub spread_stack_bases: bool,
-    /// Cycle budget for one `run` (guards against non-termination).
-    pub max_cycles: u64,
     /// Step budget for one `run`: the maximum number of *instructions*
     /// retired before the machine traps with
-    /// [`MachineError::BudgetExhausted`]. Unlike [`MachineConfig::max_cycles`]
-    /// this is cost-model-independent — the same program exhausts the same
-    /// step budget under every clock — which makes it the right per-request
-    /// deadline for services and differential oracles. `u64::MAX` (the
-    /// default) disables the cap.
+    /// [`MachineError::BudgetExhausted`]. The machine's only deadline, on
+    /// both tiers. It is cost-model-independent — the same program
+    /// exhausts the same step budget under every clock — which makes it
+    /// the right per-request deadline for services and differential
+    /// oracles. `u64::MAX` (the default) disables the cap.
     pub step_budget: u64,
     /// Macrocode monitor: keep the last `trace_depth` executed
     /// instructions (0 = off). One of the paper's monitor levels — "code
@@ -77,21 +75,6 @@ pub struct MachineConfig {
     /// traps) in a bounded ring buffer; 0 (the default) disables
     /// recording down to a single not-taken branch per event site.
     pub event_trace_depth: usize,
-    /// Host-side fast paths in the hot loop (fall-through dispatch,
-    /// batched code fetch; see also [`MemConfig::fast_paths`]). A pure
-    /// *host* speed switch — every simulated number (cycles, stats,
-    /// profiles) is byte-identical with it on or off; off keeps the naive
-    /// reference paths alive for differential testing.
-    pub fast_paths: bool,
-    /// O(1) switch dispatch through the linker's hash side table
-    /// ([`CodeImage::switch_index`]). Like [`MachineConfig::fast_paths`]
-    /// this is a pure *host* speed switch: the hash path charges exactly
-    /// the cycles the linear reference scan would have charged (hit at
-    /// table ordinal `k` → `(k + 1) × switch_table_probe`, miss → the
-    /// full table length), so every simulated number is byte-identical
-    /// with it on or off. Off keeps the linear scan alive for
-    /// differential testing (`KCM_HASH_SWITCH=0`).
-    pub hash_switch: bool,
 }
 
 impl Default for MachineConfig {
@@ -101,13 +84,10 @@ impl Default for MachineConfig {
             mem: MemConfig::default(),
             shallow_backtracking: true,
             spread_stack_bases: true,
-            max_cycles: 20_000_000_000,
             step_budget: u64::MAX,
             trace_depth: 0,
             profile: false,
             event_trace_depth: 0,
-            fast_paths: true,
-            hash_switch: true,
         }
     }
 }
@@ -284,11 +264,6 @@ pub enum MachineError {
     Mem(MemFault),
     /// P left the loaded code (or landed mid-instruction).
     BadCodeAddress(CodeAddr),
-    /// The cycle budget was exhausted.
-    Fuel {
-        /// Cycles consumed when the budget ran out.
-        cycles: u64,
-    },
     /// The step budget ([`MachineConfig::step_budget`]) was exhausted: the
     /// run was stopped by a deadline, not by a fault in the program or the
     /// machine. Callers use this to tell a cancelled runaway query apart
@@ -316,7 +291,6 @@ impl std::fmt::Display for MachineError {
         match self {
             MachineError::Mem(e) => write!(f, "memory fault: {e}"),
             MachineError::BadCodeAddress(a) => write!(f, "bad code address {a}"),
-            MachineError::Fuel { cycles } => write!(f, "cycle budget exhausted after {cycles}"),
             MachineError::BudgetExhausted { steps } => {
                 write!(f, "step budget exhausted after {steps} steps")
             }
@@ -410,7 +384,6 @@ pub struct Machine<M: DataMem = MemorySystem> {
     /// the host walks the term over the interface, off the machine clock).
     untimed: bool,
     cycles: u64,
-    budget: u64,
     stats: RunStats,
     prof: Profile,
     tracer: Tracer,
@@ -511,7 +484,6 @@ impl<M: DataMem> Machine<M> {
             b_lt: local_base,
             untimed: false,
             cycles: 0,
-            budget: 0,
             stats: RunStats::default(),
             prof: Profile::default(),
             tracer: Tracer::new(event_trace_depth),
@@ -631,14 +603,13 @@ impl<M: DataMem> Machine<M> {
         self.cp = kcm_compiler::link::HALT_STUB;
     }
 
-    /// The one slice step under both drivers: refills the cycle fuel
-    /// gauge, resumes a suspended session through the failure path the
-    /// reporter's `Fail` would have taken, drives to the next yield or
-    /// halt, and returns the slice's counter deltas. The step budget is
-    /// metered per slice inside [`Machine::drive`], so a one-shot run
-    /// (one slice) is bounded as a whole and a session per pull.
+    /// The one slice step under both drivers: resumes a suspended session
+    /// through the failure path the reporter's `Fail` would have taken,
+    /// drives to the next yield or halt, and returns the slice's counter
+    /// deltas. The step budget is metered per slice inside
+    /// [`Machine::drive`], so a one-shot run (one slice) is bounded as a
+    /// whole and a session per pull.
     fn slice(&mut self) -> Result<RunStats, MachineError> {
-        self.budget = self.cfg.max_cycles;
         let start = self.lifetime_stats();
         if self.halted.is_none() {
             if self.yielded {
@@ -659,9 +630,9 @@ impl<M: DataMem> Machine<M> {
     }
 
     /// Runs the armed session to its next solution and suspends there,
-    /// or to final failure. Each call is one budget slice: the cycle fuel
-    /// gauge and the step budget restart from zero, so a per-slice budget
-    /// bounds the work of one pull, not of the whole enumeration.
+    /// or to final failure. Each call is one budget slice: the step budget
+    /// restarts from zero, so a per-slice budget bounds the work of one
+    /// pull, not of the whole enumeration.
     ///
     /// The decoded solution is handed out (not retained), and host output
     /// is drained per slice, so a session streaming millions of answers
@@ -670,9 +641,9 @@ impl<M: DataMem> Machine<M> {
     /// # Errors
     ///
     /// Returns a [`MachineError`] on machine faults, including
-    /// [`MachineError::Fuel`] / [`MachineError::BudgetExhausted`] when the
-    /// slice's budget runs out mid-search. After an error the session is
-    /// dead: the machine is mid-backtrack and must not be resumed.
+    /// [`MachineError::BudgetExhausted`] when the slice's budget runs out
+    /// mid-search. After an error the session is dead: the machine is
+    /// mid-backtrack and must not be resumed.
     pub fn next_solution(&mut self) -> Result<SessionStep, MachineError> {
         let stats = self.slice()?;
         let solution = if self.halted.is_some() {
@@ -723,32 +694,24 @@ impl<M: DataMem> Machine<M> {
     }
 
     /// Drives the machine until it halts — or, in a suspendable session,
-    /// until it yields at a reported solution. Fuel and step budgets are
-    /// metered from the counters at entry, so each resumed slice of a
+    /// until it yields at a reported solution. The step budget is metered
+    /// from the instruction count at entry, so each resumed slice of a
     /// session gets a fresh budget window.
     fn drive(&mut self) -> Result<(), MachineError> {
         let step_budget = self.cfg.step_budget;
         let start_instructions = self.stats.instructions;
-        let start_cycles = self.cycles;
         // One refcount bump for the whole run: the image is never replaced
         // while the machine is stepping (consulting happens between runs),
         // so the hot loop can borrow it without per-step `Arc` traffic.
         let image = Arc::clone(&self.image);
-        if !M::SIMULATED && self.cfg.fast_paths && self.cfg.trace_depth == 0 {
+        if !M::SIMULATED && self.cfg.trace_depth == 0 {
             // Native tier: the resolved-dispatch loop (the image's shared
             // table of instruction sizes and fall-through indices; no
-            // clock, no fuel gauge, no macrocode trace window).
+            // clock, no macrocode trace window).
             self.run_resolved(&image, start_instructions)
         } else {
             while self.halted.is_none() && !self.yielded {
                 self.step_in(&image)?;
-                // The fuel gauge meters *cycles*; the native tier has no
-                // clock, so its copy of the check monomorphizes away.
-                if M::SIMULATED && self.cycles - start_cycles > self.budget {
-                    return Err(MachineError::Fuel {
-                        cycles: self.cycles - start_cycles,
-                    });
-                }
                 if self.stats.instructions - start_instructions > step_budget {
                     return Err(MachineError::BudgetExhausted {
                         steps: self.stats.instructions - start_instructions,
@@ -768,8 +731,8 @@ impl<M: DataMem> Machine<M> {
     /// range check per step. Observable behaviour — execution order,
     /// retired-instruction counting, the step budget's trip point, every
     /// error class — is identical to the generic loop; only the per-step
-    /// bookkeeping the native tier does not need (cycle fuel, trace
-    /// window, fall-through hint validation) is gone.
+    /// bookkeeping the native tier does not need (trace window,
+    /// fall-through hint validation) is gone.
     fn run_resolved(
         &mut self,
         image: &CodeImage,
@@ -1566,19 +1529,8 @@ impl<M: DataMem> Machine<M> {
 
     // ---------------------------------------------------------------- step
 
-    /// Executes one instruction.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`MachineError`] on machine faults.
-    pub fn step(&mut self) -> Result<(), MachineError> {
-        let image = Arc::clone(&self.image);
-        self.step_in(&image)
-    }
-
-    /// One instruction against an already-borrowed image — the body of
-    /// [`Machine::step`], shared with the hot loop in [`Machine::run`]
-    /// which clones the [`Arc`] once per run instead of once per step.
+    /// Executes one instruction against the image the hot loop in
+    /// [`Machine::drive`] borrowed once per run.
     fn step_in(&mut self, image: &CodeImage) -> Result<(), MachineError> {
         let before = self.cycles;
         let addr = self.p;
@@ -1588,8 +1540,7 @@ impl<M: DataMem> Machine<M> {
         // successor is the next index). The hint is validated against the
         // image, so only taken control transfers pay the dense
         // `addr_index` lookup.
-        let idx = if self.cfg.fast_paths
-            && addr.value() == self.ft_addr
+        let idx = if addr.value() == self.ft_addr
             && image.addr_at_index(self.ft_index) == Some(self.ft_addr)
         {
             self.ft_index
@@ -1605,15 +1556,8 @@ impl<M: DataMem> Machine<M> {
         // has no code cache and no clock — the whole block monomorphizes
         // away.
         if M::SIMULATED {
-            if self.cfg.fast_paths {
-                let extra = self.mem.fetch_code_seq(addr, words);
-                self.charge(extra);
-            } else {
-                for i in 0..words {
-                    let extra = self.mem.fetch_code(addr.offset(i as i64));
-                    self.charge(extra);
-                }
-            }
+            let extra = self.mem.fetch_code_seq(addr, words);
+            self.charge(extra);
             self.prefetch.issue(addr, words);
             self.charge(self.cfg.cost.instr_overhead);
         }
@@ -1783,15 +1727,10 @@ impl<M: DataMem> Machine<M> {
                 self.regs.set_arg(arg.index(), a);
                 self.charge(cost.switch_on_term);
                 // The hash path resolves the lookup in O(1) but charges
-                // exactly what the linear reference scan would have: a
-                // hit at table ordinal k probed k + 1 entries, a miss
-                // probed them all. The probe/hit/miss counters are
-                // dispatch outcomes — identical on both paths.
-                let hashed = if self.cfg.hash_switch {
-                    image.switch_index(idx).map(|s| s.lookup(a.switch_key()))
-                } else {
-                    None
-                };
+                // exactly what a linear scan would have: a hit at table
+                // ordinal k probed k + 1 entries, a miss probed them all.
+                // Tables too small for a hash index are scanned.
+                let hashed = image.switch_index(idx).map(|s| s.lookup(a.switch_key()));
                 let (target, probes) = match hashed {
                     Some(Some((t, ord))) => (Some(t), ord as u64 + 1),
                     Some(None) => (None, table.len() as u64),
@@ -1833,11 +1772,7 @@ impl<M: DataMem> Machine<M> {
                     _ => None,
                 };
                 let target = if let Some(f) = functor {
-                    let hashed = if self.cfg.hash_switch {
-                        image.switch_index(idx).map(|s| s.lookup(f.index() as u64))
-                    } else {
-                        None
-                    };
+                    let hashed = image.switch_index(idx).map(|s| s.lookup(f.index() as u64));
                     let (target, probes) = match hashed {
                         Some(Some((t, ord))) => (Some(t), ord as u64 + 1),
                         Some(None) => (None, table.len() as u64),
@@ -2633,7 +2568,6 @@ mod tests {
         let errors: Vec<MachineError> = vec![
             MachineError::Mem(MemFault::OutOfPhysicalMemory),
             MachineError::BadCodeAddress(CodeAddr::new(7)),
-            MachineError::Fuel { cycles: 9 },
             MachineError::BudgetExhausted { steps: 9 },
             MachineError::TypeFault("x".into()),
             MachineError::Instantiation("y".into()),

@@ -269,7 +269,7 @@ pub const CORPUS: &[CorpusCase] = &[
 
 /// Replays every corpus case against `engines`; returns the names of the
 /// cases that did not agree (skips count as failures — corpus cases are
-/// small enough that fuel exhaustion means something is wrong).
+/// small enough that a step-budget stop means something is wrong).
 pub fn replay(engines: &[Box<dyn Engine>]) -> Vec<(&'static str, String)> {
     let mut failures = Vec::new();
     for case in CORPUS {

@@ -7,7 +7,7 @@
 //! stay within the A1..A16 convention, the call graph is acyclic except
 //! for structurally recursive templates, and every recursive call site
 //! passes a ground, bounded structural argument — so programs terminate
-//! without relying on the cycle budget.
+//! without relying on the step budget.
 //!
 //! The grammar deliberately spans the feature axes the engines disagree on
 //! when they have bugs: facts vs rules, deep unification (nested

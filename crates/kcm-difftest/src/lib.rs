@@ -1,9 +1,10 @@
 //! Cross-engine differential testing for the KCM reproduction.
 //!
-//! All engines in this workspace — the KCM simulator (host fast paths on
-//! or off, serial or pooled), the generic software WAM baseline, the
-//! Quintus-class `swam` and the PLM byte-code machine — realize the same
-//! Prolog semantics over different compiler options and cost models. That
+//! All engines in this workspace — the KCM simulator (cycle or native
+//! tier, serial or pooled, one-shot or cursor), the generic software WAM
+//! baseline, the Quintus-class `swam` and the PLM byte-code machine —
+//! realize the same Prolog semantics over different compiler options and
+//! cost models. That
 //! makes generated-program differential testing the highest-yield oracle
 //! we have: any observable disagreement (solution sets, solution order,
 //! `write/1` output, inference counts, or error class) is a bug in at

@@ -14,7 +14,6 @@
 //! legitimately across compile options, so variables are renamed to
 //! `_A, _B, …` in order of first appearance before comparison.
 
-use kcm_cpu::MachineConfig;
 use kcm_prolog::Term;
 use kcm_system::{
     error_class, open_session, Kcm, KcmError, ProgramSource, QueryJob, QueryOpts, SessionPool,
@@ -25,12 +24,11 @@ pub use kcm_system::{Engine, EngineOutcome, KcmEngine, NativeEngine};
 
 /// Step budget applied to every engine per case. Generated programs
 /// terminate by construction; the budget only catches generator bugs.
-/// Unlike the cycle-fuel cap this oracle used before
-/// ([`kcm_cpu::MachineConfig::max_cycles`]), the step budget is
-/// cost-model-independent — every engine cuts off at the same point of
-/// the same abstract execution — but the *observable effects* of a cutoff
-/// (how much output was written first) still differ with engine timing,
-/// so the oracle *skips* budget-stopped cases instead of comparing them.
+/// The step budget is cost-model-independent — every engine cuts off at
+/// the same point of the same abstract execution — but the *observable
+/// effects* of a cutoff (how much output was written first) still differ
+/// with engine timing, so the oracle *skips* budget-stopped cases instead
+/// of comparing them.
 pub const STEP_BUDGET: u64 = 2_000_000;
 
 /// What one engine computed for a case, normalized for comparison.
@@ -156,19 +154,6 @@ pub fn normalize_output(s: &str) -> String {
     out
 }
 
-/// The KCM simulator as an oracle engine, host fast paths on or off.
-pub fn kcm_engine(fast_paths: bool) -> KcmEngine {
-    let mut config = MachineConfig {
-        fast_paths,
-        ..MachineConfig::default()
-    };
-    config.mem.fast_paths = fast_paths;
-    KcmEngine::labelled(
-        format!("kcm(fast={})", if fast_paths { "on" } else { "off" }),
-        config,
-    )
-}
-
 /// The KCM simulator behind a [`SessionPool`]: the query runs as several
 /// identical jobs fanned out across the pool's workers. The jobs must
 /// agree with each other (pool determinism) and, through the oracle, with
@@ -199,7 +184,7 @@ impl Engine for PooledKcmEngine {
 
     fn run_case(&self, source: ProgramSource<'_>, query: &str, opts: &QueryOpts) -> EngineOutcome {
         let name = self.name();
-        let mut kcm = Kcm::with_config(kcm_engine(true).config().clone());
+        let mut kcm = Kcm::new();
         if let Err(e) = kcm.load(source) {
             return EngineOutcome::new(name, Err(e));
         }
@@ -275,7 +260,7 @@ impl Engine for CursorEngine {
 
     fn run_case(&self, source: ProgramSource<'_>, query: &str, opts: &QueryOpts) -> EngineOutcome {
         let name = self.name();
-        let mut kcm = Kcm::with_config(kcm_engine(true).config().clone());
+        let mut kcm = Kcm::new();
         if let Err(e) = kcm.load(source) {
             return EngineOutcome::new(name, Err(e));
         }
@@ -308,7 +293,7 @@ impl Engine for PooledCursorEngine {
 
     fn run_case(&self, source: ProgramSource<'_>, query: &str, opts: &QueryOpts) -> EngineOutcome {
         let name = self.name();
-        let mut kcm = Kcm::with_config(kcm_engine(true).config().clone());
+        let mut kcm = Kcm::new();
         if let Err(e) = kcm.load(source) {
             return EngineOutcome::new(name, Err(e));
         }
@@ -336,8 +321,7 @@ impl Engine for PooledCursorEngine {
     }
 }
 
-/// The full engine roster: KCM fast-paths on and off, the native
-/// execution tier (no cycle model — its equivalence proof *is* this
+/// The full engine roster: the KCM simulator, the native execution tier (no cycle model — its equivalence proof *is* this
 /// roster), pooled KCM with 1 and N workers, the suspendable-session
 /// cursor path (both tiers, plus pooled at 1 and 4 workers — the
 /// enumeration-fidelity oracle for `kcm-serve` cursors), the generic
@@ -345,8 +329,7 @@ impl Engine for PooledCursorEngine {
 /// machine.
 pub fn standard_engines() -> Vec<Box<dyn Engine>> {
     vec![
-        Box::new(kcm_engine(true)),
-        Box::new(kcm_engine(false)),
+        Box::new(KcmEngine::new()),
         Box::new(NativeEngine::new()),
         Box::new(PooledKcmEngine { workers: 1 }),
         Box::new(PooledKcmEngine { workers: 4 }),
@@ -561,7 +544,7 @@ mod tests {
                 EngineOutcome::new("stub", kcm.query("p(X)", &QueryOpts::all()))
             }
         }
-        let engines: Vec<Box<dyn Engine>> = vec![Box::new(kcm_engine(true)), Box::new(Stub)];
+        let engines: Vec<Box<dyn Engine>> = vec![Box::new(KcmEngine::new()), Box::new(Stub)];
         let v = compare(&engines, "p(1).", "p(X)", true);
         match v {
             Verdict::Diverge(d) => {

@@ -16,42 +16,15 @@
 use kcm_cpu::{Machine, RunStats};
 use kcm_difftest::corpus::{CorpusCase, CORPUS};
 use kcm_difftest::oracle::STEP_BUDGET;
+use kcm_suite::golden;
 use kcm_system::{error_class, Kcm, KcmError, QueryOpts};
-use std::fmt::Write;
 
 const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/corpus_runstats.txt");
 
 /// One line per counter, `case.field value`, so a diff names exactly what
 /// moved. The first line is `case.success <bool>` or `case.error <class>`.
 fn render(name: &str, head: &str, s: &RunStats) -> String {
-    let fields: [(&str, String); 21] = [
-        ("cycle_ns", s.cycle_ns.to_string()),
-        ("cycles", s.cycles.to_string()),
-        ("instructions", s.instructions.to_string()),
-        ("inferences", s.inferences.to_string()),
-        ("choice_points", s.choice_points.to_string()),
-        ("shallow_entries", s.shallow_entries.to_string()),
-        ("shallow_fails", s.shallow_fails.to_string()),
-        ("deep_fails", s.deep_fails.to_string()),
-        ("trail_pushes", s.trail_pushes.to_string()),
-        ("deref_links", s.deref_links.to_string()),
-        ("zone_growths", s.zone_growths.to_string()),
-        ("mem.dcache_hits", s.mem.dcache_hits.to_string()),
-        ("mem.dcache_misses", s.mem.dcache_misses.to_string()),
-        ("mem.dcache_writebacks", s.mem.dcache_writebacks.to_string()),
-        ("mem.icache_hits", s.mem.icache_hits.to_string()),
-        ("mem.icache_misses", s.mem.icache_misses.to_string()),
-        ("mem.data_page_faults", s.mem.data_page_faults.to_string()),
-        ("mem.code_page_faults", s.mem.code_page_faults.to_string()),
-        ("prefetch.issued", s.prefetch.issued.to_string()),
-        ("prefetch.breaks", s.prefetch.breaks.to_string()),
-        ("prefetch.sequential", s.prefetch.sequential.to_string()),
-    ];
-    let mut out = format!("{name}.{head}\n");
-    for (field, value) in fields {
-        let _ = writeln!(out, "{name}.{field} {value}");
-    }
-    out
+    format!("{name}.{head}\n") + &golden::runstats(name, s)
 }
 
 /// Runs `case` as the oracle's cycle-tier reference engine does (default
@@ -94,16 +67,5 @@ fn run_case(case: &CorpusCase) -> String {
 #[test]
 fn corpus_runstats_match_the_golden_file() {
     let now: String = CORPUS.iter().map(run_case).collect();
-    let golden = std::fs::read_to_string(GOLDEN_PATH).expect("read the golden file");
-    let diffs: Vec<String> = golden
-        .lines()
-        .zip(now.lines())
-        .filter(|(g, n)| g != n)
-        .map(|(g, n)| format!("  golden {g}\n  now    {n}"))
-        .collect();
-    assert!(
-        diffs.is_empty() && golden.lines().count() == now.lines().count(),
-        "cycle-tier corpus RunStats drifted from {GOLDEN_PATH}:\n{}\n\ncurrent rendering:\n{now}",
-        diffs.join("\n")
-    );
+    golden::assert_matches(GOLDEN_PATH, &now);
 }

@@ -4,9 +4,7 @@
 
 use kcm_difftest::corpus;
 use kcm_difftest::gen::GProgram;
-use kcm_difftest::oracle::{
-    compare, kcm_engine, standard_engines, Engine, EngineOutcome, KcmEngine, Verdict,
-};
+use kcm_difftest::oracle::{compare, standard_engines, Engine, EngineOutcome, KcmEngine, Verdict};
 use kcm_difftest::shrink::shrink;
 use kcm_system::{ProgramSource, QueryOpts};
 use kcm_testkit::cases_seeded;
@@ -81,8 +79,8 @@ impl Engine for DropsLastSolution {
 #[test]
 fn shrinker_reduces_injected_fault_to_three_clauses_or_fewer() {
     let engines: Vec<Box<dyn Engine>> = vec![
-        Box::new(kcm_engine(true)),
-        Box::new(DropsLastSolution(kcm_engine(true))),
+        Box::new(KcmEngine::new()),
+        Box::new(DropsLastSolution(KcmEngine::new())),
     ];
     // A deliberately bloated program: only the member-shape predicate
     // matters to the fault; everything else is shrinkable padding.

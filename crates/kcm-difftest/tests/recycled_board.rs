@@ -82,15 +82,11 @@ fn jobs() -> Vec<Job> {
     );
     let suite = jobs[..programs::suite().len()].to_vec();
     for (i, p) in suite.iter().enumerate() {
-        jobs.push(match i % 4 {
+        jobs.push(match i % 3 {
             0 => p.variant("unsectioned", |j| {
                 j.config.mem.sectioned_data_cache = false;
             }),
             1 => p.variant("zone check off", |j| j.config.mem.zone_check = false),
-            2 => p.variant("fast paths off", |j| {
-                j.config.fast_paths = false;
-                j.config.mem.fast_paths = false;
-            }),
             _ => p.variant("profiled", |j| j.config.profile = true),
         });
         jobs.push(p.variant("budget", |j| j.step_budget = 300));

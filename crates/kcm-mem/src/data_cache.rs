@@ -37,13 +37,12 @@ const EMPTY: Line = Line {
 
 /// The direct-mapped, store-in, one-word-line data cache.
 ///
-/// The simulator additionally keeps a host-side *last-line* hint (see
-/// [`DataCache::set_fast_paths`]): the index of the most recently accessed
-/// line. Stack-discipline access patterns hit the same line repeatedly, so
-/// the common hit becomes one compare + load, skipping the zone-section
-/// index computation. The hint only short-circuits lookups whose outcome
-/// is a hit on that exact line and bumps the same counters, so the
-/// simulated numbers are byte-identical with it on or off.
+/// The simulator additionally keeps a host-side *last-line* hint: the
+/// index of the most recently accessed line. Stack-discipline access
+/// patterns hit the same line repeatedly, so the common hit becomes one
+/// compare + load, skipping the zone-section index computation. The hint
+/// only short-circuits lookups whose outcome is a hit on that exact line
+/// and bumps the same counters, so it changes no simulated number.
 ///
 /// The cache lists the lines it fills, so a reset clears those and
 /// nothing else.
@@ -53,7 +52,6 @@ pub struct DataCache {
     /// Indices of the lines made valid since the last reset.
     filled: Vec<u16>,
     sectioned: bool,
-    fast: bool,
     last_idx: u32,
 }
 
@@ -67,7 +65,6 @@ impl DataCache {
             lines: vec![EMPTY; DCACHE_WORDS],
             filled: Vec::with_capacity(DCACHE_WORDS),
             sectioned,
-            fast: true,
             last_idx: 0,
         }
     }
@@ -79,7 +76,6 @@ impl DataCache {
             lines: Vec::new(),
             filled: Vec::new(),
             sectioned: true,
-            fast: true,
             last_idx: 0,
         }
     }
@@ -120,23 +116,12 @@ impl DataCache {
         self.sectioned
     }
 
-    /// Enables or disables the host-side last-line hint (on by default).
-    /// Purely a host speed switch; hits, misses and contents are identical
-    /// either way.
-    pub fn set_fast_paths(&mut self, enabled: bool) {
-        self.fast = enabled;
-        self.last_idx = 0;
-    }
-
     /// The last-line fast path: a hit on the most recently accessed line.
     /// Lines are only ever stored at their computed index, so finding
     /// `addr` in the hinted line proves the full index computation would
     /// land on the same line and hit.
     #[inline]
     fn last_line_hit(&self, addr: VAddr) -> Option<(usize, Line)> {
-        if !self.fast {
-            return None;
-        }
         let idx = self.last_idx as usize;
         let line = self.lines[idx];
         (line.valid && line.addr == addr).then_some((idx, line))

@@ -78,29 +78,26 @@ pub struct MemConfig {
     /// Whether the zone check is active. Disabling it models running with
     /// protection off (used by ablation benches; real code keeps it on).
     pub zone_check: bool,
-    /// Data cache miss penalty in cycles.
+    /// Data cache miss penalty in cycles: page-mode fill of one 64-bit
+    /// word as two 32-bit accesses (§3.2.4, §3.2.6). A dirty victim adds
+    /// [`MemConfig::dcache_writeback`].
     pub dcache_miss: Cycles,
-    /// Additional penalty when the evicted line is dirty.
+    /// Additional penalty when the evicted line is dirty (store-in
+    /// cache).
     pub dcache_writeback: Cycles,
-    /// Code cache miss penalty in cycles.
+    /// Code cache miss penalty in cycles (write-through cache; page-mode
+    /// prefetch hides part of the latency, §3.2.4).
     pub icache_miss: Cycles,
-    /// Host-side fast paths (MMU TLB, data-cache last-line cache). Purely
-    /// a *host* speed switch: the simulated counters and cycle charges are
-    /// byte-identical either way (asserted by `kcm-suite/tests/fastpath.rs`).
-    /// Off keeps the naive reference paths for differential testing.
-    pub fast_paths: bool,
 }
 
 impl Default for MemConfig {
     fn default() -> MemConfig {
-        let costs = kcm_arch::CostModel::default();
         MemConfig {
             sectioned_data_cache: true,
             zone_check: true,
-            dcache_miss: costs.dcache_miss,
-            dcache_writeback: costs.dcache_writeback,
-            icache_miss: costs.icache_miss,
-            fast_paths: true,
+            dcache_miss: 4,
+            dcache_writeback: 2,
+            icache_miss: 4,
         }
     }
 }
@@ -296,12 +293,6 @@ pub trait DataMem: std::fmt::Debug + Send {
     /// Backend-specific allocation failure.
     fn poke(&mut self, addr: VAddr, value: Word) -> Result<(), MemFault>;
 
-    /// Times an instruction fetch; untimed backends return 0.
-    fn fetch_code(&mut self, addr: CodeAddr) -> Cycles {
-        let _ = addr;
-        0
-    }
-
     /// Times a sequential multi-word instruction fetch; untimed backends
     /// return 0.
     fn fetch_code_seq(&mut self, addr: CodeAddr, words: usize) -> Cycles {
@@ -346,11 +337,6 @@ impl DataMem for MemorySystem {
 
     fn poke(&mut self, addr: VAddr, value: Word) -> Result<(), MemFault> {
         MemorySystem::poke(self, addr, value)
-    }
-
-    #[inline]
-    fn fetch_code(&mut self, addr: CodeAddr) -> Cycles {
-        MemorySystem::fetch_code(self, addr)
     }
 
     #[inline]
@@ -439,8 +425,6 @@ impl MemorySystem {
     pub fn new(config: MemConfig) -> MemorySystem {
         let mut board = recycle::take(&BOARDS).unwrap_or_else(Board::new);
         board.dcache.set_sectioned(config.sectioned_data_cache);
-        board.dcache.set_fast_paths(config.fast_paths);
-        board.mmu.set_fast_paths(config.fast_paths);
         MemorySystem {
             config,
             board,
@@ -773,7 +757,6 @@ mod tests {
         let plain = MemConfig {
             sectioned_data_cache: false,
             zone_check: false,
-            fast_paths: false,
             ..MemConfig::default()
         };
         let mut mem = MemorySystem::new(plain);

@@ -65,11 +65,10 @@ const TLB_SLOTS: usize = 64;
 /// machine that does not need to do context switches").
 ///
 /// The *simulated* machine has no TLB, but the simulator keeps a small
-/// host-side one (enabled by default, see [`Mmu::set_fast_paths`]): a
-/// direct-mapped `vp → physical page` cache consulted before the table
-/// walk. It is filled only after an entry is valid and referenced, so a
-/// hit skips nothing but idempotent work — simulated state and fault
-/// counters are byte-identical with it on or off.
+/// host-side one: a direct-mapped `vp → physical page` cache consulted
+/// before the table walk. It is filled only after an entry is valid and
+/// referenced, so a hit skips nothing but idempotent work — it changes
+/// neither simulated state nor fault counters.
 ///
 /// The MMU also lists the entries it has mapped, so a reset clears those
 /// and nothing else.
@@ -99,7 +98,6 @@ pub struct Mmu {
     /// Virtual pages of `code_table` mapped since the last reset.
     mapped_code: Vec<u16>,
     tlb: [TlbSlot; TLB_SLOTS],
-    tlb_enabled: bool,
 }
 
 impl Default for Mmu {
@@ -117,7 +115,6 @@ impl Mmu {
             mapped_data: Vec::new(),
             mapped_code: Vec::new(),
             tlb: [TLB_EMPTY; TLB_SLOTS],
-            tlb_enabled: true,
         }
     }
 
@@ -130,7 +127,6 @@ impl Mmu {
             mapped_data: Vec::new(),
             mapped_code: Vec::new(),
             tlb: [TLB_EMPTY; TLB_SLOTS],
-            tlb_enabled: true,
         }
     }
 
@@ -144,14 +140,6 @@ impl Mmu {
         for vp in self.mapped_code.drain(..) {
             self.code_table[usize::from(vp)] = Entry::default();
         }
-        self.tlb = [TLB_EMPTY; TLB_SLOTS];
-    }
-
-    /// Enables or disables the host-side TLB (on by default). Purely a
-    /// host speed switch; translation results and fault counters are
-    /// identical either way.
-    pub fn set_fast_paths(&mut self, enabled: bool) {
-        self.tlb_enabled = enabled;
         self.tlb = [TLB_EMPTY; TLB_SLOTS];
     }
 
@@ -169,14 +157,12 @@ impl Mmu {
         stats: &mut MemStats,
     ) -> Result<PhysAddr, MemFault> {
         let vp = addr.page().index();
-        if self.tlb_enabled {
-            let slot = self.tlb[vp % TLB_SLOTS];
-            if usize::from(slot.vp) == vp {
-                // The slot was filled after the entry became valid and
-                // referenced, so the table walk below would only redo
-                // idempotent work.
-                return Ok(PhysAddr::new(slot.page, addr.page_offset()));
-            }
+        let slot = self.tlb[vp % TLB_SLOTS];
+        if usize::from(slot.vp) == vp {
+            // The slot was filled after the entry became valid and
+            // referenced, so the table walk below would only redo
+            // idempotent work.
+            return Ok(PhysAddr::new(slot.page, addr.page_offset()));
         }
         let entry = &mut self.data_table[vp];
         if !entry.valid() {
@@ -189,12 +175,10 @@ impl Mmu {
         }
         entry.0 |= ST_REFERENCED;
         let phys_page = entry.phys_page();
-        if self.tlb_enabled {
-            self.tlb[vp % TLB_SLOTS] = TlbSlot {
-                vp: vp as u16,
-                page: phys_page,
-            };
-        }
+        self.tlb[vp % TLB_SLOTS] = TlbSlot {
+            vp: vp as u16,
+            page: phys_page,
+        };
         Ok(PhysAddr::new(phys_page, addr.page_offset()))
     }
 

@@ -89,7 +89,8 @@ pub struct ServeConfig {
     pub queue_depth: usize,
     /// Step budget applied to requests that don't carry their own
     /// `BUDGET` (for tenant queries, after the tenant's own publish-time
-    /// budget); `None` leaves runaway queries to the machine's fuel cap.
+    /// budget). It is the only deadline a query has: `None` leaves such
+    /// requests unbounded.
     pub default_step_budget: Option<u64>,
     /// Capacity of the shared program registry; publishing a new name
     /// into a full registry evicts the least-recently-used tenant.

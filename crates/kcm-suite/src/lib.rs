@@ -9,6 +9,8 @@
 //!   KCM simulator and on the baselines, returning cycle-accurate
 //!   measurements.
 //! * [`table`] — plain-text table rendering shared by the bench targets.
+//! * [`golden`] — the line-per-counter rendering and comparison behind
+//!   the committed cycle-tier pins.
 //!
 //! # Examples
 //!
@@ -27,6 +29,7 @@
 
 #![warn(missing_docs)]
 
+pub mod golden;
 pub mod paper;
 pub mod programs;
 pub mod runner;

@@ -17,9 +17,8 @@
 //! committed file; the failure message prints the full current
 //! rendering for that.
 
-use kcm_suite::programs;
+use kcm_suite::{golden, programs};
 use kcm_system::{Kcm, QueryOpts, RunStats};
-use std::fmt::Write;
 
 const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden_runstats.txt");
 const RERUN_PATH: &str = concat!(
@@ -30,35 +29,7 @@ const RERUN_PATH: &str = concat!(
 /// One line per counter, `program.field value`, so a diff names exactly
 /// what moved.
 fn render(name: &str, success: bool, s: &RunStats) -> String {
-    let fields: [(&str, String); 22] = [
-        ("success", success.to_string()),
-        ("cycle_ns", s.cycle_ns.to_string()),
-        ("cycles", s.cycles.to_string()),
-        ("instructions", s.instructions.to_string()),
-        ("inferences", s.inferences.to_string()),
-        ("choice_points", s.choice_points.to_string()),
-        ("shallow_entries", s.shallow_entries.to_string()),
-        ("shallow_fails", s.shallow_fails.to_string()),
-        ("deep_fails", s.deep_fails.to_string()),
-        ("trail_pushes", s.trail_pushes.to_string()),
-        ("deref_links", s.deref_links.to_string()),
-        ("zone_growths", s.zone_growths.to_string()),
-        ("mem.dcache_hits", s.mem.dcache_hits.to_string()),
-        ("mem.dcache_misses", s.mem.dcache_misses.to_string()),
-        ("mem.dcache_writebacks", s.mem.dcache_writebacks.to_string()),
-        ("mem.icache_hits", s.mem.icache_hits.to_string()),
-        ("mem.icache_misses", s.mem.icache_misses.to_string()),
-        ("mem.data_page_faults", s.mem.data_page_faults.to_string()),
-        ("mem.code_page_faults", s.mem.code_page_faults.to_string()),
-        ("prefetch.issued", s.prefetch.issued.to_string()),
-        ("prefetch.breaks", s.prefetch.breaks.to_string()),
-        ("prefetch.sequential", s.prefetch.sequential.to_string()),
-    ];
-    let mut out = String::new();
-    for (field, value) in fields {
-        let _ = writeln!(out, "{name}.{field} {value}");
-    }
-    out
+    format!("{name}.success {success}\n") + &golden::runstats(name, s)
 }
 
 fn opts(p: &programs::BenchProgram) -> QueryOpts {
@@ -104,29 +75,14 @@ fn rerun() -> (String, String) {
     (first, second)
 }
 
-fn assert_golden(path: &str, now: &str) {
-    let golden = std::fs::read_to_string(path).expect("read the golden file");
-    let diffs: Vec<String> = golden
-        .lines()
-        .zip(now.lines())
-        .filter(|(g, n)| g != n)
-        .map(|(g, n)| format!("  golden {g}\n  now    {n}"))
-        .collect();
-    assert!(
-        diffs.is_empty() && golden.lines().count() == now.lines().count(),
-        "cycle-tier RunStats drifted from {path}:\n{}\n\ncurrent rendering:\n{now}",
-        diffs.join("\n")
-    );
-}
-
 #[test]
 fn suite_runstats_match_the_golden_file() {
-    assert_golden(GOLDEN_PATH, &current());
+    golden::assert_matches(GOLDEN_PATH, &current());
 }
 
 #[test]
 fn second_runs_on_a_prepared_machine_match_the_golden_file() {
     let (first, second) = rerun();
-    assert_golden(GOLDEN_PATH, &first);
-    assert_golden(RERUN_PATH, &second);
+    golden::assert_matches(GOLDEN_PATH, &first);
+    golden::assert_matches(RERUN_PATH, &second);
 }

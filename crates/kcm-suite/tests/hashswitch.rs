@@ -1,94 +1,38 @@
-//! The hash-switch invariant, proved fastpath-style over the whole
-//! suite: resolving `switch_on_constant` / `switch_on_structure` through
-//! the link-time hash side table (`MachineConfig::hash_switch`) is
-//! *speed-only*. Every benchmark run with the hash path on and off must
-//! produce the same bytes everywhere the simulation is observable —
-//! solutions, output, [`RunStats`] (including the memory-system
-//! counters), and the hardware-mechanism profile, whose switch counters
-//! are dispatch outcomes and therefore identical on both paths.
+//! Hash switch dispatch, checked against the linear scan's cost. The
+//! linker builds a hash side table for every `switch_on_constant` /
+//! `switch_on_structure` table of at least 8 entries; the machine
+//! resolves such a lookup in O(1) but charges exactly what scanning the
+//! table would have: a hit at table ordinal `k` probes `k + 1` entries,
+//! a miss probes them all. Smaller tables are scanned.
 //!
-//! The wide-fact-base and float-key tests below exercise the paths the
-//! 14-program suite cannot: tables big enough to get a hash index
-//! (≥ 8 entries), depth-2 second-level dispatch, and the bitwise float
-//! key semantics (`-0.0` ≠ `0.0`; dispatch must agree with unification).
+//! The 14-program suite never builds a hash index, so the queries below
+//! are the only check of that invariant: wide fact bases, depth-2
+//! second-level dispatch and bitwise float keys (`-0.0` ≠ `0.0`;
+//! dispatch must agree with unification). Each query's [`RunStats`]
+//! and switch counters are pinned to `hashswitch_linear.txt` next to
+//! this test: the numbers the same query produced when the machine
+//! scanned every table linearly.
+//!
+//! [`RunStats`]: kcm_system::RunStats
 
-use kcm_suite::programs;
-use kcm_suite::runner::{run_suite_pooled, Variant};
-use kcm_system::{Kcm, MachineConfig, QueryOpts, SessionPool, Tier};
+use kcm_suite::golden;
+use kcm_system::{Kcm, Outcome, QueryOpts, Tier};
 
-/// The two configurations under comparison: identical except for the
-/// host-speed switch.
-fn configs() -> (MachineConfig, MachineConfig) {
-    let hashed = MachineConfig {
-        profile: true,
-        ..MachineConfig::default()
-    };
-    assert!(hashed.hash_switch, "hash switch must default on");
-    let mut linear = hashed.clone();
-    linear.hash_switch = false;
-    (hashed, linear)
-}
+const LINEAR_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/hashswitch_linear.txt");
 
-#[test]
-fn hash_switch_is_byte_identical_over_the_full_suite() {
-    let suite = programs::suite();
-    let (hashed_cfg, linear_cfg) = configs();
-    for workers in [1usize, 4] {
-        let pool = SessionPool::new(workers);
-        let hashed = run_suite_pooled(&suite, Variant::Timed, &hashed_cfg, &pool);
-        let linear = run_suite_pooled(&suite, Variant::Timed, &linear_cfg, &pool);
-        for ((p, h), l) in suite.iter().zip(&hashed).zip(&linear) {
-            let h = h
-                .as_ref()
-                .unwrap_or_else(|e| panic!("{}: hashed run failed: {e}", p.name));
-            let l = l
-                .as_ref()
-                .unwrap_or_else(|e| panic!("{}: linear run failed: {e}", p.name));
-            let (h, l) = (&h.outcome, &l.outcome);
-            assert_eq!(h.success, l.success, "{}: success diverged", p.name);
-            assert_eq!(h.solutions, l.solutions, "{}: solutions diverged", p.name);
-            assert_eq!(h.output, l.output, "{}: output diverged", p.name);
-            assert_eq!(
-                h.stats, l.stats,
-                "{} ({workers} workers): RunStats diverged",
-                p.name
-            );
-            assert_eq!(
-                h.stats.mem, l.stats.mem,
-                "{} ({workers} workers): MemStats diverged",
-                p.name
-            );
-            assert_eq!(
-                h.profile, l.profile,
-                "{} ({workers} workers): hardware profile diverged",
-                p.name
-            );
-        }
-    }
-}
-
-/// Runs one query on a fresh session under `cfg`, returning the outcome.
-fn run_with(cfg: &MachineConfig, src: &str, query: &str) -> kcm_system::Outcome {
-    let mut kcm = Kcm::with_config(cfg.clone());
+/// Runs `query` for all solutions on a fresh session, asserts its
+/// counters equal the linear scan's numbers pinned under `label`, and
+/// returns the outcome for content checks.
+fn pinned(label: &str, src: &str, query: &str) -> Outcome {
+    let mut kcm = Kcm::new();
     kcm.load(src).unwrap_or_else(|e| panic!("consult: {e}"));
-    let opts = QueryOpts {
-        enumerate_all: true,
-        ..QueryOpts::default()
-    };
-    kcm.query(query, &opts)
-        .unwrap_or_else(|e| panic!("run: {e}"))
-}
-
-/// Asserts a query's outcome is byte-identical with the hash path on and
-/// off, and returns the (hashed) outcome for content checks.
-fn identical_on_both_paths(src: &str, query: &str) -> kcm_system::Outcome {
-    let (hashed_cfg, linear_cfg) = configs();
-    let h = run_with(&hashed_cfg, src, query);
-    let l = run_with(&linear_cfg, src, query);
-    assert_eq!(h.success, l.success, "{query}: success diverged");
-    assert_eq!(h.solutions, l.solutions, "{query}: solutions diverged");
-    assert_eq!(h.stats, l.stats, "{query}: RunStats diverged");
-    assert_eq!(h.profile, l.profile, "{query}: profile diverged");
+    let h = kcm
+        .query(query, &QueryOpts::all())
+        .unwrap_or_else(|e| panic!("run: {e}"));
+    let now = format!("{label}.success {}\n", h.success)
+        + &golden::runstats(label, &h.stats)
+        + &golden::switches(label, &h.profile);
+    golden::assert_matches_subject(LINEAR_PATH, label, &now);
     h
 }
 
@@ -109,7 +53,7 @@ const PAIRS: &str = "
 #[test]
 fn wide_fact_lookup_hits_the_hash_index() {
     let src = wide_facts(200);
-    let h = identical_on_both_paths(&src, "f(k137, V)");
+    let h = pinned("wide_hit", &src, "f(k137, V)");
     assert!(h.success);
     assert_eq!(h.solutions.len(), 1);
     assert_eq!(h.solutions[0][0].1.to_string(), "v137");
@@ -124,7 +68,7 @@ fn wide_fact_lookup_hits_the_hash_index() {
 
 #[test]
 fn wide_fact_miss_charges_the_full_table() {
-    let h = identical_on_both_paths(&wide_facts(50), "f(zzz, V)");
+    let h = pinned("wide_miss", &wide_facts(50), "f(zzz, V)");
     assert!(!h.success);
     assert_eq!(h.profile.switches.misses, 1);
     assert_eq!(h.profile.switches.hits, 0);
@@ -133,7 +77,7 @@ fn wide_fact_miss_charges_the_full_table() {
 
 #[test]
 fn depth2_point_lookup_takes_the_second_level_switch() {
-    let h = identical_on_both_paths(PAIRS, "pair(g1, b, X)");
+    let h = pinned("depth2_point", PAIRS, "pair(g1, b, X)");
     assert!(h.success);
     assert_eq!(h.solutions.len(), 1);
     assert_eq!(h.solutions[0][0].1.to_string(), "5");
@@ -145,7 +89,7 @@ fn depth2_point_lookup_takes_the_second_level_switch() {
 
 #[test]
 fn depth2_with_unbound_second_arg_enumerates_the_bucket_in_order() {
-    let h = identical_on_both_paths(PAIRS, "pair(g1, M, X)");
+    let h = pinned("depth2_bucket", PAIRS, "pair(g1, M, X)");
     assert!(h.success);
     let got: Vec<String> = h
         .solutions
@@ -157,7 +101,7 @@ fn depth2_with_unbound_second_arg_enumerates_the_bucket_in_order() {
 
 #[test]
 fn depth2_with_everything_unbound_enumerates_all_facts() {
-    let h = identical_on_both_paths(PAIRS, "pair(G, M, X)");
+    let h = pinned("depth2_all", PAIRS, "pair(G, M, X)");
     assert!(h.success);
     assert_eq!(h.solutions.len(), 9);
 }
@@ -165,13 +109,13 @@ fn depth2_with_everything_unbound_enumerates_all_facts() {
 #[test]
 fn depth2_rejects_missing_and_mistyped_second_keys() {
     // A second key absent from every clause is a genuine failure...
-    let missing = identical_on_both_paths(PAIRS, "pair(g1, z, X)");
+    let missing = pinned("depth2_missing", PAIRS, "pair(g1, z, X)");
     assert!(!missing.success);
     // ...and so is a compound second argument: a constant head arg can
     // never unify with a structure or a list.
-    let structure = identical_on_both_paths(PAIRS, "pair(g1, f(a), X)");
+    let structure = pinned("depth2_structure", PAIRS, "pair(g1, f(a), X)");
     assert!(!structure.success);
-    let list = identical_on_both_paths(PAIRS, "pair(g1, [a], X)");
+    let list = pinned("depth2_list", PAIRS, "pair(g1, [a], X)");
     assert!(!list.success);
 }
 
@@ -184,10 +128,10 @@ const FLOATS: &str = "
 
 #[test]
 fn float_keys_dispatch_bitwise() {
-    let pos = identical_on_both_paths(FLOATS, "fk(0.0, V)");
+    let pos = pinned("float_pos", FLOATS, "fk(0.0, V)");
     assert_eq!(pos.solutions.len(), 1);
     assert_eq!(pos.solutions[0][0].1.to_string(), "pos");
-    let neg = identical_on_both_paths(FLOATS, "fk(-0.0, V)");
+    let neg = pinned("float_neg", FLOATS, "fk(-0.0, V)");
     assert_eq!(neg.solutions.len(), 1);
     assert_eq!(
         neg.solutions[0][0].1.to_string(),
@@ -235,8 +179,8 @@ fn float_dispatch_agrees_with_unification() {
     // float constants bitwise (same_constant), so a single-clause
     // predicate — no switch at all — must make the same distinction the
     // indexed one does.
-    let single = identical_on_both_paths("p0(0.0).", "p0(-0.0)");
+    let single = pinned("float_single", "p0(0.0).", "p0(-0.0)");
     assert!(!single.success, "-0.0 must not unify with 0.0");
-    let indexed = identical_on_both_paths(FLOATS, "fk(0.5, V)");
+    let indexed = pinned("float_absent", FLOATS, "fk(0.5, V)");
     assert!(!indexed.success, "an absent float key must fail");
 }

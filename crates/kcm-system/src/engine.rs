@@ -92,7 +92,6 @@ pub fn error_class(e: &KcmError) -> &'static str {
         KcmError::Machine(m) => match m {
             M::Mem(_) => "mem",
             M::BadCodeAddress(_) => "bad_code",
-            M::Fuel { .. } => "fuel",
             M::BudgetExhausted { .. } => "budget",
             M::TypeFault(_) => "type",
             M::UnimplementedInstr(_) => "unimplemented",
@@ -117,8 +116,8 @@ impl KcmEngine {
         KcmEngine::with_config(MachineConfig::default())
     }
 
-    /// A custom machine configuration (ablations, fast-path toggles),
-    /// labelled `"kcm"`.
+    /// A custom machine configuration (ablations, cost models), labelled
+    /// `"kcm"`.
     pub fn with_config(config: MachineConfig) -> KcmEngine {
         KcmEngine::labelled("kcm", config)
     }

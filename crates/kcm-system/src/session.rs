@@ -170,9 +170,8 @@ impl Solutions {
     /// # Errors
     ///
     /// A [`KcmError::Machine`] fault, including
-    /// [`crate::MachineError::BudgetExhausted`] /
-    /// [`crate::MachineError::Fuel`] when one pull's budget slice is
-    /// exhausted.
+    /// [`crate::MachineError::BudgetExhausted`] when one pull's budget
+    /// slice is exhausted.
     pub fn next_step(&mut self) -> Result<Option<SolutionStep>, KcmError> {
         if self.exhausted() {
             return Ok(None);

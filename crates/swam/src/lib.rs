@@ -73,9 +73,6 @@ pub fn model() -> BaselineModel {
         fp_op: 50,
         bind: 2,
         trail_push: 8,
-        dcache_miss: 6,
-        dcache_writeback: 3,
-        icache_miss: 0,
     };
     m
 }

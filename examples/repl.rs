@@ -16,9 +16,15 @@
 //! * `:stats` — toggle per-query machine statistics
 //! * `:listing` — disassemble the loaded image
 //! * `:halt` — leave
+//!
+//! A goal that runs longer than [`STEP_BUDGET`] instructions is stopped
+//! with a step-budget error, so a looping goal returns to the prompt.
 
 use kcm_repro::kcm_system::{report, Kcm, Outcome, QueryOpts};
 use std::io::{BufRead, Write as _};
+
+/// Instructions one goal may retire before it is stopped.
+const STEP_BUDGET: u64 = 100_000_000;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut kcm = Kcm::new();
@@ -80,7 +86,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             continue;
         }
         let goal = line.strip_suffix('.').unwrap_or(line);
-        match kcm.query(goal, &QueryOpts::all()) {
+        match kcm.query(goal, &QueryOpts::all().with_step_budget(STEP_BUDGET)) {
             Ok(outcome) => {
                 if !outcome.output.is_empty() {
                     print!("{}", outcome.output);
