@@ -167,6 +167,14 @@ fn unsup(why: impl Into<String>) -> PatchError {
     PatchError::Unsupported(why.into())
 }
 
+/// A planned key update of one constant switch (at stream index `idx`):
+/// the key's table ordinal and clause targets when it is present.
+struct KeyPlan {
+    idx: usize,
+    key: Word,
+    found: Option<(usize, Vec<CodeAddr>)>,
+}
+
 /// Power-of-two instruction granularity of lazy snapshot decoding: 2^15
 /// instructions per chunk keeps a chunk's decode under a millisecond
 /// while a million-fact image still amortizes the per-chunk bookkeeping
@@ -1069,73 +1077,82 @@ impl CodeImage {
         head
     }
 
-    /// Resolves the existing dispatch target `old` for a key that gains
-    /// the new clause at `c_new`: a single clause label becomes a 2-entry
-    /// block, an existing block is relocated and extended. Returns the
-    /// replacement target.
-    fn extended_target(&mut self, old: CodeAddr, c_new: CodeAddr) -> Result<CodeAddr, PatchError> {
-        let mut targets = match self.instr_at(old) {
-            Some(Instr::Try { .. }) => self.read_chain_block(old)?,
-            Some(_) => vec![old],
-            None => return Err(unsup("dispatch target is not an instruction")),
-        };
-        targets.push(c_new);
-        Ok(self.append_chain_block(&targets))
+    /// The clause targets a dispatch target reaches: the entries of a
+    /// `try` / `retry`* / `trust` block, or the single clause it labels.
+    fn dispatch_targets(&self, target: CodeAddr) -> Result<Vec<CodeAddr>, PatchError> {
+        match self.instr_at(target) {
+            Some(Instr::Try { .. }) => self.read_chain_block(target),
+            Some(_) => Ok(vec![target]),
+            None => Err(unsup("dispatch target is not an instruction")),
+        }
     }
 
-    /// Adds `(key, target)` to the constant switch at `table_addr`:
-    /// patches an existing key's target or appends a new key, keeping the
-    /// hash side table (and its probe-accounting ordinals) consistent.
-    /// `existing` maps a present key's current target through
-    /// [`CodeImage::extended_target`]; an absent key dispatches straight
-    /// to the new clause.
-    fn upsert_constant_key(
-        &mut self,
-        table_addr: CodeAddr,
-        key: Word,
-        c_new: CodeAddr,
-    ) -> Result<(), PatchError> {
+    /// The stream index of the constant switch at `table_addr`, which
+    /// must have no variable default: a default means variable-headed
+    /// clauses exist, so the predicate is not a pure fact base.
+    fn constant_table(&self, table_addr: CodeAddr) -> Result<usize, PatchError> {
         let idx =
             self.index_of(table_addr)
                 .ok_or_else(|| unsup("constant table is not an instruction"))? as usize;
-        let (ordinal, old_target) = {
-            let Instr::SwitchOnConstant { default, table, .. } = &self.instrs[idx] else {
-                return Err(unsup("expected switch_on_constant"));
-            };
-            if default.is_some() {
-                // A default means variable-headed clauses exist; the
-                // predicate is not a pure fact base.
-                return Err(unsup("constant table has a variable default"));
-            }
-            match self.switch_index[idx].as_deref() {
-                Some(side) => match side.lookup(key.switch_key()) {
-                    Some((t, ord)) => (Some(ord as usize), Some(t)),
-                    None => (None, None),
-                },
-                None => match table.iter().position(|(k, _)| k.same_constant(key)) {
-                    Some(ord) => (Some(ord), Some(table[ord].1)),
-                    None => (None, None),
-                },
-            }
+        match &self.instrs[idx] {
+            Instr::SwitchOnConstant { default: None, .. } => Ok(idx),
+            Instr::SwitchOnConstant { .. } => Err(unsup("constant table has a variable default")),
+            _ => Err(unsup("expected switch_on_constant")),
+        }
+    }
+
+    /// Looks `key` up in the constant switch at stream index `idx`:
+    /// through its hash side table when it has one, else by a linear
+    /// scan. Returns the key's table ordinal and dispatch target.
+    fn constant_target(&self, idx: usize, key: Word) -> Option<(usize, CodeAddr)> {
+        if let Some(side) = self.switch_index[idx].as_deref() {
+            return side
+                .lookup(key.switch_key())
+                .map(|(target, ord)| (ord as usize, target));
+        }
+        let Instr::SwitchOnConstant { table, .. } = &self.instrs[idx] else {
+            return None;
         };
-        match (ordinal, old_target) {
-            (Some(ord), Some(old)) => {
-                let new_target = self.extended_target(old, c_new)?;
+        let ord = table.iter().position(|(k, _)| k.same_constant(key))?;
+        Some((ord, table[ord].1))
+    }
+
+    /// Plans adding a clause under `key` to the constant switch at stream
+    /// index `idx` (read-only): the key's ordinal and current clause
+    /// targets when present, which [`CodeImage::apply_key`] extends.
+    fn plan_key(&self, idx: usize, key: Word) -> Result<KeyPlan, PatchError> {
+        let found = match self.constant_target(idx, key) {
+            Some((ord, target)) => Some((ord, self.dispatch_targets(target)?)),
+            None => None,
+        };
+        Ok(KeyPlan { idx, key, found })
+    }
+
+    /// Applies a [`KeyPlan`] for the clause at `c_new`: a present key's
+    /// clause block is relocated and extended, an absent key is appended
+    /// and dispatches straight to the clause. The hash side table (and its
+    /// probe-accounting ordinals) stays consistent.
+    fn apply_key(&mut self, plan: KeyPlan, c_new: CodeAddr) {
+        let KeyPlan { idx, key, found } = plan;
+        match found {
+            Some((ord, mut targets)) => {
+                targets.push(c_new);
+                let new_target = self.append_chain_block(&targets);
                 let Instr::SwitchOnConstant { table, .. } = &mut self.instrs_mut()[idx] else {
-                    unreachable!("checked above");
+                    unreachable!("planned on a constant switch");
                 };
                 table[ord].1 = new_target;
                 if let Some(side) = &mut self.switch_index[idx] {
                     Arc::make_mut(side).set_target(key.switch_key(), new_target);
                 }
             }
-            _ => {
+            None => {
                 // Split borrows of the stream and the side tables: the
                 // store is made eager (with its dispatch table) first.
                 self.instrs_mut();
                 let Instr::SwitchOnConstant { table, .. } = &mut self.instrs.force_mut()[idx]
                 else {
-                    unreachable!("checked above");
+                    unreachable!("planned on a constant switch");
                 };
                 table.push((key, c_new));
                 let len = table.len();
@@ -1155,33 +1172,16 @@ impl CodeImage {
                 self.refresh_dispatch(idx);
             }
         }
-        Ok(())
     }
 
-    /// Appends one already-compiled fact clause to a constant-keyed fact
-    /// predicate and patches its dispatch structures in place: the
-    /// variable chain always gains the clause at the end (source order),
-    /// and the first-level — and, under a depth-2 bucket, second-level —
-    /// constant switch tables gain or extend the clause's key.
-    ///
-    /// `entry` is the predicate's entry address, `key1`/`key2` the
-    /// clause's first/second-argument constants (`key2` only consulted
-    /// when the first-level bucket dispatches on A2), and `clause` the
-    /// compiled clause code (straight-line, as compiled for a multi-clause
-    /// chain).
-    ///
-    /// # Errors
-    ///
-    /// [`PatchError::Unsupported`] when the predicate's compiled shape
-    /// doesn't qualify; the image is unchanged in that case and the caller
-    /// should recompile the predicate instead.
-    pub fn assert_fact_clause(
-        &mut self,
+    /// The variable chain and the constant dispatch of a constant-keyed
+    /// fact predicate's entry `switch_on_term`: the shape both in-place
+    /// patches start from, checked before anything is read or written.
+    fn fact_entry(
+        &self,
         entry: CodeAddr,
-        key1: Word,
-        key2: Option<Word>,
         clause: &[Instr],
-    ) -> Result<(), PatchError> {
+    ) -> Result<(CodeAddr, Option<CodeAddr>), PatchError> {
         if clause.is_empty() {
             return Err(unsup("empty clause code"));
         }
@@ -1207,89 +1207,99 @@ impl CodeImage {
         let Some(vchain) = *on_var else {
             return Err(unsup("entry switch has no variable chain"));
         };
-        let Some(ctab) = *on_const else {
+        Ok((vchain, *on_const))
+    }
+
+    /// Appends one already-compiled fact clause to a constant-keyed fact
+    /// predicate and patches its dispatch structures in place: the
+    /// variable chain always gains the clause at the end (source order),
+    /// and the first-level — and, under a depth-2 bucket, second-level —
+    /// constant switch tables gain or extend the clause's key.
+    ///
+    /// `entry` is the predicate's entry address, `key1`/`key2` the
+    /// clause's first/second-argument constants (`key2` only consulted
+    /// when the first-level bucket dispatches on A2), and `clause` the
+    /// compiled clause code (straight-line, as compiled for a multi-clause
+    /// chain).
+    ///
+    /// # Errors
+    ///
+    /// [`PatchError::Unsupported`] when the predicate's compiled shape
+    /// doesn't qualify; the whole patch is planned before anything is
+    /// written, so the image is unchanged in that case and the caller
+    /// should recompile the predicate instead.
+    pub fn assert_fact_clause(
+        &mut self,
+        entry: CodeAddr,
+        key1: Word,
+        key2: Option<Word>,
+        clause: &[Instr],
+    ) -> Result<(), PatchError> {
+        let (vchain, on_const) = self.fact_entry(entry, clause)?;
+        let Some(ctab) = on_const else {
             return Err(unsup("entry switch has no constant dispatch"));
         };
-
-        // Validate the whole patch plan before mutating: every structure
-        // walk happens first, so an unsupported shape leaves the image
-        // untouched.
         let (trust_at, _) = self.walk_var_chain(vchain)?;
-        enum ConstPlan {
-            /// `on_const` is the variable chain itself (single distinct
-            /// key so far): extending the chain is the whole update.
+        enum Plan {
+            /// The key's clauses are the whole variable chain (`on_const`
+            /// is the chain, or the key's bucket is): extending the chain
+            /// is the whole update.
             Chain,
-            /// A first-level table, possibly through a depth-2 bucket.
-            Table(CodeAddr),
+            /// The first-level table gains or extends `key1`.
+            Table(KeyPlan),
+            /// `key1`'s bucket dispatches depth-2 on A2: the bucket switch
+            /// at `bucket` gets a relocated, extended fallback block, and
+            /// its A2 table gains or extends `key2`.
+            Bucket {
+                bucket: CodeAddr,
+                targets: Vec<CodeAddr>,
+                key2: KeyPlan,
+            },
         }
         let plan = if ctab == vchain {
-            ConstPlan::Chain
+            Plan::Chain
         } else {
-            match self.instr_at(ctab) {
-                Some(Instr::SwitchOnConstant { .. }) => ConstPlan::Table(ctab),
-                _ => return Err(unsup("constant dispatch is neither chain nor table")),
-            }
-        };
-        // Resolve a depth-2 bucket for the key up front (still read-only).
-        let mut depth2: Option<(CodeAddr, CodeAddr, CodeAddr, Vec<CodeAddr>)> = None;
-        if let ConstPlan::Table(table_addr) = &plan {
-            let idx = self
-                .index_of(*table_addr)
-                .ok_or_else(|| unsup("constant table is not an instruction"))?
-                as usize;
-            let Instr::SwitchOnConstant { default, table, .. } = &self.instrs[idx] else {
-                return Err(unsup("expected switch_on_constant"));
-            };
-            if default.is_some() {
-                return Err(unsup("constant table has a variable default"));
-            }
-            let old_target = match self.switch_index[idx].as_deref() {
-                Some(side) => side.lookup(key1.switch_key()).map(|(t, _)| t),
-                None => table
-                    .iter()
-                    .find(|(k, _)| k.same_constant(key1))
-                    .map(|(_, t)| *t),
-            };
-            if let Some(t) = old_target {
-                if let Some(Instr::SwitchOnTerm {
-                    arg,
-                    on_var: Some(v2),
-                    on_const: Some(c2),
-                    on_list: None,
-                    on_struct: None,
-                }) = self.instr_at(t)
-                {
+            let idx = self.constant_table(ctab)?;
+            match self
+                .constant_target(idx, key1)
+                .map(|(_, t)| (t, self.instr_at(t)))
+            {
+                Some((t, _)) if t == vchain => Plan::Chain,
+                Some((
+                    bucket,
+                    Some(Instr::SwitchOnTerm {
+                        arg,
+                        on_var: Some(v2),
+                        on_const: Some(c2),
+                        on_list: None,
+                        on_struct: None,
+                    }),
+                )) => {
                     if arg.index() != 1 {
                         return Err(unsup("bucket switch does not dispatch on A2"));
                     }
-                    if key2.is_none() {
+                    let Some(key2) = key2 else {
                         return Err(unsup("depth-2 bucket but no second-argument key"));
+                    };
+                    if !matches!(self.instr_at(*c2),
+                        Some(Instr::SwitchOnConstant { arg: a2, .. }) if a2.index() == 1)
+                    {
+                        return Err(unsup("bucket constant table has unexpected shape"));
                     }
                     // The bucket's fallback chain is always a try block
                     // (depth-2 requires ≥ 2 candidates over ≥ 2 first
                     // keys, so it is never the full variable chain).
-                    let bucket_targets = self.read_chain_block(*v2)?;
-                    match self.instr_at(*c2) {
-                        Some(Instr::SwitchOnConstant {
-                            default: None,
-                            arg: a2,
-                            ..
-                        }) if a2.index() == 1 => {}
-                        _ => return Err(unsup("bucket constant table has unexpected shape")),
+                    Plan::Bucket {
+                        bucket,
+                        targets: self.read_chain_block(*v2)?,
+                        key2: self.plan_key(self.constant_table(*c2)?, key2)?,
                     }
-                    depth2 = Some((t, *v2, *c2, bucket_targets));
-                } else if t == vchain {
-                    // A key whose bucket is the entire variable chain:
-                    // extending the chain covers it, but the chain label
-                    // in the table would then miss the appended clause…
-                    // it would not — the chain is extended in place (the
-                    // trust_me is patched), so the label still reaches
-                    // every clause. Nothing extra to do, handled below.
                 }
+                _ => Plan::Table(self.plan_key(idx, key1)?),
             }
-        }
+        };
 
-        // --- mutate ---
+        // --- mutate: nothing below can fail ---
         // 1. Extend the variable chain: patch its trust_me into a
         //    retry_me_else aimed at a fresh trust_me, then lay the clause.
         let new_trust = CodeAddr::new(self.len_words() as u32);
@@ -1302,58 +1312,22 @@ impl CodeImage {
 
         // 2. Patch the constant dispatch.
         match plan {
-            ConstPlan::Chain => {}
-            ConstPlan::Table(table_addr) => match depth2 {
-                Some((bucket_at, _v2, c2, mut bucket_targets)) => {
-                    // Depth-2 bucket: extend its fallback chain (a
-                    // relocated block) and its A2 table.
-                    bucket_targets.push(c_new);
-                    let new_v2 = self.append_chain_block(&bucket_targets);
-                    let Some(Instr::SwitchOnTerm {
-                        arg,
-                        on_const,
-                        on_list,
-                        on_struct,
-                        ..
-                    }) = self.instr_at(bucket_at).cloned()
-                    else {
-                        unreachable!("checked above");
-                    };
-                    self.patch_instr(
-                        bucket_at,
-                        Instr::SwitchOnTerm {
-                            arg,
-                            on_var: Some(new_v2),
-                            on_const,
-                            on_list,
-                            on_struct,
-                        },
-                    );
-                    let k2 = key2.expect("checked above");
-                    self.upsert_constant_key(c2, k2, c_new)?;
+            Plan::Chain => {}
+            Plan::Table(key1) => self.apply_key(key1, c_new),
+            Plan::Bucket {
+                bucket,
+                mut targets,
+                key2,
+            } => {
+                targets.push(c_new);
+                let new_v2 = self.append_chain_block(&targets);
+                let mut switch = self.instr_at(bucket).cloned();
+                if let Some(Instr::SwitchOnTerm { on_var, .. }) = &mut switch {
+                    *on_var = Some(new_v2);
                 }
-                None => {
-                    let old = {
-                        let idx = self.index_of(table_addr).expect("checked above") as usize;
-                        let Instr::SwitchOnConstant { table, .. } = &self.instrs[idx] else {
-                            unreachable!("checked above");
-                        };
-                        match self.switch_index[idx].as_deref() {
-                            Some(side) => side.lookup(key1.switch_key()).map(|(t, _)| t),
-                            None => table
-                                .iter()
-                                .find(|(k, _)| k.same_constant(key1))
-                                .map(|(_, t)| *t),
-                        }
-                    };
-                    if old == Some(vchain) {
-                        // The key's bucket is the whole variable chain,
-                        // which was just extended in place: done.
-                    } else {
-                        self.upsert_constant_key(table_addr, key1, c_new)?;
-                    }
-                }
-            },
+                self.patch_instr(bucket, switch.expect("planned on a bucket switch"));
+                self.apply_key(key2, c_new);
+            }
         }
         Ok(())
     }
@@ -1367,43 +1341,23 @@ impl CodeImage {
     /// # Errors
     ///
     /// [`PatchError::Unsupported`] when the predicate's compiled shape
-    /// doesn't qualify (the caller should recompile instead).
+    /// doesn't qualify (the image is unchanged; the caller should
+    /// recompile instead).
     pub fn retract_fact_clause(
         &mut self,
         entry: CodeAddr,
         clause: &[Instr],
     ) -> Result<bool, PatchError> {
-        if clause.is_empty() {
-            return Err(unsup("empty clause code"));
-        }
-        self.assert_flat();
-        let Some(Instr::SwitchOnTerm {
-            arg,
-            on_var,
-            on_list,
-            on_struct,
-            ..
-        }) = self.instr_at(entry)
-        else {
-            return Err(unsup("entry is not switch_on_term"));
-        };
-        if arg.index() != 0 {
-            return Err(unsup("entry switch does not dispatch on A1"));
-        }
-        if on_list.is_some() || on_struct.is_some() {
-            return Err(unsup("predicate has non-constant clause keys"));
-        }
-        let Some(vchain) = *on_var else {
-            return Err(unsup("entry switch has no variable chain"));
-        };
+        let (vchain, _) = self.fact_entry(entry, clause)?;
         let (_, candidates) = self.walk_var_chain(vchain)?;
-        for cand in candidates {
-            if self.clause_code_matches(cand, clause) {
-                self.patch_instr(cand, Instr::Fail);
-                return Ok(true);
-            }
-        }
-        Ok(false)
+        let Some(at) = candidates
+            .into_iter()
+            .find(|&cand| self.clause_code_matches(cand, clause))
+        else {
+            return Ok(false);
+        };
+        self.patch_instr(at, Instr::Fail);
+        Ok(true)
     }
 
     /// Repoints every `call`/`execute` site targeting `old` to `new`,

@@ -44,12 +44,22 @@ enum Key {
 fn key_of(first_arg: Option<&Term>, symbols: &mut SymbolTable) -> Key {
     match first_arg {
         None | Some(Term::Var(_)) => Key::Var,
-        Some(Term::Int(v)) => Key::Const(Word::int(*v)),
-        Some(Term::Float(v)) => Key::Const(Word::float(*v)),
-        Some(Term::Atom(n)) if n == "[]" => Key::Const(Word::nil()),
-        Some(Term::Atom(n)) => Key::Const(Word::atom(symbols.atom(n))),
         Some(Term::Struct(n, args)) if n == "." && args.len() == 2 => Key::List,
         Some(Term::Struct(n, args)) => Key::Struct(symbols.functor(n, args.len() as u8)),
+        Some(atomic) => constant_key(atomic, symbols).map_or(Key::Var, Key::Const),
+    }
+}
+
+/// The switch key of an atomic argument (`None` for a variable or a
+/// compound): the one rule every constant switch table, and the in-place
+/// fact patch, keys clauses by.
+pub(crate) fn constant_key(t: &Term, symbols: &mut SymbolTable) -> Option<Word> {
+    match t {
+        Term::Int(v) => Some(Word::int(*v)),
+        Term::Float(v) => Some(Word::float(*v)),
+        Term::Atom(n) if n == "[]" => Some(Word::nil()),
+        Term::Atom(n) => Some(Word::atom(symbols.atom(n))),
+        Term::Var(_) | Term::Struct(..) => None,
     }
 }
 

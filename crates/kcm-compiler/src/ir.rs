@@ -109,30 +109,42 @@ struct Builder {
     aux_prefix: String,
 }
 
+/// The predicate a clause term defines: its head's functor, where
+/// `H :- B` has head `H` and any other term is a fact. Lenient: it only
+/// requires an atom or compound head of at most 255 arguments, so
+/// directives, control functors and the dynamic-code built-ins pass here
+/// and [`Program::from_clauses`] rejects them around it.
+///
+/// # Errors
+///
+/// [`CompileError::BadClauseHead`] for a variable or number head,
+/// [`CompileError::ArityTooLarge`] past 255 arguments.
+pub fn clause_pred(clause: &Term) -> Result<PredId, CompileError> {
+    let head = match clause {
+        Term::Struct(n, args) if n == ":-" && args.len() == 2 => &args[0],
+        fact => fact,
+    };
+    let (name, arity) = match head {
+        Term::Atom(name) => (name, 0),
+        Term::Struct(name, args) => (name, args.len()),
+        other => return Err(CompileError::BadClauseHead(other.to_string())),
+    };
+    let pred = name.clone();
+    match u8::try_from(arity) {
+        Ok(arity) => Ok(PredId { name: pred, arity }),
+        Err(_) => Err(CompileError::ArityTooLarge { pred, arity }),
+    }
+}
+
 impl Builder {
     fn add_clause_term(&mut self, t: &Term) -> Result<(), CompileError> {
-        match t {
-            Term::Struct(n, args) if n == ":-" && args.len() == 2 => {
-                self.add_clause(args[0].clone(), &args[1])
-            }
-            Term::Struct(n, _) if (n == ":-" || n == "?-") && t.arity() == 1 => {
-                Err(CompileError::UnsupportedDirective(t.to_string()))
-            }
-            head => self.add_clause(head.clone(), &Term::Atom("true".into())),
+        if matches!(t, Term::Struct(n, args) if (n == ":-" || n == "?-") && args.len() == 1) {
+            return Err(CompileError::UnsupportedDirective(t.to_string()));
         }
-    }
-
-    fn add_clause(&mut self, head: Term, body: &Term) -> Result<(), CompileError> {
-        let id = match &head {
-            Term::Atom(n) => PredId {
-                name: n.clone(),
-                arity: 0,
-            },
-            Term::Struct(n, args) => PredId {
-                name: n.clone(),
-                arity: args.len() as u8,
-            },
-            other => return Err(CompileError::BadClauseHead(other.to_string())),
+        let id = clause_pred(t)?;
+        let (head, body) = match t {
+            Term::Struct(n, args) if n == ":-" && args.len() == 2 => (&args[0], Some(&args[1])),
+            fact => (fact, None),
         };
         // Control functors and nil cannot head a user clause: without this
         // check an empty directive like `:- .` reads as an atom `:-` and
@@ -150,9 +162,11 @@ impl Builder {
             return Err(CompileError::DynamicCodeUnsupported(id.to_string()));
         }
         let mut goals = Vec::new();
-        self.flatten(body, &mut goals)?;
-        let clause = Clause { head, goals };
-        self.push_clause(id, clause, false);
+        if let Some(body) = body {
+            self.flatten(body, &mut goals)?;
+        }
+        let head = head.clone();
+        self.push_clause(id, Clause { head, goals }, false);
         Ok(())
     }
 

@@ -54,9 +54,9 @@ pub mod link;
 pub use asm::AsmItem;
 pub use builtins::GoalKind;
 pub use clause::MAX_ARITY;
-pub use ir::{Clause, Goal, PredId, Predicate, Program};
+pub use ir::{clause_pred, Clause, Goal, PredId, Predicate, Program};
 pub use kasm::{parse_kasm, KasmError};
-pub use link::{compile_fact_instrs, CodeImage, Linker, PredSize};
+pub use link::{compile_fact, CodeImage, FactCode, Linker, PredSize};
 
 use kcm_arch::SymbolTable;
 use kcm_prolog::Term;

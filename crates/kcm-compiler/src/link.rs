@@ -13,7 +13,7 @@
 
 use crate::asm::{assemble, AsmItem};
 use crate::clause::compile_clause;
-use crate::index::compile_predicate;
+use crate::index::{compile_predicate, constant_key};
 use crate::ir::{Clause, Goal, PredId, Program};
 use crate::CompileError;
 use kcm_arch::isa::Instr;
@@ -365,31 +365,38 @@ impl Linker {
     }
 }
 
-/// Compiles one ground fact into the straight-line clause code the
-/// in-place assert patch appends (compiled exactly as a clause of a
-/// multi-clause chain). Returns `None` when the fact does not qualify
-/// for patching — any compound argument would intern into the static
-/// data area, which in-place patching does not extend — in which case
-/// the caller should fall back to [`Linker::relink_predicate`].
+/// A ground fact compiled for the in-place assert/retract patch.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FactCode {
+    /// The clause code, as compiled for a clause of a multi-clause chain.
+    pub code: Vec<Instr>,
+    /// The first argument's switch key.
+    pub key1: Word,
+    /// The second argument's switch key, for a depth-2 bucket.
+    pub key2: Option<Word>,
+}
+
+/// Compiles one fact of `pred` for the in-place patch. Returns `None`
+/// when the fact does not qualify — arity 0, a rule, or a compound
+/// argument (it would intern into the static data area, which the patch
+/// does not extend) — and the caller should fall back to
+/// [`Linker::relink_predicate`].
 ///
 /// # Errors
 ///
 /// Propagates clause-compilation errors (bad head, arity overflow).
-pub fn compile_fact_instrs(
+pub fn compile_fact(
     pred: &PredId,
     fact: &Term,
     symbols: &mut SymbolTable,
     options: &crate::CompileOptions,
-) -> Result<Option<Vec<Instr>>, CompileError> {
-    fn atomic(t: &Term) -> bool {
-        matches!(t, Term::Int(_) | Term::Float(_) | Term::Atom(_))
-    }
+) -> Result<Option<FactCode>, CompileError> {
     let args: &[Term] = match fact {
-        Term::Atom(_) => &[],
-        Term::Struct(n, _) if n == ":-" => return Ok(None),
-        Term::Struct(_, args) => args,
+        Term::Struct(n, args) if n != ":-" && !args.is_empty() => args,
+        Term::Atom(_) | Term::Struct(..) => return Ok(None),
         other => return Err(CompileError::BadClauseHead(other.to_string())),
     };
+    let atomic = |t: &Term| matches!(t, Term::Int(_) | Term::Float(_) | Term::Atom(_));
     if !args.iter().all(atomic) {
         return Ok(None);
     }
@@ -401,15 +408,22 @@ pub fn compile_fact_instrs(
     // is safe here.
     let mut statics = StaticImage::new(STATIC_DATA_BASE);
     let items = compile_clause(pred, &clause, true, symbols, &mut statics, options)?;
-    let mut out = Vec::new();
+    let mut code = Vec::new();
     for item in items {
         match item {
-            AsmItem::Plain(i) => out.push(i),
+            AsmItem::Plain(i) => code.push(i),
             AsmItem::Label(_) => {}
             _ => return Ok(None),
         }
     }
-    Ok(Some(out))
+    // The clause compiled above interned every argument, so the keys
+    // intern nothing new.
+    let mut key = |t: &Term| constant_key(t, symbols);
+    Ok(Some(FactCode {
+        code,
+        key1: key(&args[0]).expect("an atomic argument"),
+        key2: args.get(1).and_then(key),
+    }))
 }
 
 /// Compiles a single standalone clause (used by tests and by baseline

@@ -233,7 +233,7 @@ fn patched_image_round_trips() {
         arity: 2,
     };
     let fact = kcm_prolog::read_term("p(k_new, v_new)").unwrap();
-    let code = kcm_compiler::compile_fact_instrs(
+    let fact = kcm_compiler::compile_fact(
         &pred,
         &fact,
         &mut symbols,
@@ -242,10 +242,10 @@ fn patched_image_round_trips() {
     .unwrap()
     .expect("atomic fact qualifies");
     let entry = image.entry("p", 2).unwrap();
-    let key1 = kcm_arch::Word::atom(symbols.atom("k_new"));
-    let key2 = kcm_arch::Word::atom(symbols.atom("v_new"));
+    assert_eq!(fact.key1, kcm_arch::Word::atom(symbols.atom("k_new")));
+    assert_eq!(fact.key2, Some(kcm_arch::Word::atom(symbols.atom("v_new"))));
     image
-        .assert_fact_clause(entry, key1, Some(key2), &code)
+        .assert_fact_clause(entry, fact.key1, fact.key2, &fact.code)
         .expect("in-place assert");
 
     let bytes = snapshot::save(&image, &symbols);

@@ -16,11 +16,10 @@
 
 use kcm_prolog::Term;
 use kcm_system::{
-    error_class, open_session, Kcm, KcmError, ProgramSource, QueryJob, QueryOpts, SessionPool,
-    Solutions, Tier,
+    error_class, Kcm, KcmError, ProgramSource, QueryOpts, SessionPool, Solutions, Tier,
 };
 
-pub use kcm_system::{Engine, EngineOutcome, KcmEngine, NativeEngine};
+pub use kcm_system::{Engine, EngineOutcome, KcmEngine};
 
 /// Step budget applied to every engine per case. Generated programs
 /// terminate by construction; the budget only catches generator bugs.
@@ -154,17 +153,33 @@ pub fn normalize_output(s: &str) -> String {
     out
 }
 
-/// The KCM simulator behind a [`SessionPool`]: the query runs as several
-/// identical jobs fanned out across the pool's workers. The jobs must
-/// agree with each other (pool determinism) and, through the oracle, with
-/// every other engine.
-pub struct PooledKcmEngine {
-    /// Worker thread count.
-    pub workers: usize,
+/// A KCM session variant as an oracle engine: a fresh [`Kcm`] per case,
+/// with three choices on top of the reference [`KcmEngine`] — the tier,
+/// materializing or draining a cursor, and one run or replicas on a
+/// [`SessionPool`]. Every variant must agree with every other engine.
+pub struct SessionEngine {
+    /// Which execution tier runs the case, whatever the caller's options
+    /// say — which lets one shared [`QueryOpts`] drive a roster that
+    /// mixes tiers.
+    pub tier: Tier,
+    /// Pull every enumerating case through a suspendable session
+    /// ([`Kcm::solutions`]) one answer at a time instead of
+    /// materializing: solution set, *order*, output and inference totals
+    /// must survive. First-solution cases run the plain query path:
+    /// pulling one answer stops before the query wrapper's final `halt`
+    /// escape, so its inference count is not the same observable (cursor
+    /// semantics are enumeration semantics).
+    pub cursor: bool,
+    /// Run several identical replicas of the case concurrently on a pool
+    /// of this many workers (the serve front end's shape: many
+    /// independent sessions over one shared image). Replicas disagreeing
+    /// with each other is a `harness` error, which no healthy engine can
+    /// match. `None` runs the case once.
+    pub workers: Option<usize>,
 }
 
-/// Identical jobs submitted per case, so a multi-worker pool genuinely
-/// runs sessions concurrently.
+/// Identical runs submitted per case by a pooled [`SessionEngine`], so a
+/// multi-worker pool genuinely runs sessions concurrently.
 const POOL_REPLICAS: usize = 3;
 
 /// A comparable summary of one replica's raw result: the observables plus
@@ -174,42 +189,6 @@ fn replica_fingerprint(r: &Result<kcm_cpu::Outcome, KcmError>) -> String {
     match r {
         Ok(o) => format!("ok:{:?}|{:?}|{}", o.solutions, o.output, o.stats.inferences),
         Err(e) => format!("err:{}", error_class(e)),
-    }
-}
-
-impl Engine for PooledKcmEngine {
-    fn name(&self) -> String {
-        format!("kcm-pool(workers={})", self.workers)
-    }
-
-    fn run_case(&self, source: ProgramSource<'_>, query: &str, opts: &QueryOpts) -> EngineOutcome {
-        let name = self.name();
-        let mut kcm = Kcm::new();
-        if let Err(e) = kcm.load(source) {
-            return EngineOutcome::new(name, Err(e));
-        }
-        let jobs = vec![QueryJob::with_opts(query, opts.clone()); POOL_REPLICAS];
-        let pool = SessionPool::new(self.workers);
-        match pool.run_queries(&kcm, &jobs) {
-            Ok(results) => {
-                let prints: Vec<String> = results
-                    .iter()
-                    .map(|r| replica_fingerprint(&r.outcome))
-                    .collect();
-                if prints.iter().any(|p| p != &prints[0]) {
-                    // Sessions of one pool disagreeing with each other is
-                    // its own failure class — it can never match a healthy
-                    // engine, so the oracle flags the case.
-                    return EngineOutcome::new(
-                        name,
-                        Err(KcmError::Harness("pool replicas disagreed".to_owned())),
-                    );
-                }
-                let first = results.into_iter().next().expect("POOL_REPLICAS > 0");
-                EngineOutcome::new(name, first.outcome)
-            }
-            Err(e) => EngineOutcome::new(name, Err(e)),
-        }
     }
 }
 
@@ -234,109 +213,77 @@ fn drain_session(mut session: Solutions) -> Result<kcm_cpu::Outcome, KcmError> {
     })
 }
 
-/// The cursor path as an oracle engine: every enumerating case is pulled
-/// through a suspendable session ([`Kcm::solutions`]) one answer at a
-/// time instead of materializing, and must agree — solution set, *order*,
-/// output, inference totals — with every other engine. First-solution
-/// cases fall back to the plain query path: pulling one answer stops
-/// before the query wrapper's final `halt` escape, so its inference count
-/// is not the same observable (cursor semantics are enumeration
-/// semantics).
-pub struct CursorEngine {
-    /// Which execution tier the session runs on.
-    pub tier: Tier,
+impl SessionEngine {
+    /// Runs the case on the loaded `kcm`: once, or as agreeing replicas.
+    fn run(&self, kcm: &Kcm, query: &str, opts: &QueryOpts) -> Result<kcm_cpu::Outcome, KcmError> {
+        let once = || {
+            if self.cursor && opts.enumerate_all {
+                kcm.solutions(query, opts).and_then(drain_session)
+            } else {
+                kcm.query(query, opts)
+            }
+        };
+        let Some(workers) = self.workers else {
+            return once();
+        };
+        let results = SessionPool::new(workers).map(&[(); POOL_REPLICAS], |_| once());
+        let prints: Vec<String> = results.iter().map(replica_fingerprint).collect();
+        if prints.iter().any(|p| p != &prints[0]) {
+            return Err(KcmError::Harness("session replicas disagreed".to_owned()));
+        }
+        results.into_iter().next().expect("POOL_REPLICAS > 0")
+    }
 }
 
-impl Engine for CursorEngine {
+impl Engine for SessionEngine {
     fn name(&self) -> String {
-        format!(
-            "kcm-cursor({})",
-            match self.tier {
-                Tier::Cycle => "cycle",
-                Tier::Native => "native",
-            }
-        )
+        let tier = match self.tier {
+            Tier::Cycle => "cycle",
+            Tier::Native => "native",
+        };
+        match (self.cursor, self.workers) {
+            (false, None) => format!("kcm-{tier}"),
+            (false, Some(n)) => format!("kcm-pool(workers={n})"),
+            (true, None) => format!("kcm-cursor({tier})"),
+            (true, Some(n)) => format!("kcm-cursor-pool(workers={n})"),
+        }
     }
 
     fn run_case(&self, source: ProgramSource<'_>, query: &str, opts: &QueryOpts) -> EngineOutcome {
-        let name = self.name();
-        let mut kcm = Kcm::new();
-        if let Err(e) = kcm.load(source) {
-            return EngineOutcome::new(name, Err(e));
-        }
         let opts = QueryOpts {
             tier: self.tier,
             ..opts.clone()
         };
-        if !opts.enumerate_all {
-            return EngineOutcome::new(name, kcm.query(query, &opts));
-        }
-        let result = kcm.solutions(query, &opts).and_then(drain_session);
-        EngineOutcome::new(name, result)
-    }
-}
-
-/// The cursor path behind a [`SessionPool`]: several identical sessions
-/// are opened and drained concurrently across the pool's workers (the
-/// serve front end's shape — many independent cursors over one shared
-/// image). The replicas must agree with each other and, through the
-/// oracle, with every materializing engine.
-pub struct PooledCursorEngine {
-    /// Worker thread count.
-    pub workers: usize,
-}
-
-impl Engine for PooledCursorEngine {
-    fn name(&self) -> String {
-        format!("kcm-cursor-pool(workers={})", self.workers)
-    }
-
-    fn run_case(&self, source: ProgramSource<'_>, query: &str, opts: &QueryOpts) -> EngineOutcome {
-        let name = self.name();
         let mut kcm = Kcm::new();
-        if let Err(e) = kcm.load(source) {
-            return EngineOutcome::new(name, Err(e));
-        }
-        if !opts.enumerate_all {
-            return EngineOutcome::new(name, kcm.query(query, opts));
-        }
-        let Some(image) = kcm.image() else {
-            return EngineOutcome::new(name, Err(KcmError::NoProgram));
-        };
-        let symbols = kcm.symbols().clone();
-        let config = kcm.config().clone();
-        let pool = SessionPool::new(self.workers);
-        let results = pool.map(&[(); POOL_REPLICAS], |_| {
-            open_session(image, &symbols, &config, query, opts).and_then(drain_session)
-        });
-        let prints: Vec<String> = results.iter().map(replica_fingerprint).collect();
-        if prints.iter().any(|p| p != &prints[0]) {
-            return EngineOutcome::new(
-                name,
-                Err(KcmError::Harness("cursor replicas disagreed".to_owned())),
-            );
-        }
-        let first = results.into_iter().next().expect("POOL_REPLICAS > 0");
-        EngineOutcome::new(name, first)
+        let result = kcm.load(source).and_then(|()| self.run(&kcm, query, &opts));
+        EngineOutcome::new(self.name(), result)
     }
 }
 
-/// The full engine roster: the KCM simulator, the native execution tier (no cycle model — its equivalence proof *is* this
+/// The full engine roster: the KCM simulator (the reference), the native
+/// execution tier (no cycle model — its equivalence proof *is* this
 /// roster), pooled KCM with 1 and N workers, the suspendable-session
 /// cursor path (both tiers, plus pooled at 1 and 4 workers — the
 /// enumeration-fidelity oracle for `kcm-serve` cursors), the generic
 /// standard WAM, the Quintus-class software WAM and the PLM byte-code
 /// machine.
 pub fn standard_engines() -> Vec<Box<dyn Engine>> {
+    let session = |tier, cursor, workers| -> Box<dyn Engine> {
+        Box::new(SessionEngine {
+            tier,
+            cursor,
+            workers,
+        })
+    };
     vec![
         Box::new(KcmEngine::new()),
-        Box::new(NativeEngine::new()),
-        Box::new(PooledKcmEngine { workers: 1 }),
-        Box::new(PooledKcmEngine { workers: 4 }),
-        Box::new(CursorEngine { tier: Tier::Cycle }),
-        Box::new(CursorEngine { tier: Tier::Native }),
-        Box::new(PooledCursorEngine { workers: 1 }),
-        Box::new(PooledCursorEngine { workers: 4 }),
+        session(Tier::Native, false, None),
+        session(Tier::Cycle, false, Some(1)),
+        session(Tier::Cycle, false, Some(4)),
+        session(Tier::Cycle, true, None),
+        session(Tier::Native, true, None),
+        session(Tier::Cycle, true, Some(1)),
+        session(Tier::Cycle, true, Some(4)),
         Box::new(wam_baseline::BaselineModel::standard_wam(
             "wam-baseline",
             100.0,
@@ -436,9 +383,8 @@ pub fn compare(
     query: &str,
     enumerate_all: bool,
 ) -> Verdict {
-    // Tier stays the default (cycle); [`NativeEngine`] pins its own tier
-    // over these opts, which is what lets one shared `QueryOpts` drive a
-    // roster that mixes tiers.
+    // Tier stays the default (cycle); a [`SessionEngine`] pins its own
+    // tier over these opts.
     let opts = QueryOpts {
         enumerate_all,
         step_budget: Some(STEP_BUDGET),

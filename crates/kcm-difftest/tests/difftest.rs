@@ -212,6 +212,20 @@ fn incremental_updates_agree_with_fresh_consult_on_every_engine() {
         };
         assert_eq!(render(&a), render(&b), "{query}: incremental diverged");
     }
+
+    // A rule cannot be patched in: asserting one relinks `f/2` from the
+    // clause source the in-place updates above maintained, which must
+    // rebuild the same predicate a fresh consult does.
+    let rule = "f(K, V) :- K = k_rule, V = v_rule";
+    incremental.assertz(rule).expect("assert rule");
+    fresh.load(&format!("{rule}.")).expect("consult rule");
+    let a = incremental.solve_all("f(K, V)").expect("incremental query");
+    let b = fresh.solve_all("f(K, V)").expect("fresh query");
+    assert_eq!(
+        format!("{a:?}"),
+        format!("{b:?}"),
+        "relink from the held source diverged"
+    );
 }
 
 #[test]

@@ -724,7 +724,7 @@ impl EventLoop {
                 // *adds* clauses; a service client re-sending its program
                 // wants idempotence, not accumulation). The program is
                 // unnamed: only this connection can reach it.
-                match Published::load("", source.as_str(), &self.shared.cfg.machine, None) {
+                match Published::load("", source.as_str(), None) {
                     Ok(program) => {
                         conn.program = Some(Arc::new(program));
                         self.shared.metrics.lock().expect("metrics").consults += 1;

@@ -11,7 +11,7 @@
 //! benchmark runner (kcm-suite) and the query service (kcm-serve) all
 //! drive engines through this trait.
 
-use crate::{Kcm, KcmError, MachineConfig, Outcome, ProgramSource, QueryOpts, Tier};
+use crate::{Kcm, KcmError, MachineConfig, Outcome, ProgramSource, QueryOpts};
 
 /// A Prolog engine: consumes a program artifact + query, produces an
 /// [`EngineOutcome`].
@@ -154,57 +154,6 @@ impl Engine for KcmEngine {
     }
 }
 
-/// The native execution tier as an [`Engine`]: the same load/query
-/// pipeline as [`KcmEngine`], pinned to [`Tier::Native`] regardless of
-/// the caller's options — which lets a differential roster drive both
-/// tiers with one shared [`QueryOpts`] and still compare them against
-/// each other.
-#[derive(Debug, Clone)]
-pub struct NativeEngine {
-    label: String,
-    config: MachineConfig,
-}
-
-impl NativeEngine {
-    /// The default configuration, labelled `"kcm-native"`.
-    pub fn new() -> NativeEngine {
-        NativeEngine::with_config(MachineConfig::default())
-    }
-
-    /// A custom machine configuration, labelled `"kcm-native"`. Only the
-    /// architectural fields (zone check, shallow backtracking, step
-    /// budget) matter on this tier; the cost model is ignored by
-    /// construction.
-    pub fn with_config(config: MachineConfig) -> NativeEngine {
-        NativeEngine {
-            label: "kcm-native".to_owned(),
-            config,
-        }
-    }
-}
-
-impl Default for NativeEngine {
-    fn default() -> NativeEngine {
-        NativeEngine::new()
-    }
-}
-
-impl Engine for NativeEngine {
-    fn name(&self) -> String {
-        self.label.clone()
-    }
-
-    fn run_case(&self, source: ProgramSource<'_>, query: &str, opts: &QueryOpts) -> EngineOutcome {
-        let opts = QueryOpts {
-            tier: Tier::Native,
-            ..opts.clone()
-        };
-        let mut kcm = Kcm::with_config(self.config.clone());
-        let result = kcm.load(source).and_then(|()| kcm.query(query, &opts));
-        EngineOutcome::new(self.label.clone(), result)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -214,32 +163,6 @@ mod tests {
         fn assert_bounds<T: Send + Sync>() {}
         assert_bounds::<Box<dyn Engine>>();
         assert_bounds::<KcmEngine>();
-        assert_bounds::<NativeEngine>();
-    }
-
-    #[test]
-    fn native_engine_matches_kcm_engine_byte_for_byte() {
-        let source = "q(X, Y) :- p(X), p(Y), X \\== Y. p(a). p(b).";
-        let sim = KcmEngine::new().run_case(source.into(), "q(A, B)", &QueryOpts::all());
-        let nat = NativeEngine::new().run_case(source.into(), "q(A, B)", &QueryOpts::all());
-        let (sim, nat) = (sim.result.unwrap(), nat.result.unwrap());
-        assert_eq!(sim.solutions, nat.solutions);
-        assert_eq!(sim.output, nat.output);
-        assert_eq!(sim.stats.inferences, nat.stats.inferences);
-        assert_eq!(nat.stats.cycles, 0);
-    }
-
-    #[test]
-    fn native_engine_keeps_error_classes() {
-        let nat = NativeEngine::new();
-        let budget = nat.run_case(
-            "loop :- loop.".into(),
-            "loop",
-            &QueryOpts::first().with_step_budget(10_000),
-        );
-        assert_eq!(budget.class(), "budget");
-        let zero = nat.run_case("d(X) :- X is 1 // 0.".into(), "d(X)", &QueryOpts::first());
-        assert_eq!(zero.class(), "zero_divisor");
     }
 
     #[test]

@@ -76,14 +76,13 @@ pub mod answer;
 pub mod engine;
 pub mod pool;
 pub mod prelude;
+mod program;
 pub mod registry;
 pub mod report;
 pub mod session;
 
 pub use answer::Answer;
-pub use engine::{
-    error_class, snapshot_unsupported, Engine, EngineOutcome, KcmEngine, NativeEngine,
-};
+pub use engine::{error_class, snapshot_unsupported, Engine, EngineOutcome, KcmEngine};
 pub use kcm_cpu::{
     InstrClass, Machine, MachineConfig, MachineError, Outcome, Profile, RunStats, Solution,
     TraceEvent, Tracer,
@@ -93,10 +92,11 @@ pub use registry::{ProgramRegistry, PublishReceipt, Published, TenantSnapshot, T
 pub use session::{open_session, prepare_query, PreparedQuery, SolutionStep, Solutions};
 
 use kcm_arch::snapshot::SnapshotError;
-use kcm_arch::{PredId, SymbolTable, Word};
-use kcm_compiler::{CodeImage, CompileError, Linker};
-use kcm_prolog::{ParseError, Term};
-use std::sync::Arc;
+use kcm_arch::SymbolTable;
+use kcm_compiler::{CodeImage, CompileError};
+use kcm_prolog::ParseError;
+use program::{Edit, Program};
+use std::sync::{Arc, OnceLock};
 
 /// An error from the KCM system: reader, compiler or machine.
 #[derive(Debug)]
@@ -316,15 +316,10 @@ impl From<SnapshotError> for KcmError {
 /// the benchmarking discipline of §4.2.
 #[derive(Debug)]
 pub struct Kcm {
-    symbols: SymbolTable,
-    clauses: Vec<Term>,
-    /// The linked program image, behind an `Arc` so parallel sessions
-    /// ([`SessionPool`]) share one compiled program across threads.
-    image: Option<Arc<CodeImage>>,
-    /// Whether the image was restored from a binary snapshot: no clause
-    /// source is held, so updates that need a recompile are refused with
-    /// a classed [`KcmError::Update`].
-    from_snapshot: bool,
+    /// The loaded program, once there is one. Its image sits behind an
+    /// `Arc` so parallel sessions ([`SessionPool`]) share one compiled
+    /// program across threads.
+    program: Option<Program>,
     config: MachineConfig,
 }
 
@@ -344,10 +339,7 @@ impl Kcm {
     /// experiments).
     pub fn with_config(config: MachineConfig) -> Kcm {
         Kcm {
-            symbols: SymbolTable::new(),
-            clauses: Vec::new(),
-            image: None,
-            from_snapshot: false,
+            program: None,
             config,
         }
     }
@@ -388,33 +380,8 @@ impl Kcm {
     /// damaged or version-skewed snapshot; the previous program is kept
     /// intact on error.
     pub fn load<'a>(&mut self, source: impl Into<ProgramSource<'a>>) -> Result<(), KcmError> {
-        match source.into() {
-            ProgramSource::Source(src) => {
-                let new_clauses = kcm_prolog::read_program(src)?;
-                if self.from_snapshot {
-                    return Err(KcmError::Update(
-                        "program was restored from a snapshot; no clause source is held to \
-                         extend — load the snapshot into a fresh system or reload from source"
-                            .to_owned(),
-                    ));
-                }
-                let mut all = self.clauses.clone();
-                all.extend(new_clauses);
-                let mut symbols = self.symbols.clone();
-                let image = kcm_compiler::compile_program(&all, &mut symbols)?;
-                self.clauses = all;
-                self.set_program(symbols, image);
-                Ok(())
-            }
-            ProgramSource::Snapshot(bytes) => {
-                let (image, symbols) = kcm_arch::snapshot::load(bytes)?;
-                self.clauses.clear();
-                self.symbols = symbols;
-                self.image = Some(image);
-                self.from_snapshot = true;
-                Ok(())
-            }
-        }
+        self.program = Some(Program::load(self.program.as_ref(), source.into())?);
+        Ok(())
     }
 
     /// Serializes the compiled program — code words, symbol table, hash
@@ -427,8 +394,8 @@ impl Kcm {
     ///
     /// Returns [`KcmError::NoProgram`] before the first load.
     pub fn snapshot(&self) -> Result<Vec<u8>, KcmError> {
-        let image = self.image.as_deref().ok_or(KcmError::NoProgram)?;
-        Ok(kcm_arch::snapshot::save(image, &self.symbols))
+        let program = self.program.as_ref().ok_or(KcmError::NoProgram)?;
+        Ok(kcm_arch::snapshot::save(&program.image, &program.symbols))
     }
 
     /// Adds one clause at the end of its predicate, visible to the next
@@ -450,79 +417,22 @@ impl Kcm {
     /// the fast path does not apply and the program was restored from a
     /// snapshot (no clause source to recompile from).
     pub fn assertz(&mut self, clause: &str) -> Result<(), KcmError> {
-        let term = kcm_prolog::read_term(clause)?;
-        let pred = clause_pred(&term)?;
-        let Some(image) = self.image.as_ref() else {
+        match &mut self.program {
+            Some(program) => program.edit(clause, Edit::Assert).map(drop),
             // Nothing loaded yet: identical to consulting the one clause.
-            let all = vec![term];
-            let mut symbols = self.symbols.clone();
-            let image = kcm_compiler::compile_program(&all, &mut symbols)?;
-            self.clauses = all;
-            self.set_program(symbols, image);
-            return Ok(());
-        };
-
-        // Fast path: an atomic-argument fact on a predicate that already
-        // has an entry — patch the compiled dispatch in place.
-        let mut symbols = self.symbols.clone();
-        let fast =
-            match kcm_compiler::compile_fact_instrs(&pred, &term, &mut symbols, image.options())? {
-                Some(code) if pred.arity >= 1 => image
-                    .entry(&pred.name, pred.arity)
-                    .map(|entry| (code, entry)),
-                _ => None,
-            };
-        if let Some((code, entry)) = fast {
-            let (key1, key2) = fact_keys(&term, &mut symbols);
-            let image_mut = Arc::make_mut(self.image.as_mut().expect("image present"));
-            match image_mut.assert_fact_clause(entry, key1, key2, &code) {
-                Ok(()) => {
-                    self.symbols = symbols;
-                    self.symbols.freeze();
-                    if !self.from_snapshot {
-                        self.clauses.push(term);
-                    }
-                    return Ok(());
-                }
-                Err(why) => {
-                    if self.from_snapshot {
-                        return Err(KcmError::Update(format!(
-                            "cannot patch {pred} in place ({why}) and the program was \
-                             restored from a snapshot, so no clause source is held to \
-                             recompile it"
-                        )));
-                    }
-                    // Fall through to the per-predicate recompile below.
-                }
+            None => {
+                let term = kcm_prolog::read_term(clause)?;
+                self.program = Some(Program::compile(vec![term], SymbolTable::new())?);
+                Ok(())
             }
-        } else if self.from_snapshot {
-            return Err(KcmError::Update(format!(
-                "only ground atomic-argument facts on existing predicates can be asserted \
-                 into a snapshot-restored program; {pred} needs a recompile but no clause \
-                 source is held"
-            )));
         }
-
-        // Fallback: recompile just this predicate from source clauses and
-        // relink it into the live image.
-        let mut all = self.clauses.clone();
-        all.push(term);
-        let pred_clauses: Vec<Term> = all
-            .iter()
-            .filter(|t| clause_pred(t).ok().as_ref() == Some(&pred))
-            .cloned()
-            .collect();
-        let mut symbols = self.symbols.clone();
-        let mut image = (**self.image.as_ref().expect("image present")).clone();
-        Linker::relink_predicate(&mut image, &pred, &pred_clauses, &mut symbols)?;
-        self.clauses = all;
-        self.set_program(symbols, image);
-        Ok(())
     }
 
-    /// Removes the first clause equal to `clause` (structural equality,
-    /// variable names included), visible to the next query without a
-    /// re-consult. Returns whether a clause was removed.
+    /// Removes the first clause identical to `clause`, visible to the
+    /// next query without a re-consult. Returns whether a clause was
+    /// removed. Identity is structural equality, variable names included,
+    /// with floats compared bit for bit: `p(-0.0)` and `p(0.0)` are two
+    /// clauses, as their compiled code and switch keys are.
     ///
     /// Ground atomic-argument facts take the incremental fast path: the
     /// matching clause's code is tombstoned in place (its chain slot
@@ -531,83 +441,12 @@ impl Kcm {
     ///
     /// # Errors
     ///
-    /// Parse errors for the clause; [`KcmError::Update`] when the fast
-    /// path does not apply and the program was restored from a snapshot.
+    /// Parse errors for the clause; [`KcmError::NoProgram`] before the
+    /// first load; [`KcmError::Update`] when the fast path does not apply
+    /// and the program was restored from a snapshot.
     pub fn retract(&mut self, clause: &str) -> Result<bool, KcmError> {
-        let term = kcm_prolog::read_term(clause)?;
-        let pred = clause_pred(&term)?;
-        let Some(image) = self.image.as_ref() else {
-            return Err(KcmError::NoProgram);
-        };
-        if image.entry(&pred.name, pred.arity).is_none() {
-            return Ok(false);
-        }
-
-        // Fast path: compile the fact's clause code and tombstone the
-        // first chain slot whose code matches it exactly.
-        let mut symbols = self.symbols.clone();
-        let fast =
-            match kcm_compiler::compile_fact_instrs(&pred, &term, &mut symbols, image.options())? {
-                Some(code) if pred.arity >= 1 => Some(code),
-                _ => None,
-            };
-        if let Some(code) = fast {
-            let entry = image.entry(&pred.name, pred.arity).expect("entry checked");
-            let image_mut = Arc::make_mut(self.image.as_mut().expect("image present"));
-            match image_mut.retract_fact_clause(entry, &code) {
-                Ok(removed) => {
-                    // A match can only use already-interned symbols, so the
-                    // probe clone of the table is safely dropped either way.
-                    if removed && !self.from_snapshot {
-                        if let Some(at) = self.clauses.iter().position(|t| *t == term) {
-                            self.clauses.remove(at);
-                        }
-                    }
-                    return Ok(removed);
-                }
-                Err(why) => {
-                    if self.from_snapshot {
-                        return Err(KcmError::Update(format!(
-                            "cannot tombstone a clause of {pred} in place ({why}) and the \
-                             program was restored from a snapshot, so no clause source is \
-                             held to recompile it"
-                        )));
-                    }
-                }
-            }
-        } else if self.from_snapshot {
-            return Err(KcmError::Update(format!(
-                "only ground atomic-argument facts can be retracted from a \
-                 snapshot-restored program; {pred} needs a recompile but no clause source \
-                 is held"
-            )));
-        }
-
-        // Fallback: drop the clause from source and recompile the predicate.
-        let Some(at) = self.clauses.iter().position(|t| *t == term) else {
-            return Ok(false);
-        };
-        let mut all = self.clauses.clone();
-        all.remove(at);
-        let pred_clauses: Vec<Term> = all
-            .iter()
-            .filter(|t| clause_pred(t).ok().as_ref() == Some(&pred))
-            .cloned()
-            .collect();
-        let mut symbols = self.symbols.clone();
-        let mut image = (**self.image.as_ref().expect("image present")).clone();
-        Linker::relink_predicate(&mut image, &pred, &pred_clauses, &mut symbols)?;
-        self.clauses = all;
-        self.set_program(symbols, image);
-        Ok(true)
-    }
-
-    /// Installs a freshly compiled program, freezing its symbol table so
-    /// every per-query clone of it copies nothing.
-    fn set_program(&mut self, mut symbols: SymbolTable, image: CodeImage) {
-        symbols.freeze();
-        self.symbols = symbols;
-        self.image = Some(Arc::new(image));
+        let program = self.program.as_mut().ok_or(KcmError::NoProgram)?;
+        program.edit(clause, Edit::Retract)
     }
 
     /// The linked code image behind its sharing handle, if a program has
@@ -615,19 +454,22 @@ impl Kcm {
     /// [`pool::run_session`] take, so one compiled program serves query
     /// overlays and sessions on many threads.
     pub fn image(&self) -> Option<&Arc<CodeImage>> {
-        self.image.as_ref()
+        self.program.as_ref().map(|p| &p.image)
     }
 
-    /// The symbol table.
+    /// The symbol table (empty before the first load).
     pub fn symbols(&self) -> &SymbolTable {
-        &self.symbols
+        static EMPTY: OnceLock<SymbolTable> = OnceLock::new();
+        match &self.program {
+            Some(program) => &program.symbols,
+            None => EMPTY.get_or_init(SymbolTable::new),
+        }
     }
 
     /// Link warnings from the last compilation (calls to undefined
     /// predicates).
     pub fn warnings(&self) -> Vec<String> {
-        self.image
-            .as_ref()
+        self.image()
             .map(|i| i.warnings().map(str::to_owned).collect())
             .unwrap_or_default()
     }
@@ -638,8 +480,8 @@ impl Kcm {
     ///
     /// Returns [`KcmError::NoProgram`] before the first consult.
     pub fn disassemble(&self) -> Result<String, KcmError> {
-        let image = self.image.as_ref().ok_or(KcmError::NoProgram)?;
-        Ok(image.disassemble(&self.symbols))
+        let program = self.program.as_ref().ok_or(KcmError::NoProgram)?;
+        Ok(program.image.disassemble(&program.symbols))
     }
 
     /// Runs a query on a fresh machine, with [`QueryOpts`] controlling
@@ -682,8 +524,8 @@ impl Kcm {
     /// Returns [`KcmError::NoProgram`] before the first consult, or query
     /// parse/compile errors.
     pub fn prepare(&self, query: &str, opts: &QueryOpts) -> Result<PreparedQuery, KcmError> {
-        let image = self.image.as_ref().ok_or(KcmError::NoProgram)?;
-        prepare_query(image, &self.symbols, &self.config, query, opts)
+        let program = self.program.as_ref().ok_or(KcmError::NoProgram)?;
+        prepare_query(&program.image, &program.symbols, &self.config, query, opts)
     }
 
     /// First solution of a query, if any.
@@ -714,64 +556,6 @@ impl Kcm {
     pub fn holds(&self, query: &str) -> Result<bool, KcmError> {
         Ok(self.query(query, &QueryOpts::first())?.success)
     }
-}
-
-/// The predicate a clause belongs to: the head's functor for a rule, the
-/// term's own functor for a fact.
-fn clause_pred(term: &Term) -> Result<PredId, KcmError> {
-    let head = match term {
-        Term::Struct(f, args) if f == ":-" && args.len() == 2 => &args[0],
-        t => t,
-    };
-    match head {
-        Term::Atom(name) => Ok(PredId {
-            name: name.clone(),
-            arity: 0,
-        }),
-        Term::Struct(name, args) => {
-            if args.len() > usize::from(u8::MAX) {
-                return Err(KcmError::Compile(CompileError::ArityTooLarge {
-                    pred: name.clone(),
-                    arity: args.len(),
-                }));
-            }
-            Ok(PredId {
-                name: name.clone(),
-                arity: args.len() as u8,
-            })
-        }
-        t => Err(KcmError::Compile(CompileError::BadClauseHead(
-            t.to_string(),
-        ))),
-    }
-}
-
-/// The switch key of one atomic fact argument — mirrors the compiler's
-/// first-argument index key derivation.
-fn const_key(t: &Term, symbols: &mut SymbolTable) -> Option<Word> {
-    match t {
-        Term::Int(v) => Some(Word::int(*v)),
-        Term::Float(v) => Some(Word::float(*v)),
-        Term::Atom(n) if n == "[]" => Some(Word::nil()),
-        Term::Atom(n) => Some(Word::atom(symbols.atom(n))),
-        _ => None,
-    }
-}
-
-/// Dispatch keys for a ground atomic-argument fact of arity ≥ 1: the
-/// first-argument key, plus the second-argument key (used when the
-/// predicate dispatches depth-2 on A2) for arity ≥ 2.
-fn fact_keys(fact: &Term, symbols: &mut SymbolTable) -> (Word, Option<Word>) {
-    let args = match fact {
-        Term::Struct(_, args) => args.as_slice(),
-        _ => &[],
-    };
-    let key1 = args
-        .first()
-        .and_then(|t| const_key(t, symbols))
-        .expect("fact_keys requires a compiled atomic-argument fact");
-    let key2 = args.get(1).and_then(|t| const_key(t, symbols));
-    (key1, key2)
 }
 
 #[cfg(test)]
@@ -965,25 +749,68 @@ mod tests {
 
     #[test]
     fn incremental_updates_match_a_full_reconsult() {
+        // (program, updates — `true` asserts, `false` retracts a clause
+        // that must be found —, the program they leave, queries)
+        type Case = (String, Vec<(bool, &'static str)>, String, Vec<&'static str>);
         let base: String = (0..64).map(|i| format!("f(k{i}, v{}).\n", i % 7)).collect();
-        let mut incremental = Kcm::new();
-        incremental.load(&base).unwrap();
-        incremental.assertz("f(k_extra, v0)").unwrap();
-        incremental.assertz("f(k5, v_extra)").unwrap();
-        assert!(incremental.retract("f(k9, v2)").unwrap());
-
-        let reference_src = base.clone() + "f(k_extra, v0).\nf(k5, v_extra).\n";
-        let reference_src = reference_src.replace("f(k9, v2).\n", "");
-        let mut reference = Kcm::new();
-        reference.load(&reference_src).unwrap();
-
-        for query in ["f(K, V)", "f(k5, V)", "f(K, v2)", "f(k_extra, V)"] {
-            let a = incremental.solve_all(query).unwrap();
-            let b = reference.solve_all(query).unwrap();
-            let bind = |answers: &[Answer]| -> Vec<String> {
-                answers.iter().map(|s| format!("{s:?}")).collect::<Vec<_>>()
-            };
-            assert_eq!(bind(&a), bind(&b), "{query}");
+        let edited =
+            (base.clone() + "f(k_extra, v0).\nf(k5, v_extra).\n").replace("f(k9, v2).\n", "");
+        let rule = "p(X) :- X = 2.0";
+        let cases: Vec<Case> = vec![
+            (
+                base,
+                vec![
+                    (true, "f(k_extra, v0)"),
+                    (true, "f(k5, v_extra)"),
+                    (false, "f(k9, v2)"),
+                ],
+                edited,
+                vec!["f(K, V)", "f(k5, V)", "f(K, v2)", "f(k_extra, V)"],
+            ),
+            // Clauses that differ only in the sign of a zero: the held
+            // source must drop the clause the image dropped, or the rule's
+            // assert relinks `p/1` from the wrong clauses.
+            (
+                "p(0.0). p(-0.0). p(1.0).".into(),
+                vec![(false, "p(-0.0)"), (true, rule)],
+                format!("p(0.0). p(1.0). {rule}."),
+                vec!["p(X)"],
+            ),
+            (
+                "p(-0.0). p(0.0). p(1.0).".into(),
+                vec![(false, "p(0.0)"), (true, rule)],
+                format!("p(-0.0). p(1.0). {rule}."),
+                vec!["p(X)"],
+            ),
+            // The same rule on the relink path itself.
+            (
+                "q(X) :- X = 0.0. q(X) :- X = -0.0.".into(),
+                vec![(false, "q(X) :- X = -0.0")],
+                "q(X) :- X = 0.0.".into(),
+                vec!["q(Y)"],
+            ),
+        ];
+        for (program, updates, edited, queries) in cases {
+            let mut incremental = Kcm::new();
+            incremental.load(&program).unwrap();
+            for (assert, clause) in updates {
+                if assert {
+                    incremental.assertz(clause).unwrap();
+                } else {
+                    assert!(incremental.retract(clause).unwrap(), "{clause}");
+                }
+            }
+            let mut reference = Kcm::new();
+            reference.load(&edited).unwrap();
+            for query in queries {
+                let a = incremental.solve_all(query).unwrap();
+                let b = reference.solve_all(query).unwrap();
+                // Debug renders the sign of a zero; `==` on floats would not.
+                let bind = |answers: &[Answer]| -> Vec<String> {
+                    answers.iter().map(|s| format!("{s:?}")).collect::<Vec<_>>()
+                };
+                assert_eq!(bind(&a), bind(&b), "{program} ?- {query}");
+            }
         }
     }
 

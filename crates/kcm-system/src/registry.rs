@@ -26,7 +26,8 @@
 //!   the registry's handle; in-flight queries on the evicted program
 //!   still hold their `Arc` and complete normally.
 
-use crate::{Kcm, KcmError, MachineConfig, ProgramSource};
+use crate::program::{Edit, Program};
+use crate::{KcmError, MachineConfig, ProgramSource};
 use kcm_arch::SymbolTable;
 use kcm_compiler::CodeImage;
 use kcm_prolog::Term;
@@ -166,12 +167,10 @@ pub struct Published {
     /// The tenant's serving counters (shared across versions).
     pub stats: Arc<TenantStats>,
     /// The clause source the image was compiled from — what an
-    /// incremental update's recompile fallback rebuilds a predicate
-    /// from. Empty for snapshot-published tenants.
-    clauses: Arc<Vec<Term>>,
-    /// Whether the tenant was published from a binary snapshot (no
-    /// clause source held; updates are limited to in-place fact paths).
-    from_snapshot: bool,
+    /// incremental update relinks a predicate from. `None` for a tenant
+    /// published from a binary snapshot, whose updates are limited to the
+    /// in-place fact paths.
+    source: Option<Arc<Vec<Term>>>,
 }
 
 impl Published {
@@ -188,20 +187,17 @@ impl Published {
     pub fn load<'a>(
         name: &str,
         source: impl Into<ProgramSource<'a>>,
-        config: &MachineConfig,
         step_budget: Option<u64>,
     ) -> Result<Published, KcmError> {
-        let mut kcm = Kcm::with_config(config.clone());
-        kcm.load(source)?;
+        let program = Program::load(None, source.into())?;
         Ok(Published {
             name: name.to_owned(),
             version: 1,
-            image: kcm.image.expect("load succeeded"),
-            symbols: kcm.symbols,
+            image: program.image,
+            symbols: program.symbols,
             step_budget,
             stats: Arc::new(TenantStats::default()),
-            clauses: Arc::new(kcm.clauses),
-            from_snapshot: kcm.from_snapshot,
+            source: program.source,
         })
     }
 }
@@ -281,6 +277,10 @@ impl ProgramRegistry {
     /// failed publish leaves the registry — including any previous
     /// version of `name` — exactly as it was.
     ///
+    /// The machine configuration argument is not read: a tenant's queries
+    /// run under the configuration their caller passes at query time (a
+    /// server's, for instance).
+    ///
     /// # Errors
     ///
     /// Parse or compile errors from source; [`KcmError::Snapshot`] for a
@@ -289,10 +289,10 @@ impl ProgramRegistry {
         &self,
         name: &str,
         source: impl Into<ProgramSource<'a>>,
-        config: &MachineConfig,
+        _config: &MachineConfig,
         step_budget: Option<u64>,
     ) -> Result<PublishReceipt, KcmError> {
-        let mut entry = Published::load(name, source, config, step_budget)?;
+        let mut entry = Published::load(name, source, step_budget)?;
         let now = self.tick();
         let mut slots = self.slots.lock().expect("registry lock");
         let evicted = match slots.get(name) {
@@ -323,53 +323,46 @@ impl ProgramRegistry {
         Ok(PublishReceipt { version, evicted })
     }
 
-    /// Applies one incremental update to a tenant copy-on-write: builds
-    /// the successor version under the registry lock (serializing
-    /// concurrent updates), bumps the version only when `apply` reports
-    /// a change, and leaves in-flight queries running on the version
-    /// they already resolved.
-    fn update<F>(&self, name: &str, apply: F) -> Result<(PublishReceipt, bool), KcmError>
-    where
-        F: FnOnce(&mut Kcm) -> Result<bool, KcmError>,
-    {
+    /// Applies one incremental update to a tenant copy-on-write: edits a
+    /// copy of the entry's program handles under the registry lock
+    /// (serializing concurrent updates), installs the successor version
+    /// only when the edit changed the program, and leaves in-flight
+    /// queries running on the version they already resolved.
+    fn update(
+        &self,
+        name: &str,
+        clause: &str,
+        edit: Edit,
+    ) -> Result<(PublishReceipt, bool), KcmError> {
         let now = self.tick();
         let mut slots = self.slots.lock().expect("registry lock");
         let slot = slots
             .get_mut(name)
             .ok_or_else(|| KcmError::UnknownProgram(name.to_owned()))?;
         slot.last_used = now;
-        let old = Arc::clone(&slot.entry);
-        let mut kcm = Kcm {
+        let old = &slot.entry;
+        let mut program = Program {
+            image: Arc::clone(&old.image),
             symbols: old.symbols.clone(),
-            clauses: old.clauses.as_ref().clone(),
-            image: Some(Arc::clone(&old.image)),
-            from_snapshot: old.from_snapshot,
-            config: MachineConfig::default(),
+            source: old.source.clone(),
         };
-        let changed = apply(&mut kcm)?;
-        if !changed {
-            let receipt = PublishReceipt {
-                version: old.version,
-                evicted: None,
-            };
-            return Ok((receipt, false));
+        let changed = program.edit(clause, edit)?;
+        if changed {
+            slot.entry = Arc::new(Published {
+                name: old.name.clone(),
+                version: old.version + 1,
+                image: program.image,
+                symbols: program.symbols,
+                step_budget: old.step_budget,
+                stats: Arc::clone(&old.stats),
+                source: program.source,
+            });
         }
-        let version = old.version + 1;
-        slot.entry = Arc::new(Published {
-            name: old.name.clone(),
-            version,
-            image: kcm.image.clone().expect("update kept an image"),
-            symbols: kcm.symbols,
-            step_budget: old.step_budget,
-            stats: Arc::clone(&old.stats),
-            clauses: Arc::new(kcm.clauses),
-            from_snapshot: old.from_snapshot,
-        });
         let receipt = PublishReceipt {
-            version,
+            version: slot.entry.version,
             evicted: None,
         };
-        Ok((receipt, true))
+        Ok((receipt, changed))
     }
 
     /// Asserts one clause at the end of its predicate in the named
@@ -383,12 +376,14 @@ impl ProgramRegistry {
     ///
     /// [`KcmError::UnknownProgram`] for an unpublished name, plus every
     /// [`Kcm::assertz`] condition.
+    ///
+    /// [`Kcm::assertz`]: crate::Kcm::assertz
     pub fn assertz(&self, name: &str, clause: &str) -> Result<PublishReceipt, KcmError> {
-        self.update(name, |kcm| kcm.assertz(clause).map(|()| true))
+        self.update(name, clause, Edit::Assert)
             .map(|(receipt, _)| receipt)
     }
 
-    /// Retracts the first clause equal to `clause` from the named
+    /// Retracts the first clause identical to `clause` from the named
     /// tenant's program ([`Kcm::retract`] semantics), copy-on-write.
     /// Returns the receipt plus whether a clause was removed; when
     /// nothing matched the version is unchanged.
@@ -397,8 +392,10 @@ impl ProgramRegistry {
     ///
     /// [`KcmError::UnknownProgram`] for an unpublished name, plus every
     /// [`Kcm::retract`] condition.
+    ///
+    /// [`Kcm::retract`]: crate::Kcm::retract
     pub fn retract(&self, name: &str, clause: &str) -> Result<(PublishReceipt, bool), KcmError> {
-        self.update(name, |kcm| kcm.retract(clause))
+        self.update(name, clause, Edit::Retract)
     }
 
     /// Serializes the named tenant's current program into the binary
@@ -634,7 +631,7 @@ mod tests {
 
     #[test]
     fn publish_accepts_a_snapshot_artifact() {
-        let mut kcm = Kcm::new();
+        let mut kcm = crate::Kcm::new();
         kcm.load("p(1). p(2). p(3).").expect("load");
         let bytes = kcm.snapshot().expect("snapshot");
         let r = registry(4);
@@ -708,6 +705,28 @@ mod tests {
             r.assertz("ghost", "p(1)"),
             Err(KcmError::UnknownProgram(_))
         ));
+
+        // Clauses that differ only in the sign of a zero: the tenant's
+        // held source drops the clause its image dropped, so the rule's
+        // assert relinks `p/1` from the right clauses.
+        let rule = "p(X) :- X = 2.0";
+        for (program, retracted, edited) in [
+            ("p(0.0). p(-0.0). p(1.0).", "p(-0.0)", "p(0.0). p(1.0)."),
+            ("p(-0.0). p(0.0). p(1.0).", "p(0.0)", "p(-0.0). p(1.0)."),
+        ] {
+            publish(&r, "zeros", program);
+            assert!(r.retract("zeros", retracted).expect("retract").1);
+            r.assertz("zeros", rule).expect("assert rule");
+            publish(&r, "fresh", &format!("{edited} {rule}."));
+            let job = crate::QueryJob::all_solutions("p(X)");
+            // Debug renders the sign of a zero; `==` on floats would not.
+            let answers = |name: &str| {
+                let t = r.lookup(name).expect("lookup");
+                let outcome = crate::pool::run_session(&t.image, &t.symbols, &cfg, &job);
+                format!("{:?}", outcome.expect("run").solutions)
+            };
+            assert_eq!(answers("zeros"), answers("fresh"), "{program}");
+        }
     }
 
     #[test]
