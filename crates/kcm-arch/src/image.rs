@@ -1087,6 +1087,20 @@ impl CodeImage {
         }
     }
 
+    /// Relocates a key's (or a bucket's) clause targets with `c_new`
+    /// added at the end, and returns the new dispatch target: the clause
+    /// itself when it is the only live one, else a fresh chain block.
+    /// Retracted clauses (tombstoned to `fail`) are dropped, so repeated
+    /// writes to one key do not drag their dead entries along.
+    fn relocate_targets(&mut self, mut targets: Vec<CodeAddr>, c_new: CodeAddr) -> CodeAddr {
+        targets.retain(|&t| !matches!(self.instr_at(t), Some(Instr::Fail)));
+        targets.push(c_new);
+        match targets[..] {
+            [only] => only,
+            _ => self.append_chain_block(&targets),
+        }
+    }
+
     /// The stream index of the constant switch at `table_addr`, which
     /// must have no variable default: a default means variable-headed
     /// clauses exist, so the predicate is not a pure fact base.
@@ -1129,15 +1143,15 @@ impl CodeImage {
     }
 
     /// Applies a [`KeyPlan`] for the clause at `c_new`: a present key's
-    /// clause block is relocated and extended, an absent key is appended
-    /// and dispatches straight to the clause. The hash side table (and its
+    /// live clauses are relocated and extended (see
+    /// [`CodeImage::relocate_targets`]), an absent key is appended and
+    /// dispatches straight to the clause. The hash side table (and its
     /// probe-accounting ordinals) stays consistent.
     fn apply_key(&mut self, plan: KeyPlan, c_new: CodeAddr) {
         let KeyPlan { idx, key, found } = plan;
         match found {
-            Some((ord, mut targets)) => {
-                targets.push(c_new);
-                let new_target = self.append_chain_block(&targets);
+            Some((ord, targets)) => {
+                let new_target = self.relocate_targets(targets, c_new);
                 let Instr::SwitchOnConstant { table, .. } = &mut self.instrs_mut()[idx] else {
                     unreachable!("planned on a constant switch");
                 };
@@ -1248,8 +1262,8 @@ impl CodeImage {
             /// The first-level table gains or extends `key1`.
             Table(KeyPlan),
             /// `key1`'s bucket dispatches depth-2 on A2: the bucket switch
-            /// at `bucket` gets a relocated, extended fallback block, and
-            /// its A2 table gains or extends `key2`.
+            /// at `bucket` gets a relocated, extended fallback over its
+            /// live clauses, and its A2 table gains or extends `key2`.
             Bucket {
                 bucket: CodeAddr,
                 targets: Vec<CodeAddr>,
@@ -1286,12 +1300,13 @@ impl CodeImage {
                     {
                         return Err(unsup("bucket constant table has unexpected shape"));
                     }
-                    // The bucket's fallback chain is always a try block
+                    // The bucket's fallback is a try block as linked
                     // (depth-2 requires ≥ 2 candidates over ≥ 2 first
-                    // keys, so it is never the full variable chain).
+                    // keys, so it is never the full variable chain), or
+                    // a single clause once retracts left only one live.
                     Plan::Bucket {
                         bucket,
-                        targets: self.read_chain_block(*v2)?,
+                        targets: self.dispatch_targets(*v2)?,
                         key2: self.plan_key(self.constant_table(*c2)?, key2)?,
                     }
                 }
@@ -1316,11 +1331,10 @@ impl CodeImage {
             Plan::Table(key1) => self.apply_key(key1, c_new),
             Plan::Bucket {
                 bucket,
-                mut targets,
+                targets,
                 key2,
             } => {
-                targets.push(c_new);
-                let new_v2 = self.append_chain_block(&targets);
+                let new_v2 = self.relocate_targets(targets, c_new);
                 let mut switch = self.instr_at(bucket).cloned();
                 if let Some(Instr::SwitchOnTerm { on_var, .. }) = &mut switch {
                     *on_var = Some(new_v2);

@@ -59,7 +59,9 @@ pub mod profile;
 pub mod regfile;
 pub mod termio;
 
-pub use machine::{Machine, MachineConfig, MachineError, Outcome, RunStats, SessionStep, Solution};
+pub use machine::{
+    Machine, MachineConfig, MachineError, Outcome, Quantum, RunStats, SessionStep, Solution,
+};
 pub use profile::{
     ClassCounters, InstrClass, MwacCounters, Profile, SwitchCounters, TraceEvent, Tracer,
     DEREF_HIST_BUCKETS,

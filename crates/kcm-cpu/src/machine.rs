@@ -257,6 +257,28 @@ pub struct SessionStep {
     pub output: String,
 }
 
+/// How one quantum of a run or pull ended (see [`Machine::run_quantum`]
+/// and [`Machine::pull_quantum`]).
+#[derive(Debug, Clone)]
+pub enum Quantum<T> {
+    /// The quantum ran out at an instruction boundary before the run or
+    /// pull ended. P holds the next instruction, and the next quantum
+    /// resumes there.
+    Paused,
+    /// The run or pull ended with this result.
+    Done(T),
+}
+
+impl<T> Quantum<T> {
+    /// The result of an ended run or pull; `None` while paused.
+    pub fn done(self) -> Option<T> {
+        match self {
+            Quantum::Paused => None,
+            Quantum::Done(t) => Some(t),
+        }
+    }
+}
+
 /// A machine-level error (on the real machine: a trap to the monitor).
 #[derive(Debug, Clone, PartialEq)]
 pub enum MachineError {
@@ -417,11 +439,29 @@ pub struct Machine<M: DataMem = MemorySystem> {
     /// Set when the machine suspended at a reported solution and the
     /// pending backtrack (the reporter's `Fail`) has not run yet.
     yielded: bool,
+    /// Set when a quantum ran out before the run or pull ended: P holds
+    /// the next instruction and the next slice resumes there.
+    paused: bool,
     halted: Option<bool>,
+    /// Where the current run or pull began, held across its quanta: the
+    /// instruction count its step budget is metered from, and the
+    /// counters (and, for a one-shot run, the profile) its deltas are
+    /// reported against.
+    budget_from: u64,
+    span_stats: RunStats,
+    span_profile: Profile,
 
     heap_base: VAddr,
     local_base: VAddr,
     control_base: VAddr,
+}
+
+/// The result of a run or pull given one unbounded quantum, which no
+/// machine can pause: it would have to retire 2⁶⁴ instructions first.
+fn to_end<T>(quantum: Quantum<T>) -> T {
+    quantum
+        .done()
+        .expect("an unbounded quantum runs to the end")
 }
 
 impl Machine {
@@ -499,7 +539,11 @@ impl<M: DataMem> Machine<M> {
             enumerate_all: false,
             yield_solutions: false,
             yielded: false,
+            paused: false,
             halted: None,
+            budget_from: 0,
+            span_stats: RunStats::default(),
+            span_profile: Profile::default(),
             heap_base,
             local_base,
             control_base,
@@ -547,8 +591,24 @@ impl<M: DataMem> Machine<M> {
         query_vars: &[String],
         enumerate_all: bool,
     ) -> Result<Outcome, MachineError> {
-        self.arm_query(query_vars, enumerate_all, false)?;
-        self.run_armed()
+        self.begin_query_run(query_vars, enumerate_all)?;
+        Ok(to_end(self.run_quantum(u64::MAX)?))
+    }
+
+    /// Arms a one-shot run of the image's `$query/0` entry without
+    /// running anything: [`Machine::run_quantum`] then runs it a quantum
+    /// at a time. Run to its end, it is [`Machine::run_query`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MachineError::BadCodeAddress`] if the image has no query
+    /// entry.
+    pub fn begin_query_run(
+        &mut self,
+        query_vars: &[String],
+        enumerate_all: bool,
+    ) -> Result<(), MachineError> {
+        self.arm_query(query_vars, enumerate_all, false)
     }
 
     /// Arms a suspendable query session on the image's `$query/0` entry:
@@ -597,30 +657,41 @@ impl<M: DataMem> Machine<M> {
         self.halted = None;
         self.yield_solutions = yield_solutions;
         self.yielded = false;
+        self.paused = false;
+        self.span_profile = self.prof;
         self.solutions.clear();
         self.output.clear();
         self.p = entry;
         self.cp = kcm_compiler::link::HALT_STUB;
     }
 
-    /// The one slice step under both drivers: resumes a suspended session
-    /// through the failure path the reporter's `Fail` would have taken,
-    /// drives to the next yield or halt, and returns the slice's counter
-    /// deltas. The step budget is metered per slice inside
-    /// [`Machine::drive`], so a one-shot run (one slice) is bounded as a
-    /// whole and a session per pull.
-    fn slice(&mut self) -> Result<RunStats, MachineError> {
-        let start = self.lifetime_stats();
-        if self.halted.is_none() {
-            if self.yielded {
+    /// The one slice step under both drivers, for at most `quantum`
+    /// instructions. It starts a run or pull (resuming a suspended
+    /// session through the failure path the reporter's `Fail` would have
+    /// taken) or resumes a paused one, then drives to the next yield,
+    /// halt or pause. Once the run or pull has ended it returns the
+    /// counter deltas since its start; `None` means the quantum ran out
+    /// first. The step budget is metered from the start of the run or
+    /// pull across all its quanta, so a one-shot run is bounded as a
+    /// whole and a session per pull, whatever the quantum.
+    fn slice(&mut self, quantum: u64) -> Result<Option<RunStats>, MachineError> {
+        if self.paused {
+            self.paused = false;
+        } else {
+            self.span_stats = self.lifetime_stats();
+            if self.halted.is_none() && self.yielded {
                 self.yielded = false;
                 self.fail()?;
             }
-            if self.halted.is_none() {
-                self.drive()?;
+            self.budget_from = self.stats.instructions;
+        }
+        if self.halted.is_none() {
+            self.drive(quantum)?;
+            if self.paused {
+                return Ok(None);
             }
         }
-        Ok(self.lifetime_stats().delta_since(&start))
+        Ok(Some(self.lifetime_stats().delta_since(&self.span_stats)))
     }
 
     /// Whether the armed session has run to completion (no further
@@ -630,9 +701,9 @@ impl<M: DataMem> Machine<M> {
     }
 
     /// Runs the armed session to its next solution and suspends there,
-    /// or to final failure. Each call is one budget slice: the step budget
-    /// restarts from zero, so a per-slice budget bounds the work of one
-    /// pull, not of the whole enumeration.
+    /// or to final failure: one pull, in one unbounded quantum. The step
+    /// budget restarts from zero on every pull, so it bounds the work of
+    /// one pull, not of the whole enumeration.
     ///
     /// The decoded solution is handed out (not retained), and host output
     /// is drained per slice, so a session streaming millions of answers
@@ -645,18 +716,35 @@ impl<M: DataMem> Machine<M> {
     /// mid-search. After an error the session is dead: the machine is
     /// mid-backtrack and must not be resumed.
     pub fn next_solution(&mut self) -> Result<SessionStep, MachineError> {
-        let stats = self.slice()?;
+        Ok(to_end(self.pull_quantum(u64::MAX)?))
+    }
+
+    /// Runs the armed session's current pull for at most `quantum`
+    /// instructions (at least one): a pull that ends within it returns
+    /// its [`SessionStep`], as [`Machine::next_solution`] would; one that
+    /// does not pauses, and the next call continues it. Pausing is
+    /// invisible to the machine: the pull retires the same instructions,
+    /// trips its budget at the same step and reports the same counters,
+    /// whatever the quantum.
+    ///
+    /// # Errors
+    ///
+    /// As [`Machine::next_solution`].
+    pub fn pull_quantum(&mut self, quantum: u64) -> Result<Quantum<SessionStep>, MachineError> {
+        let Some(stats) = self.slice(quantum)? else {
+            return Ok(Quantum::Paused);
+        };
         let solution = if self.halted.is_some() {
             self.solutions.clear();
             None
         } else {
             self.solutions.pop()
         };
-        Ok(SessionStep {
+        Ok(Quantum::Done(SessionStep {
             solution,
             stats,
             output: std::mem::take(&mut self.output),
-        })
+        }))
     }
 
     /// Runs from an arbitrary entry address until halt or final failure.
@@ -673,34 +761,48 @@ impl<M: DataMem> Machine<M> {
     /// Returns a [`MachineError`] on machine faults.
     pub fn run(&mut self, entry: CodeAddr) -> Result<Outcome, MachineError> {
         self.arm(entry, false);
-        self.run_armed()
+        Ok(to_end(self.run_quantum(u64::MAX)?))
     }
 
-    /// A one-shot run of the armed machine: one slice that does not
-    /// yield, plus the per-run [`Profile`] delta and trace window.
-    fn run_armed(&mut self) -> Result<Outcome, MachineError> {
-        let start_profile = self.prof;
-        let stats = self.slice()?;
-        let profile = self.prof.delta_since(&start_profile);
+    /// Runs the armed one-shot run (see [`Machine::begin_query_run`]) for
+    /// at most `quantum` instructions (at least one). A run that ends
+    /// within it returns its [`Outcome`], with the per-run [`Profile`]
+    /// delta and trace window; one that does not pauses, and the next
+    /// call continues it. Pausing is host-only: the run retires the same
+    /// instructions, trips its budget at the same step and reports the
+    /// same solutions, output, counters, profile and trace window as an
+    /// uninterrupted run, and no simulated counter moves.
+    ///
+    /// # Errors
+    ///
+    /// As [`Machine::run_query`]; after an error the run is dead.
+    pub fn run_quantum(&mut self, quantum: u64) -> Result<Quantum<Outcome>, MachineError> {
+        let Some(stats) = self.slice(quantum)? else {
+            return Ok(Quantum::Paused);
+        };
+        let profile = self.prof.delta_since(&self.span_profile);
         let success = self.halted == Some(true) || !self.solutions.is_empty();
-        Ok(Outcome {
+        Ok(Quantum::Done(Outcome {
             success,
             solutions: std::mem::take(&mut self.solutions),
             stats,
             profile,
             output: std::mem::take(&mut self.output),
             trace: self.trace(),
-        })
+        }))
     }
 
-    /// Drives the machine until it halts — or, in a suspendable session,
-    /// until it yields at a reported solution. The step budget is metered
-    /// from the instruction count at entry, so each resumed slice of a
-    /// session gets a fresh budget window.
-    fn drive(&mut self) -> Result<(), MachineError> {
-        let step_budget = self.cfg.step_budget;
-        let start_instructions = self.stats.instructions;
-        // One refcount bump for the whole run: the image is never replaced
+    /// Drives the machine until it halts, yields at a reported solution
+    /// (in a suspendable session), or has retired `quantum` instructions
+    /// and pauses. Both loops make one step-limit compare per step: the
+    /// limit is the budget's trip point or the quantum's last
+    /// instruction, whichever comes first.
+    fn drive(&mut self, quantum: u64) -> Result<(), MachineError> {
+        let limit = self
+            .budget_from
+            .saturating_add(self.cfg.step_budget)
+            .min(self.stats.instructions.saturating_add(quantum.max(1) - 1));
+        // One refcount bump per quantum: the image is never replaced
         // while the machine is stepping (consulting happens between runs),
         // so the hot loop can borrow it without per-step `Arc` traffic.
         let image = Arc::clone(&self.image);
@@ -708,18 +810,30 @@ impl<M: DataMem> Machine<M> {
             // Native tier: the resolved-dispatch loop (the image's shared
             // table of instruction sizes and fall-through indices; no
             // clock, no macrocode trace window).
-            self.run_resolved(&image, start_instructions)
+            self.run_resolved(&image, limit)
         } else {
             while self.halted.is_none() && !self.yielded {
                 self.step_in(&image)?;
-                if self.stats.instructions - start_instructions > step_budget {
-                    return Err(MachineError::BudgetExhausted {
-                        steps: self.stats.instructions - start_instructions,
-                    });
+                if self.stats.instructions > limit {
+                    return self.limit_reached();
                 }
             }
             Ok(())
         }
+    }
+
+    /// The step limit was passed. The budget is checked first: past its
+    /// trip point the run fails with [`MachineError::BudgetExhausted`],
+    /// even on an instruction that halted or yielded. Otherwise the
+    /// quantum ended, and a run that has not halted or yielded pauses.
+    #[cold]
+    fn limit_reached(&mut self) -> Result<(), MachineError> {
+        let steps = self.stats.instructions - self.budget_from;
+        if steps > self.cfg.step_budget {
+            return Err(MachineError::BudgetExhausted { steps });
+        }
+        self.paused = self.halted.is_none() && !self.yielded;
+        Ok(())
     }
 
     /// The native tier's hot loop: enum dispatch over the decoded stream
@@ -729,20 +843,16 @@ impl<M: DataMem> Machine<M> {
     /// time — the program's code, a query overlay's, or a lazily restored
     /// image's decode chunk — so leaving a span costs one predictable
     /// range check per step. Observable behaviour — execution order,
-    /// retired-instruction counting, the step budget's trip point, every
-    /// error class — is identical to the generic loop; only the per-step
-    /// bookkeeping the native tier does not need (trace window,
-    /// fall-through hint validation) is gone.
-    fn run_resolved(
-        &mut self,
-        image: &CodeImage,
-        start_instructions: u64,
-    ) -> Result<(), MachineError> {
+    /// retired-instruction counting, the step budget's trip point, the
+    /// pause point, every error class — is identical to the generic loop;
+    /// only the per-step bookkeeping the native tier does not need (trace
+    /// window, fall-through hint validation) is gone.
+    fn run_resolved(&mut self, image: &CodeImage, limit: u64) -> Result<(), MachineError> {
         let mut idx = match image.index_of(self.p) {
             Some(i) => i,
             None => return Err(MachineError::BadCodeAddress(self.p)),
         };
-        while let Some(next) = self.run_span(image, image.span(idx), idx, start_instructions)? {
+        while let Some(next) = self.run_span(image, image.span(idx), idx, limit)? {
             idx = next;
         }
         Ok(())
@@ -750,15 +860,14 @@ impl<M: DataMem> Machine<M> {
 
     /// The resolved loop within one span, from stream index `idx`:
     /// returns the index control left the span for, or `None` once the
-    /// run halted or yielded.
+    /// run halted, yielded or paused.
     fn run_span(
         &mut self,
         image: &CodeImage,
         span: kcm_arch::image::Span<'_>,
         mut idx: u32,
-        start_instructions: u64,
+        limit: u64,
     ) -> Result<Option<u32>, MachineError> {
-        let step_budget = self.cfg.step_budget;
         let (start, instrs, resolved) = (span.start, span.instrs, span.next);
         loop {
             let Some(instr) = instrs.get(idx.wrapping_sub(start) as usize) else {
@@ -769,10 +878,8 @@ impl<M: DataMem> Machine<M> {
             let np = packed as u32;
             self.p = CodeAddr::new(np);
             self.exec_body(instr, image, idx)?;
-            if self.stats.instructions - start_instructions > step_budget {
-                return Err(MachineError::BudgetExhausted {
-                    steps: self.stats.instructions - start_instructions,
-                });
+            if self.stats.instructions > limit {
+                return self.limit_reached().map(|()| None);
             }
             if self.halted.is_some() || self.yielded {
                 return Ok(None);

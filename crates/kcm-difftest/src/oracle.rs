@@ -16,7 +16,7 @@
 
 use kcm_prolog::Term;
 use kcm_system::{
-    error_class, Kcm, KcmError, ProgramSource, QueryOpts, SessionPool, Solutions, Tier,
+    error_class, Kcm, KcmError, ProgramSource, Quantum, QueryOpts, SessionPool, Solutions, Tier,
 };
 
 pub use kcm_system::{Engine, EngineOutcome, KcmEngine};
@@ -154,9 +154,10 @@ pub fn normalize_output(s: &str) -> String {
 }
 
 /// A KCM session variant as an oracle engine: a fresh [`Kcm`] per case,
-/// with three choices on top of the reference [`KcmEngine`] — the tier,
-/// materializing or draining a cursor, and one run or replicas on a
-/// [`SessionPool`]. Every variant must agree with every other engine.
+/// with four choices on top of the reference [`KcmEngine`] — the tier,
+/// materializing or draining a cursor, one unbounded run or quanta of a
+/// few steps, and one run or replicas on a [`SessionPool`]. Every variant
+/// must agree with every other engine.
 pub struct SessionEngine {
     /// Which execution tier runs the case, whatever the caller's options
     /// say — which lets one shared [`QueryOpts`] drive a roster that
@@ -176,6 +177,12 @@ pub struct SessionEngine {
     /// with each other is a `harness` error, which no healthy engine can
     /// match. `None` runs the case once.
     pub workers: Option<usize>,
+    /// Run the case (or each pull of a drained cursor) in quanta of this
+    /// many steps, pausing and resuming the machine between them, the way
+    /// `kcm-serve` time-slices long requests. A pause must be invisible:
+    /// same answers, output and inferences, and a budget trip at the same
+    /// step. `None` runs each unbounded.
+    pub quantum: Option<u64>,
 }
 
 /// Identical runs submitted per case by a pooled [`SessionEngine`], so a
@@ -198,9 +205,20 @@ fn replica_fingerprint(r: &Result<kcm_cpu::Outcome, KcmError>) -> String {
 /// [`CaseOutcome`] normalization. The accumulated totals include the
 /// final failing slice, which is exactly what a one-shot enumerate-all
 /// run counts.
-fn drain_session(mut session: Solutions) -> Result<kcm_cpu::Outcome, KcmError> {
+fn drain_session(
+    mut session: Solutions,
+    quantum: Option<u64>,
+) -> Result<kcm_cpu::Outcome, KcmError> {
     let mut solutions = Vec::new();
-    while let Some(step) = session.next_step()? {
+    loop {
+        let step = match quantum {
+            None => session.next_step()?,
+            Some(q) => match session.next_step_quantum(q)? {
+                Quantum::Paused => continue,
+                Quantum::Done(step) => step,
+            },
+        };
+        let Some(step) = step else { break };
         solutions.push(step.solution);
     }
     Ok(kcm_cpu::Outcome {
@@ -216,11 +234,19 @@ fn drain_session(mut session: Solutions) -> Result<kcm_cpu::Outcome, KcmError> {
 impl SessionEngine {
     /// Runs the case on the loaded `kcm`: once, or as agreeing replicas.
     fn run(&self, kcm: &Kcm, query: &str, opts: &QueryOpts) -> Result<kcm_cpu::Outcome, KcmError> {
-        let once = || {
-            if self.cursor && opts.enumerate_all {
-                kcm.solutions(query, opts).and_then(drain_session)
-            } else {
-                kcm.query(query, opts)
+        let once = || match self.quantum {
+            _ if self.cursor && opts.enumerate_all => kcm
+                .solutions(query, opts)
+                .and_then(|session| drain_session(session, self.quantum)),
+            None => kcm.query(query, opts),
+            Some(q) => {
+                let mut prepared = kcm.prepare(query, opts)?;
+                prepared.begin_run(opts.enumerate_all)?;
+                loop {
+                    if let Quantum::Done(outcome) = prepared.run_quantum(q)? {
+                        return Ok(outcome);
+                    }
+                }
             }
         };
         let Some(workers) = self.workers else {
@@ -241,11 +267,15 @@ impl Engine for SessionEngine {
             Tier::Cycle => "cycle",
             Tier::Native => "native",
         };
-        match (self.cursor, self.workers) {
+        let name = match (self.cursor, self.workers) {
             (false, None) => format!("kcm-{tier}"),
             (false, Some(n)) => format!("kcm-pool(workers={n})"),
             (true, None) => format!("kcm-cursor({tier})"),
             (true, Some(n)) => format!("kcm-cursor-pool(workers={n})"),
+        };
+        match self.quantum {
+            None => name,
+            Some(q) => format!("{name}[quantum={q}]"),
         }
     }
 
@@ -264,26 +294,31 @@ impl Engine for SessionEngine {
 /// execution tier (no cycle model — its equivalence proof *is* this
 /// roster), pooled KCM with 1 and N workers, the suspendable-session
 /// cursor path (both tiers, plus pooled at 1 and 4 workers — the
-/// enumeration-fidelity oracle for `kcm-serve` cursors), the generic
-/// standard WAM, the Quintus-class software WAM and the PLM byte-code
-/// machine.
+/// enumeration-fidelity oracle for `kcm-serve` cursors), the machine
+/// paused after every instruction (one-shot runs on the cycle tier,
+/// cursor pulls on the native tier — the fidelity oracle for `kcm-serve`
+/// time slicing), the generic standard WAM, the Quintus-class software
+/// WAM and the PLM byte-code machine.
 pub fn standard_engines() -> Vec<Box<dyn Engine>> {
-    let session = |tier, cursor, workers| -> Box<dyn Engine> {
+    let session = |tier, cursor, workers, quantum| -> Box<dyn Engine> {
         Box::new(SessionEngine {
             tier,
             cursor,
             workers,
+            quantum,
         })
     };
     vec![
         Box::new(KcmEngine::new()),
-        session(Tier::Native, false, None),
-        session(Tier::Cycle, false, Some(1)),
-        session(Tier::Cycle, false, Some(4)),
-        session(Tier::Cycle, true, None),
-        session(Tier::Native, true, None),
-        session(Tier::Cycle, true, Some(1)),
-        session(Tier::Cycle, true, Some(4)),
+        session(Tier::Native, false, None, None),
+        session(Tier::Cycle, false, Some(1), None),
+        session(Tier::Cycle, false, Some(4), None),
+        session(Tier::Cycle, true, None, None),
+        session(Tier::Native, true, None, None),
+        session(Tier::Cycle, true, Some(1), None),
+        session(Tier::Cycle, true, Some(4), None),
+        session(Tier::Cycle, false, None, Some(1)),
+        session(Tier::Native, true, None, Some(1)),
         Box::new(wam_baseline::BaselineModel::standard_wam(
             "wam-baseline",
             100.0,

@@ -400,7 +400,10 @@ thread_local! {
 ///
 /// The board is recycled per thread (see the crate docs): dropping a
 /// memory system resets its board and retires it, whether its run
-/// finished, failed or was abandoned.
+/// finished, failed or was abandoned. A memory system dropped while its
+/// thread unwinds from a panic frees its board instead: the panic may
+/// have left it mid-update, and a reset clears only what the counters
+/// say was touched.
 #[derive(Debug)]
 pub struct MemorySystem {
     config: MemConfig,
@@ -411,6 +414,9 @@ pub struct MemorySystem {
 
 impl Drop for MemorySystem {
     fn drop(&mut self) {
+        if std::thread::panicking() {
+            return;
+        }
         let mut board = std::mem::replace(&mut self.board, Board::VACANT);
         board.reset();
         recycle::retire(&BOARDS, board);
@@ -750,6 +756,19 @@ mod tests {
         for a in [g, g2, trail, stat] {
             assert_eq!(mem.peek(a).unwrap(), Word::ZERO, "{a}");
         }
+    }
+
+    #[test]
+    fn a_board_dropped_while_unwinding_is_freed_not_retired() {
+        let pooled = pooled_boards();
+        let unwound = std::panic::catch_unwind(|| {
+            let mut mem = MemorySystem::new(MemConfig::default());
+            mem.write_ptr(Word::ptr(Tag::Ref, gaddr(1)), Word::int(1))
+                .unwrap();
+            panic!("mid-run");
+        });
+        assert!(unwound.is_err());
+        assert_eq!(pooled_boards(), pooled.saturating_sub(1));
     }
 
     #[test]

@@ -223,7 +223,13 @@ impl FlatMem {
 }
 
 impl Drop for FlatMem {
+    /// Retires the store to this thread's pool, unless the thread is
+    /// unwinding from a panic that may have left it mid-update: then it
+    /// is freed.
     fn drop(&mut self) {
+        if std::thread::panicking() {
+            return;
+        }
         let store = std::mem::take(&mut self.store);
         let total: usize = store.iter().map(Vec::len).sum();
         if total == 0 || total > POOL_MAX_TOTAL_WORDS {
@@ -463,6 +469,20 @@ mod tests {
         })
         .join()
         .expect("the thread exits cleanly");
+    }
+
+    #[test]
+    fn a_store_dropped_while_unwinding_is_freed_not_retired() {
+        let pooled = || STORE_POOL.with(|pool| pool.borrow().len());
+        let before = pooled();
+        let unwound = std::panic::catch_unwind(|| {
+            let mut m = FlatMem::with_config(MemConfig::default());
+            let a = VAddr::new(Zone::Global.base().value() + 100);
+            m.write_ptr(Word::ptr(Tag::Ref, a), Word::int(7)).unwrap();
+            panic!("mid-run");
+        });
+        assert!(unwound.is_err());
+        assert_eq!(pooled(), before.saturating_sub(1));
     }
 
     #[test]

@@ -43,8 +43,16 @@ impl From<LexError> for ParseError {
 pub struct Parser {
     tokens: Vec<(Token, u32)>,
     pos: usize,
-    ops: OpTable,
+    ops: &'static OpTable,
     anon_counter: u32,
+}
+
+/// The standard operator table, built once per process and borrowed by
+/// every parser: building its three maps took most of a short
+/// `read_term`.
+fn standard_ops() -> &'static OpTable {
+    static OPS: std::sync::OnceLock<OpTable> = std::sync::OnceLock::new();
+    OPS.get_or_init(OpTable::standard)
 }
 
 impl Parser {
@@ -58,14 +66,9 @@ impl Parser {
         Ok(Parser {
             tokens: Lexer::tokenize(src)?,
             pos: 0,
-            ops: OpTable::standard(),
+            ops: standard_ops(),
             anon_counter: 0,
         })
-    }
-
-    /// Replaces the operator table (directives may extend it).
-    pub fn set_ops(&mut self, ops: OpTable) {
-        self.ops = ops;
     }
 
     fn peek(&self) -> Option<&Token> {

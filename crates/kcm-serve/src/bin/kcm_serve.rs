@@ -7,8 +7,10 @@
 //!
 //! Environment:
 //!
-//! * `KCM_SERVE_WORKERS` — worker threads (default: host parallelism);
-//! * `KCM_SERVE_QUEUE` — bounded queue depth (default 64);
+//! * `KCM_SERVE_WORKERS` — worker threads for requests that outlast
+//!   their first quantum on the event loop (default: host parallelism);
+//! * `KCM_SERVE_QUEUE` — paused requests admitted beyond one per worker
+//!   before the server answers `BUSY` (default 64);
 //! * `KCM_SERVE_BUDGET` — default step budget per query (default
 //!   50000000; `0` disables the deadline);
 //! * `KCM_SERVE_PROGRAMS` — program-registry capacity (default 64);

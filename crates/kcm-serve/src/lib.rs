@@ -5,10 +5,11 @@
 //! code and queries down, the KCM streams answers back. This crate is
 //! that host interface generalized to many concurrent callers: a TCP
 //! front end speaking a simple length-delimited text protocol
-//! ([`protocol`]), a bounded request queue with explicit backpressure
-//! (`BUSY` instead of unbounded queueing), per-request step deadlines
-//! (`MachineConfig::step_budget`), and a pool of isolated worker
-//! sessions doing the actual knowledge crunching.
+//! ([`protocol`]), short requests answered on the event loop in their
+//! first quantum of machine steps, worker threads time-slicing the long
+//! ones quantum by quantum, bounded admission with explicit backpressure
+//! (`BUSY` instead of unbounded queueing), and per-request step
+//! deadlines (`MachineConfig::step_budget`).
 //!
 //! Since the registry PR the service is multi-tenant: `PUBLISH <name>`
 //! installs a compiled program into a shared [`kcm_system::registry`]

@@ -1,6 +1,6 @@
 //! The query server: one nonblocking readiness loop owning every
-//! connection, feeding a bounded job queue fanned across session-pool
-//! worker threads.
+//! connection and answering short requests itself, with worker threads
+//! time-slicing the long ones.
 //!
 //! Concurrency layout:
 //!
@@ -10,29 +10,49 @@
 //!   carries its own [`FrameBuf`] decode state and write buffer, so a
 //!   client dribbling a frame one byte per 100 ms costs a buffer slot,
 //!   not a thread — 10k idle connections cost ~0 threads;
-//! * a fixed set of **worker threads** executes queries as isolated pool
-//!   sessions ([`kcm_system::pool::run_session`]) pulled from one bounded
-//!   queue; the program travels to the worker as one `Arc<Published>`
-//!   handle, whether it is a registry tenant or the connection's
-//!   `CONSULT`ed program, and the worker takes the machine configuration
-//!   from [`ServeConfig`]. Completions come back over a channel plus a
-//!   wake pipe byte; the loop also drains completions on every tick, so
-//!   a lost wake delays a reply by at most one tick;
-//! * the queue is a `sync_channel(queue_depth)`: when it is full the
-//!   loop answers `BUSY` immediately instead of queueing without bound —
-//!   backpressure is explicit and visible to clients. While a
-//!   connection's request is in flight its read interest is paused, so a
-//!   pipelining client is flow-controlled by TCP, not by server memory;
+//! * every `QUERY`, `QUERYALL` and `NEXT` runs its **first quantum on the
+//!   loop**: the loop resolves the program, claims its in-flight slot,
+//!   runs [`kcm_system::prepare_query`] (or takes the cursor's session)
+//!   and then at most [`QUANTUM`] machine steps. A request that finishes
+//!   inside them is answered straight from the loop with no thread hop;
+//!   that is every KB point lookup (15 steps) and every case of the
+//!   standard workload (70 to 2,618 steps). `QUERY … CURSOR` prepares
+//!   and arms its session on the loop and runs nothing;
+//! * a request still running after its first quantum moves to a fixed
+//!   set of **worker threads** as a paused session, with its reply kind
+//!   (a one-shot outcome or a cursor batch), its connection token and its
+//!   program handle — one `Arc<Published>`, whether a registry tenant or
+//!   the connection's `CONSULT`ed program. A worker runs one quantum per
+//!   turn and requeues the session, so long queries share a worker
+//!   quantum by quantum instead of owning it until their budget trips.
+//!   Completions come back over a channel plus a wake pipe byte; the loop
+//!   also drains completions on every tick, so a lost wake delays a reply
+//!   by at most one tick;
+//! * admission is explicit: at most `workers + queue_depth` paused
+//!   sessions are in flight. A request that has not finished after its
+//!   first quantum past that point answers `BUSY` (a cursor batch that
+//!   already holds answers replies with those instead) — backpressure is
+//!   visible to clients, never server memory. A request that finishes in
+//!   its first quantum never gets a queue `BUSY`, and a worker's requeue
+//!   never blocks. While a connection's request is with the workers its
+//!   read interest is paused, so a pipelining client is flow-controlled
+//!   by TCP;
+//! * failures stay inside one request: every loop handler and every
+//!   worker turn runs under `catch_unwind`. A panic answers the classed
+//!   error `internal`, drops the request's session (and its cursor),
+//!   releases the busy gate and the in-flight claim, keeps the thread
+//!   alive and counts under `panics=` in `STATS`;
 //! * published programs live in a shared [`ProgramRegistry`]; `PUBLISH`
 //!   and `CONSULT` compile on the loop thread (compilation is brief and
-//!   amortized over every query that follows), queries run on workers;
+//!   amortized over every query that follows);
 //! * **cursors** are suspended [`kcm_system::Solutions`] sessions owned
 //!   by the event loop, keyed by a server-global id that is never
-//!   reused. A `NEXT` ships the boxed session to a worker for one
-//!   bounded batch and the completion carries it back; while the pull is
-//!   in flight the cursor table holds `None`, and the owning connection
-//!   is `busy`, so no second operation can touch the session
-//!   concurrently. A cursor pins its program's `Arc<Published>`: a
+//!   reused. A `NEXT` pulls its batch on the loop for one quantum; a
+//!   batch that needs more ships the boxed session to the workers and the
+//!   completion carries it back. While it is out the cursor table holds
+//!   `None`, and the owning connection is `busy`, so no second operation
+//!   can touch the session concurrently. A cursor pins its program's
+//!   `Arc<Published>`: a
 //!   republish under an open cursor compiles a new image while the
 //!   cursor keeps streaming the one it opened against. Cursors die four
 //!   ways — `CLOSE`, exhaustion (`done=true` auto-releases), a slice
@@ -43,8 +63,8 @@
 //!
 //! Shutdown is graceful and self-contained: `SHUTDOWN` is handled on the
 //! loop itself, which stops accepting, closes idle connections, lets
-//! in-flight requests finish and flush, then closes the queue so workers
-//! drain and exit. The previous thread-per-connection design had to wake
+//! in-flight requests finish and flush, waits for the paused sessions of
+//! connections that went away, then tells each worker to exit. The previous thread-per-connection design had to wake
 //! its blocking accept loop by self-connecting to
 //! `listener.local_addr()` — the *unspecified* address
 //! (`0.0.0.0:<port>`) for typical binds, so the wake could fail and hang
@@ -53,25 +73,36 @@
 
 use crate::poll::{Event, Interest, Poller};
 use crate::protocol::{encode_frame, render_batch, render_outcome, FrameBuf, Reply, Request};
-use kcm_system::pool::run_session;
 use kcm_system::registry::{ProgramRegistry, Published, TenantStats};
 use kcm_system::{
-    error_class, open_session, KcmError, MachineConfig, Outcome, ProgramSource, QueryJob,
-    QueryOpts, RunStats, Solutions, Tier,
+    error_class, prepare_query, KcmError, MachineConfig, Outcome, PreparedQuery, ProgramSource,
+    Quantum, QueryOpts, RunStats, Solution, Solutions, Tier,
 };
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// The event loop's wait tick: bounds how long a missed wake byte can
 /// delay a completion and how stale the drain check can be.
 const READ_TICK: Duration = Duration::from_millis(100);
+
+/// Machine steps a served request runs per turn: its first quantum on
+/// the event loop, each later one on a worker. Large enough that every
+/// short request finishes on the loop (a KB lookup retires 15 steps, the
+/// standard workload's longest case 2,618); small enough that a long one
+/// holds the loop, or a worker's turn, for a fraction of a millisecond on
+/// the native tier.
+pub const QUANTUM: u64 = 10_000;
+
+/// Name of the worker threads (visible in `/proc/<pid>/task/*/comm`).
+const WORKER_NAME: &str = "kcm-worker";
 
 /// Poller token of the listening socket.
 const TOKEN_LISTENER: u64 = 0;
@@ -83,9 +114,12 @@ const FIRST_CONN: u64 = 2;
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Worker threads executing queries.
+    /// Worker threads time-slicing the requests that outlast their first
+    /// quantum on the event loop.
     pub workers: usize,
-    /// Bounded request-queue depth; a full queue answers `BUSY`.
+    /// Paused sessions admitted beyond one per worker: past `workers +
+    /// queue_depth` in flight, a request that did not finish in its first
+    /// quantum answers `BUSY`.
     pub queue_depth: usize,
     /// Step budget applied to requests that don't carry their own
     /// `BUDGET` (for tenant queries, after the tenant's own publish-time
@@ -115,11 +149,11 @@ pub struct ServeConfig {
     /// Largest batch one `NEXT` may pull; bigger requests are clamped
     /// (visible to the client through the reply's `answers=` count).
     pub cursor_batch_cap: u64,
-    /// In-flight work items (queries, cursor opens, cursor pulls)
-    /// allowed per program — a registry tenant or a connection's
-    /// `CONSULT`ed program; past the cap the program's requests answer
-    /// `BUSY` while other programs keep being served. `None` leaves
-    /// programs to contend for the shared queue.
+    /// Requests (queries, cursor opens, cursor pulls) running at once per
+    /// program — a registry tenant or a connection's `CONSULT`ed program
+    /// — whether on the event loop or with the workers; past the cap the
+    /// program's requests answer `BUSY` while other programs keep being
+    /// served. `None` leaves programs to contend for the shared workers.
     pub tenant_inflight_cap: Option<u64>,
 }
 
@@ -153,16 +187,20 @@ pub struct ServeMetrics {
     pub consults: u64,
     /// Programs published into the shared registry.
     pub publishes: u64,
-    /// Queries accepted onto the queue.
+    /// Queries accepted: answered from the event loop or admitted to the
+    /// workers (a `BUSY` is not counted).
     pub queries: u64,
     /// Queries answered with a completed outcome.
     pub served: u64,
-    /// Queries rejected with `BUSY` (queue full).
+    /// Requests rejected with `BUSY` (workers full, or a cap reached).
     pub busy: u64,
     /// Queries stopped by the step budget.
     pub budget_stops: u64,
-    /// Queries failed with any other error.
+    /// Requests failed with any other error, panics included.
     pub errors: u64,
+    /// Requests whose handler or worker turn panicked; each was answered
+    /// with the error class `internal` and counted under `errors` too.
+    pub panics: u64,
     /// Solutions across served queries.
     pub solutions: u64,
     /// Logical inferences across served queries.
@@ -199,7 +237,7 @@ impl ServeMetrics {
     /// counter.
     pub fn render(&self) -> String {
         format!(
-            "connections={}\nconsults={}\npublishes={}\nqueries={}\nserved={}\nbusy={}\nbudget_stops={}\nerrors={}\nsolutions={}\ninferences={}\ncycles={}\nsteps={}\nswitch_hits={}\nswitch_misses={}\nswitch_probes={}\nswitch_depth2={}\ncursors_opened={}\ncursor_batches={}\ncursor_answers={}\ncursors_reaped={}\n",
+            "connections={}\nconsults={}\npublishes={}\nqueries={}\nserved={}\nbusy={}\nbudget_stops={}\nerrors={}\npanics={}\nsolutions={}\ninferences={}\ncycles={}\nsteps={}\nswitch_hits={}\nswitch_misses={}\nswitch_probes={}\nswitch_depth2={}\ncursors_opened={}\ncursor_batches={}\ncursor_answers={}\ncursors_reaped={}\n",
             self.connections,
             self.consults,
             self.publishes,
@@ -208,6 +246,7 @@ impl ServeMetrics {
             self.busy,
             self.budget_stops,
             self.errors,
+            self.panics,
             self.solutions,
             self.inferences,
             self.cycles,
@@ -224,55 +263,77 @@ impl ServeMetrics {
     }
 }
 
-/// One queued unit of work: everything a worker needs, plus the routing
-/// information for the reply. The `program` on each variant is the
-/// resolved program handle — a registry tenant or the connection's
-/// `CONSULT`ed program: holding the `Arc` keeps the program alive across
-/// re-publish/eviction/re-consult, the worker mirrors its accounting
-/// into the handle's stats, and the in-flight slot claimed at dispatch
-/// is released against it.
-enum WorkItem {
-    /// A one-shot query (first solution or enumerate-all).
-    Query {
-        /// Connection token (index + generation) the reply belongs to.
-        token: u64,
-        job: QueryJob,
-        program: Arc<Published>,
-    },
-    /// Compile a query and suspend it as cursor `cursor_id`.
-    CursorOpen {
-        token: u64,
-        cursor_id: u64,
-        query: String,
-        opts: QueryOpts,
-        program: Arc<Published>,
-    },
-    /// Pull up to `count` answers from a suspended session. The session
-    /// travels by value: while it is here the loop's cursor entry holds
-    /// `None`, so nothing else can touch it.
-    CursorNext {
-        token: u64,
-        cursor_id: u64,
-        session: Box<Solutions>,
-        count: u64,
-        program: Arc<Published>,
-    },
+/// A claimed in-flight slot on a program ([`TenantStats::try_start_inflight`]).
+/// Dropping the claim releases the slot, so a request gives its slot back
+/// however it ends: answered, rejected, or dropped by a panic. Holding
+/// the `Arc` also keeps the program alive across re-publish, eviction and
+/// re-consult, and routes the request's per-program accounting.
+struct Claim {
+    program: Arc<Published>,
 }
 
-/// A finished work item on its way back to the event loop.
+impl Drop for Claim {
+    fn drop(&mut self) {
+        self.program.stats.finish_inflight();
+    }
+}
+
+/// A served request the machine has not finished, with its reply kind.
+enum Task {
+    /// A one-shot `QUERY`/`QUERYALL`: an armed run, replied to with its
+    /// outcome.
+    Query(Box<PreparedQuery>),
+    /// A cursor's `NEXT` batch, replied to with the answers pulled.
+    Batch(Box<Batch>),
+}
+
+/// One `NEXT` batch in progress. The session travels with it: while it
+/// is out of the cursor table the entry holds `None`, so nothing else
+/// can touch it.
+struct Batch {
+    cursor_id: u64,
+    session: Box<Solutions>,
+    /// Answers wanted (already clamped to the batch cap).
+    count: u64,
+    answers: Vec<Solution>,
+    /// The session's totals and output length when the batch began, so
+    /// the batch reports its own deltas.
+    before_stats: RunStats,
+    before_output: usize,
+}
+
+/// What one quantum of a task came to.
+enum Turn {
+    /// The quantum ran out first: the task waits for its next quantum.
+    Paused(Task),
+    /// The request is finished: its reply, and for a cursor batch the
+    /// cursor-table update.
+    Done(Reply, Option<CursorReturn>),
+}
+
+/// A paused request on the workers' run queue: the task, the connection
+/// token (index + generation) its reply belongs to, and its program's
+/// in-flight claim.
+struct Paused {
+    token: u64,
+    task: Task,
+    claim: Claim,
+}
+
+/// A finished request on its way back from a worker to the event loop.
 struct Completion {
     token: u64,
     /// The encoded reply payload (rendered on the worker; the loop only
     /// frames and writes it).
     payload: Vec<u8>,
-    /// Present when the item was a cursor operation.
+    /// Present when the request was a cursor batch.
     cursor: Option<CursorReturn>,
 }
 
-/// The cursor-table update a completion carries: `Some` session means
+/// The cursor-table update a finished batch carries: `Some` session means
 /// "park it back under `id`"; `None` means the cursor is finished
-/// (open failed, enumeration exhausted, or a slice error killed it) and
-/// the entry should be removed.
+/// (enumeration exhausted, or a slice error or a panic killed it) and the
+/// entry should be removed.
 struct CursorReturn {
     id: u64,
     session: Option<Box<Solutions>>,
@@ -282,13 +343,24 @@ struct Shared {
     cfg: ServeConfig,
     metrics: Mutex<ServeMetrics>,
     registry: ProgramRegistry,
+    /// Armed fault injections (unit tests only).
+    #[cfg(test)]
+    faults: tests::Faults,
+}
+
+impl Shared {
+    /// The metrics, locked. A panic contained while the lock was held
+    /// leaves counters that are still counters, so poisoning is ignored.
+    fn metrics(&self) -> MutexGuard<'_, ServeMetrics> {
+        self.metrics.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// A bound, not-yet-running query server.
 pub struct Server {
     listener: TcpListener,
     shared: Arc<Shared>,
-    jobs: SyncSender<WorkItem>,
+    jobs: Sender<Option<Paused>>,
     done_rx: Receiver<Completion>,
     wake_rx: UnixStream,
     workers: Vec<std::thread::JoinHandle<()>>,
@@ -303,7 +375,11 @@ impl Server {
     /// Propagates socket errors.
     pub fn bind(addr: impl ToSocketAddrs, cfg: ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
-        let (job_tx, job_rx) = mpsc::sync_channel::<WorkItem>(cfg.queue_depth.max(1));
+        // The run queue: paused sessions, plus one `None` per worker at
+        // shutdown. It needs no bound of its own, because admission caps
+        // the paused sessions in flight; so a worker's requeue never
+        // blocks.
+        let (job_tx, job_rx) = mpsc::channel::<Option<Paused>>();
         let (done_tx, done_rx) = mpsc::channel::<Completion>();
         let (wake_tx, wake_rx) = UnixStream::pair()?;
         // Both ends nonblocking: the loop drains without blocking, and a
@@ -315,17 +391,20 @@ impl Server {
             registry: ProgramRegistry::new(cfg.max_programs),
             metrics: Mutex::new(ServeMetrics::default()),
             cfg,
+            #[cfg(test)]
+            faults: tests::Faults::default(),
         });
         let job_rx = Arc::new(Mutex::new(job_rx));
         let workers = (0..shared.cfg.workers.max(1))
             .map(|_| {
                 let job_rx = Arc::clone(&job_rx);
+                let requeue = job_tx.clone();
                 let shared = Arc::clone(&shared);
                 let done_tx = done_tx.clone();
                 let wake_tx = wake_tx.try_clone()?;
-                Ok(std::thread::spawn(move || {
-                    worker_loop(&job_rx, &shared, &done_tx, &wake_tx);
-                }))
+                std::thread::Builder::new()
+                    .name(WORKER_NAME.to_owned())
+                    .spawn(move || worker_loop(&job_rx, &requeue, &shared, &done_tx, &wake_tx))
             })
             .collect::<std::io::Result<Vec<_>>>()?;
         Ok(Server {
@@ -372,7 +451,7 @@ impl Server {
             listener,
             poller,
             shared: Arc::clone(&shared),
-            jobs: Some(jobs),
+            jobs,
             done_rx,
             wake_rx,
             slots: Vec::new(),
@@ -380,16 +459,25 @@ impl Server {
             live: 0,
             cursors: HashMap::new(),
             next_cursor_id: 1,
+            in_flight: 0,
             shutting_down: false,
             accepting: true,
         };
         el.run_loop()?;
-        // Close the queue: workers finish what was accepted and exit.
-        el.jobs = None;
+        // Every connection is gone, but sessions of connections that
+        // closed mid-request may still be paused on the workers: let them
+        // finish (their completions have no one to go to), then tell each
+        // worker to exit.
+        while el.in_flight > 0 && el.done_rx.recv().is_ok() {
+            el.in_flight -= 1;
+        }
+        for _ in &workers {
+            let _ = el.jobs.send(None);
+        }
         for w in workers {
             let _ = w.join();
         }
-        let metrics = shared.metrics.lock().expect("metrics").clone();
+        let metrics = shared.metrics().clone();
         Ok(metrics)
     }
 }
@@ -407,9 +495,9 @@ struct Conn {
     /// tenant but never inserted into the registry, so it is private to
     /// the connection and can be neither evicted nor named.
     program: Option<Arc<Published>>,
-    /// A request is with the workers; reads are paused and no further
-    /// frame is processed until its completion, preserving per-connection
-    /// FIFO order.
+    /// A request is with the workers (it outlasted its first quantum);
+    /// reads are paused and no further frame is processed until its
+    /// completion, preserving per-connection FIFO order.
     busy: bool,
     /// The peer sent EOF (or SHUTDOWN ended the session): no more input
     /// will be processed; close once in-flight work has flushed.
@@ -457,7 +545,9 @@ struct Cursor {
     /// Pinned program handle (keeps the image alive across republish and
     /// routes per-program accounting).
     program: Arc<Published>,
-    /// Last open/pull touch, for the idle reaper.
+    /// Last open/pull touch, for the idle reaper. A session paused
+    /// mid-pull (its batch replied early under a full queue) idles and is
+    /// reaped like any other.
     last_used: Instant,
 }
 
@@ -465,20 +555,22 @@ struct EventLoop {
     listener: TcpListener,
     poller: Poller,
     shared: Arc<Shared>,
-    /// `Some` while accepting queries; dropped after the loop exits so
-    /// the workers drain.
-    jobs: Option<SyncSender<WorkItem>>,
+    /// The workers' run queue.
+    jobs: Sender<Option<Paused>>,
     done_rx: Receiver<Completion>,
     wake_rx: UnixStream,
     slots: Vec<Entry>,
     free: Vec<usize>,
     live: usize,
     /// Open cursors by id. Entries whose `session` is `None` have their
-    /// pull in flight with a worker.
+    /// batch with the workers.
     cursors: HashMap<u64, Cursor>,
     /// Next cursor id; monotonically increasing, never reused, so a
     /// stale `NEXT` can never address a newer cursor.
     next_cursor_id: u64,
+    /// Paused sessions handed to the workers whose completion the loop
+    /// has not drained yet: the admission count.
+    in_flight: usize,
     shutting_down: bool,
     accepting: bool,
 }
@@ -520,7 +612,7 @@ impl EventLoop {
                         continue;
                     }
                     let _ = stream.set_nodelay(true);
-                    self.shared.metrics.lock().expect("metrics").connections += 1;
+                    self.shared.metrics().connections += 1;
                     let conn = Conn {
                         stream,
                         frames: FrameBuf::new(),
@@ -624,7 +716,7 @@ impl EventLoop {
         self.cursors.retain(|_, c| c.owner != token);
         let reaped = (before - self.cursors.len()) as u64;
         if reaped > 0 {
-            self.shared.metrics.lock().expect("metrics").cursors_reaped += reaped;
+            self.shared.metrics().cursors_reaped += reaped;
         }
         self.slots[index].gen = self.slots[index].gen.wrapping_add(1);
         self.free.push(index);
@@ -641,7 +733,7 @@ impl EventLoop {
             .retain(|_, c| c.session.is_none() || c.last_used.elapsed() <= idle);
         let reaped = (before - self.cursors.len()) as u64;
         if reaped > 0 {
-            self.shared.metrics.lock().expect("metrics").cursors_reaped += reaped;
+            self.shared.metrics().cursors_reaped += reaped;
         }
     }
 
@@ -692,7 +784,14 @@ impl EventLoop {
         while !conn.busy {
             match conn.frames.next_frame() {
                 Ok(Some(payload)) => {
-                    if !self.handle_frame(conn, token, &payload) {
+                    let handled = panic::catch_unwind(AssertUnwindSafe(|| {
+                        self.handle_frame(conn, token, &payload)
+                    }));
+                    let keep = match handled {
+                        Ok(keep) => keep,
+                        Err(cause) => self.contain_panic(conn, token, cause.as_ref()),
+                    };
+                    if !keep {
                         return false;
                     }
                 }
@@ -703,6 +802,23 @@ impl EventLoop {
             }
         }
         true
+    }
+
+    /// Answers a request whose handler panicked. The unwind already
+    /// dropped what the handler owned: the request's session and its
+    /// in-flight claim. A `NEXT` had taken its session out of the cursor
+    /// table, so the connection's sessionless cursors are removed (the
+    /// connection is not busy, so none of them has a batch with the
+    /// workers). The connection stays open for its next request.
+    fn contain_panic(
+        &mut self,
+        conn: &mut Conn,
+        token: u64,
+        cause: &(dyn std::any::Any + Send),
+    ) -> bool {
+        self.cursors
+            .retain(|_, c| c.owner != token || c.session.is_some());
+        queue_reply(conn, &panic_reply(&self.shared, cause).encode()).is_ok()
     }
 
     /// Handles one request frame. Returns whether the connection stays
@@ -727,7 +843,7 @@ impl EventLoop {
                 match Published::load("", source.as_str(), None) {
                     Ok(program) => {
                         conn.program = Some(Arc::new(program));
-                        self.shared.metrics.lock().expect("metrics").consults += 1;
+                        self.shared.metrics().consults += 1;
                         Reply::Ok {
                             body: String::new(),
                         }
@@ -799,12 +915,12 @@ impl EventLoop {
                 cursor,
             } => {
                 let outcome = if cursor {
-                    self.dispatch_cursor_open(conn, token, tenant, query, step_budget)
+                    Some(self.open_cursor(conn, token, tenant, &query, step_budget))
                 } else {
-                    self.dispatch_query(conn, token, tenant, query, enumerate_all, step_budget)
+                    self.dispatch_query(conn, token, tenant, &query, enumerate_all, step_budget)
                 };
                 match outcome {
-                    None => return true, // accepted: the reply comes from a worker
+                    None => return true, // with the workers: the reply comes from there
                     Some(reply) => reply,
                 }
             }
@@ -838,7 +954,7 @@ impl EventLoop {
             .publish(name, source, &self.shared.cfg.machine, step_budget)
         {
             Ok(receipt) => {
-                self.shared.metrics.lock().expect("metrics").publishes += 1;
+                self.shared.metrics().publishes += 1;
                 let mut body = format!("name={name}\nversion={}\n", receipt.version);
                 if let Some(evicted) = receipt.evicted {
                     body.push_str(&format!("evicted={evicted}\n"));
@@ -876,80 +992,86 @@ impl EventLoop {
         Ok((program, budget))
     }
 
-    /// Claims an in-flight slot on a resolved program's stats. A `false`
-    /// return has already been accounted as a BUSY.
-    fn claim_inflight(&self, program: &Published) -> bool {
+    /// Claims an in-flight slot on a resolved program. `None` has
+    /// already been accounted as a BUSY.
+    fn claim_inflight(&self, program: &Arc<Published>) -> Option<Claim> {
         if program
             .stats
             .try_start_inflight(self.shared.cfg.tenant_inflight_cap)
         {
-            return true;
+            return Some(Claim {
+                program: Arc::clone(program),
+            });
         }
-        self.shared.metrics.lock().expect("metrics").busy += 1;
+        self.shared.metrics().busy += 1;
         program.stats.busy.fetch_add(1, Ordering::Relaxed);
-        false
+        None
     }
 
-    /// Enqueues an item whose tenant slot (if any) is already claimed.
-    /// `None` means in flight; `Some` is an immediate reply, with the
-    /// claim released and (for a pull) the session restored.
-    fn enqueue(&mut self, conn: &mut Conn, item: WorkItem) -> Option<Reply> {
-        // try_send is the backpressure point: a full queue is the
-        // client's problem (retry), never the server's memory.
-        let jobs = self.jobs.as_ref().expect("queue open while looping");
-        match jobs.try_send(item) {
-            Ok(()) => {
-                conn.busy = true;
-                None
-            }
-            Err(e) => {
-                let (full, item) = match e {
-                    TrySendError::Full(item) => (true, item),
-                    TrySendError::Disconnected(item) => (false, item),
-                };
-                let program = match item {
-                    WorkItem::Query { program, .. } | WorkItem::CursorOpen { program, .. } => {
-                        program
-                    }
-                    WorkItem::CursorNext {
-                        cursor_id,
-                        session,
-                        program,
-                        ..
-                    } => {
-                        // Put the session back so the cursor survives
-                        // the rejected pull.
-                        if let Some(c) = self.cursors.get_mut(&cursor_id) {
-                            c.session = Some(session);
-                        }
-                        program
-                    }
-                };
-                program.stats.finish_inflight();
-                if full {
-                    self.shared.metrics.lock().expect("metrics").busy += 1;
-                    program.stats.busy.fetch_add(1, Ordering::Relaxed);
-                    Some(Reply::Busy)
-                } else {
-                    Some(error_reply(
-                        &KcmError::Harness("server is shutting down".to_owned()),
-                        &self.shared,
-                        None,
-                    ))
+    /// Runs a task's first quantum on the loop. A finished request
+    /// returns its reply; one that needs more quanta goes to the workers
+    /// if a paused session can be admitted (`None`: the reply comes from
+    /// there), and otherwise answers `BUSY` — or, for a cursor batch
+    /// that already holds answers, replies with those and parks the
+    /// session, paused mid-pull, back in its cursor.
+    fn first_quantum(
+        &mut self,
+        conn: &mut Conn,
+        token: u64,
+        task: Task,
+        claim: Claim,
+    ) -> Option<Reply> {
+        #[cfg(test)]
+        tests::inject(&self.shared.faults.loop_quanta);
+        let task = match run_turn(task, &self.shared, &claim.program.stats) {
+            Turn::Done(reply, cursor) => {
+                drop(claim);
+                if let Some(ret) = cursor {
+                    self.settle_cursor(ret);
                 }
+                return Some(reply);
+            }
+            Turn::Paused(task) => task,
+        };
+        let cfg = &self.shared.cfg;
+        if self.in_flight < cfg.workers.max(1) + cfg.queue_depth {
+            // The receiver lives as long as the workers, which outlive
+            // the loop, so the send cannot fail.
+            let _ = self.jobs.send(Some(Paused { token, task, claim }));
+            self.in_flight += 1;
+            conn.busy = true;
+            return None;
+        }
+        match task {
+            Task::Batch(batch) if !batch.answers.is_empty() => {
+                let (reply, ret) = batch.finish(false, None, &self.shared, &claim.program.stats);
+                drop(claim);
+                self.settle_cursor(ret);
+                Some(reply)
+            }
+            task => {
+                if let Task::Batch(batch) = task {
+                    self.settle_cursor(CursorReturn {
+                        id: batch.cursor_id,
+                        session: Some(batch.session),
+                    });
+                }
+                self.shared.metrics().busy += 1;
+                claim.program.stats.busy.fetch_add(1, Ordering::Relaxed);
+                Some(Reply::Busy)
             }
         }
     }
 
-    /// Resolves and enqueues a query. `None` means the request is in
-    /// flight (the worker's completion will carry the reply); `Some` is
-    /// an immediate reply (BUSY or an error).
+    /// Runs a query: resolves its program, claims the program's in-flight
+    /// slot, prepares it and runs its first quantum (see
+    /// [`EventLoop::first_quantum`]). `None` means it went to the workers.
     fn dispatch_query(
         &mut self,
         conn: &mut Conn,
         token: u64,
         tenant: Option<String>,
-        query: String,
+        query: &str,
         enumerate_all: bool,
         step_budget: Option<u64>,
     ) -> Option<Reply> {
@@ -957,86 +1079,101 @@ impl EventLoop {
             Ok(r) => r,
             Err(reply) => return Some(reply),
         };
-        if !self.claim_inflight(&program) {
+        let Some(claim) = self.claim_inflight(&program) else {
             return Some(Reply::Busy);
-        }
-        let opts = QueryOpts {
-            enumerate_all,
-            step_budget: budget,
-            trace: 0,
-            tier: self.shared.cfg.tier,
         };
-        let item = WorkItem::Query {
-            token,
-            job: QueryJob::with_opts(query, opts),
-            program: Arc::clone(&program),
+        let reply = match self.prepare(&program, query, enumerate_all, budget) {
+            Ok(mut prepared) => match prepared.begin_run(enumerate_all) {
+                Ok(()) => self.first_quantum(conn, token, Task::Query(Box::new(prepared)), claim),
+                Err(e) => Some(error_reply(&e, &self.shared, Some(&program.stats))),
+            },
+            Err(e) => Some(error_reply(&e, &self.shared, Some(&program.stats))),
         };
-        let reply = self.enqueue(conn, item);
-        if reply.is_none() {
-            self.shared.metrics.lock().expect("metrics").queries += 1;
+        if !matches!(reply, Some(Reply::Busy)) {
+            self.shared.metrics().queries += 1;
             program.stats.queries.fetch_add(1, Ordering::Relaxed);
         }
         reply
     }
 
-    /// Opens a cursor: allocates an id, parks a sessionless entry, and
-    /// ships the compilation to a worker. `None` means in flight.
-    fn dispatch_cursor_open(
+    /// [`prepare_query`] against a resolved program, under the server's
+    /// machine configuration and tier and the request's budget.
+    fn prepare(
+        &self,
+        program: &Published,
+        query: &str,
+        enumerate_all: bool,
+        step_budget: Option<u64>,
+    ) -> Result<PreparedQuery, KcmError> {
+        let opts = QueryOpts {
+            enumerate_all,
+            step_budget,
+            trace: 0,
+            tier: self.shared.cfg.tier,
+        };
+        prepare_query(
+            &program.image,
+            &program.symbols,
+            &self.shared.cfg.machine,
+            query,
+            &opts,
+        )
+    }
+
+    /// Opens a cursor on the loop: prepares the query and arms its
+    /// session, running nothing, and parks it under a fresh id.
+    fn open_cursor(
         &mut self,
-        conn: &mut Conn,
+        conn: &Conn,
         token: u64,
         tenant: Option<String>,
-        query: String,
+        query: &str,
         step_budget: Option<u64>,
-    ) -> Option<Reply> {
+    ) -> Reply {
         let open_here = self.cursors.values().filter(|c| c.owner == token).count();
         if open_here >= self.shared.cfg.cursors_per_conn {
-            self.shared.metrics.lock().expect("metrics").busy += 1;
-            return Some(Reply::Busy);
+            self.shared.metrics().busy += 1;
+            return Reply::Busy;
         }
         let (program, budget) = match self.resolve_program(conn, tenant.as_deref(), step_budget) {
             Ok(r) => r,
-            Err(reply) => return Some(reply),
+            Err(reply) => return reply,
         };
-        if !self.claim_inflight(&program) {
-            return Some(Reply::Busy);
+        let Some(claim) = self.claim_inflight(&program) else {
+            return Reply::Busy;
+        };
+        self.shared.metrics().queries += 1;
+        program.stats.queries.fetch_add(1, Ordering::Relaxed);
+        // A session enumerates by construction.
+        let session = self
+            .prepare(&program, query, true, budget)
+            .and_then(PreparedQuery::into_session);
+        drop(claim);
+        match session {
+            Ok(session) => {
+                let cursor_id = self.next_cursor_id;
+                self.next_cursor_id += 1;
+                self.cursors.insert(
+                    cursor_id,
+                    Cursor {
+                        owner: token,
+                        session: Some(Box::new(session)),
+                        program,
+                        last_used: Instant::now(),
+                    },
+                );
+                self.shared.metrics().cursors_opened += 1;
+                Reply::Ok {
+                    body: format!("cursor={cursor_id}\n"),
+                }
+            }
+            Err(e) => error_reply(&e, &self.shared, Some(&program.stats)),
         }
-        let opts = QueryOpts {
-            // A cursor session enumerates by construction; the flag only
-            // matters if the session layer ever consults it.
-            enumerate_all: true,
-            step_budget: budget,
-            trace: 0,
-            tier: self.shared.cfg.tier,
-        };
-        let cursor_id = self.next_cursor_id;
-        self.next_cursor_id += 1;
-        let item = WorkItem::CursorOpen {
-            token,
-            cursor_id,
-            query,
-            opts,
-            program: Arc::clone(&program),
-        };
-        let reply = self.enqueue(conn, item);
-        if reply.is_none() {
-            program.stats.queries.fetch_add(1, Ordering::Relaxed);
-            self.cursors.insert(
-                cursor_id,
-                Cursor {
-                    owner: token,
-                    session: None,
-                    program,
-                    last_used: Instant::now(),
-                },
-            );
-            self.shared.metrics.lock().expect("metrics").queries += 1;
-        }
-        reply
     }
 
-    /// Ships a cursor's session to a worker for one batch. `None` means
-    /// in flight.
+    /// Pulls a cursor batch: takes the session out of the cursor table
+    /// and runs the batch's first quantum (see
+    /// [`EventLoop::first_quantum`]). `None` means it went to the workers.
     fn dispatch_next(
         &mut self,
         conn: &mut Conn,
@@ -1052,52 +1189,57 @@ impl EventLoop {
         }
         let Some(session) = cursor.session.take() else {
             // Unreachable through the protocol (the owner is busy while
-            // its pull is out); answer BUSY rather than corrupt state.
+            // its batch is out); answer BUSY rather than corrupt state.
             return Some(Reply::Busy);
         };
         cursor.last_used = Instant::now();
         let program = Arc::clone(&cursor.program);
-        if !self.claim_inflight(&program) {
+        let Some(claim) = self.claim_inflight(&program) else {
             // Re-borrow: claim_inflight released the map borrow.
             if let Some(c) = self.cursors.get_mut(&id) {
                 c.session = Some(session);
             }
             return Some(Reply::Busy);
-        }
+        };
         let count = count
             .unwrap_or(1)
             .min(self.shared.cfg.cursor_batch_cap.max(1));
-        let item = WorkItem::CursorNext {
-            token,
+        let batch = Batch {
             cursor_id: id,
+            before_stats: *session.totals(),
+            before_output: session.output().len(),
             session,
             count,
-            program,
+            answers: Vec::new(),
         };
-        self.enqueue(conn, item)
+        self.first_quantum(conn, token, Task::Batch(Box::new(batch)), claim)
+    }
+
+    /// Applies a finished batch's cursor-table update. A session coming
+    /// back to a missing entry (its owner closed, and `close_slot` reaped
+    /// the entry) is dropped here.
+    fn settle_cursor(&mut self, ret: CursorReturn) {
+        match ret.session {
+            Some(session) => {
+                if let Some(cursor) = self.cursors.get_mut(&ret.id) {
+                    cursor.session = Some(session);
+                    cursor.last_used = Instant::now();
+                }
+            }
+            None => {
+                self.cursors.remove(&ret.id);
+            }
+        }
     }
 
     fn drain_completions(&mut self) {
         while let Ok(done) = self.done_rx.try_recv() {
+            self.in_flight -= 1;
             // Settle the cursor table before the connection: even if the
             // connection is gone, a returning session must be parked or
             // dropped, never leaked in the channel.
             if let Some(ret) = done.cursor {
-                match ret.session {
-                    Some(session) => {
-                        if let Some(cursor) = self.cursors.get_mut(&ret.id) {
-                            cursor.session = Some(session);
-                            cursor.last_used = Instant::now();
-                        }
-                        // else: the owner closed; close_slot already
-                        // reaped the entry and the session drops here.
-                    }
-                    None => {
-                        // Open failed, enumeration exhausted, or a slice
-                        // error: the cursor is finished.
-                        self.cursors.remove(&ret.id);
-                    }
-                }
+                self.settle_cursor(ret);
             }
             let Some((index, mut conn)) = self.take_conn(done.token) else {
                 continue; // the connection went away; the work still counted
@@ -1170,136 +1312,52 @@ fn unknown_cursor(id: u64) -> Reply {
     }
 }
 
+/// One worker: takes paused sessions off the run queue, runs one
+/// quantum per turn, and requeues the session or sends its completion.
+/// Each turn runs under `catch_unwind`: a panic drops the session (the
+/// unwind frees its machine), answers `internal`, releases the in-flight
+/// claim and keeps the worker alive. A `None` on the queue means exit.
 fn worker_loop(
-    rx: &Mutex<Receiver<WorkItem>>,
+    rx: &Mutex<Receiver<Option<Paused>>>,
+    requeue: &Sender<Option<Paused>>,
     shared: &Shared,
     done_tx: &mpsc::Sender<Completion>,
     wake_tx: &UnixStream,
 ) {
     loop {
-        // Hold the lock only to pop; run the session outside it.
-        let item = match rx.lock().expect("worker queue").recv() {
-            Ok(item) => item,
-            Err(_) => return, // queue closed: drained
+        // Hold the lock only to pop; run the quantum outside it.
+        let received = rx.lock().unwrap_or_else(PoisonError::into_inner).recv();
+        let Ok(Some(Paused { token, task, claim })) = received else {
+            return;
         };
-        let done = match item {
-            WorkItem::Query {
-                token,
-                job,
-                program,
-            } => {
-                let outcome =
-                    run_session(&program.image, &program.symbols, &shared.cfg.machine, &job);
-                let reply = match outcome {
-                    Ok(outcome) => {
-                        account_served(shared, &program.stats, &outcome);
-                        Reply::Ok {
-                            body: render_outcome(&outcome),
-                        }
-                    }
-                    Err(e) => error_reply(&e, shared, Some(&program.stats)),
-                };
-                program.stats.finish_inflight();
-                Completion {
-                    token,
-                    payload: reply.encode(),
-                    cursor: None,
-                }
+        let cursor_id = match &task {
+            Task::Batch(batch) => Some(batch.cursor_id),
+            Task::Query(_) => None,
+        };
+        let turn = panic::catch_unwind(AssertUnwindSafe(|| {
+            #[cfg(test)]
+            tests::inject(&shared.faults.worker_turns);
+            run_turn(task, shared, &claim.program.stats)
+        }));
+        let (reply, cursor) = match turn {
+            Ok(Turn::Paused(task)) => {
+                // The loop keeps its own sender, so the queue is open.
+                let _ = requeue.send(Some(Paused { token, task, claim }));
+                continue;
             }
-            WorkItem::CursorOpen {
-                token,
-                cursor_id,
-                query,
-                opts,
-                program,
-            } => {
-                let (reply, session) = match open_session(
-                    &program.image,
-                    &program.symbols,
-                    &shared.cfg.machine,
-                    &query,
-                    &opts,
-                ) {
-                    Ok(session) => {
-                        shared.metrics.lock().expect("metrics").cursors_opened += 1;
-                        (
-                            Reply::Ok {
-                                body: format!("cursor={cursor_id}\n"),
-                            },
-                            Some(Box::new(session)),
-                        )
-                    }
-                    Err(e) => (error_reply(&e, shared, Some(&program.stats)), None),
-                };
-                program.stats.finish_inflight();
-                Completion {
-                    token,
-                    payload: reply.encode(),
-                    cursor: Some(CursorReturn {
-                        id: cursor_id,
-                        session,
-                    }),
-                }
-            }
-            WorkItem::CursorNext {
-                token,
-                cursor_id,
-                mut session,
-                count,
-                program,
-            } => {
-                let before_stats = *session.totals();
-                let before_output = session.output().len();
-                let mut answers = Vec::new();
-                let mut exhausted = false;
-                let mut failure = None;
-                while (answers.len() as u64) < count {
-                    match session.next_step() {
-                        Ok(Some(step)) => answers.push(step.solution),
-                        Ok(None) => {
-                            exhausted = true;
-                            break;
-                        }
-                        Err(e) => {
-                            failure = Some(e);
-                            break;
-                        }
-                    }
-                }
-                // Deltas come off the session's running totals so the
-                // slice that discovers exhaustion is still charged.
-                let batch_stats = session.totals().delta_since(&before_stats);
-                let batch_output = session.output()[before_output..].to_owned();
-                let reply = match &failure {
-                    // A slice error kills the cursor; answers pulled
-                    // earlier in this batch die with it (the client
-                    // never saw them, and the dead session cannot be
-                    // resumed to re-derive them).
-                    Some(e) => error_reply(e, shared, Some(&program.stats)),
-                    None => {
-                        account_batch(shared, &program.stats, answers.len() as u64, &batch_stats);
-                        Reply::Ok {
-                            body: render_batch(
-                                cursor_id,
-                                &answers,
-                                exhausted,
-                                &batch_stats,
-                                &batch_output,
-                            ),
-                        }
-                    }
-                };
-                let keep = failure.is_none() && !exhausted;
-                program.stats.finish_inflight();
-                Completion {
-                    token,
-                    payload: reply.encode(),
-                    cursor: Some(CursorReturn {
-                        id: cursor_id,
-                        session: keep.then_some(session),
-                    }),
-                }
-            }
+            Ok(Turn::Done(reply, cursor)) => (reply, cursor),
+            Err(cause) => (
+                panic_reply(shared, cause.as_ref()),
+                cursor_id.map(|id| CursorReturn { id, session: None }),
+            ),
+        };
+        // Release the in-flight slot before the reply can reach the
+        // client, so a client that reads it sees the slot free.
+        drop(claim);
+        let done = Completion {
+            token,
+            payload: reply.encode(),
+            cursor,
         };
         // A gone connection is fine — the work was still done and
         // counted; the loop drops completions with stale tokens.
@@ -1310,13 +1368,122 @@ fn worker_loop(
     }
 }
 
+/// Runs one quantum of a task, on the loop or a worker, and renders the
+/// reply of a finished request, accounting it against the aggregate and
+/// per-program counters.
+fn run_turn(task: Task, shared: &Shared, stats: &TenantStats) -> Turn {
+    match task {
+        Task::Query(mut query) => match query.run_quantum(QUANTUM) {
+            Ok(Quantum::Paused) => Turn::Paused(Task::Query(query)),
+            Ok(Quantum::Done(outcome)) => {
+                account_served(shared, stats, &outcome);
+                let body = render_outcome(&outcome);
+                Turn::Done(Reply::Ok { body }, None)
+            }
+            Err(e) => Turn::Done(error_reply(&e, shared, Some(stats)), None),
+        },
+        Task::Batch(mut batch) => {
+            // One quantum spans the batch's pulls: each pull gets what the
+            // earlier ones left. A pull that began in an earlier turn
+            // reports its whole length, so this undercounts what is left,
+            // never over.
+            let mut left = QUANTUM;
+            let mut exhausted = false;
+            let mut failure = None;
+            while (batch.answers.len() as u64) < batch.count {
+                if left == 0 {
+                    return Turn::Paused(Task::Batch(batch));
+                }
+                match batch.session.next_step_quantum(left) {
+                    Ok(Quantum::Paused) => return Turn::Paused(Task::Batch(batch)),
+                    Ok(Quantum::Done(Some(step))) => {
+                        left = left.saturating_sub(step.stats.instructions);
+                        batch.answers.push(step.solution);
+                    }
+                    Ok(Quantum::Done(None)) => {
+                        exhausted = true;
+                        break;
+                    }
+                    Err(e) => {
+                        failure = Some(e);
+                        break;
+                    }
+                }
+            }
+            let (reply, ret) = batch.finish(exhausted, failure, shared, stats);
+            Turn::Done(reply, Some(ret))
+        }
+    }
+}
+
+impl Batch {
+    /// Ends the batch: its reply and the cursor-table update. The
+    /// session is parked back unless the enumeration is exhausted or a
+    /// slice error killed it.
+    fn finish(
+        self,
+        exhausted: bool,
+        failure: Option<KcmError>,
+        shared: &Shared,
+        stats: &TenantStats,
+    ) -> (Reply, CursorReturn) {
+        let reply = match &failure {
+            // A slice error kills the cursor; answers pulled earlier in
+            // this batch die with it (the client never saw them, and the
+            // dead session cannot be resumed to re-derive them).
+            Some(e) => error_reply(e, shared, Some(stats)),
+            None => {
+                // Deltas come off the session's running totals so the
+                // slice that discovers exhaustion is still charged.
+                let batch_stats = self.session.totals().delta_since(&self.before_stats);
+                let batch_output = &self.session.output()[self.before_output..];
+                account_batch(shared, stats, self.answers.len() as u64, &batch_stats);
+                Reply::Ok {
+                    body: render_batch(
+                        self.cursor_id,
+                        &self.answers,
+                        exhausted,
+                        &batch_stats,
+                        batch_output,
+                    ),
+                }
+            }
+        };
+        let keep = failure.is_none() && !exhausted;
+        let ret = CursorReturn {
+            id: self.cursor_id,
+            session: keep.then_some(self.session),
+        };
+        (reply, ret)
+    }
+}
+
+/// The reply to a request whose handler or worker turn panicked: the
+/// classed error `internal`, counted under `panics` and `errors`.
+fn panic_reply(shared: &Shared, cause: &(dyn std::any::Any + Send)) -> Reply {
+    {
+        let mut m = shared.metrics();
+        m.panics += 1;
+        m.errors += 1;
+    }
+    let why = cause
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| cause.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("panic");
+    Reply::Err {
+        class: "internal".to_owned(),
+        message: format!("internal error: {why}"),
+    }
+}
+
 /// Accounts one served cursor batch into the aggregate and per-program
 /// counters. Cursor batches count work (`solutions`, `inferences`,
 /// `cycles`, `steps`) like queries do, but under the `cursor_*` serving
 /// counters instead of `served`.
 fn account_batch(shared: &Shared, program: &TenantStats, answers: u64, stats: &RunStats) {
     {
-        let mut m = shared.metrics.lock().expect("metrics");
+        let mut m = shared.metrics();
         m.cursor_batches += 1;
         m.cursor_answers += answers;
         m.solutions += answers;
@@ -1337,7 +1504,7 @@ fn account_batch(shared: &Shared, program: &TenantStats, answers: u64, stats: &R
 fn account_served(shared: &Shared, program: &TenantStats, outcome: &Outcome) {
     let solutions = outcome.solutions.len() as u64;
     {
-        let mut m = shared.metrics.lock().expect("metrics");
+        let mut m = shared.metrics();
         m.served += 1;
         m.solutions += solutions;
         m.inferences += outcome.stats.inferences;
@@ -1364,7 +1531,7 @@ fn account_served(shared: &Shared, program: &TenantStats, outcome: &Outcome) {
 fn error_reply(e: &KcmError, shared: &Shared, tenant: Option<&TenantStats>) -> Reply {
     let class = error_class(e);
     {
-        let mut m = shared.metrics.lock().expect("metrics");
+        let mut m = shared.metrics();
         if class == "budget" {
             m.budget_stops += 1;
         } else {
@@ -1387,7 +1554,7 @@ fn error_reply(e: &KcmError, shared: &Shared, tenant: Option<&TenantStats>) -> R
 /// The full `STATS` body: the aggregate counters, the registry size, and
 /// per-tenant counters sorted by name.
 fn stats_body(shared: &Shared) -> String {
-    let mut body = shared.metrics.lock().expect("metrics").render();
+    let mut body = shared.metrics().render();
     let tenants = shared.registry.tenants();
     body.push_str(&format!("programs={}\n", tenants.len()));
     for t in tenants {
@@ -1409,4 +1576,133 @@ fn stats_body(shared: &Shared) -> String {
         ));
     }
     body
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::Client;
+    use std::sync::atomic::AtomicU32;
+
+    /// Armed fault injections: each count makes that many of the next
+    /// first quanta on the loop, or worker turns, panic.
+    #[derive(Default)]
+    pub(super) struct Faults {
+        pub(super) loop_quanta: AtomicU32,
+        pub(super) worker_turns: AtomicU32,
+    }
+
+    /// Panics if `armed` is nonzero, consuming one arming.
+    pub(super) fn inject(armed: &AtomicU32) {
+        if armed
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
+            .is_ok()
+        {
+            panic!("injected fault");
+        }
+    }
+
+    /// Live worker threads in this process, by thread name.
+    fn worker_threads() -> usize {
+        std::fs::read_dir("/proc/self/task")
+            .expect("/proc/self/task")
+            .filter_map(Result::ok)
+            .filter(|task| {
+                std::fs::read_to_string(task.path().join("comm"))
+                    .is_ok_and(|comm| comm.trim_end() == WORKER_NAME)
+            })
+            .count()
+    }
+
+    fn query(tenant: &str, text: &str, step_budget: u64) -> Request {
+        Request::Query {
+            tenant: Some(tenant.to_owned()),
+            query: text.to_owned(),
+            enumerate_all: false,
+            step_budget: Some(step_budget),
+            cursor: false,
+        }
+    }
+
+    fn class_of(reply: &Reply) -> &str {
+        match reply {
+            Reply::Err { class, .. } => class,
+            other => panic!("expected an error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn panics_on_the_loop_and_in_a_worker_are_contained_to_their_request() {
+        let server = Server::bind(
+            "127.0.0.1:0",
+            ServeConfig {
+                workers: 1,
+                ..ServeConfig::default()
+            },
+        )
+        .expect("bind");
+        let addr = server.local_addr().expect("addr");
+        let shared = Arc::clone(&server.shared);
+        let handle = std::thread::spawn(move || server.run());
+        let faults = &shared.faults;
+        let mut client = Client::connect(addr).expect("connect");
+        // `slow` spends about 4 quanta before each of its two answers, so
+        // every pull of it goes to the worker.
+        let program = "loop :- loop. ok(42).
+            spin(0) :- !. spin(N) :- M is N - 1, spin(M).
+            slow(X) :- spin(10000), (X = a ; X = b).";
+        assert!(client.publish("t", program, None).expect("publish").is_ok());
+        let answer = client.query_tenant("t", "ok(X)").expect("ok");
+        assert!(matches!(&answer, Reply::Ok { body } if body.contains("X=42")));
+        let threads = worker_threads();
+        assert!(threads >= 1);
+
+        // A one-shot query panicking on the loop, then in a worker turn.
+        faults.loop_quanta.store(1, Ordering::Relaxed);
+        let reply = client.query_tenant("t", "ok(X)").expect("loop panic");
+        assert_eq!(class_of(&reply), "internal");
+        assert_eq!(client.query_tenant("t", "ok(X)").expect("after"), answer);
+        faults.worker_turns.store(1, Ordering::Relaxed);
+        let reply = client
+            .request(&query("t", "loop", 1_000_000))
+            .expect("worker panic");
+        assert_eq!(class_of(&reply), "internal");
+        assert_eq!(client.query_tenant("t", "ok(X)").expect("after"), answer);
+        // The worker survived: it still runs a query that needs it.
+        let reply = client.request(&query("t", "loop", 50_000)).expect("worker");
+        assert_eq!(class_of(&reply), "budget");
+
+        // A cursor batch panicking on the loop, then in a worker turn:
+        // the cursor goes with its session.
+        for armed in [&faults.loop_quanta, &faults.worker_turns] {
+            let id = client
+                .open_cursor(Some("t"), "slow(X)", None)
+                .expect("open");
+            armed.store(1, Ordering::Relaxed);
+            let reply = client.next(id, Some(2)).expect("next");
+            assert_eq!(class_of(&reply), "internal");
+            let reply = client.next(id, Some(2)).expect("next again");
+            assert!(
+                matches!(&reply, Reply::Err { message, .. } if message.contains("unknown cursor")),
+                "{reply:?}"
+            );
+            assert_eq!(client.query_tenant("t", "ok(X)").expect("after"), answer);
+        }
+        // An unbroken cursor still streams through the worker.
+        let id = client
+            .open_cursor(Some("t"), "slow(X)", None)
+            .expect("open");
+        match client.next(id, Some(2)).expect("next") {
+            Reply::Ok { body } => assert!(body.contains("answers=2") && body.contains("X=b")),
+            other => panic!("next answered {other:?}"),
+        }
+
+        assert_eq!(worker_threads(), threads);
+        let stats = client.stats().expect("stats");
+        assert!(stats.contains("\npanics=4\n"), "{stats}");
+        assert!(stats.contains("tenant.t.inflight=0\n"), "{stats}");
+        client.shutdown().expect("shutdown");
+        let metrics = handle.join().expect("server thread").expect("server run");
+        assert_eq!(metrics.panics, 4);
+    }
 }

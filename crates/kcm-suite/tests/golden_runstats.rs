@@ -13,12 +13,15 @@
 //! inferences, choice-point and trail activity, cache hits and misses,
 //! page faults and the prefetch pipeline.
 //!
+//! The same golden file pins the suite run one instruction per quantum:
+//! pausing and resuming the machine is host-only, so no counter may move.
+//!
 //! A change meant to alter the cost model or the code layout edits the
 //! committed file; the failure message prints the full current
 //! rendering for that.
 
 use kcm_suite::{golden, programs};
-use kcm_system::{Kcm, QueryOpts, RunStats};
+use kcm_system::{Kcm, Quantum, QueryOpts, RunStats};
 
 const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden_runstats.txt");
 const RERUN_PATH: &str = concat!(
@@ -75,9 +78,36 @@ fn rerun() -> (String, String) {
     (first, second)
 }
 
+/// Each query run one instruction per quantum, paused after every step.
+fn quantum_stepped() -> String {
+    let mut out = String::new();
+    for p in programs::suite() {
+        let mut prepared = loaded(&p)
+            .prepare(p.query, &opts(&p))
+            .unwrap_or_else(|e| panic!("{}: prepare: {e}", p.name));
+        prepared
+            .begin_run(p.enumerate)
+            .unwrap_or_else(|e| panic!("{}: arm: {e}", p.name));
+        let outcome = loop {
+            match prepared.run_quantum(1) {
+                Ok(Quantum::Paused) => {}
+                Ok(Quantum::Done(outcome)) => break outcome,
+                Err(e) => panic!("{}: run: {e}", p.name),
+            }
+        };
+        out.push_str(&render(p.name, outcome.success, &outcome.stats));
+    }
+    out
+}
+
 #[test]
 fn suite_runstats_match_the_golden_file() {
     golden::assert_matches(GOLDEN_PATH, &current());
+}
+
+#[test]
+fn runs_paused_after_every_instruction_match_the_golden_file() {
+    golden::assert_matches(GOLDEN_PATH, &quantum_stepped());
 }
 
 #[test]

@@ -270,9 +270,10 @@ impl Default for SessionPool {
 }
 
 /// One isolated session: [`prepare_query`] against the shared image,
-/// then one run on the fresh machine. Only the `Arc` on the program image
-/// is shared. Public because query services (`kcm-serve`) run their
-/// worker loops on exactly this path.
+/// then one run on the fresh machine, in one unbounded quantum. Only the
+/// `Arc` on the program image is shared. Public for callers that run a
+/// query against a published program without a `Kcm`, such as the
+/// registry's clients and benchmark harnesses.
 ///
 /// # Errors
 ///

@@ -33,7 +33,7 @@ use kcm_compiler::CodeImage;
 use kcm_prolog::Term;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Per-tenant serving counters, updated lock-free by the workers that
 /// execute the tenant's queries and snapshotted for `STATS`.
@@ -255,7 +255,7 @@ impl ProgramRegistry {
 
     /// How many programs are currently published.
     pub fn len(&self) -> usize {
-        self.slots.lock().expect("registry lock").len()
+        self.slots().len()
     }
 
     /// Whether nothing is published.
@@ -265,6 +265,14 @@ impl ProgramRegistry {
 
     fn tick(&self) -> u64 {
         self.clock.fetch_add(1, Ordering::Relaxed)
+    }
+
+    /// The slot map, locked. Every change is copy-on-write (a new entry
+    /// is built before the map is touched), so a panic contained while
+    /// the lock was held leaves the map consistent and poisoning is
+    /// ignored.
+    fn slots(&self) -> MutexGuard<'_, HashMap<String, Slot>> {
+        self.slots.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Loads a program artifact — Prolog source or a binary snapshot
@@ -294,7 +302,7 @@ impl ProgramRegistry {
     ) -> Result<PublishReceipt, KcmError> {
         let mut entry = Published::load(name, source, step_budget)?;
         let now = self.tick();
-        let mut slots = self.slots.lock().expect("registry lock");
+        let mut slots = self.slots();
         let evicted = match slots.get(name) {
             Some(old) => {
                 entry.version = old.entry.version + 1;
@@ -335,7 +343,7 @@ impl ProgramRegistry {
         edit: Edit,
     ) -> Result<(PublishReceipt, bool), KcmError> {
         let now = self.tick();
-        let mut slots = self.slots.lock().expect("registry lock");
+        let mut slots = self.slots();
         let slot = slots
             .get_mut(name)
             .ok_or_else(|| KcmError::UnknownProgram(name.to_owned()))?;
@@ -418,7 +426,7 @@ impl ProgramRegistry {
     /// `name` (it may have been evicted).
     pub fn lookup(&self, name: &str) -> Result<Arc<Published>, KcmError> {
         let now = self.tick();
-        let mut slots = self.slots.lock().expect("registry lock");
+        let mut slots = self.slots();
         match slots.get_mut(name) {
             Some(slot) => {
                 slot.last_used = now;
@@ -431,7 +439,7 @@ impl ProgramRegistry {
     /// Every published tenant, sorted by name — the deterministic order
     /// `STATS` renders in.
     pub fn tenants(&self) -> Vec<Arc<Published>> {
-        let slots = self.slots.lock().expect("registry lock");
+        let slots = self.slots();
         let mut entries: Vec<Arc<Published>> =
             slots.values().map(|s| Arc::clone(&s.entry)).collect();
         entries.sort_by(|a, b| a.name.cmp(&b.name));

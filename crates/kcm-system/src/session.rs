@@ -25,8 +25,16 @@
 //! interpreter, so a cursor on the native tier takes the identical
 //! instruction sequence an uninterrupted enumerate-all run would — the
 //! property the difftest enumeration oracle checks byte-for-byte.
+//!
+//! A one-shot run and a pull can also go a quantum at a time
+//! ([`PreparedQuery::run_quantum`], [`Solutions::next_step_quantum`]): the
+//! machine pauses at an instruction boundary when the quantum runs out
+//! and resumes there on the next call, so a host can time-slice long
+//! queries. Pausing changes nothing the machine reports.
 
-use crate::{KcmError, Machine, MachineConfig, Outcome, QueryOpts, RunStats, Solution, Tier};
+use crate::{
+    KcmError, Machine, MachineConfig, Outcome, Quantum, QueryOpts, RunStats, Solution, Tier,
+};
 use kcm_arch::SymbolTable;
 use kcm_compiler::CodeImage;
 use std::sync::Arc;
@@ -85,7 +93,9 @@ pub fn prepare_query(
 ///
 /// [`PreparedQuery::run`] may be called repeatedly on the same machine
 /// (benchmark harnesses time only the run that way);
-/// [`PreparedQuery::into_session`] turns it into a pull-based stream.
+/// [`PreparedQuery::begin_run`] and [`PreparedQuery::run_quantum`] run it
+/// a quantum at a time; [`PreparedQuery::into_session`] turns it into a
+/// pull-based stream.
 pub struct PreparedQuery {
     machine: SessionMachine,
     vars: Vec<String>,
@@ -104,6 +114,31 @@ impl PreparedQuery {
     pub fn run(&mut self, enumerate_all: bool) -> Result<Outcome, KcmError> {
         let vars = &self.vars;
         Ok(on_tier!(&mut self.machine, m => m.run_query(vars, enumerate_all))?)
+    }
+
+    /// Arms a one-shot run, to the first solution or with `enumerate_all`
+    /// through every solution, without running anything; drive it with
+    /// [`PreparedQuery::run_quantum`].
+    ///
+    /// # Errors
+    ///
+    /// A fault arming the run.
+    pub fn begin_run(&mut self, enumerate_all: bool) -> Result<(), KcmError> {
+        let vars = &self.vars;
+        Ok(on_tier!(&mut self.machine, m => m.begin_query_run(vars, enumerate_all))?)
+    }
+
+    /// Runs the armed one-shot run for at most `quantum` instructions:
+    /// [`Quantum::Done`] with the [`Outcome`] [`PreparedQuery::run`]
+    /// would have returned, or [`Quantum::Paused`] when the quantum ran
+    /// out first (call again to continue). The step budget bounds the
+    /// whole run across its quanta.
+    ///
+    /// # Errors
+    ///
+    /// As [`PreparedQuery::run`]; after an error the run is dead.
+    pub fn run_quantum(&mut self, quantum: u64) -> Result<Quantum<Outcome>, KcmError> {
+        Ok(on_tier!(&mut self.machine, m => m.run_quantum(quantum))?)
     }
 
     /// Arms the machine as a suspendable session (see [`Solutions`]).
@@ -173,11 +208,31 @@ impl Solutions {
     /// [`crate::MachineError::BudgetExhausted`] when one pull's budget
     /// slice is exhausted.
     pub fn next_step(&mut self) -> Result<Option<SolutionStep>, KcmError> {
+        Ok(self
+            .next_step_quantum(u64::MAX)?
+            .done()
+            .expect("an unbounded quantum runs to the end"))
+    }
+
+    /// Runs the current pull for at most `quantum` instructions:
+    /// [`Quantum::Done`] with what [`Solutions::next_step`] would have
+    /// returned, or [`Quantum::Paused`] when the quantum ran out first
+    /// (call again to continue the same pull). The step budget bounds
+    /// each pull across its quanta.
+    ///
+    /// # Errors
+    ///
+    /// As [`Solutions::next_step`].
+    pub fn next_step_quantum(
+        &mut self,
+        quantum: u64,
+    ) -> Result<Quantum<Option<SolutionStep>>, KcmError> {
         if self.exhausted() {
-            return Ok(None);
+            return Ok(Quantum::Done(None));
         }
-        let step = match on_tier!(&mut self.machine, m => m.next_solution()) {
-            Ok(step) => step,
+        let step = match on_tier!(&mut self.machine, m => m.pull_quantum(quantum)) {
+            Ok(Quantum::Done(step)) => step,
+            Ok(Quantum::Paused) => return Ok(Quantum::Paused),
             Err(e) => {
                 self.dead = true;
                 return Err(e.into());
@@ -186,17 +241,14 @@ impl Solutions {
         self.totals.cycle_ns = step.stats.cycle_ns;
         self.totals.merge(&step.stats);
         self.output.push_str(&step.output);
-        match step.solution {
-            Some(solution) => {
-                self.pulled += 1;
-                Ok(Some(SolutionStep {
-                    solution,
-                    stats: step.stats,
-                    output: step.output,
-                }))
+        Ok(Quantum::Done(step.solution.map(|solution| {
+            self.pulled += 1;
+            SolutionStep {
+                solution,
+                stats: step.stats,
+                output: step.output,
             }
-            None => Ok(None),
-        }
+        })))
     }
 
     /// Whether the session has ended (exhausted, or dead after an error).
