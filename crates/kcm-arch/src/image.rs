@@ -335,15 +335,16 @@ impl std::ops::Index<usize> for CodeStore {
     }
 }
 
-/// The native tier's resolved-dispatch table, parallel to the decoded
-/// stream: per instruction, its fall-through address (low 32 bits) and
-/// the stream index of the instruction there (high 32 bits), packed so
-/// the hot loop pays one load per step and never recomputes an
-/// instruction size. An index of `u32::MAX` means "not resolved here":
-/// no instruction starts there, or one was placed there after the entry
-/// was computed (a program's last instruction falls through to the
-/// first word of a query overlay) — the dispatcher then looks the
-/// address up, so a stale entry is never wrong, just a miss.
+/// The resolved-dispatch table, parallel to the decoded stream, that
+/// the machine's one instruction loop steps through on both tiers: per
+/// instruction, its fall-through address (low 32 bits) and the stream
+/// index of the instruction there (high 32 bits), packed so the loop
+/// pays one load per step and never recomputes an instruction size. An
+/// index of `u32::MAX` means "not resolved here": no instruction starts
+/// there, or one was placed there after the entry was computed (a
+/// program's last instruction falls through to the first word of a
+/// query overlay) — the dispatcher then looks the address up, so a
+/// stale entry is never wrong, just a miss.
 ///
 /// Built once per image and shared by every machine through the image's
 /// `Arc`; an eager image maintains it on every mutation, a lazily
@@ -456,7 +457,7 @@ pub struct CodeImage {
     /// open-addressing index here so dispatch is O(1) instead of a
     /// linear scan. `Arc` so image clones share the tables.
     switch_index: Vec<Option<Arc<SwitchIndex>>>,
-    /// The native tier's resolved-dispatch table, parallel to `instrs`.
+    /// The resolved-dispatch table, parallel to `instrs`.
     dispatch: Dispatch,
     /// This image's own code words (addresses from `first_addr`).
     words: WordStore,
@@ -598,9 +599,10 @@ impl CodeImage {
     /// `idx`, with its resolved-dispatch entries: the whole own stream of
     /// the layer holding `idx` (the program's, or a query overlay's), or
     /// for a lazily restored image the decode chunk — decoded and
-    /// resolved on first use. The native hot loop steps through a span
-    /// without consulting the image, and asks for the next span only when
-    /// control leaves it (an overlay boundary or a lazy chunk edge).
+    /// resolved on first use. The machine's instruction loop steps
+    /// through a span without consulting the image, and asks for the next
+    /// span only when control leaves it (an overlay boundary or a lazy
+    /// chunk edge).
     ///
     /// # Panics
     ///
@@ -636,10 +638,10 @@ impl CodeImage {
         pack_next(next, next_idx)
     }
 
-    /// The word address of the instruction at stream index `idx`, if any.
-    /// Instructions are laid out in address order, so the sequential
-    /// successor of index `i` is index `i + 1` — the machine's
-    /// fall-through dispatch validates its hint with this.
+    /// The word address of the instruction at stream index `idx`, if any
+    /// (the inverse of [`CodeImage::index_of`], for disassembly and
+    /// image comparison). Instructions are laid out in address order, so
+    /// the sequential successor of index `i` is index `i + 1`.
     #[inline]
     pub fn addr_at_index(&self, idx: u32) -> Option<u32> {
         let (image, i) = self.layer(idx);
@@ -1349,8 +1351,10 @@ impl CodeImage {
     /// Tombstones the first clause of a constant-keyed fact predicate
     /// whose code matches `clause` exactly: its first instruction becomes
     /// `fail`, which every dispatch path (tables, chain blocks, the
-    /// variable chain) reaches and backtracks through. Returns whether a
-    /// clause was removed.
+    /// variable chain) reaches and backtracks through. The variable
+    /// chain then skips the entry, unless it is the chain's head or the
+    /// `trust_me` right after it, so repeated writes leave at most two
+    /// dead entries there. Returns whether a clause was removed.
     ///
     /// # Errors
     ///
@@ -1364,14 +1368,40 @@ impl CodeImage {
     ) -> Result<bool, PatchError> {
         let (vchain, _) = self.fact_entry(entry, clause)?;
         let (_, candidates) = self.walk_var_chain(vchain)?;
-        let Some(at) = candidates
-            .into_iter()
-            .find(|&cand| self.clause_code_matches(cand, clause))
+        let Some(k) = candidates
+            .iter()
+            .position(|&cand| self.clause_code_matches(cand, clause))
         else {
             return Ok(false);
         };
-        self.patch_instr(at, Instr::Fail);
+        self.patch_instr(candidates[k], Instr::Fail);
+        if k > 0 {
+            self.unlink_var_entry(candidates[k - 1].offset(-1), candidates[k].offset(-1));
+        }
         Ok(true)
+    }
+
+    /// Unlinks a tombstoned variable-chain entry, whose choice
+    /// instruction is at `dead`, from the entry before it, at `prev`, so
+    /// a call with an unbound first argument no longer walks it. A
+    /// `retry_me_else` entry is skipped by handing its alternative to
+    /// the predecessor; a final `trust_me` entry by making a
+    /// `retry_me_else` predecessor the chain's `trust_me`. Each is a
+    /// one-word patch in place. The head stays linked (the entry switch
+    /// reaches it), and so does a `trust_me` right after it, so at most
+    /// two dead entries stay in a chain however many writes happen.
+    fn unlink_var_entry(&mut self, prev: CodeAddr, dead: CodeAddr) {
+        let relinked = match (self.instr_at(prev), self.instr_at(dead)) {
+            (Some(Instr::TryMeElse { .. }), Some(Instr::RetryMeElse { alt })) => {
+                Instr::TryMeElse { alt: *alt }
+            }
+            (Some(Instr::RetryMeElse { .. }), Some(Instr::RetryMeElse { alt })) => {
+                Instr::RetryMeElse { alt: *alt }
+            }
+            (Some(Instr::RetryMeElse { .. }), Some(Instr::TrustMe)) => Instr::TrustMe,
+            _ => return,
+        };
+        self.patch_instr(prev, relinked);
     }
 
     /// Repoints every `call`/`execute` site targeting `old` to `new`,

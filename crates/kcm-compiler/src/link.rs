@@ -14,7 +14,7 @@
 use crate::asm::{assemble, AsmItem};
 use crate::clause::compile_clause;
 use crate::index::{compile_predicate, constant_key};
-use crate::ir::{Clause, Goal, PredId, Program};
+use crate::ir::{Clause, PredId, Program};
 use crate::CompileError;
 use kcm_arch::isa::Instr;
 use kcm_arch::{SymbolTable, Tag, VAddr, Word};
@@ -424,34 +424,6 @@ pub fn compile_fact(
         key1: key(&args[0]).expect("an atomic argument"),
         key2: args.get(1).and_then(key),
     }))
-}
-
-/// Compiles a single standalone clause (used by tests and by baseline
-/// crates that want KCM clause code without indexing).
-///
-/// # Errors
-///
-/// Propagates clause-compilation errors.
-pub fn compile_single_clause(
-    pred: &PredId,
-    clause: &Clause,
-    symbols: &mut SymbolTable,
-) -> Result<Vec<AsmItem>, CompileError> {
-    let mut statics = StaticImage::new(STATIC_DATA_BASE);
-    compile_clause(
-        pred,
-        clause,
-        false,
-        symbols,
-        &mut statics,
-        &crate::CompileOptions::default(),
-    )
-}
-
-/// Convenience: builds a [`Clause`] from already-parsed head and body
-/// goals (used by baseline code generators).
-pub fn make_clause(head: Term, goals: Vec<Goal>) -> Clause {
-    Clause { head, goals }
 }
 
 #[cfg(test)]

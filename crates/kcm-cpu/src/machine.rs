@@ -417,12 +417,6 @@ pub struct Machine<M: DataMem = MemorySystem> {
     /// [`MachineConfig::profile`] is set). Grown on demand, so it stays
     /// empty when profiling is off and survives image reloads.
     profile: Vec<u64>,
-    /// Fall-through dispatch hint: the code address execution will reach
-    /// next if the current instruction does not transfer control, and the
-    /// instruction-stream index it decodes to. Validated against the
-    /// image before use, so a stale hint is never wrong, just a miss.
-    ft_addr: u32,
-    ft_index: u32,
     /// Scratch stack reused across unifications (unification is the
     /// single most frequent operation; a fresh allocation per call would
     /// dominate its host cost). Taken while a unification runs, so a
@@ -531,8 +525,6 @@ impl<M: DataMem> Machine<M> {
             solutions: Vec::new(),
             trace: std::collections::VecDeque::new(),
             profile: Vec::new(),
-            ft_addr: u32::MAX,
-            ft_index: u32::MAX,
             unify_stack: Vec::new(),
             occurs_stack: Vec::new(),
             query_vars: Vec::new(),
@@ -794,9 +786,14 @@ impl<M: DataMem> Machine<M> {
 
     /// Drives the machine until it halts, yields at a reported solution
     /// (in a suspendable session), or has retired `quantum` instructions
-    /// and pauses. Both loops make one step-limit compare per step: the
-    /// limit is the budget's trip point or the quantum's last
+    /// and pauses. The instruction loop makes one step-limit compare per
+    /// step: the limit is the budget's trip point or the quantum's last
     /// instruction, whichever comes first.
+    ///
+    /// The decoded stream is run one [`kcm_arch::image::Span`] at a
+    /// time — the program's code, a query overlay's, or a lazily
+    /// restored image's decode chunk — so leaving a span costs one
+    /// predictable range check per step.
     fn drive(&mut self, quantum: u64) -> Result<(), MachineError> {
         let limit = self
             .budget_from
@@ -806,20 +803,14 @@ impl<M: DataMem> Machine<M> {
         // while the machine is stepping (consulting happens between runs),
         // so the hot loop can borrow it without per-step `Arc` traffic.
         let image = Arc::clone(&self.image);
-        if !M::SIMULATED && self.cfg.trace_depth == 0 {
-            // Native tier: the resolved-dispatch loop (the image's shared
-            // table of instruction sizes and fall-through indices; no
-            // clock, no macrocode trace window).
-            self.run_resolved(&image, limit)
-        } else {
-            while self.halted.is_none() && !self.yielded {
-                self.step_in(&image)?;
-                if self.stats.instructions > limit {
-                    return self.limit_reached();
-                }
-            }
-            Ok(())
+        let mut idx = match image.index_of(self.p) {
+            Some(i) => i,
+            None => return Err(MachineError::BadCodeAddress(self.p)),
+        };
+        while let Some(next) = self.run_span(&image, image.span(idx), idx, limit)? {
+            idx = next;
         }
+        Ok(())
     }
 
     /// The step limit was passed. The budget is checked first: past its
@@ -836,31 +827,14 @@ impl<M: DataMem> Machine<M> {
         Ok(())
     }
 
-    /// The native tier's hot loop: enum dispatch over the decoded stream
-    /// with pre-resolved instruction sizes and fall-through indices (the
-    /// image's dispatch table, built once per image and shared by every
-    /// machine). The stream is run one [`kcm_arch::image::Span`] at a
-    /// time — the program's code, a query overlay's, or a lazily restored
-    /// image's decode chunk — so leaving a span costs one predictable
-    /// range check per step. Observable behaviour — execution order,
-    /// retired-instruction counting, the step budget's trip point, the
-    /// pause point, every error class — is identical to the generic loop;
-    /// only the per-step bookkeeping the native tier does not need (trace
-    /// window, fall-through hint validation) is gone.
-    fn run_resolved(&mut self, image: &CodeImage, limit: u64) -> Result<(), MachineError> {
-        let mut idx = match image.index_of(self.p) {
-            Some(i) => i,
-            None => return Err(MachineError::BadCodeAddress(self.p)),
-        };
-        while let Some(next) = self.run_span(image, image.span(idx), idx, limit)? {
-            idx = next;
-        }
-        Ok(())
-    }
-
-    /// The resolved loop within one span, from stream index `idx`:
-    /// returns the index control left the span for, or `None` once the
-    /// run halted, yielded or paused.
+    /// The instruction loop of both tiers, within one span from stream
+    /// index `idx`: enum dispatch over the decoded stream with the
+    /// image's pre-resolved fall-through addresses and indices (its
+    /// dispatch table, built once per image and shared by every
+    /// machine). Returns the index control left the span for, or `None`
+    /// once the run halted, yielded or paused. The cycle model's work
+    /// per step sits in two `M::SIMULATED` blocks, which the native
+    /// tier's copy compiles out.
     fn run_span(
         &mut self,
         image: &CodeImage,
@@ -869,15 +843,45 @@ impl<M: DataMem> Machine<M> {
         limit: u64,
     ) -> Result<Option<u32>, MachineError> {
         let (start, instrs, resolved) = (span.start, span.instrs, span.next);
+        let tracing = self.cfg.trace_depth > 0;
         loop {
             let Some(instr) = instrs.get(idx.wrapping_sub(start) as usize) else {
                 return Ok(Some(idx));
             };
+            let addr = self.p;
+            let before = self.cycles;
+            // Instruction fetch through the code cache (prefetch streams
+            // sequential words; misses charge their penalty).
+            if M::SIMULATED {
+                let words = instr.size_words();
+                let extra = self.mem.fetch_code_seq(addr, words);
+                self.charge(extra);
+                self.prefetch.issue(addr, words);
+                self.charge(self.cfg.cost.instr_overhead);
+            }
             self.stats.instructions += 1;
+            if tracing {
+                self.trace_push(addr, instr);
+            }
             let packed = resolved[(idx - start) as usize];
             let np = packed as u32;
             self.p = CodeAddr::new(np);
-            self.exec_body(instr, image, idx)?;
+            let r = self.exec_body(instr, image, idx);
+            // Every cycle of the step — fetch, overhead and execution —
+            // is attributed to the opcode's class (and, when profiling,
+            // to its address), even if the instruction faulted.
+            if M::SIMULATED {
+                let delta = self.cycles - before;
+                self.prof.retire(InstrClass::of(instr), delta);
+                if self.cfg.profile {
+                    let slot = addr.value() as usize;
+                    if slot >= self.profile.len() {
+                        self.profile.resize(slot + 1, 0);
+                    }
+                    self.profile[slot] += delta;
+                }
+            }
+            r?;
             if self.stats.instructions > limit {
                 return self.limit_reached().map(|()| None);
             }
@@ -897,6 +901,19 @@ impl<M: DataMem> Machine<M> {
                 }
             };
         }
+    }
+
+    /// Records an executed instruction in the macrocode monitor's
+    /// window. Out of line, so the formatting stays out of the
+    /// instruction loop's body on the runs that do not trace.
+    #[cold]
+    #[inline(never)]
+    fn trace_push(&mut self, addr: CodeAddr, instr: &Instr) {
+        if self.trace.len() == self.cfg.trace_depth {
+            self.trace.pop_front();
+        }
+        self.trace
+            .push_back(format!("{:6}  {}", addr.value(), instr));
     }
 
     /// The macrocode monitor's window: the last `trace_depth` executed
@@ -1636,77 +1653,11 @@ impl<M: DataMem> Machine<M> {
 
     // ---------------------------------------------------------------- step
 
-    /// Executes one instruction against the image the hot loop in
-    /// [`Machine::drive`] borrowed once per run.
-    fn step_in(&mut self, image: &CodeImage) -> Result<(), MachineError> {
-        let before = self.cycles;
-        let addr = self.p;
-        // Fall-through dispatch: straight-line code resolves the next
-        // instruction from the hint left by the previous step (the
-        // decoded stream is laid out in address order, so the sequential
-        // successor is the next index). The hint is validated against the
-        // image, so only taken control transfers pay the dense
-        // `addr_index` lookup.
-        let idx = if addr.value() == self.ft_addr
-            && image.addr_at_index(self.ft_index) == Some(self.ft_addr)
-        {
-            self.ft_index
-        } else {
-            image
-                .index_of(addr)
-                .ok_or(MachineError::BadCodeAddress(addr))?
-        };
-        let instr = image.instr_at_index(idx);
-        let words = instr.size_words();
-        // Instruction fetch through the code cache (prefetch streams
-        // sequential words; misses charge their penalty). The native tier
-        // has no code cache and no clock — the whole block monomorphizes
-        // away.
-        if M::SIMULATED {
-            let extra = self.mem.fetch_code_seq(addr, words);
-            self.charge(extra);
-            self.prefetch.issue(addr, words);
-            self.charge(self.cfg.cost.instr_overhead);
-        }
-        self.stats.instructions += 1;
-        if self.cfg.trace_depth > 0 {
-            if self.trace.len() == self.cfg.trace_depth {
-                self.trace.pop_front();
-            }
-            self.trace
-                .push_back(format!("{:6}  {}", addr.value(), instr));
-        }
-        self.p = addr.offset(words as i64);
-        self.ft_addr = self.p.value();
-        self.ft_index = idx + 1;
-        let r = self.exec(instr, image, idx);
-        // The retired-instruction profile attributes every cycle of the
-        // step — fetch, overhead and execution — to the opcode's class.
-        // Without a clock there is nothing to attribute.
-        if M::SIMULATED {
-            let delta = self.cycles - before;
-            self.prof.retire(InstrClass::of(instr), delta);
-            if self.cfg.profile {
-                let slot = addr.value() as usize;
-                if slot >= self.profile.len() {
-                    self.profile.resize(slot + 1, 0);
-                }
-                self.profile[slot] += delta;
-            }
-        }
-        r
-    }
-
-    fn exec(&mut self, instr: &Instr, image: &CodeImage, idx: u32) -> Result<(), MachineError> {
-        self.exec_body(instr, image, idx)
-    }
-
     /// The instruction dispatch itself. `#[inline(always)]` so the
-    /// native tier's resolved loop absorbs it — one fused
-    /// fetch/dispatch/execute body with no call per step — while the
-    /// simulator's [`Machine::step_in`] keeps its own outlined copy
-    /// behind [`Machine::exec`]. `image`/`idx` identify the executing
-    /// instruction so the switch arms can reach its link-time hash index.
+    /// instruction loop ([`Machine::run_span`]) absorbs it — one fused
+    /// fetch/dispatch/execute body with no call per step. `image`/`idx`
+    /// identify the executing instruction so the switch arms can reach
+    /// its link-time hash index.
     #[allow(clippy::too_many_lines)]
     #[inline(always)]
     fn exec_body(

@@ -16,10 +16,11 @@
 
 use kcm_prolog::Term;
 use kcm_system::{
-    error_class, Kcm, KcmError, ProgramSource, Quantum, QueryOpts, SessionPool, Solutions, Tier,
+    error_class, Kcm, KcmError, Outcome, ProgramSource, Quantum, QueryOpts, SessionPool, Solutions,
+    Tier,
 };
 
-pub use kcm_system::{Engine, EngineOutcome, KcmEngine};
+pub use kcm_system::{Engine, KcmEngine};
 
 /// Step budget applied to every engine per case. Generated programs
 /// terminate by construction; the budget only catches generator bugs.
@@ -60,7 +61,7 @@ impl CaseOutcome {
     }
 
     /// Normalizes a raw engine result.
-    pub fn from_result(result: Result<kcm_cpu::Outcome, KcmError>) -> CaseOutcome {
+    pub fn from_result(result: Result<Outcome, KcmError>) -> CaseOutcome {
         match result {
             Ok(outcome) => CaseOutcome::Answers {
                 solutions: outcome
@@ -279,14 +280,19 @@ impl Engine for SessionEngine {
         }
     }
 
-    fn run_case(&self, source: ProgramSource<'_>, query: &str, opts: &QueryOpts) -> EngineOutcome {
+    fn run_case(
+        &self,
+        source: ProgramSource<'_>,
+        query: &str,
+        opts: &QueryOpts,
+    ) -> Result<Outcome, KcmError> {
         let opts = QueryOpts {
             tier: self.tier,
             ..opts.clone()
         };
         let mut kcm = Kcm::new();
-        let result = kcm.load(source).and_then(|()| self.run(&kcm, query, &opts));
-        EngineOutcome::new(self.name(), result)
+        kcm.load(source)?;
+        self.run(&kcm, query, &opts)
     }
 }
 
@@ -429,9 +435,7 @@ pub fn compare(
         .iter()
         .map(|e| EngineReport {
             engine: e.name(),
-            outcome: CaseOutcome::from_result(
-                e.run_case(source.into(), query, &opts).into_result(),
-            ),
+            outcome: CaseOutcome::from_result(e.run_case(source.into(), query, &opts)),
         })
         .collect();
     if reports.iter().any(|r| r.outcome.is_budget()) {
@@ -518,11 +522,16 @@ mod tests {
             fn name(&self) -> String {
                 "stub".to_owned()
             }
-            fn run_case(&self, _: ProgramSource<'_>, _: &str, _: &QueryOpts) -> EngineOutcome {
+            fn run_case(
+                &self,
+                _: ProgramSource<'_>,
+                _: &str,
+                _: &QueryOpts,
+            ) -> Result<Outcome, KcmError> {
                 // A fabricated single wrong answer.
                 let mut kcm = Kcm::new();
                 kcm.load("p(999).").expect("consult");
-                EngineOutcome::new("stub", kcm.query("p(X)", &QueryOpts::all()))
+                kcm.query("p(X)", &QueryOpts::all())
             }
         }
         let engines: Vec<Box<dyn Engine>> = vec![Box::new(KcmEngine::new()), Box::new(Stub)];

@@ -4,9 +4,9 @@
 
 use kcm_difftest::corpus;
 use kcm_difftest::gen::GProgram;
-use kcm_difftest::oracle::{compare, standard_engines, Engine, EngineOutcome, KcmEngine, Verdict};
+use kcm_difftest::oracle::{compare, standard_engines, Engine, KcmEngine, Verdict};
 use kcm_difftest::shrink::shrink;
-use kcm_system::{ProgramSource, QueryOpts};
+use kcm_system::{KcmError, Outcome, ProgramSource, QueryOpts};
 use kcm_testkit::cases_seeded;
 
 #[test]
@@ -65,14 +65,17 @@ impl Engine for DropsLastSolution {
         "kcm(drops-last-solution)".to_owned()
     }
 
-    fn run_case(&self, source: ProgramSource<'_>, query: &str, opts: &QueryOpts) -> EngineOutcome {
-        let mut raw = self.0.run_case(source, query, opts);
-        if let Ok(outcome) = &mut raw.result {
-            if outcome.solutions.len() >= 2 {
-                outcome.solutions.pop();
-            }
+    fn run_case(
+        &self,
+        source: ProgramSource<'_>,
+        query: &str,
+        opts: &QueryOpts,
+    ) -> Result<Outcome, KcmError> {
+        let mut outcome = self.0.run_case(source, query, opts)?;
+        if outcome.solutions.len() >= 2 {
+            outcome.solutions.pop();
         }
-        EngineOutcome::new(self.name(), raw.result)
+        Ok(outcome)
     }
 }
 

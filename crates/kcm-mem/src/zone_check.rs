@@ -6,7 +6,6 @@
 //! (type-restricted addresses), and catching bad writes before the
 //! store-in cache absorbs them.
 
-use kcm_arch::zone::ZONE_GRANULARITY_WORDS;
 use kcm_arch::{Tag, VAddr, Word, Zone, ZoneLimits};
 
 /// A fault detected by the zone checker.
@@ -72,7 +71,6 @@ impl std::error::Error for ZoneFault {}
 #[derive(Debug, Clone)]
 pub struct ZoneTable {
     limits: [ZoneLimits; 5],
-    traps: u64,
 }
 
 impl Default for ZoneTable {
@@ -98,7 +96,6 @@ impl ZoneTable {
                 lim(Zone::Control),
                 lim(Zone::Trail),
             ],
-            traps: 0,
         }
     }
 
@@ -121,11 +118,6 @@ impl ZoneTable {
     pub fn set_limits(&mut self, zone: Zone, limits: ZoneLimits) {
         assert!(zone != Zone::Code, "code space has no data zone limits");
         self.limits[zone.bits() as usize] = limits;
-    }
-
-    /// Number of faults this table has reported (traps taken).
-    pub fn trap_count(&self) -> u64 {
-        self.traps
     }
 
     fn check_common(&self, ptr: Word) -> Result<(Zone, VAddr), ZoneFault> {
@@ -171,30 +163,12 @@ impl ZoneTable {
         }
         Ok(())
     }
-
-    /// Records that a trap was delivered for bookkeeping (the machine
-    /// calls this when it surfaces a fault).
-    pub fn record_trap(&mut self) {
-        self.traps += 1;
-    }
-
-    /// Convenience used by the stack-overflow machinery: distance in words
-    /// from `addr` to its zone's end, if the address is inside a zone.
-    pub fn headroom(&self, addr: VAddr) -> Option<u32> {
-        let zone = Zone::of_addr(addr)?;
-        if zone == Zone::Code {
-            return None;
-        }
-        let limits = self.limits[zone.bits() as usize];
-        let end_block =
-            limits.end().value().div_ceil(ZONE_GRANULARITY_WORDS) * ZONE_GRANULARITY_WORDS;
-        end_block.checked_sub(addr.value())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kcm_arch::zone::ZONE_GRANULARITY_WORDS;
 
     fn gptr(off: u32) -> Word {
         Word::ptr(Tag::Ref, VAddr::new(Zone::Global.base().value() + off))
@@ -282,14 +256,5 @@ mod tests {
             ),
         );
         assert!(t.check_write(w).is_ok());
-    }
-
-    #[test]
-    fn headroom_shrinks_as_stack_grows() {
-        let t = ZoneTable::new();
-        let base = Zone::Local.base();
-        let h0 = t.headroom(base).unwrap();
-        let h1 = t.headroom(base.offset(1000)).unwrap();
-        assert_eq!(h0 - h1, 1000);
     }
 }

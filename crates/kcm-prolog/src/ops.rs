@@ -35,11 +35,6 @@ impl OpType {
     pub fn is_infix(self) -> bool {
         matches!(self, OpType::Xfx | OpType::Xfy | OpType::Yfx)
     }
-
-    /// Whether this is a postfix operator type.
-    pub fn is_postfix(self) -> bool {
-        matches!(self, OpType::Xf | OpType::Yf)
-    }
 }
 
 /// One operator definition.

@@ -121,9 +121,12 @@ impl Poller {
     }
 
     fn ctl(&self, op: i32, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        let mut events = sys::EPOLLRDHUP;
+        // `EPOLLRDHUP` only with read interest: it is level-triggered
+        // too, so a peer's FIN would otherwise wake every wait while the
+        // owner has paused its reads.
+        let mut events = 0;
         if interest.readable {
-            events |= sys::EPOLLIN;
+            events |= sys::EPOLLIN | sys::EPOLLRDHUP;
         }
         if interest.writable {
             events |= sys::EPOLLOUT;

@@ -9,13 +9,17 @@
 //! connection's `FrameBuf`, so these tests dribble bytes with gaps well
 //! over the server's tick and assert both the answer *and* that the
 //! stream stays in sync for the next request.
+//!
+//! The opposite kind of slow client stops sending early: one that shuts
+//! down its sending side while its request runs must still get the
+//! reply, without the event loop spinning on the peer's FIN meanwhile.
 
-use kcm_serve::protocol::{read_frame, render_outcome};
-use kcm_serve::{Reply, ServeConfig, Server};
+use kcm_serve::protocol::{encode_frame, read_frame, render_outcome};
+use kcm_serve::{Client, Reply, Request, ServeConfig, Server};
 use kcm_system::{Kcm, QueryOpts, Tier};
 use std::io::{BufReader, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
+use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::time::{Duration, Instant};
 
 /// Comfortably longer than the server's 100ms wait tick, so every gap
 /// guarantees at least one tick fires mid-frame.
@@ -242,4 +246,88 @@ fn pipelined_frames_in_one_write_are_all_answered_in_order() {
     stream.write_all(&frame("SHUTDOWN")).expect("shutdown");
     assert!(read_reply(&mut reader).is_ok(), "shutdown");
     server.join().expect("server thread").expect("run");
+}
+
+/// The CPU time the thread whose `/proc` task directory is `task` has
+/// used so far: user plus system time from its `stat` file.
+#[cfg(target_os = "linux")]
+fn cpu_time(task: &std::path::Path) -> Duration {
+    extern "C" {
+        fn sysconf(name: i32) -> i64;
+    }
+    const SC_CLK_TCK: i32 = 2;
+    let stat = std::fs::read_to_string(task.join("stat")).expect("stat");
+    // utime and stime are fields 14 and 15, the 12th and 13th after the
+    // parenthesised command name (which may hold spaces).
+    let fields: Vec<&str> = stat[stat.rfind(')').expect("comm") + 2..]
+        .split_whitespace()
+        .collect();
+    let ticks: u64 =
+        fields[11].parse::<u64>().expect("utime") + fields[12].parse::<u64>().expect("stime");
+    // SAFETY: `sysconf` only reads a configuration value; it takes no
+    // pointer and has no precondition.
+    let per_second = unsafe { sysconf(SC_CLK_TCK) };
+    Duration::from_secs_f64(ticks as f64 / per_second as f64)
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn a_half_closed_client_gets_its_reply_without_the_loop_spinning() {
+    // About 10⁷ steps: long enough to hand the query to the only worker
+    // for many quanta, and to see a spinning loop thread.
+    const STEPS: u64 = 10_000_000;
+    let server = Server::bind(
+        "127.0.0.1:0",
+        ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        },
+    )
+    .expect("bind");
+    let addr = server.local_addr().expect("local addr");
+    let (task_tx, task_rx) = std::sync::mpsc::channel();
+    let handle = std::thread::spawn(move || {
+        // `/proc/thread-self` names the loop thread's own task directory.
+        let task = std::fs::read_link("/proc/thread-self").expect("own task");
+        task_tx
+            .send(std::path::Path::new("/proc").join(task))
+            .expect("send");
+        server.run()
+    });
+    let task = task_rx.recv().expect("the loop's task directory");
+    let mut admin = Client::connect(addr).expect("connect");
+    assert!(admin
+        .publish("t", "loop :- loop.", None)
+        .expect("publish")
+        .is_ok());
+
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let query = Request::Query {
+        tenant: Some("t".to_owned()),
+        query: "loop".to_owned(),
+        enumerate_all: false,
+        step_budget: Some(STEPS),
+        cursor: false,
+    };
+    let (cpu_before, start) = (cpu_time(&task), Instant::now());
+    stream
+        .write_all(&encode_frame(query.encode()))
+        .expect("send the query");
+    stream.shutdown(Shutdown::Write).expect("half-close");
+    let payload = read_frame(&mut BufReader::new(&stream))
+        .expect("read the reply")
+        .expect("a reply before the close");
+    let (cpu, wall) = (cpu_time(&task) - cpu_before, start.elapsed());
+
+    match Reply::parse(&payload).expect("parse reply") {
+        Reply::Err { class, message } => assert_eq!(class, "budget", "{message}"),
+        other => panic!("the looping query answered {other:?}"),
+    }
+    assert!(
+        cpu < wall / 4,
+        "the loop thread used {cpu:?} of CPU time in {wall:?} waiting for a worker"
+    );
+
+    assert!(admin.shutdown().expect("shutdown").is_ok());
+    handle.join().expect("server thread").expect("run");
 }

@@ -30,12 +30,6 @@ pub struct BenchProgram {
     pub enumerate: bool,
 }
 
-/// Shared list-append used by several programs.
-const APPEND: &str = "
-append([], L, L).
-append([H|T], L, [H|R]) :- append(T, L, R).
-";
-
 /// `con1` — one short list concatenation (the paper's peak-Klips program).
 pub const CON1: BenchProgram = BenchProgram {
     name: "con1",
@@ -70,20 +64,6 @@ con([H|T], L, [H|R]) :- con(T, L, R).
     starred_query: "main_star",
     enumerate: false,
 };
-
-/// Warren's symbolic differentiation rules, shared by four benchmarks.
-const DERIV_RULES: &str = "
-d(U + V, X, DU + DV) :- !, d(U, X, DU), d(V, X, DV).
-d(U - V, X, DU - DV) :- !, d(U, X, DU), d(V, X, DV).
-d(U * V, X, DU * V + U * DV) :- !, d(U, X, DU), d(V, X, DV).
-d(U / V, X, (DU * V - U * DV) / (V ^ 2)) :- !, d(U, X, DU), d(V, X, DV).
-d(U ^ N, X, DU * N * U ^ N1) :- !, integer(N), N1 is N - 1, d(U, X, DU).
-d(-U, X, -DU) :- !, d(U, X, DU).
-d(exp(U), X, exp(U) * DU) :- !, d(U, X, DU).
-d(log(U), X, DU / U) :- !, d(U, X, DU).
-d(X, X, 1) :- !.
-d(_, _, 0).
-";
 
 /// `times10` — differentiate a tenfold product.
 pub const TIMES10: BenchProgram = BenchProgram {
@@ -415,14 +395,6 @@ pub fn suite() -> Vec<BenchProgram> {
 pub fn program(name: &str) -> Option<BenchProgram> {
     suite().into_iter().find(|p| p.name == name)
 }
-
-/// The shared `append/3` text, exposed for examples and tests.
-pub fn append_source() -> &'static str {
-    APPEND
-}
-
-#[allow(dead_code)]
-const _KEEP: &str = DERIV_RULES;
 
 #[cfg(test)]
 mod tests {

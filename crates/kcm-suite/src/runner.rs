@@ -56,9 +56,7 @@ pub fn run_program(
         enumerate_all: program.enumerate,
         ..QueryOpts::default()
     };
-    let outcome = engine
-        .run_case(program.source.into(), goal, &opts)
-        .into_result()?;
+    let outcome = engine.run_case(program.source.into(), goal, &opts)?;
     Ok(Measurement {
         name: program.name,
         variant,
@@ -81,15 +79,6 @@ pub fn run_suite_pooled(
 ) -> Vec<Result<Measurement, KcmError>> {
     let engine = KcmEngine::with_config(config.clone());
     pool.map(programs, |p| run_program(&engine, p, variant))
-}
-
-/// Static code sizes of many programs (see [`kcm_static_size`]), fanned
-/// out across a [`SessionPool`], in program order.
-pub fn static_sizes_pooled(
-    programs: &[BenchProgram],
-    pool: &SessionPool,
-) -> Vec<Result<(usize, usize), KcmError>> {
-    pool.map(programs, kcm_static_size)
 }
 
 /// Static code size of one compiled suite program, excluding the runtime

@@ -82,7 +82,7 @@ pub mod report;
 pub mod session;
 
 pub use answer::Answer;
-pub use engine::{error_class, snapshot_unsupported, Engine, EngineOutcome, KcmEngine};
+pub use engine::{error_class, snapshot_unsupported, Engine, KcmEngine};
 pub use kcm_cpu::{
     InstrClass, Machine, MachineConfig, MachineError, Outcome, Profile, Quantum, RunStats,
     Solution, TraceEvent, Tracer,

@@ -63,7 +63,7 @@ macro_rules! on_tier {
 /// Every step is O(query), not O(program): the query is linked as an
 /// overlay sharing `image` ([`kcm_compiler::compile_query`]); the symbol
 /// table clone copies only its unfrozen delta (query compilation may
-/// intern new symbols into its own copy); and the native tier dispatches
+/// intern new symbols into its own copy); and both tiers dispatch
 /// through the image's shared resolved-dispatch table.
 ///
 /// # Errors

@@ -1,12 +1,15 @@
 //! Repeated writes to one key of a fact base. An `assertz` to a key
 //! that already has clauses relocates the key's dispatch block (at the
 //! first-level constant table, or at a depth-2 bucket's fallback), and a
-//! `retract` tombstones the clause in place. The relocated block must
-//! carry only live clauses: then an assert/retract pair costs the same
-//! image words however many pairs came before it, and a lookup retires
-//! the same instructions. Both hold on a program consulted from source
-//! and on one restored from a snapshot (no source to recompile from, so
-//! every write must stay on the in-place path).
+//! `retract` tombstones the clause in place and unlinks it from the
+//! predicate's variable chain, which a call with an unbound first
+//! argument walks. The relocated block must carry only live clauses and
+//! the chain must not keep the dead ones: then an assert/retract pair
+//! costs the same image words however many pairs came before it, and a
+//! lookup, keyed or not, retires the same instructions. Both hold on a
+//! program consulted from source and on one restored from a snapshot
+//! (no source to recompile from, so every write must stay on the
+//! in-place path).
 
 use kcm_system::{Kcm, ProgramSource, QueryOpts, Tier};
 
@@ -104,7 +107,11 @@ fn check(source: &str, clause: &str, lookups: &[&str]) {
 
 #[test]
 fn repeated_writes_to_a_first_level_key_relocate_only_live_clauses() {
-    check(&first_level_source(), "f(k5, w)", &["f(k5, V)", "f(k6, V)"]);
+    check(
+        &first_level_source(),
+        "f(k5, w)",
+        &["f(k5, V)", "f(k6, V)", "f(X, w)"],
+    );
 }
 
 #[test]
@@ -112,6 +119,6 @@ fn repeated_writes_to_a_depth2_bucket_relocate_only_live_clauses() {
     check(
         &bucket_source(),
         "g(k5, w)",
-        &["g(k5, V)", "g(k5, w)", "g(k5, v15)", "g(k6, V)"],
+        &["g(k5, V)", "g(k5, w)", "g(k5, v15)", "g(k6, V)", "g(X, w)"],
     );
 }

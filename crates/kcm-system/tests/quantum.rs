@@ -39,8 +39,8 @@ fn opts(tier: Tier, enumerate_all: bool, budget: u64) -> QueryOpts {
     .with_step_budget(budget)
 }
 
-/// Trace depths: none (the native tier's resolved loop) and a window
-/// (the generic loop on both tiers).
+/// Trace depths: none, and a window (the trace push the instruction
+/// loop makes only when tracing).
 const TRACES: &[usize] = &[0, 8];
 
 /// The budget trip's step count, if `result` is one.

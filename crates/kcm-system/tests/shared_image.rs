@@ -1,7 +1,7 @@
 //! The two invariants of the shared program image: every query is linked
-//! as an overlay on the one resident image, and the native tier
-//! dispatches through a resolved-dispatch table built once per image and
-//! shared through its `Arc`.
+//! as an overlay on the one resident image, and both tiers dispatch
+//! through a resolved-dispatch table built once per image and shared
+//! through its `Arc`.
 //!
 //! * Laziness — a snapshot-restored image decodes (and resolves) only
 //!   the chunks a query runs, so its first query does not undo the lazy

@@ -41,8 +41,7 @@ use kcm_compiler::CompileOptions;
 use kcm_cpu::{MachineConfig, Outcome};
 use kcm_mem::MemConfig;
 use kcm_system::{
-    prepare_query, snapshot_unsupported, Engine, EngineOutcome, KcmError, ProgramSource, QueryOpts,
-    Tier,
+    prepare_query, snapshot_unsupported, Engine, KcmError, ProgramSource, QueryOpts, Tier,
 };
 use std::sync::Arc;
 
@@ -119,15 +118,19 @@ impl Engine for BaselineModel {
         self.name.to_owned()
     }
 
-    fn run_case(&self, source: ProgramSource<'_>, query: &str, opts: &QueryOpts) -> EngineOutcome {
+    fn run_case(
+        &self,
+        source: ProgramSource<'_>,
+        query: &str,
+        opts: &QueryOpts,
+    ) -> Result<Outcome, KcmError> {
         // Baseline models recompile per case by design; a binary KCM
         // snapshot has no source to recompile from, so it is refused
         // with the classed error every snapshotless engine shares.
-        let result = match source {
+        match source {
             ProgramSource::Source(source) => self.run(source, query, opts),
             ProgramSource::Snapshot(_) => Err(snapshot_unsupported(self.name)),
-        };
-        EngineOutcome::new(self.name, result)
+        }
     }
 }
 
