@@ -1,15 +1,15 @@
 //! The linked code image and its in-place mutation operations.
 //!
-//! [`CodeImage`] holds both representations of loaded code: the encoded
-//! 64-bit words (what the code cache and the size accounting see) and the
-//! decoded instructions at their word addresses (what both execution
-//! tiers dispatch on). The compiler's linker builds images through the
-//! builder methods ([`CodeImage::new`], [`CodeImage::place`],
-//! [`CodeImage::emit`]); the snapshot module
-//! ([`crate::snapshot`]) serializes and restores them; and the
-//! incremental-update entry points ([`CodeImage::assert_fact_clause`],
-//! [`CodeImage::retract_fact_clause`]) patch fact predicates without a
-//! recompile — B-Prolog-style index maintenance over the switch tables.
+//! [`CodeImage`] holds loaded code once: the decoded instructions at their
+//! word addresses, which both execution tiers dispatch on, and the code's
+//! length in words. The encoded 64-bit form exists only in a snapshot,
+//! this system's download of a linked program. The compiler's linker
+//! builds images with [`CodeImage::new`], [`CodeImage::place`] and
+//! [`CodeImage::emit`]; the snapshot module ([`crate::snapshot`])
+//! serializes and restores them; and the incremental-update entry points
+//! ([`CodeImage::assert_fact_clause`], [`CodeImage::retract_fact_clause`])
+//! patch fact predicates without a recompile — B-Prolog-style index
+//! maintenance over the switch tables.
 //!
 //! A query is linked as an *overlay* ([`CodeImage::overlay`]): a small
 //! image holding only the `$query/0` clause and its auxiliaries, which
@@ -212,27 +212,6 @@ impl LazyCode {
         }
     }
 
-    /// Rebuilds the encoded words image — the stream scattered to its
-    /// addresses, stub sites (< [`CODE_BASE`]) and padding gaps zero.
-    /// This is the deferred load path of a snapshot whose words section
-    /// was omitted; out-of-bounds sites (possible only in hostile bytes)
-    /// are skipped rather than trusted.
-    pub(crate) fn scatter_words(&self, len: usize, addrs: &[u32]) -> Vec<u64> {
-        let mut words = vec![0u64; len];
-        let mut pos = 0usize;
-        for &a in addrs.iter().take(self.count) {
-            let used = Instr::scan(&self.stream[pos..]).expect("stream was scan-validated at load");
-            let a = a as usize;
-            if a >= CODE_BASE as usize {
-                if let Some(site) = words.get_mut(a..a + used) {
-                    site.copy_from_slice(&self.stream[pos..pos + used]);
-                }
-            }
-            pos += used;
-        }
-        words
-    }
-
     fn chunk(&self, c: usize) -> &[Instr] {
         self.chunks[c].get_or_init(|| {
             let start = c << LAZY_CHUNK_SHIFT;
@@ -376,53 +355,15 @@ const fn pack_next(next: u32, next_idx: u32) -> u64 {
     next as u64 | ((next_idx as u64) << 32)
 }
 
-/// Encoded-words storage behind [`CodeImage`]: a plain vector for linked
-/// (and mutated) images, or a deferred rebuild from the lazy code stream
-/// for snapshots whose words section was omitted. Execution never reads
-/// the words image — only the linker, the snapshot writer, and
-/// diagnostics do — so a restored image typically never pays for it.
-#[derive(Debug, Clone)]
-pub(crate) enum WordStore {
-    Eager(Vec<u64>),
-    Lazy {
-        code: Arc<LazyCode>,
-        len: usize,
-        /// `Arc` so image clones share the materialization.
-        cache: Arc<OnceLock<Vec<u64>>>,
-    },
-}
-
-impl WordStore {
-    pub(crate) fn lazy(code: Arc<LazyCode>, len: usize) -> WordStore {
-        WordStore::Lazy {
-            code,
-            len,
-            cache: Arc::new(OnceLock::new()),
-        }
-    }
-
-    #[inline]
-    fn len(&self) -> usize {
-        match self {
-            WordStore::Eager(v) => v.len(),
-            WordStore::Lazy { len, .. } => *len,
-        }
-    }
-}
-
-/// A linked, loaded code image.
+/// A linked, loaded code image: the decoded instructions at their word
+/// addresses, which both execution tiers dispatch on, and the code's
+/// length in words.
 ///
-/// Holds both representations of the code: the encoded 64-bit words (what
-/// the code cache and the size accounting see) and the decoded
-/// instructions at their word addresses (what the simulator executes).
-///
-/// After an in-place table patch that *grows* a switch table
-/// ([`CodeImage::assert_fact_clause`]), the encoded words at that switch's
-/// site are stale — the decoded instruction (which both execution tiers
-/// dispatch on) is authoritative, and table switches never fall through to
-/// their sequential successor, so only the cycle tier's code-fetch
-/// accounting at that site is approximate. All other patches re-encode
-/// their (fixed-size) site in place.
+/// A switch table grown in place ([`CodeImage::assert_fact_clause`])
+/// stays at its address, longer than the words it was laid out in. Table
+/// switches never fall through to their sequential successor, so only
+/// the cycle tier's code-fetch accounting, which charges the grown size,
+/// reads past the words the switch was given.
 ///
 /// An image is either *flat* (a linked program) or a query *overlay* on
 /// a flat base ([`CodeImage::overlay`]). An overlay owns only the code,
@@ -437,41 +378,40 @@ pub struct CodeImage {
     /// image). Never itself an overlay: an overlay of an overlay copies
     /// the upper overlay's own (small) part instead of chaining, so a
     /// read falls through at most once.
-    base: Option<Arc<CodeImage>>,
+    pub(crate) base: Option<Arc<CodeImage>>,
     /// The first stream index and the first word address this image
     /// holds itself: its base's instruction count and word length (both
     /// 0 for a flat image).
-    first_index: u32,
-    first_addr: u32,
+    pub(crate) first_index: u32,
+    pub(crate) first_addr: u32,
     /// This image's own instructions (stream indices from
     /// `first_index`).
-    instrs: CodeStore,
+    pub(crate) instrs: CodeStore,
     /// Word address of each instruction in `instrs` (sorted).
-    addrs: Vec<u32>,
+    pub(crate) addrs: Vec<u32>,
     /// Dense map word address − `first_addr` → stream index (`u32::MAX`
     /// = not an instruction start). Dense because the machine consults
     /// it on every taken control transfer.
-    addr_index: Vec<u32>,
+    pub(crate) addr_index: Vec<u32>,
     /// Link-time hash side table, parallel to `instrs`: wide
     /// `switch_on_constant` / `switch_on_structure` tables get an
     /// open-addressing index here so dispatch is O(1) instead of a
     /// linear scan. `Arc` so image clones share the tables.
-    switch_index: Vec<Option<Arc<SwitchIndex>>>,
+    pub(crate) switch_index: Vec<Option<Arc<SwitchIndex>>>,
     /// The resolved-dispatch table, parallel to `instrs`.
-    dispatch: Dispatch,
-    /// This image's own code words (addresses from `first_addr`).
-    words: WordStore,
-    entries: HashMap<(String, u8), CodeAddr>,
-    sizes: Vec<PredSize>,
-    warnings: Vec<String>,
-    query_vars: Vec<String>,
-    aux_round: u32,
-    options: CompileOptions,
-    /// This image's own static data words: an overlay's continue the
-    /// base's area.
-    static_data: Vec<Word>,
-    /// Base address of the whole static data area.
-    static_base: VAddr,
+    pub(crate) dispatch: Dispatch,
+    /// One past the last code word: the code's length in words, an
+    /// overlay's counting its base's.
+    pub(crate) end: u32,
+    pub(crate) entries: HashMap<(String, u8), CodeAddr>,
+    pub(crate) sizes: Vec<PredSize>,
+    pub(crate) warnings: Vec<String>,
+    pub(crate) query_vars: Vec<String>,
+    pub(crate) aux_round: u32,
+    pub(crate) options: CompileOptions,
+    /// This image's own static data words, from [`STATIC_DATA_BASE`]: an
+    /// overlay's continue the base's area.
+    pub(crate) static_data: Vec<Word>,
 }
 
 impl CodeImage {
@@ -487,7 +427,7 @@ impl CodeImage {
             addr_index: Vec::new(),
             switch_index: Vec::new(),
             dispatch: Dispatch::Eager(Vec::new()),
-            words: WordStore::Eager(Vec::new()),
+            end: 0,
             entries: HashMap::new(),
             sizes: Vec::new(),
             warnings: Vec::new(),
@@ -495,7 +435,6 @@ impl CodeImage {
             aux_round: 0,
             options,
             static_data: Vec::new(),
-            static_base: STATIC_DATA_BASE,
         }
     }
 
@@ -515,9 +454,9 @@ impl CodeImage {
         CodeImage {
             base: Some(Arc::clone(base)),
             first_index: base.num_instrs() as u32,
-            first_addr: base.len_words() as u32,
+            first_addr: base.end,
+            end: base.end,
             aux_round: base.aux_round,
-            static_base: base.static_base,
             ..CodeImage::new(base.options.clone())
         }
     }
@@ -675,47 +614,9 @@ impl CodeImage {
         }
     }
 
-    /// The encoded code words (loader image). An image restored from a
-    /// snapshot materializes them on first access, and an overlay
-    /// concatenates its base's (execution dispatches on decoded
-    /// instructions, never on these words).
-    pub fn words(&self) -> Cow<'_, [u64]> {
-        match &self.base {
-            None => Cow::Borrowed(self.own_words()),
-            Some(base) => Cow::Owned([base.own_words(), self.own_words()].concat()),
-        }
-    }
-
-    /// This image's own words (from `first_addr`).
-    fn own_words(&self) -> &[u64] {
-        match &self.words {
-            WordStore::Eager(v) => v,
-            WordStore::Lazy { code, len, cache } => {
-                cache.get_or_init(|| code.scatter_words(*len, &self.addrs))
-            }
-        }
-    }
-
     /// Total code length in words.
     pub fn len_words(&self) -> usize {
-        self.first_addr as usize + self.words.len()
-    }
-
-    /// The own words image as a mutable vector, materializing a lazy
-    /// store first (any mutation leaves the image eager, like
-    /// [`CodeImage::instrs_mut`]).
-    fn words_mut(&mut self) -> &mut Vec<u64> {
-        if let WordStore::Lazy { code, len, cache } = &self.words {
-            let v = cache
-                .get()
-                .cloned()
-                .unwrap_or_else(|| code.scatter_words(*len, &self.addrs));
-            self.words = WordStore::Eager(v);
-        }
-        match &mut self.words {
-            WordStore::Eager(v) => v,
-            WordStore::Lazy { .. } => unreachable!("just forced eager"),
-        }
+        self.end as usize
     }
 
     /// The own instruction stream as a mutable vector. A lazily restored
@@ -782,15 +683,15 @@ impl CodeImage {
     }
 
     /// The assembled static data area (ground literals) and its base
-    /// address: the loader installs these words before running. An
-    /// overlay's literals follow its base's.
+    /// address, [`STATIC_DATA_BASE`]: the loader installs these words
+    /// before running. An overlay's literals follow its base's.
     pub fn static_data(&self) -> (VAddr, Cow<'_, [Word]>) {
         let words = match &self.base {
             None => Cow::Borrowed(&self.static_data[..]),
             Some(base) if self.static_data.is_empty() => Cow::Borrowed(&base.static_data[..]),
             Some(base) => Cow::Owned([&base.static_data[..], &self.static_data[..]].concat()),
         };
-        (self.static_base, words)
+        (STATIC_DATA_BASE, words)
     }
 
     /// The decoded instructions of one predicate (by its size record).
@@ -850,8 +751,8 @@ impl CodeImage {
             .expect("an overlay places code only above its base") as usize
     }
 
-    /// Records a decoded instruction at `addr` without touching the words
-    /// image (the stub words, for example, stay zero). Builds the hash
+    /// Records a decoded instruction at `addr` without moving the end of
+    /// the code (the linker places the stubs this way). Builds the hash
     /// side table for wide switch tables.
     pub fn place(&mut self, addr: CodeAddr, instr: Instr) {
         let side = match &instr {
@@ -893,30 +794,23 @@ impl CodeImage {
         }
     }
 
-    /// Encodes `instr` into the words image at `addr` (which must be the
-    /// current end of the words image — layout is dense) and places it.
+    /// Places `instr` at `addr`, which must not lie below the end of the
+    /// code (layout is dense), and moves the end past it.
     ///
     /// # Panics
     ///
     /// When an overlay emits below its boundary; debug-asserts dense
     /// layout.
     pub fn emit(&mut self, addr: CodeAddr, instr: Instr) {
-        let at = self.own_offset(addr);
-        let words = self.words_mut();
-        if words.len() < at {
-            words.resize(at, 0);
-        }
-        debug_assert_eq!(words.len(), at, "layout must be dense");
-        instr.encode(words);
+        debug_assert!(addr.value() >= self.end, "layout must be dense");
+        self.end = addr.value() + instr.size_words() as u32;
         self.place(addr, instr);
     }
 
-    /// Pads the words image with zeros up to `len` words (stub area).
+    /// Moves the end of the code up to `len` words (the stub area, whose
+    /// instructions are placed, not emitted).
     pub fn pad_words_to(&mut self, len: usize) {
-        if self.len_words() < len {
-            let own = len - self.first_addr as usize;
-            self.words_mut().resize(own, 0);
-        }
+        self.end = self.end.max(len as u32);
     }
 
     /// Registers (or replaces) a predicate entry point. An overlay's
@@ -958,7 +852,7 @@ impl CodeImage {
     /// the words after the base's for an overlay.
     pub fn take_static_data(&mut self) -> (VAddr, Vec<Word>) {
         let below = self.base.as_ref().map_or(0, |b| b.static_data.len());
-        let at = self.static_base.offset(below as i64);
+        let at = STATIC_DATA_BASE.offset(below as i64);
         (at, std::mem::take(&mut self.static_data))
     }
 
@@ -970,7 +864,7 @@ impl CodeImage {
 
     /// Panics on a query overlay: only a flat program image is patched
     /// or saved (an overlay lives inside one prepared query).
-    fn assert_flat(&self) {
+    pub(crate) fn assert_flat(&self) {
         assert!(
             self.base.is_none(),
             "a query overlay cannot be patched or saved"
@@ -979,36 +873,20 @@ impl CodeImage {
 
     // -------------------------------------------- incremental mutation
 
-    /// Appends `instr` at the end of the code image, keeping the words
-    /// image in sync, and returns its address.
+    /// Appends `instr` at the end of the code image and returns its
+    /// address.
     fn append_instr(&mut self, instr: Instr) -> CodeAddr {
         let addr = CodeAddr::new(self.len_words() as u32);
         self.emit(addr, instr);
         addr
     }
 
-    /// Replaces the decoded instruction at `addr` and re-encodes the site
-    /// in place when the footprint allows (same word count, fixed-size
-    /// encoding). Table switches are left to their caller, which knows
-    /// whether the site still fits. The site's dispatch entry follows
-    /// the new instruction's size.
+    /// Replaces the decoded instruction at `addr`. The site's dispatch
+    /// entry follows the new instruction's size.
     fn patch_instr(&mut self, addr: CodeAddr, instr: Instr) {
-        let idx = self.index_of(addr).expect("patching a placed instruction");
-        let old_words = self.instrs[idx as usize].size_words();
-        let new_words = instr.size_words();
-        if old_words == new_words
-            && !matches!(
-                instr,
-                Instr::SwitchOnConstant { .. } | Instr::SwitchOnStructure { .. }
-            )
-        {
-            let mut enc = Vec::with_capacity(new_words);
-            instr.encode(&mut enc);
-            let at = addr.value() as usize;
-            self.words_mut()[at..at + new_words].copy_from_slice(&enc);
-        }
-        self.instrs_mut()[idx as usize] = instr;
-        self.refresh_dispatch(idx as usize);
+        let idx = self.index_of(addr).expect("patching a placed instruction") as usize;
+        self.instrs_mut()[idx] = instr;
+        self.refresh_dispatch(idx);
     }
 
     /// Walks a `try_me_else` / `retry_me_else`* / `trust_me` chain from
@@ -1404,11 +1282,10 @@ impl CodeImage {
         self.patch_instr(prev, relinked);
     }
 
-    /// Repoints every `call`/`execute` site targeting `old` to `new`,
-    /// re-encoding each (one-word) site, and returns how many were
-    /// patched. This is how a predicate recompiled at the end of the
-    /// image takes over from its previous code. A one-word site stays one
-    /// word, so no dispatch entry moves.
+    /// Repoints every `call`/`execute` site targeting `old` to `new`, and
+    /// returns how many were patched. This is how a predicate recompiled
+    /// at the end of the image takes over from its previous code. A
+    /// one-word site stays one word, so no dispatch entry moves.
     pub fn retarget_calls(&mut self, old: CodeAddr, new: CodeAddr) -> usize {
         self.assert_flat();
         let mut patched = 0;
@@ -1424,14 +1301,6 @@ impl CodeImage {
                 },
                 _ => continue,
             };
-            let at = self.addrs[i] as usize;
-            let mut enc = Vec::with_capacity(1);
-            replacement.encode(&mut enc);
-            // Stub-area sites keep zero words (they are never fetched
-            // as encoded words); everything else re-encodes in place.
-            if at + enc.len() <= self.words.len() && at >= CODE_BASE as usize {
-                self.words_mut()[at..at + enc.len()].copy_from_slice(&enc);
-            }
             self.instrs_mut()[i] = replacement;
             patched += 1;
         }
@@ -1449,106 +1318,5 @@ impl CodeImage {
             }
         }
         true
-    }
-
-    // ------------------------------------------------- snapshot support
-
-    /// Deconstructed borrow of every field of a flat image, for the
-    /// snapshot writer.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn parts(
-        &self,
-    ) -> (
-        &CodeStore,
-        &[u32],
-        &[Option<Arc<SwitchIndex>>],
-        &[u64],
-        &HashMap<(String, u8), CodeAddr>,
-        &[PredSize],
-        &[String],
-        &[String],
-        u32,
-        &CompileOptions,
-        &[Word],
-        VAddr,
-    ) {
-        self.assert_flat();
-        (
-            &self.instrs,
-            &self.addrs,
-            &self.switch_index,
-            self.own_words(),
-            &self.entries,
-            &self.sizes,
-            &self.warnings,
-            &self.query_vars,
-            self.aux_round,
-            &self.options,
-            &self.static_data,
-            self.static_base,
-        )
-    }
-
-    /// Reassembles an image from restored parts over lazily decoded code,
-    /// rebuilding the dense address index (cheap and fully determined by
-    /// `addrs`). The dispatch table starts empty and is built one decode
-    /// chunk at a time, as chunks first run.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_parts(
-        code: Arc<LazyCode>,
-        addrs: Vec<u32>,
-        switch_index: Vec<Option<Arc<SwitchIndex>>>,
-        words: WordStore,
-        entries: HashMap<(String, u8), CodeAddr>,
-        sizes: Vec<PredSize>,
-        warnings: Vec<String>,
-        query_vars: Vec<String>,
-        aux_round: u32,
-        options: CompileOptions,
-        static_data: Vec<Word>,
-        static_base: VAddr,
-    ) -> CodeImage {
-        // Addresses are ascending in every image this crate builds, so the
-        // dense index fills in one sequential pass; arbitrary (hostile
-        // snapshot) orderings fall back to a scatter.
-        let sorted_prefix_index = || {
-            let mut out = Vec::with_capacity(addrs.last().map_or(0, |&a| a as usize + 1));
-            for (i, &a) in addrs.iter().enumerate() {
-                if (a as usize) < out.len() {
-                    return None;
-                }
-                out.resize(a as usize, u32::MAX);
-                out.push(i as u32);
-            }
-            Some(out)
-        };
-        let addr_index = sorted_prefix_index().unwrap_or_else(|| {
-            let top = addrs.iter().copied().max().map_or(0, |a| a as usize + 1);
-            let mut out = vec![u32::MAX; top];
-            for (i, &a) in addrs.iter().enumerate() {
-                out[a as usize] = i as u32;
-            }
-            out
-        });
-        let dispatch = Dispatch::Lazy((0..code.chunks.len()).map(|_| OnceLock::new()).collect());
-        CodeImage {
-            base: None,
-            first_index: 0,
-            first_addr: 0,
-            instrs: CodeStore::Lazy(code),
-            addrs,
-            addr_index,
-            switch_index,
-            dispatch,
-            words,
-            entries,
-            sizes,
-            warnings,
-            query_vars,
-            aux_round,
-            options,
-            static_data,
-            static_base,
-        }
     }
 }

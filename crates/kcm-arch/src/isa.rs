@@ -13,9 +13,10 @@
 //! address (all branches in KCM have absolute branch targets, §3.1.3).
 //! Switch instructions are the only multi-word instructions (§4.1).
 //!
-//! [`Instr::encode`]/[`Instr::decode`] give the binary representation used
-//! for static code-size accounting (Table 1) and by the code cache model;
-//! the simulator executes the decoded form.
+//! [`Instr::encode`]/[`Instr::decode`] give the binary representation a
+//! snapshot stores. Instruction sizes ([`Instr::size_words`]) drive the
+//! static code-size accounting (Table 1) and the code cache model; both
+//! execution tiers run the decoded form.
 
 use crate::addr::{CodeAddr, VAddr};
 use crate::symbol::FunctorId;

@@ -15,8 +15,8 @@
 //! * [`VAddr`] / [`CodeAddr`] — word addresses in the two separate virtual
 //!   address spaces (data and code, paper §3.2.1).
 //! * [`isa`] — the fixed-width 64-bit instruction set (paper figure 3),
-//!   including binary encode/decode used for static code-size accounting
-//!   (paper Table 1) and by the code cache model.
+//!   with its word sizes (static code-size accounting, paper Table 1, and
+//!   the code cache model) and the binary encode/decode snapshots use.
 //! * [`timing`] — the documented cycle model (80 ns cycle; pipeline-break,
 //!   micro-step and memory-timing constants from §2.5/§3.1/§3.2).
 //!

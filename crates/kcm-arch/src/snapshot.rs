@@ -2,7 +2,7 @@
 //! [`SymbolTable`]) to a self-contained byte artifact and restore it
 //! without recompiling — SICStus-style saved states for the KCM image.
 //!
-//! # Format (version 1, all integers little-endian)
+//! # Format (version 2, all integers little-endian)
 //!
 //! ```text
 //! header   magic "KCMSNAP\0" · version u32 · flags u32 · body_len u64
@@ -10,68 +10,64 @@
 //!          symbols      atoms (count + len-prefixed UTF-8),
 //!                       functors (count + atom u32 + arity u8)
 //!          code         instr count · addrs u32×n · stream length ·
-//!                       decode-chunk table (instr start, word offset) ·
-//!                       concatenated Instr::encode stream
+//!                       concatenated Instr::encode stream ·
+//!                       code length u64 (words)
 //!          side tables  per indexed switch: instr index, table len,
 //!                       capacity, raw hash slots (key, target, ordinal)
-//!          words        flag u8 · length u64 · encoded code words
-//!                       (authoritative for the code cache / fetch
-//!                       accounting; the instr stream is authoritative
-//!                       for execution). When the flag says the words
-//!                       are exactly the instruction stream scattered to
-//!                       its addresses (every never-patched image), the
-//!                       section stores only the length and the loader
-//!                       rebuilds the words during its validation scan.
 //!          entries      sorted by (name, arity) for deterministic output
 //!          sizes        per-predicate static size records
 //!          warnings · query vars · aux round · static data
 //! trailer  checksum u64 over header + body
 //! ```
 //!
-//! The code words and the instruction stream are both stored: after an
-//! in-place table patch they legitimately differ (the decoded table has
-//! grown; the encoded site is stale), and both sides are needed to restore
-//! the image bit-for-bit. Hash side tables are stored as raw slots so
-//! loading skips the rehash. [`load`] does not decode the instruction
-//! stream at all: it *scan-validates* every instruction ([`Instr::scan`])
-//! — so hostile bytes are rejected up front and decoding can never fail
+//! A snapshot is this system's download of a linked program, and the
+//! one place the code's binary form exists: an image holds its code
+//! decoded, and [`save`] encodes it. The code length is stored beside
+//! the stream because a switch grown in place is encoded at its grown
+//! size while it stays at its address, so the stream alone does not
+//! give the length. Hash side tables are stored as raw slots so loading
+//! skips the rehash. [`load`] does not decode the instruction stream at
+//! all: it *scan-validates* every instruction ([`Instr::scan`]) — so
+//! hostile bytes are rejected up front and decoding can never fail
 //! later — and hands the validated stream to chunk-lazy storage that
 //! materializes instructions on first execution. Everything else is a
 //! bounds check away from `memcpy`, which is what makes a million-fact
-//! image restore in milliseconds where a consult takes seconds. The
-//! writer-side decode-chunk table survives as a consistency cross-check
-//! (and keeps version 1 bytes stable).
+//! image restore in milliseconds where a consult takes seconds.
+//!
+//! The checksum catches damage, not intent: anyone holding the format
+//! can recompute it. So every field the loader trusts is checked past
+//! it, and every allocation stays in proportion to the input: counts
+//! are bounded by the bytes left, the code length by the stream, every
+//! instruction address and entry by the code length (the dense address
+//! index is as long as the code), and every side table by the
+//! invariants its lookup relies on.
 //!
 //! Saving is deterministic: `save(load(bytes)) == bytes` for any snapshot
 //! this module wrote.
 
-use crate::addr::{CodeAddr, VAddr};
+use crate::addr::CodeAddr;
 use crate::image::{
-    CodeImage, CompileOptions, LazyCode, PredId, PredSize, WordStore, CODE_BASE, LAZY_CHUNK_SHIFT,
+    CodeImage, CodeStore, CompileOptions, Dispatch, LazyCode, PredId, PredSize, LAZY_CHUNK_SHIFT,
 };
 use crate::isa::Instr;
 use crate::swindex::SwitchIndex;
 use crate::symbol::{AtomId, SymbolTable};
 use crate::word::Word;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Magic bytes opening every snapshot.
 pub const MAGIC: [u8; 8] = *b"KCMSNAP\0";
 /// The (only) format version this build reads and writes.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 
 const HEADER_LEN: usize = 8 + 4 + 4 + 8;
 const TRAILER_LEN: usize = 8;
 /// Byte granularity of parallel checksumming (deterministic: the split
 /// is by offset, not by thread).
 const CHECKSUM_SLICE: usize = 4 << 20;
-/// Instruction granularity of the writer-side decode-chunk table (kept
-/// for format stability and used as a scan-time consistency cross-check).
-const DECODE_CHUNK_MIN: usize = 1 << 14;
-const DECODE_CHUNKS_MAX: usize = 16;
-/// How much longer than the instruction stream the words image may be
-/// (stub area plus padding) and still qualify for the omitted-words
-/// encoding; also the loader's allocation bound for rebuilding it.
+/// How much longer than the instruction stream the code may be: the
+/// stub area, whose instructions are placed in fewer words than it
+/// spans, plus slack. Bounds the loader's address index by the input.
 const WORDS_PAD_MAX: usize = 4096;
 
 /// Why a snapshot failed to load.
@@ -224,23 +220,9 @@ impl Writer {
 /// On a query overlay ([`CodeImage::overlay`]): only a program image is
 /// saved.
 pub fn save(image: &CodeImage, symbols: &SymbolTable) -> Vec<u8> {
-    let (
-        instrs,
-        addrs,
-        switch_index,
-        words,
-        entries,
-        sizes,
-        warnings,
-        query_vars,
-        aux_round,
-        options,
-        static_data,
-        static_base,
-    ) = image.parts();
-
+    image.assert_flat();
     let mut w = Writer {
-        buf: Vec::with_capacity(HEADER_LEN + words.len() * 16 + 4096),
+        buf: Vec::with_capacity(HEADER_LEN + image.len_words() * 12 + 4096),
     };
     w.buf.extend_from_slice(&MAGIC);
     w.u32(VERSION);
@@ -248,6 +230,7 @@ pub fn save(image: &CodeImage, symbols: &SymbolTable) -> Vec<u8> {
     w.u64(0); // body_len back-patched below
 
     // Options.
+    let options = &image.options;
     w.u8(options.inline_arith as u8);
     w.u8(options.deferred_choice_points as u8);
     w.u8(options.static_ground_literals as u8);
@@ -264,29 +247,22 @@ pub fn save(image: &CodeImage, symbols: &SymbolTable) -> Vec<u8> {
         w.u8(*arity);
     }
 
-    // Code: addresses, decode-chunk table, instruction stream.
-    w.u64(instrs.len() as u64);
-    for a in addrs {
+    // Code: addresses, the encoded instruction stream, the code length.
+    w.u64(image.instrs.len() as u64);
+    for a in &image.addrs {
         w.u32(*a);
     }
-    let mut stream: Vec<u64> = Vec::with_capacity(words.len());
-    let mut offsets: Vec<u64> = Vec::with_capacity(instrs.len());
-    for i in instrs.iter() {
-        offsets.push(stream.len() as u64);
+    let mut stream: Vec<u64> = Vec::with_capacity(image.len_words());
+    for i in image.instrs.iter() {
         i.encode(&mut stream);
     }
-    let chunk_size = decode_chunk_size(instrs.len());
-    let chunk_starts: Vec<usize> = (0..instrs.len()).step_by(chunk_size.max(1)).collect();
     w.u64(stream.len() as u64);
-    w.u32(chunk_starts.len() as u32);
-    for &start in &chunk_starts {
-        w.u64(start as u64);
-        w.u64(offsets[start]);
-    }
     w.u64_slice(&stream);
+    w.u64(image.len_words() as u64);
 
     // Switch hash side tables, raw.
-    let indexed: Vec<(usize, &SwitchIndex)> = switch_index
+    let indexed: Vec<(usize, &SwitchIndex)> = image
+        .switch_index
         .iter()
         .enumerate()
         .filter_map(|(i, s)| s.as_deref().map(|s| (i, s)))
@@ -304,18 +280,9 @@ pub fn save(image: &CodeImage, symbols: &SymbolTable) -> Vec<u8> {
         }
     }
 
-    // Encoded code words: omitted entirely when they are exactly the
-    // instruction stream scattered to its addresses (every never-patched
-    // image) — the loader rebuilds them during its validation scan.
-    let reconstructable = words_reconstructable(words, addrs, &offsets, &stream);
-    w.u8(reconstructable as u8);
-    w.u64(words.len() as u64);
-    if !reconstructable {
-        w.u64_slice(words);
-    }
-
     // Entries, sorted for deterministic bytes.
-    let mut sorted: Vec<(&str, u8, CodeAddr)> = entries
+    let mut sorted: Vec<(&str, u8, CodeAddr)> = image
+        .entries
         .iter()
         .map(|((name, arity), addr)| (name.as_str(), *arity, *addr))
         .collect();
@@ -328,8 +295,8 @@ pub fn save(image: &CodeImage, symbols: &SymbolTable) -> Vec<u8> {
     }
 
     // Per-predicate sizes.
-    w.u64(sizes.len() as u64);
-    for s in sizes {
+    w.u64(image.sizes.len() as u64);
+    for s in &image.sizes {
         w.str(&s.id.name);
         w.u8(s.id.arity);
         w.u8(s.auxiliary as u8);
@@ -340,18 +307,17 @@ pub fn save(image: &CodeImage, symbols: &SymbolTable) -> Vec<u8> {
     }
 
     // Warnings, query vars, aux round, static data.
-    w.u64(warnings.len() as u64);
-    for warning in warnings {
+    w.u64(image.warnings.len() as u64);
+    for warning in &image.warnings {
         w.str(warning);
     }
-    w.u64(query_vars.len() as u64);
-    for var in query_vars {
+    w.u64(image.query_vars.len() as u64);
+    for var in &image.query_vars {
         w.str(var);
     }
-    w.u32(aux_round);
-    w.u32(static_base.value());
-    w.u64(static_data.len() as u64);
-    for word in static_data {
+    w.u32(image.aux_round);
+    w.u64(image.static_data.len() as u64);
+    for word in &image.static_data {
         w.u64(word.bits());
     }
 
@@ -361,44 +327,6 @@ pub fn save(image: &CodeImage, symbols: &SymbolTable) -> Vec<u8> {
     let sum = checksum(&w.buf);
     w.u64(sum);
     w.buf
-}
-
-fn decode_chunk_size(n: usize) -> usize {
-    n.div_ceil(DECODE_CHUNKS_MAX).max(DECODE_CHUNK_MIN)
-}
-
-/// Whether `words` is exactly the instruction stream scattered to its
-/// addresses: every emitted site (address ≥ [`CODE_BASE`]) holds its
-/// instruction's encoding, and everything else — the stub area and any
-/// padding gaps — is zero. True for every image that has never taken an
-/// in-place table patch; such images snapshot without a words section.
-fn words_reconstructable(words: &[u64], addrs: &[u32], offsets: &[u64], stream: &[u64]) -> bool {
-    if words.len() > stream.len() + WORDS_PAD_MAX {
-        return false;
-    }
-    let mut cursor = 0usize;
-    for (i, &a) in addrs.iter().enumerate() {
-        let a = a as usize;
-        let start = offsets[i] as usize;
-        let end = offsets.get(i + 1).map_or(stream.len(), |&o| o as usize);
-        let n = end - start;
-        if a < cursor || words.len() < a + n {
-            return false;
-        }
-        if words[cursor..a].iter().any(|&w| w != 0) {
-            return false;
-        }
-        if a < CODE_BASE as usize {
-            // Stub sites are placed without emitting words.
-            if words[a..a + n].iter().any(|&w| w != 0) {
-                return false;
-            }
-        } else if words[a..a + n] != stream[start..end] {
-            return false;
-        }
-        cursor = a + n;
-    }
-    words[cursor..].iter().all(|&w| w == 0)
 }
 
 // ----------------------------------------------------------------- reader
@@ -538,14 +466,14 @@ pub fn load(bytes: &[u8]) -> Result<(Arc<CodeImage>, SymbolTable), SnapshotError
     let (addr_chunks, _) = addr_bytes.as_chunks::<4>();
     let addrs: Vec<u32> = addr_chunks.iter().map(|c| u32::from_le_bytes(*c)).collect();
     let stream_len = r.count(8)?;
-    let chunk_count = r.u32()? as usize;
-    let mut chunks = Vec::with_capacity(chunk_count);
-    for _ in 0..chunk_count {
-        let instr_start = r.u64()? as usize;
-        let word_off = r.u64()? as usize;
-        chunks.push((instr_start, word_off));
-    }
     let stream = r.u64_vec(stream_len)?;
+    let chunk_offsets = scan_stream(instr_count, &stream)?;
+    let len_words = r.u64()?;
+    if len_words > (stream.len() + WORDS_PAD_MAX) as u64 {
+        return Err(corrupt("code length past the end of the stream"));
+    }
+    let len_words = len_words as usize;
+    let addr_index = address_index(&addrs, len_words)?;
 
     // Side tables.
     let side_count = r.count(24)?;
@@ -554,48 +482,23 @@ pub fn load(bytes: &[u8]) -> Result<(Arc<CodeImage>, SymbolTable), SnapshotError
         let idx = r.u32()? as usize;
         let table_len = r.u64()? as usize;
         let cap = r.count(16)?;
-        if !cap.is_power_of_two() || table_len > cap {
-            return Err(corrupt("malformed switch side table"));
-        }
-        let (slot_chunks, _) = r.take(cap * 16)?.as_chunks::<16>();
-        let slots: Vec<(u64, u32, u32)> = slot_chunks
-            .iter()
-            .map(|b| {
+        let (slots, _) = r.take(cap * 16)?.as_chunks::<16>();
+        let side = SwitchIndex::from_raw(
+            table_len,
+            slots.iter().map(|b| {
                 (
                     u64::from_le_bytes(b[0..8].try_into().unwrap()),
                     u32::from_le_bytes(b[8..12].try_into().unwrap()),
                     u32::from_le_bytes(b[12..16].try_into().unwrap()),
                 )
-            })
-            .collect();
+            }),
+        )
+        .map_err(corrupt)?;
         let slot = switch_index
             .get_mut(idx)
             .ok_or_else(|| corrupt("side table for an unknown instruction"))?;
-        *slot = Some(Arc::new(SwitchIndex::from_raw(table_len, slots)));
+        *slot = Some(Arc::new(side));
     }
-
-    // Words: carried verbatim (flag 0), or omitted by the writer and
-    // reconstructed from the instruction stream on first access (flag 1).
-    let (words_len, eager_words) = match r.u8()? {
-        0 => {
-            let words_len = r.count(8)?;
-            (words_len, Some(r.u64_vec(words_len)?))
-        }
-        1 => {
-            let words_len = r.u64()? as usize;
-            if words_len > stream.len() + WORDS_PAD_MAX {
-                return Err(corrupt("rebuilt words length out of bounds"));
-            }
-            (words_len, None)
-        }
-        _ => return Err(corrupt("bad words-section flag")),
-    };
-    let chunk_offsets = scan_stream(instr_count, &chunks, &stream)?;
-    let code = Arc::new(LazyCode::new(stream, chunk_offsets, instr_count));
-    let words = match eager_words {
-        Some(v) => WordStore::Eager(v),
-        None => WordStore::lazy(Arc::clone(&code), words_len),
-    };
 
     // Entries.
     let entry_count = r.count(9)?;
@@ -604,7 +507,7 @@ pub fn load(bytes: &[u8]) -> Result<(Arc<CodeImage>, SymbolTable), SnapshotError
         let name = r.str()?;
         let arity = r.u8()?;
         let addr = r.u32()?;
-        if addr as usize >= words_len.max(1) {
+        if addr as usize >= len_words.max(1) {
             return Err(corrupt("entry address outside the code image"));
         }
         entries.insert((name, arity), CodeAddr::new(addr));
@@ -643,10 +546,6 @@ pub fn load(bytes: &[u8]) -> Result<(Arc<CodeImage>, SymbolTable), SnapshotError
         query_vars.push(r.str()?);
     }
     let aux_round = r.u32()?;
-    let static_base = r.u32()?;
-    if static_base > crate::addr::VADDR_MASK {
-        return Err(corrupt("static base outside the address space"));
-    }
     let static_len = r.count(8)?;
     let static_data: Vec<Word> = r
         .u64_vec(static_len)?
@@ -658,11 +557,19 @@ pub fn load(bytes: &[u8]) -> Result<(Arc<CodeImage>, SymbolTable), SnapshotError
         return Err(corrupt("unconsumed bytes in the snapshot body"));
     }
 
-    let image = CodeImage::from_parts(
-        code,
+    // The dispatch table starts empty and is built one decode chunk at a
+    // time, as chunks first run.
+    let chunks = chunk_offsets.len();
+    let image = CodeImage {
+        base: None,
+        first_index: 0,
+        first_addr: 0,
+        instrs: CodeStore::Lazy(Arc::new(LazyCode::new(stream, chunk_offsets, instr_count))),
         addrs,
+        addr_index,
         switch_index,
-        words,
+        dispatch: Dispatch::Lazy((0..chunks).map(|_| OnceLock::new()).collect()),
+        end: len_words as u32,
         entries,
         sizes,
         warnings,
@@ -670,68 +577,321 @@ pub fn load(bytes: &[u8]) -> Result<(Arc<CodeImage>, SymbolTable), SnapshotError
         aux_round,
         options,
         static_data,
-        VAddr::new(static_base),
-    );
+    };
     Ok((Arc::new(image), symbols))
 }
 
 /// Validates the instruction stream without materializing it: walks the
 /// whole stream with [`Instr::scan`] (proved instruction-for-instruction
-/// equivalent to [`Instr::decode`]), cross-checks the writer's
-/// decode-chunk table, and returns the word offset of each lazy decode
-/// chunk (every `1 << LAZY_CHUNK_SHIFT` instructions). After this pass a
-/// corrupt stream has already been rejected, so neither the lazy store's
-/// deferred per-chunk decode nor a deferred words-image rebuild
-/// ([`LazyCode::scatter_words`]) can fail.
-fn scan_stream(
-    instr_count: usize,
-    chunks: &[(usize, usize)],
-    stream: &[u64],
-) -> Result<Vec<usize>, SnapshotError> {
-    if instr_count == 0 {
-        return if chunks.is_empty() && stream.is_empty() {
-            Ok(Vec::new())
-        } else {
-            Err(corrupt("nonempty code stream for an empty image"))
-        };
-    }
-    if chunks.is_empty() || chunks[0] != (0, 0) {
-        return Err(corrupt("decode chunk table does not start at zero"));
-    }
-    for (i, &(instr_start, word_off)) in chunks.iter().enumerate() {
-        let (instr_end, word_end) = match chunks.get(i + 1) {
-            Some(&(ni, nw)) => (ni, nw),
-            None => (instr_count, stream.len()),
-        };
-        if instr_start >= instr_end || word_off >= word_end || word_end > stream.len() {
-            return Err(corrupt("malformed decode chunk table"));
-        }
-    }
+/// equivalent to [`Instr::decode`]) and returns the word offset of each
+/// lazy decode chunk (every `1 << LAZY_CHUNK_SHIFT` instructions). After
+/// this pass a corrupt stream has already been rejected, so the lazy
+/// store's deferred per-chunk decode cannot fail.
+fn scan_stream(instr_count: usize, stream: &[u64]) -> Result<Vec<usize>, SnapshotError> {
     let lazy_chunk = 1usize << LAZY_CHUNK_SHIFT;
     let mut offsets = Vec::with_capacity(instr_count.div_ceil(lazy_chunk));
-    let mut boundary = 1; // next writer-chunk entry to cross-check
     let mut pos = 0usize;
     for idx in 0..instr_count {
         if idx % lazy_chunk == 0 {
             offsets.push(pos);
-        }
-        if let Some(&(ci, cw)) = chunks.get(boundary) {
-            if idx == ci {
-                if pos != cw {
-                    return Err(corrupt("decode chunk did not consume its words"));
-                }
-                boundary += 1;
-            }
         }
         let used = Instr::scan(&stream[pos..])
             .ok_or_else(|| corrupt("undecodable instruction in the code stream"))?;
         pos += used;
     }
     if pos != stream.len() {
-        return Err(corrupt("decode chunk did not consume its words"));
-    }
-    if boundary != chunks.len() {
-        return Err(corrupt("malformed decode chunk table"));
+        return Err(corrupt("stream words after the last instruction"));
     }
     Ok(offsets)
+}
+
+/// The dense map from word address to stream index, as long as the code.
+/// An address at or past the code's end is corrupt: while the map fills,
+/// such an address lands in one spare slot past the end, which the check
+/// after the loop finds written. So the map stays in proportion to the
+/// input, and the loop takes no branch per address.
+fn address_index(addrs: &[u32], len_words: usize) -> Result<Vec<u32>, SnapshotError> {
+    let mut index = vec![u32::MAX; len_words + 1];
+    for (i, &a) in addrs.iter().enumerate() {
+        index[(a as usize).min(len_words)] = i as u32;
+    }
+    match index.pop() {
+        Some(u32::MAX) => Ok(index),
+        _ => Err(corrupt("instruction address outside the code")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! One case per check the loader makes past its checksum. Each case
+    //! rewrites one field of a valid snapshot and seals it again, as any
+    //! client can, so only the field's own check stands between the
+    //! bytes and the image.
+
+    use super::*;
+    use crate::image::CODE_BASE;
+    use crate::isa::Reg;
+
+    /// Keys in the fixture's switch: enough for a hash side table of 32
+    /// slots, 16 of them empty.
+    const KEYS: usize = 16;
+    /// Stream words: the switch (one word plus two per key) and `proceed`.
+    const STREAM_WORDS: usize = 1 + 2 * KEYS + 1;
+    /// The code: the stub area, the switch and `proceed`.
+    const LEN_WORDS: usize = CODE_BASE as usize + STREAM_WORDS;
+    const SLOTS: usize = 2 * KEYS;
+
+    // Byte offsets of the fixture's fields, in format order.
+    const OPTIONS: usize = HEADER_LEN;
+    const ATOM_COUNT: usize = OPTIONS + 4;
+    /// The length of atom `f`, then its one byte.
+    const ATOM_LEN: usize = ATOM_COUNT + 8;
+    const ATOM_BYTES: usize = ATOM_LEN + 4;
+    /// The atom of functor `f/1`, past the functor count.
+    const FUNCTOR_ATOM: usize = ATOM_BYTES + 1 + 8;
+    const INSTR_COUNT: usize = FUNCTOR_ATOM + 4 + 1;
+    const ADDRS: usize = INSTR_COUNT + 8;
+    const STREAM_LEN: usize = ADDRS + 2 * 4;
+    const STREAM: usize = STREAM_LEN + 8;
+    const CODE_LEN: usize = STREAM + 8 * STREAM_WORDS;
+    const SIDE_COUNT: usize = CODE_LEN + 8;
+    const SIDE_INDEX: usize = SIDE_COUNT + 8;
+    const SIDE_LEN: usize = SIDE_INDEX + 4;
+    const SIDE_CAP: usize = SIDE_LEN + 8;
+    const SIDE_SLOTS: usize = SIDE_CAP + 8;
+    /// The address of entry `p/1`, past the entry count, its name's
+    /// length, its name and its arity.
+    const ENTRY_ADDR: usize = SIDE_SLOTS + 16 * SLOTS + 8 + 4 + 1 + 1;
+
+    /// A snapshot of `p/1`: a 16-key `switch_on_constant` on A1 at
+    /// [`CODE_BASE`], whose every key leads to the `proceed` after it,
+    /// with one atom `f` and one functor `f/1` in the symbol table. The
+    /// image is padded to `CODE_BASE` as the linker pads its stubs.
+    fn fixture() -> Vec<u8> {
+        let mut symbols = SymbolTable::new();
+        symbols.functor("f", 1);
+        let mut image = CodeImage::new(CompileOptions::default());
+        image.pad_words_to(CODE_BASE as usize);
+        let at = CodeAddr::new(CODE_BASE);
+        let proceed = at.offset(1 + 2 * KEYS as i64);
+        let table = (0..KEYS as i32).map(|k| (Word::int(k), proceed)).collect();
+        image.emit(
+            at,
+            Instr::SwitchOnConstant {
+                arg: Reg::new(0),
+                default: None,
+                table,
+            },
+        );
+        image.emit(proceed, Instr::Proceed);
+        image.set_entry("p".to_owned(), 1, at);
+        let bytes = save(&image, &symbols);
+        // The offsets above describe these bytes.
+        assert_eq!(get_u64(&bytes, INSTR_COUNT), 2);
+        assert_eq!(get_u32(&bytes, ADDRS + 4), proceed.value());
+        assert_eq!(get_u64(&bytes, STREAM_LEN), STREAM_WORDS as u64);
+        assert_eq!(get_u64(&bytes, CODE_LEN), LEN_WORDS as u64);
+        assert_eq!(get_u64(&bytes, SIDE_CAP), SLOTS as u64);
+        assert_eq!(get_u32(&bytes, ENTRY_ADDR), CODE_BASE);
+        bytes
+    }
+
+    fn get_u32(bytes: &[u8], at: usize) -> u32 {
+        u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap())
+    }
+
+    fn get_u64(bytes: &[u8], at: usize) -> u64 {
+        u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
+    }
+
+    /// `bytes` with its content rewritten by `edit`, which may change its
+    /// length, and sealed again: a new body length and checksum.
+    fn reseal(bytes: &[u8], edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let mut content = bytes[..bytes.len() - TRAILER_LEN].to_vec();
+        edit(&mut content);
+        let body_len = (content.len() - HEADER_LEN) as u64;
+        content[16..24].copy_from_slice(&body_len.to_le_bytes());
+        let sum = checksum(&content);
+        content.extend_from_slice(&sum.to_le_bytes());
+        content
+    }
+
+    /// The fixture with `value` written over the field at `at`, sealed.
+    fn with_field(at: usize, value: &[u8]) -> Vec<u8> {
+        reseal(&fixture(), |c| {
+            c[at..at + value.len()].copy_from_slice(value)
+        })
+    }
+
+    /// The fixture with its side table's raw slots rewritten, sealed.
+    fn with_slots(edit: impl Fn(usize, &mut [u8; 16])) -> Vec<u8> {
+        reseal(&fixture(), |c| {
+            let slots = &mut c[SIDE_SLOTS..SIDE_SLOTS + 16 * SLOTS];
+            for (i, slot) in slots.as_chunks_mut::<16>().0.iter_mut().enumerate() {
+                edit(i, slot);
+            }
+        })
+    }
+
+    fn is_empty_slot(slot: &[u8; 16]) -> bool {
+        slot[8..12] == u32::MAX.to_le_bytes()
+    }
+
+    /// `bytes` must be refused as corrupted, for a reason naming `why`.
+    #[track_caller]
+    fn assert_corrupt(bytes: &[u8], why: &str) {
+        match load(bytes) {
+            Err(SnapshotError::Corrupted(msg)) => {
+                assert!(msg.contains(why), "refused for {msg:?}, not {why:?}")
+            }
+            Err(other) => panic!("classed {other:?}, not corrupted ({why})"),
+            Ok(_) => panic!("loaded, not refused ({why})"),
+        }
+    }
+
+    #[test]
+    fn the_fixture_loads_and_resealing_alone_changes_nothing() {
+        let bytes = fixture();
+        assert_eq!(reseal(&bytes, |_| {}), bytes);
+        let (image, _) = load(&bytes).expect("valid snapshot");
+        assert_eq!(image.len_words(), LEN_WORDS);
+        assert!(image.switch_index(0).is_some());
+    }
+
+    #[test]
+    fn an_option_byte_other_than_0_or_1() {
+        assert_corrupt(&with_field(OPTIONS + 1, &[2]), "bad boolean byte 2");
+    }
+
+    #[test]
+    fn a_count_larger_than_the_remaining_body() {
+        assert_corrupt(
+            &with_field(ATOM_COUNT, &(1u64 << 40).to_le_bytes()),
+            "count field exceeds",
+        );
+    }
+
+    #[test]
+    fn a_string_longer_than_the_remaining_body() {
+        assert_corrupt(
+            &with_field(ATOM_LEN, &u32::MAX.to_le_bytes()),
+            "overruns the snapshot body",
+        );
+    }
+
+    #[test]
+    fn a_string_that_is_not_utf8() {
+        assert_corrupt(&with_field(ATOM_BYTES, &[0xFF]), "not UTF-8");
+    }
+
+    #[test]
+    fn a_functor_naming_an_unknown_atom() {
+        assert_corrupt(
+            &with_field(FUNCTOR_ATOM, &1u32.to_le_bytes()),
+            "unknown atom",
+        );
+    }
+
+    #[test]
+    fn an_undecodable_stream_word() {
+        assert_eq!(Instr::scan(&[u64::MAX]), None);
+        let last = STREAM + 8 * (STREAM_WORDS - 1);
+        assert_corrupt(
+            &with_field(last, &u64::MAX.to_le_bytes()),
+            "undecodable instruction",
+        );
+    }
+
+    #[test]
+    fn stream_words_after_the_last_instruction() {
+        let mut proceed = Vec::new();
+        Instr::Proceed.encode(&mut proceed);
+        let stream_len = (STREAM_WORDS as u64 + 1).to_le_bytes();
+        let bytes = reseal(&fixture(), |c| {
+            c.splice(CODE_LEN..CODE_LEN, proceed[0].to_le_bytes());
+            c[STREAM_LEN..STREAM_LEN + 8].copy_from_slice(&stream_len);
+        });
+        assert_corrupt(&bytes, "after the last instruction");
+    }
+
+    #[test]
+    fn a_code_length_past_the_stream_and_its_padding() {
+        let most = (STREAM_WORDS + WORDS_PAD_MAX) as u64;
+        assert!(load(&with_field(CODE_LEN, &most.to_le_bytes())).is_ok());
+        assert_corrupt(
+            &with_field(CODE_LEN, &(most + 1).to_le_bytes()),
+            "code length",
+        );
+        assert_corrupt(
+            &with_field(CODE_LEN, &u64::MAX.to_le_bytes()),
+            "code length",
+        );
+    }
+
+    #[test]
+    fn an_instruction_address_at_or_past_the_code_length() {
+        // Unchecked, the dense address index is as long as the largest
+        // address: 256 MB for 1 << 26, 16 GiB for u32::MAX.
+        for addr in [LEN_WORDS as u32, 1 << 26, u32::MAX] {
+            assert_corrupt(
+                &with_field(ADDRS + 4, &addr.to_le_bytes()),
+                "instruction address",
+            );
+        }
+    }
+
+    #[test]
+    fn an_entry_at_the_code_length() {
+        let end = LEN_WORDS as u32;
+        assert_corrupt(&with_field(ENTRY_ADDR, &end.to_le_bytes()), "entry address");
+    }
+
+    #[test]
+    fn a_side_table_for_an_unknown_instruction() {
+        assert_corrupt(
+            &with_field(SIDE_INDEX, &2u32.to_le_bytes()),
+            "unknown instruction",
+        );
+    }
+
+    #[test]
+    fn a_side_table_capacity_that_is_not_a_power_of_two() {
+        let cap = (SLOTS as u64 - 1).to_le_bytes();
+        assert_corrupt(&with_field(SIDE_CAP, &cap), "not a power of two");
+    }
+
+    #[test]
+    fn a_side_table_more_than_half_full() {
+        let len = (SLOTS as u64 / 2 + 1).to_le_bytes();
+        assert_corrupt(&with_field(SIDE_LEN, &len), "more than half full");
+    }
+
+    #[test]
+    fn a_side_table_with_no_empty_slot() {
+        // Unchecked, a lookup of a missing key probes forever.
+        let bytes = with_slots(|i, slot| {
+            if is_empty_slot(slot) {
+                slot[0..8].copy_from_slice(&(1_000 + i as u64).to_le_bytes());
+                slot[8..12].copy_from_slice(&CODE_BASE.to_le_bytes());
+                slot[12..16].copy_from_slice(&0u32.to_le_bytes());
+            }
+        });
+        assert_corrupt(&bytes, "more keys than its table");
+    }
+
+    #[test]
+    fn a_side_table_ordinal_past_its_table() {
+        let ordinal = (KEYS as u32).to_le_bytes();
+        let bytes = with_slots(|_, slot| {
+            if !is_empty_slot(slot) {
+                slot[12..16].copy_from_slice(&ordinal);
+            }
+        });
+        assert_corrupt(&bytes, "ordinal past the end");
+    }
+
+    #[test]
+    fn unconsumed_bytes_in_the_body() {
+        assert_corrupt(&reseal(&fixture(), |c| c.push(0)), "unconsumed bytes");
+    }
 }

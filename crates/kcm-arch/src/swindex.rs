@@ -182,24 +182,54 @@ impl SwitchIndex {
         self.slots.iter().map(|s| (s.key, s.target, s.ordinal))
     }
 
-    /// Rebuilds an index from snapshot-restored raw slots. `slots.len()`
-    /// must be a power of two (the writer only ever emits such).
-    pub(crate) fn from_raw(len: usize, slots: Vec<(u64, u32, u32)>) -> SwitchIndex {
-        debug_assert!(slots.len().is_power_of_two());
-        let mask = slots.len() - 1;
-        SwitchIndex {
-            slots: slots
-                .into_iter()
-                .map(|(key, target, ordinal)| Slot {
+    /// Rebuilds an index of a `len`-entry table from raw slots as
+    /// [`SwitchIndex::raw_slots`] lists them, checking what every index
+    /// this module builds keeps true: a power-of-two slot count at least
+    /// twice `len`, at most `len` occupied slots, so at least half the
+    /// slots are empty and every probe sequence of
+    /// [`SwitchIndex::lookup`] ends, and every occupied slot's ordinal
+    /// inside the table. The checks ride the one pass that builds the
+    /// slots, with no branch per slot.
+    ///
+    /// # Errors
+    ///
+    /// Names the first rule the slots break.
+    pub(crate) fn from_raw(
+        len: usize,
+        raw: impl ExactSizeIterator<Item = (u64, u32, u32)>,
+    ) -> Result<SwitchIndex, &'static str> {
+        let cap = raw.len();
+        if !cap.is_power_of_two() {
+            return Err("side-table capacity is not a power of two");
+        }
+        if len > cap / 2 {
+            return Err("side table is more than half full");
+        }
+        let mut occupied = 0usize;
+        let mut ordinal_past_table = false;
+        let slots = raw
+            .map(|(key, target, ordinal)| {
+                let used = target != EMPTY;
+                occupied += used as usize;
+                ordinal_past_table |= used & (ordinal as usize >= len);
+                Slot {
                     key,
                     target,
                     ordinal,
-                })
-                .collect::<Vec<_>>()
-                .into_boxed_slice(),
-            mask,
-            len,
+                }
+            })
+            .collect();
+        if occupied > len {
+            return Err("side table holds more keys than its table");
         }
+        if ordinal_past_table {
+            return Err("side-table ordinal past the end of its table");
+        }
+        Ok(SwitchIndex {
+            slots,
+            mask: cap - 1,
+            len,
+        })
     }
 
     /// Looks up a key, returning the branch target and the key's ordinal in
@@ -310,7 +340,7 @@ mod tests {
             .collect();
         let idx = SwitchIndex::for_constants(&table);
         let raw: Vec<(u64, u32, u32)> = idx.raw_slots().collect();
-        let back = SwitchIndex::from_raw(idx.table_len(), raw);
+        let back = SwitchIndex::from_raw(idx.table_len(), raw.into_iter()).expect("valid slots");
         for (k, t) in &table {
             assert_eq!(back.lookup(k.switch_key()), idx.lookup(k.switch_key()));
             assert!(back.lookup(k.switch_key()).is_some_and(|(bt, _)| bt == *t));

@@ -3,9 +3,9 @@
 //! The benchmark configuration uses "static linking" (§4): every call site
 //! is resolved to an absolute entry address at link time. The linker lays
 //! predicates out in the code space, resolves inter-predicate calls,
-//! encodes the final instruction words (the image the loader downloads to
-//! the machine) and records per-predicate sizes for the static code-size
-//! evaluation (Table 1).
+//! places the final instructions at their word addresses (the image a
+//! snapshot downloads to the machine) and records per-predicate sizes for
+//! the static code-size evaluation (Table 1).
 //!
 //! The image type itself lives in `kcm-arch` ([`kcm_arch::image`]) so the
 //! snapshot format and the in-place assert/retract patching need no
@@ -172,7 +172,8 @@ impl Linker {
                 image.set_entry("$call".to_owned(), n, CALL_STUB);
             }
         }
-        // Stub words stay zero: they are never fetched as encoded words.
+        // The stubs are placed, not emitted: program code starts past
+        // the stub area, at CODE_BASE.
         image.pad_words_to(CODE_BASE as usize);
         image
     }
@@ -476,20 +477,6 @@ mod tests {
         match image.instr_at(p) {
             Some(Instr::Execute { addr, .. }) => assert_eq!(*addr, UNKNOWN_STUB),
             other => panic!("expected execute, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn words_match_instructions() {
-        let (image, _) = link("app([], L, L). app([H|T], L, [H|R]) :- app(T, L, R).");
-        // Every decoded instruction must re-decode from the words image at
-        // its address.
-        for addr in 8..image.len_words() as u32 {
-            let Some(idx) = image.index_of(CodeAddr::new(addr)) else {
-                continue;
-            };
-            let got = Instr::decode(&image.words()[addr as usize..]).map(|(i, _)| i);
-            assert_eq!(got.as_ref(), Some(image.instr_at_index(idx)), "at {addr}");
         }
     }
 

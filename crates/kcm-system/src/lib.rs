@@ -384,11 +384,12 @@ impl Kcm {
         Ok(())
     }
 
-    /// Serializes the compiled program — code words, symbol table, hash
-    /// side tables, format metadata — into the versioned, checksummed
-    /// binary snapshot format of [`kcm_arch::snapshot`]. Feed the bytes
-    /// back through [`Kcm::load`] (or ship them to a registry /
-    /// `PUBLISH … SNAPSHOT`) to restore the program without recompiling.
+    /// Serializes the compiled program — its instructions, encoded as the
+    /// code's one binary form, the symbol table, hash side tables and
+    /// format metadata — into the versioned, checksummed binary snapshot
+    /// format of [`kcm_arch::snapshot`]. Feed the bytes back through
+    /// [`Kcm::load`] (or ship them to a registry / `PUBLISH … SNAPSHOT`)
+    /// to restore the program without recompiling.
     ///
     /// # Errors
     ///
