@@ -1331,6 +1331,20 @@ impl Instr {
         Some((instr, 1))
     }
 
+    /// The table length of an encoded `switch_on_constant` or
+    /// `switch_on_structure`, read from its first word; `None` for every
+    /// other opcode. The snapshot loader's scan pass reads it to check
+    /// each hash side table against the switch it indexes.
+    #[inline]
+    pub(crate) fn table_switch_len(word: u64) -> Option<usize> {
+        match (word >> 56) as u8 {
+            OP_SWITCH_ON_CONSTANT | OP_SWITCH_ON_STRUCTURE => {
+                Some(((word >> 28) & 0xFF_FFFF) as usize)
+            }
+            _ => None,
+        }
+    }
+
     /// Validates one encoded instruction without materializing it:
     /// returns the word count it occupies, rejecting exactly the
     /// malformations [`Instr::decode`] rejects (unknown opcode, truncated

@@ -40,7 +40,8 @@
 //! are bounded by the bytes left, the code length by the stream, every
 //! instruction address and entry by the code length (the dense address
 //! index is as long as the code), and every side table by the
-//! invariants its lookup relies on.
+//! invariants its lookup relies on. Instruction addresses ascend, and
+//! each side table sits on a table switch of its own length.
 //!
 //! Saving is deterministic: `save(load(bytes)) == bytes` for any snapshot
 //! this module wrote.
@@ -467,7 +468,7 @@ pub fn load(bytes: &[u8]) -> Result<(Arc<CodeImage>, SymbolTable), SnapshotError
     let addrs: Vec<u32> = addr_chunks.iter().map(|c| u32::from_le_bytes(*c)).collect();
     let stream_len = r.count(8)?;
     let stream = r.u64_vec(stream_len)?;
-    let chunk_offsets = scan_stream(instr_count, &stream)?;
+    let (chunk_offsets, switches) = scan_stream(instr_count, &stream)?;
     let len_words = r.u64()?;
     if len_words > (stream.len() + WORDS_PAD_MAX) as u64 {
         return Err(corrupt("code length past the end of the stream"));
@@ -485,6 +486,7 @@ pub fn load(bytes: &[u8]) -> Result<(Arc<CodeImage>, SymbolTable), SnapshotError
         let (slots, _) = r.take(cap * 16)?.as_chunks::<16>();
         let side = SwitchIndex::from_raw(
             table_len,
+            len_words,
             slots.iter().map(|b| {
                 (
                     u64::from_le_bytes(b[0..8].try_into().unwrap()),
@@ -497,6 +499,15 @@ pub fn load(bytes: &[u8]) -> Result<(Arc<CodeImage>, SymbolTable), SnapshotError
         let slot = switch_index
             .get_mut(idx)
             .ok_or_else(|| corrupt("side table for an unknown instruction"))?;
+        match switches.binary_search_by_key(&idx, |&(i, _)| i) {
+            Ok(at) if switches[at].1 == table_len => {}
+            Ok(_) => return Err(corrupt("side-table length differs from its switch's table")),
+            Err(_) => {
+                return Err(corrupt(
+                    "side table on an instruction that is not a table switch",
+                ))
+            }
+        }
         *slot = Some(Arc::new(side));
     }
 
@@ -581,15 +592,21 @@ pub fn load(bytes: &[u8]) -> Result<(Arc<CodeImage>, SymbolTable), SnapshotError
     Ok((Arc::new(image), symbols))
 }
 
+/// A validated stream's decode-chunk offsets, and its table switches as
+/// `(stream index, table length)` in stream order.
+type Scanned = (Vec<usize>, Vec<(usize, usize)>);
+
 /// Validates the instruction stream without materializing it: walks the
 /// whole stream with [`Instr::scan`] (proved instruction-for-instruction
 /// equivalent to [`Instr::decode`]) and returns the word offset of each
-/// lazy decode chunk (every `1 << LAZY_CHUNK_SHIFT` instructions). After
-/// this pass a corrupt stream has already been rejected, so the lazy
-/// store's deferred per-chunk decode cannot fail.
-fn scan_stream(instr_count: usize, stream: &[u64]) -> Result<Vec<usize>, SnapshotError> {
+/// lazy decode chunk (every `1 << LAZY_CHUNK_SHIFT` instructions) and
+/// the table switches that side tables may index. After this pass a
+/// corrupt stream has already been rejected, so the lazy store's
+/// deferred per-chunk decode cannot fail.
+fn scan_stream(instr_count: usize, stream: &[u64]) -> Result<Scanned, SnapshotError> {
     let lazy_chunk = 1usize << LAZY_CHUNK_SHIFT;
     let mut offsets = Vec::with_capacity(instr_count.div_ceil(lazy_chunk));
+    let mut switches = Vec::new();
     let mut pos = 0usize;
     for idx in 0..instr_count {
         if idx % lazy_chunk == 0 {
@@ -597,28 +614,41 @@ fn scan_stream(instr_count: usize, stream: &[u64]) -> Result<Vec<usize>, Snapsho
         }
         let used = Instr::scan(&stream[pos..])
             .ok_or_else(|| corrupt("undecodable instruction in the code stream"))?;
+        if let Some(n) = Instr::table_switch_len(stream[pos]) {
+            switches.push((idx, n));
+        }
         pos += used;
     }
     if pos != stream.len() {
         return Err(corrupt("stream words after the last instruction"));
     }
-    Ok(offsets)
+    Ok((offsets, switches))
 }
 
 /// The dense map from word address to stream index, as long as the code.
 /// An address at or past the code's end is corrupt: while the map fills,
 /// such an address lands in one spare slot past the end, which the check
 /// after the loop finds written. So the map stays in proportion to the
-/// input, and the loop takes no branch per address.
+/// input. Addresses must also ascend strictly in stream order: an image
+/// lays its instructions out in address order, so the sequential
+/// successor of stream index `i` is `i + 1`. They need not be disjoint,
+/// as a switch grown in place overlaps the words after it. The loop
+/// takes no branch per address.
 fn address_index(addrs: &[u32], len_words: usize) -> Result<Vec<u32>, SnapshotError> {
     let mut index = vec![u32::MAX; len_words + 1];
+    let (mut prev, mut ascending) = (-1i64, true);
     for (i, &a) in addrs.iter().enumerate() {
         index[(a as usize).min(len_words)] = i as u32;
+        ascending &= i64::from(a) > prev;
+        prev = i64::from(a);
     }
-    match index.pop() {
-        Some(u32::MAX) => Ok(index),
-        _ => Err(corrupt("instruction address outside the code")),
+    if index.pop() != Some(u32::MAX) {
+        return Err(corrupt("instruction address outside the code"));
     }
+    if !ascending {
+        return Err(corrupt("instruction addresses out of order"));
+    }
+    Ok(index)
 }
 
 #[cfg(test)]
@@ -841,6 +871,19 @@ mod tests {
     }
 
     #[test]
+    fn instruction_addresses_out_of_order() {
+        // Unchecked, the image's address order and its stream order
+        // disagree, and the program answers wrongly on both tiers.
+        let switch = get_u32(&fixture(), ADDRS);
+        let proceed = get_u32(&fixture(), ADDRS + 4);
+        let bytes = reseal(&fixture(), |c| {
+            c[ADDRS..ADDRS + 4].copy_from_slice(&proceed.to_le_bytes());
+            c[ADDRS + 4..ADDRS + 8].copy_from_slice(&switch.to_le_bytes());
+        });
+        assert_corrupt(&bytes, "out of order");
+    }
+
+    #[test]
     fn an_entry_at_the_code_length() {
         let end = LEN_WORDS as u32;
         assert_corrupt(&with_field(ENTRY_ADDR, &end.to_le_bytes()), "entry address");
@@ -852,6 +895,41 @@ mod tests {
             &with_field(SIDE_INDEX, &2u32.to_le_bytes()),
             "unknown instruction",
         );
+    }
+
+    #[test]
+    fn a_side_table_on_an_instruction_that_is_not_a_table_switch() {
+        assert_corrupt(
+            &with_field(SIDE_INDEX, &1u32.to_le_bytes()),
+            "not a table switch",
+        );
+    }
+
+    #[test]
+    fn a_side_table_longer_than_its_switch() {
+        // Unchecked, an assert of a new key indexes the switch's table at
+        // the side table's length, past the end.
+        let mut empty = [0u8; 16];
+        empty[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
+        let bytes = reseal(&fixture(), |c| {
+            let end = SIDE_SLOTS + 16 * SLOTS;
+            c.splice(end..end, empty.repeat(SLOTS));
+            c[SIDE_LEN..SIDE_LEN + 8].copy_from_slice(&(KEYS as u64 + 1).to_le_bytes());
+            c[SIDE_CAP..SIDE_CAP + 8].copy_from_slice(&(2 * SLOTS as u64).to_le_bytes());
+        });
+        assert_corrupt(&bytes, "length differs from its switch");
+    }
+
+    #[test]
+    fn a_side_table_target_outside_the_code() {
+        // Unchecked, the first lookup that reaches such a slot panics
+        // building its code address.
+        let bytes = with_slots(|_, slot| {
+            if !is_empty_slot(slot) {
+                slot[8..12].copy_from_slice(&(1u32 << 28).to_le_bytes());
+            }
+        });
+        assert_corrupt(&bytes, "target outside the code");
     }
 
     #[test]

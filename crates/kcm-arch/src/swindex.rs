@@ -188,14 +188,16 @@ impl SwitchIndex {
     /// twice `len`, at most `len` occupied slots, so at least half the
     /// slots are empty and every probe sequence of
     /// [`SwitchIndex::lookup`] ends, and every occupied slot's ordinal
-    /// inside the table. The checks ride the one pass that builds the
-    /// slots, with no branch per slot.
+    /// inside the table and its target inside the `code_len` words of
+    /// its image. The checks ride the one pass that builds the slots,
+    /// with no branch per slot.
     ///
     /// # Errors
     ///
     /// Names the first rule the slots break.
     pub(crate) fn from_raw(
         len: usize,
+        code_len: usize,
         raw: impl ExactSizeIterator<Item = (u64, u32, u32)>,
     ) -> Result<SwitchIndex, &'static str> {
         let cap = raw.len();
@@ -207,11 +209,13 @@ impl SwitchIndex {
         }
         let mut occupied = 0usize;
         let mut ordinal_past_table = false;
+        let mut target_outside = false;
         let slots = raw
             .map(|(key, target, ordinal)| {
                 let used = target != EMPTY;
                 occupied += used as usize;
                 ordinal_past_table |= used & (ordinal as usize >= len);
+                target_outside |= used & (target as usize >= code_len);
                 Slot {
                     key,
                     target,
@@ -224,6 +228,9 @@ impl SwitchIndex {
         }
         if ordinal_past_table {
             return Err("side-table ordinal past the end of its table");
+        }
+        if target_outside {
+            return Err("side-table target outside the code");
         }
         Ok(SwitchIndex {
             slots,
@@ -340,7 +347,8 @@ mod tests {
             .collect();
         let idx = SwitchIndex::for_constants(&table);
         let raw: Vec<(u64, u32, u32)> = idx.raw_slots().collect();
-        let back = SwitchIndex::from_raw(idx.table_len(), raw.into_iter()).expect("valid slots");
+        let back =
+            SwitchIndex::from_raw(idx.table_len(), 51, raw.into_iter()).expect("valid slots");
         for (k, t) in &table {
             assert_eq!(back.lookup(k.switch_key()), idx.lookup(k.switch_key()));
             assert!(back.lookup(k.switch_key()).is_some_and(|(bt, _)| bt == *t));

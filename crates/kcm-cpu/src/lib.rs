@@ -17,10 +17,10 @@
 //!   deferred choice point (§3.1.5), the trail hardware condition, and
 //!   dereferencing at one link per cycle through the data cache (§3.1.4).
 //! * [`profile`] — the observability layer: per-instruction-class retired
-//!   counts and cycles, event counters for the paper's hardware mechanisms
-//!   (MWAC dispatch outcomes, shallow vs. deep backtracks, trail checks,
-//!   deref-chain lengths, zone-grow traps), and a bounded ring-buffer
-//!   event tracer that costs one branch when disabled.
+//!   counts and cycles, and the outcomes of the paper's hardware
+//!   mechanisms (MWAC dispatch, table switches, trail checks, deref-chain
+//!   lengths). Every machine event is counted once: backtracks, trail
+//!   pushes and zone growths are [`RunStats`] counters.
 //! * [`termio`] — host-side decoding/building of Prolog terms in machine
 //!   memory (the monitor's view of the heap).
 //! * [`builtins`] — the escape mechanism: built-in predicates serviced
@@ -63,7 +63,6 @@ pub use machine::{
     Machine, MachineConfig, MachineError, Outcome, Quantum, RunStats, SessionStep, Solution,
 };
 pub use profile::{
-    ClassCounters, InstrClass, MwacCounters, Profile, SwitchCounters, TraceEvent, Tracer,
-    DEREF_HIST_BUCKETS,
+    ClassCounters, InstrClass, MwacCounters, Profile, SwitchCounters, DEREF_HIST_BUCKETS,
 };
 pub use regfile::RegisterFile;

@@ -20,7 +20,7 @@ use crate::builtins::{self, BuiltinOutcome};
 use crate::frames;
 use crate::mwac::{Mwac, UnifyCase};
 use crate::prefetch::{Prefetch, PrefetchStats};
-use crate::profile::{InstrClass, Profile, TraceEvent, Tracer};
+use crate::profile::{InstrClass, Profile};
 use crate::regfile::RegisterFile;
 use kcm_arch::isa::{AluOp, Cond, Instr, Reg};
 use kcm_arch::timing::Cycles;
@@ -70,11 +70,6 @@ pub struct MachineConfig {
     /// Prolog-level monitor: attribute cycles to code addresses so
     /// [`Machine::profile`] can report per-predicate costs.
     pub profile: bool,
-    /// Event tracer depth: keep the most recent `event_trace_depth`
-    /// machine events (backtracks, choice points, trail pushes, zone
-    /// traps) in a bounded ring buffer; 0 (the default) disables
-    /// recording down to a single not-taken branch per event site.
-    pub event_trace_depth: usize,
 }
 
 impl Default for MachineConfig {
@@ -87,7 +82,6 @@ impl Default for MachineConfig {
             step_budget: u64::MAX,
             trace_depth: 0,
             profile: false,
-            event_trace_depth: 0,
         }
     }
 }
@@ -229,8 +223,8 @@ pub struct Outcome {
     pub solutions: Vec<Solution>,
     /// Execution counters.
     pub stats: RunStats,
-    /// Per-run execution profile (instruction classes, MWAC outcomes,
-    /// backtrack split, trail checks, deref histogram, zone traps).
+    /// Per-run execution profile (instruction classes, MWAC and switch
+    /// outcomes, trail checks, deref histogram).
     pub profile: Profile,
     /// Host output captured from `write/1`, `nl/0`, `tab/1`.
     pub output: String,
@@ -405,10 +399,10 @@ pub struct Machine<M: DataMem = MemorySystem> {
     /// (the paper's benchmarks cost `write/1` as a flat 5-cycle escape —
     /// the host walks the term over the interface, off the machine clock).
     untimed: bool,
-    cycles: u64,
+    /// Lifetime counters of the machine's own events, cycles included;
+    /// the memory and prefetch counters live in their subsystems.
     stats: RunStats,
     prof: Profile,
-    tracer: Tracer,
     pub(crate) output: String,
     solutions: Vec<Solution>,
     trace: std::collections::VecDeque<String>,
@@ -483,7 +477,6 @@ impl<M: DataMem> Machine<M> {
         cfg: MachineConfig,
     ) -> Machine<M> {
         let spread = cfg.spread_stack_bases;
-        let event_trace_depth = cfg.event_trace_depth;
         let mem = M::with_config(cfg.mem.clone());
         let heap_base = MemorySystem::stack_base(Zone::Global, spread);
         let local_base = MemorySystem::stack_base(Zone::Local, spread);
@@ -517,10 +510,8 @@ impl<M: DataMem> Machine<M> {
             b_arity: 0,
             b_lt: local_base,
             untimed: false,
-            cycles: 0,
             stats: RunStats::default(),
             prof: Profile::default(),
-            tracer: Tracer::new(event_trace_depth),
             output: String::new(),
             solutions: Vec::new(),
             trace: std::collections::VecDeque::new(),
@@ -849,7 +840,7 @@ impl<M: DataMem> Machine<M> {
                 return Ok(Some(idx));
             };
             let addr = self.p;
-            let before = self.cycles;
+            let before = self.stats.cycles;
             // Instruction fetch through the code cache (prefetch streams
             // sequential words; misses charge their penalty).
             if M::SIMULATED {
@@ -871,7 +862,7 @@ impl<M: DataMem> Machine<M> {
             // is attributed to the opcode's class (and, when profiling,
             // to its address), even if the instruction faulted.
             if M::SIMULATED {
-                let delta = self.cycles - before;
+                let delta = self.stats.cycles - before;
                 self.prof.retire(InstrClass::of(instr), delta);
                 if self.cfg.profile {
                     let slot = addr.value() as usize;
@@ -950,23 +941,9 @@ impl<M: DataMem> Machine<M> {
     pub fn lifetime_stats(&self) -> RunStats {
         let mut s = self.stats;
         s.cycle_ns = self.cfg.cost.cycle_ns;
-        s.cycles = self.cycles;
         s.mem = self.mem.stats();
         s.prefetch = self.prefetch.stats();
         s
-    }
-
-    /// The cumulative hardware-mechanism profile over the machine's
-    /// lifetime. Per-run profiles are reported on each [`Outcome`].
-    pub fn lifetime_profile(&self) -> Profile {
-        self.prof
-    }
-
-    /// The event tracer's ring buffer: the newest
-    /// [`MachineConfig::event_trace_depth`] hardware events, oldest first.
-    /// Empty when the tracer is disabled (`event_trace_depth == 0`).
-    pub fn trace_events(&self) -> Vec<TraceEvent> {
-        self.tracer.events().copied().collect()
     }
 
     // ------------------------------------------------------------ plumbing
@@ -976,7 +953,7 @@ impl<M: DataMem> Machine<M> {
         // Resolved at monomorphization time: the native tier's copy of
         // every charge site compiles to nothing.
         if M::SIMULATED {
-            self.cycles += c;
+            self.stats.cycles += c;
         }
     }
 
@@ -1042,9 +1019,6 @@ impl<M: DataMem> Machine<M> {
             .zones_mut()
             .set_limits(zone, ZoneLimits::new(limits.start(), VAddr::new(new_end)));
         self.stats.zone_growths += 1;
-        self.prof.zone_grow_traps += 1;
-        self.tracer
-            .record(|| TraceEvent::ZoneGrow { zone, addr: need });
         // Trap service cost: monitor entry, limit RAM update, return.
         self.charge(20);
         Ok(())
@@ -1106,10 +1080,6 @@ impl<M: DataMem> Machine<M> {
             self.tr = self.tr.offset(1);
             self.charge(self.cfg.cost.trail_push);
             self.stats.trail_pushes += 1;
-            if M::SIMULATED {
-                self.prof.trail_pushes += 1;
-            }
-            self.tracer.record(|| TraceEvent::TrailPush { cell: addr });
         }
         Ok(())
     }
@@ -1372,8 +1342,6 @@ impl<M: DataMem> Machine<M> {
         self.hb = self.shadow_h;
         self.charge(self.cfg.cost.choice_point_fixed);
         self.stats.choice_points += 1;
-        self.tracer
-            .record(|| TraceEvent::ChoicePointPushed { frame: base });
         Ok(())
     }
 
@@ -1389,9 +1357,6 @@ impl<M: DataMem> Machine<M> {
             self.p = fa;
             self.charge(self.cfg.cost.shallow_restore);
             self.stats.shallow_fails += 1;
-            self.prof.shallow_backtracks += 1;
-            self.tracer
-                .record(|| TraceEvent::ShallowBacktrack { alternative: fa });
             return Ok(());
         }
         let Some(b) = self.b else {
@@ -1441,11 +1406,6 @@ impl<M: DataMem> Machine<M> {
         self.p = fa;
         self.charge(self.cfg.cost.choice_point_fixed);
         self.stats.deep_fails += 1;
-        self.prof.deep_backtracks += 1;
-        self.tracer.record(|| TraceEvent::DeepBacktrack {
-            frame: b,
-            alternative: fa,
-        });
         Ok(())
     }
 
@@ -1618,7 +1578,7 @@ impl<M: DataMem> Machine<M> {
     }
 
     pub(crate) fn cycles_now(&self) -> u64 {
-        self.cycles
+        self.stats.cycles
     }
 
     pub(crate) fn inferences_now(&self) -> u64 {
@@ -1649,6 +1609,39 @@ impl<M: DataMem> Machine<M> {
     /// Reads a data word (for builtins walking structures).
     pub(crate) fn read_cell(&mut self, addr: VAddr) -> Result<Word, MachineError> {
         self.read_data(addr)
+    }
+
+    /// One table-switch lookup (`switch_on_constant` and
+    /// `switch_on_structure`) of `key` in the switch at stream index
+    /// `idx`: through the image's hash side table when the switch has
+    /// one, else by a linear scan with `matches`. Either way it charges
+    /// and counts what the hardware's sequential probe does: a hit at
+    /// table ordinal k probes k + 1 entries, a miss probes them all.
+    #[inline]
+    fn table_switch<K>(
+        &mut self,
+        image: &CodeImage,
+        idx: u32,
+        table: &[(K, CodeAddr)],
+        key: u64,
+        matches: impl Fn(&K) -> bool,
+    ) -> Option<CodeAddr> {
+        let found = match image.switch_index(idx) {
+            Some(side) => side.lookup(key).map(|(t, ord)| (t, ord as usize)),
+            None => table
+                .iter()
+                .position(|(k, _)| matches(k))
+                .map(|ord| (table[ord].1, ord)),
+        };
+        let probes = found.map_or(table.len(), |(_, ord)| ord + 1) as u64;
+        self.charge(probes * self.cfg.cost.switch_table_probe);
+        self.prof.switches.probes += probes;
+        if found.is_some() {
+            self.prof.switches.hits += 1;
+        } else {
+            self.prof.switches.misses += 1;
+        }
+        found.map(|(t, _)| t)
     }
 
     // ---------------------------------------------------------------- step
@@ -1784,34 +1777,8 @@ impl<M: DataMem> Machine<M> {
                 let a = self.deref(self.regs.arg(arg.index()))?;
                 self.regs.set_arg(arg.index(), a);
                 self.charge(cost.switch_on_term);
-                // The hash path resolves the lookup in O(1) but charges
-                // exactly what a linear scan would have: a hit at table
-                // ordinal k probed k + 1 entries, a miss probed them all.
-                // Tables too small for a hash index are scanned.
-                let hashed = image.switch_index(idx).map(|s| s.lookup(a.switch_key()));
-                let (target, probes) = match hashed {
-                    Some(Some((t, ord))) => (Some(t), ord as u64 + 1),
-                    Some(None) => (None, table.len() as u64),
-                    None => {
-                        let mut found = None;
-                        let mut probes = 0u64;
-                        for (key, t) in table {
-                            probes += 1;
-                            if key.same_constant(a) {
-                                found = Some(*t);
-                                break;
-                            }
-                        }
-                        (found, probes)
-                    }
-                };
-                self.charge(probes * cost.switch_table_probe);
-                self.prof.switches.probes += probes;
-                if target.is_some() {
-                    self.prof.switches.hits += 1;
-                } else {
-                    self.prof.switches.misses += 1;
-                }
+                let target =
+                    self.table_switch(image, idx, table, a.switch_key(), |k| k.same_constant(a));
                 match target.or(*default) {
                     Some(t) => self.p = t,
                     None => self.fail()?,
@@ -1829,37 +1796,11 @@ impl<M: DataMem> Machine<M> {
                     Some(p) if a.tag() == Tag::Struct => self.read_data(p)?.as_functor(),
                     _ => None,
                 };
-                let target = if let Some(f) = functor {
-                    let hashed = image.switch_index(idx).map(|s| s.lookup(f.index() as u64));
-                    let (target, probes) = match hashed {
-                        Some(Some((t, ord))) => (Some(t), ord as u64 + 1),
-                        Some(None) => (None, table.len() as u64),
-                        None => {
-                            let mut found = None;
-                            let mut probes = 0u64;
-                            for (key, t) in table {
-                                probes += 1;
-                                if *key == f {
-                                    found = Some(*t);
-                                    break;
-                                }
-                            }
-                            (found, probes)
-                        }
-                    };
-                    self.charge(probes * cost.switch_table_probe);
-                    self.prof.switches.probes += probes;
-                    if target.is_some() {
-                        self.prof.switches.hits += 1;
-                    } else {
-                        self.prof.switches.misses += 1;
-                    }
-                    target
-                } else {
-                    // A non-structure argument never consults the table:
-                    // zero probes, straight to the default.
-                    None
-                };
+                // A non-structure argument never consults the table:
+                // zero probes, straight to the default.
+                let target = functor.and_then(|f| {
+                    self.table_switch(image, idx, table, f.index() as u64, |k| *k == f)
+                });
                 match target.or(*default) {
                     Some(t) => self.p = t,
                     None => self.fail()?,

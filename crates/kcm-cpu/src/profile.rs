@@ -1,28 +1,20 @@
-//! The execution profile and event tracer — the observability layer of
-//! the simulator.
+//! The execution profile — the observability layer of the simulator.
 //!
 //! The paper's tool set includes "monitors (at microcode, macrocode, and
 //! Prolog levels)" (§4); mature Prolog systems grew the same facilities
 //! into first-class subsystems (SICStus `statistics/2` and its profiler,
 //! B-Prolog's event-driven instrumentation). This module is that layer
-//! for the KCM model:
-//!
-//! * [`Profile`] — per-run event counters for the paper's hardware
-//!   mechanisms: retired count and cycles per instruction class, MWAC
-//!   dispatch outcomes (§3.1.4), shallow vs. deep backtracks (§3.1.5),
-//!   trail-condition checks (§3.1.5), a dereference-chain length
-//!   histogram (§3.1.4) and zone-grow traps (§3.2.3). Like
-//!   [`RunStats`](crate::RunStats), profiles of independent sessions
-//!   merge deterministically in session order.
-//! * [`Tracer`] — a bounded ring buffer of [`TraceEvent`]s. Recording is
-//!   behind a single branch on the configured depth, so a disabled
-//!   tracer costs one predictable-not-taken branch per event site and
-//!   allocates nothing.
+//! for the KCM model: [`Profile`] holds the per-run breakdown that the
+//! run totals of [`RunStats`](crate::RunStats) do not — retired count and
+//! cycles per instruction class, MWAC dispatch outcomes (§3.1.4), table
+//! switch outcomes, trail-condition checks (§3.1.5) and a
+//! dereference-chain length histogram (§3.1.4). Every machine event is
+//! counted once: backtracks, trail pushes and zone growths are
+//! [`RunStats`](crate::RunStats) counters. Like those, profiles of
+//! independent sessions merge deterministically in session order.
 
 use crate::mwac::UnifyCase;
 use kcm_arch::isa::Instr;
-use kcm_arch::{CodeAddr, VAddr, Zone};
-use std::collections::VecDeque;
 
 /// Instruction classes of the per-opcode execution profile. Every ISA
 /// opcode maps to exactly one class ([`InstrClass::of`]).
@@ -220,10 +212,11 @@ pub struct SwitchCounters {
 /// plus one overflow bucket for 8 links and longer.
 pub const DEREF_HIST_BUCKETS: usize = 9;
 
-/// Per-run execution profile: event counters for the paper's hardware
-/// mechanisms plus the per-opcode-class breakdown. All counters are
-/// plain sums, so profiles merge exactly like [`RunStats`](crate::RunStats)
-/// — counter-by-counter, in session order.
+/// Per-run execution profile: the per-opcode-class breakdown and the
+/// outcomes of the paper's hardware mechanisms that no
+/// [`RunStats`](crate::RunStats) counter holds. All counters are plain
+/// sums, so profiles merge exactly like [`RunStats`](crate::RunStats) —
+/// counter-by-counter, in session order.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Profile {
     /// Retired count + cycles per instruction class, indexed in
@@ -233,20 +226,12 @@ pub struct Profile {
     pub mwac: MwacCounters,
     /// Clause-indexing switch dispatch outcomes.
     pub switches: SwitchCounters,
-    /// Failures resolved by shadow-register restore (§3.1.5).
-    pub shallow_backtracks: u64,
-    /// Failures resolved from a materialised choice point.
-    pub deep_backtracks: u64,
     /// Trail-condition evaluations (every binding checks it; the
     /// hardware runs the check in parallel with dereferencing, §3.1.5).
     pub trail_checks: u64,
-    /// Trail checks that actually pushed an entry.
-    pub trail_pushes: u64,
     /// Dereference chains by length: `deref_hist[n]` counts chains that
     /// followed exactly `n` links; the last bucket collects 8+.
     pub deref_hist: [u64; DEREF_HIST_BUCKETS],
-    /// Zone-limit traps serviced by growing the zone (§3.2.3).
-    pub zone_grow_traps: u64,
 }
 
 impl Profile {
@@ -317,14 +302,10 @@ impl Profile {
         self.switches.hits += other.switches.hits;
         self.switches.misses += other.switches.misses;
         self.switches.depth2 += other.switches.depth2;
-        self.shallow_backtracks += other.shallow_backtracks;
-        self.deep_backtracks += other.deep_backtracks;
         self.trail_checks += other.trail_checks;
-        self.trail_pushes += other.trail_pushes;
         for (mine, theirs) in self.deref_hist.iter_mut().zip(&other.deref_hist) {
             *mine += theirs;
         }
-        self.zone_grow_traps += other.zone_grow_traps;
     }
 
     /// Deterministic aggregate of per-session profiles: counters summed
@@ -357,133 +338,11 @@ impl Profile {
         out.switches.hits -= earlier.switches.hits;
         out.switches.misses -= earlier.switches.misses;
         out.switches.depth2 -= earlier.switches.depth2;
-        out.shallow_backtracks -= earlier.shallow_backtracks;
-        out.deep_backtracks -= earlier.deep_backtracks;
         out.trail_checks -= earlier.trail_checks;
-        out.trail_pushes -= earlier.trail_pushes;
         for (mine, theirs) in out.deref_hist.iter_mut().zip(&earlier.deref_hist) {
             *mine -= theirs;
         }
-        out.zone_grow_traps -= earlier.zone_grow_traps;
         out
-    }
-}
-
-/// One traced machine event — the paper's hardware mechanisms, observed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceEvent {
-    /// A failure resolved by shadow-register restore, jumping to the
-    /// armed alternative (§3.1.5).
-    ShallowBacktrack {
-        /// The alternative clause the machine jumped to.
-        alternative: CodeAddr,
-    },
-    /// A failure resolved from a materialised choice point.
-    DeepBacktrack {
-        /// The choice-point frame restored from.
-        frame: VAddr,
-        /// The alternative clause the machine jumped to.
-        alternative: CodeAddr,
-    },
-    /// A choice point materialised (at `neck`, or eagerly when shallow
-    /// backtracking is disabled).
-    ChoicePointPushed {
-        /// The frame's base address on the control stack.
-        frame: VAddr,
-    },
-    /// The trail condition held: a binding was trailed (§3.1.5).
-    TrailPush {
-        /// The bound cell recorded on the trail.
-        cell: VAddr,
-    },
-    /// A zone-limit trap serviced by growing the zone (§3.2.3).
-    ZoneGrow {
-        /// The zone that grew.
-        zone: Zone,
-        /// The faulting address that triggered the trap.
-        addr: VAddr,
-    },
-}
-
-impl std::fmt::Display for TraceEvent {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TraceEvent::ShallowBacktrack { alternative } => {
-                write!(f, "shallow-backtrack -> code {}", alternative.value())
-            }
-            TraceEvent::DeepBacktrack { frame, alternative } => {
-                write!(
-                    f,
-                    "deep-backtrack from frame {:#x} -> code {}",
-                    frame.value(),
-                    alternative.value()
-                )
-            }
-            TraceEvent::ChoicePointPushed { frame } => {
-                write!(f, "choice-point at {:#x}", frame.value())
-            }
-            TraceEvent::TrailPush { cell } => write!(f, "trail-push {:#x}", cell.value()),
-            TraceEvent::ZoneGrow { zone, addr } => {
-                write!(f, "zone-grow {zone:?} at {:#x}", addr.value())
-            }
-        }
-    }
-}
-
-/// A bounded ring buffer of machine events. With depth 0 (the default)
-/// every [`Tracer::record`] reduces to one not-taken branch: the closure
-/// constructing the event is never called and nothing allocates.
-#[derive(Debug, Clone, Default)]
-pub struct Tracer {
-    depth: usize,
-    buf: VecDeque<TraceEvent>,
-}
-
-impl Tracer {
-    /// A tracer keeping the most recent `depth` events (0 = disabled).
-    pub fn new(depth: usize) -> Tracer {
-        Tracer {
-            depth,
-            buf: VecDeque::with_capacity(depth.min(4096)),
-        }
-    }
-
-    /// Whether recording is enabled.
-    pub fn enabled(&self) -> bool {
-        self.depth > 0
-    }
-
-    /// Records an event. The single `depth == 0` branch is the entire
-    /// disabled-path cost; `make` runs only when enabled.
-    #[inline]
-    pub fn record(&mut self, make: impl FnOnce() -> TraceEvent) {
-        if self.depth == 0 {
-            return; // disabled: the no-op branch
-        }
-        if self.buf.len() == self.depth {
-            self.buf.pop_front();
-        }
-        self.buf.push_back(make());
-    }
-
-    /// The retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.buf.iter()
-    }
-
-    /// Number of retained events (at most the configured depth).
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether no events are retained.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Drops all retained events (the depth is kept).
-    pub fn clear(&mut self) {
-        self.buf.clear();
     }
 }
 
@@ -522,8 +381,6 @@ mod tests {
         a.record_dispatch(UnifyCase::DescendList);
         a.record_deref_chain(3);
         a.trail_checks = 5;
-        a.trail_pushes = 2;
-        a.shallow_backtracks = 1;
         a.switches.probes = 9;
         a.switches.hits = 2;
         let snapshot = a;
@@ -531,8 +388,7 @@ mod tests {
         b.retire(InstrClass::Unify, 11);
         b.record_dispatch(UnifyCase::Clash);
         b.record_deref_chain(20); // overflow bucket
-        b.deep_backtracks += 1;
-        b.zone_grow_traps += 1;
+        b.trail_checks += 2;
         b.switches.probes += 4;
         b.switches.misses += 1;
         b.switches.depth2 += 1;
@@ -543,8 +399,7 @@ mod tests {
         assert_eq!(delta.mwac.clash, 1);
         assert_eq!(delta.mwac.descend_list, 0);
         assert_eq!(delta.deref_hist[DEREF_HIST_BUCKETS - 1], 1);
-        assert_eq!(delta.deep_backtracks, 1);
-        assert_eq!(delta.zone_grow_traps, 1);
+        assert_eq!(delta.trail_checks, 2);
         assert_eq!(delta.switches.probes, 4);
         assert_eq!(delta.switches.hits, 0);
         assert_eq!(delta.switches.misses, 1);
@@ -566,51 +421,5 @@ mod tests {
         assert_eq!(m.class(InstrClass::Control).cycles, 3);
         assert_eq!(m.mwac.bind_left, 1);
         assert_eq!(Profile::merged([]), Profile::default());
-    }
-
-    #[test]
-    fn disabled_tracer_never_builds_events() {
-        let mut t = Tracer::new(0);
-        t.record(|| panic!("closure must not run when disabled"));
-        assert!(t.is_empty());
-        assert!(!t.enabled());
-    }
-
-    #[test]
-    fn tracer_ring_keeps_newest() {
-        let mut t = Tracer::new(2);
-        for i in 0..5u32 {
-            t.record(|| TraceEvent::TrailPush {
-                cell: VAddr::new(Zone::Trail.base().value() + i),
-            });
-        }
-        assert_eq!(t.len(), 2);
-        let cells: Vec<u32> = t
-            .events()
-            .map(|e| match e {
-                TraceEvent::TrailPush { cell } => cell.value() - Zone::Trail.base().value(),
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(cells, vec![3, 4]);
-    }
-
-    #[test]
-    fn trace_events_render() {
-        let events = [
-            TraceEvent::ShallowBacktrack {
-                alternative: CodeAddr::new(4),
-            },
-            TraceEvent::ChoicePointPushed {
-                frame: VAddr::new(Zone::Control.base().value()),
-            },
-            TraceEvent::ZoneGrow {
-                zone: Zone::Global,
-                addr: VAddr::new(Zone::Global.base().value()),
-            },
-        ];
-        for e in events {
-            assert!(!e.to_string().is_empty());
-        }
     }
 }

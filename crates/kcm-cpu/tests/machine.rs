@@ -626,10 +626,6 @@ fn reused_machine_reports_per_run_profile_deltas() {
     );
     assert_eq!(second.profile.mwac, first.profile.mwac);
     assert_eq!(second.profile.deref_hist, first.profile.deref_hist);
-    assert_eq!(
-        m.lifetime_profile().retired_total(),
-        first.profile.retired_total() + second.profile.retired_total()
-    );
 }
 
 #[test]
@@ -648,49 +644,14 @@ fn profile_accounts_every_retired_instruction() {
 }
 
 #[test]
-fn profile_counts_backtrack_kinds() {
+fn stats_count_backtrack_kinds() {
     // A var call over a 3-clause predicate with failures forces both a
     // materialised choice point and deep backtracks.
     let src = "q(1). q(2). q(3). pick(X) :- q(X), X > 2.";
     let o = run_default(src, "pick(V)").expect("run");
     assert!(o.success);
-    assert!(
-        o.profile.deep_backtracks > 0,
-        "deep {}",
-        o.profile.deep_backtracks
-    );
-    assert_eq!(
-        o.profile.shallow_backtracks + o.profile.deep_backtracks,
-        o.stats.shallow_fails + o.stats.deep_fails
-    );
-    assert_eq!(o.profile.trail_pushes, o.stats.trail_pushes);
-}
-
-#[test]
-fn event_tracer_records_when_enabled_and_stays_empty_when_off() {
-    let src = "q(1). q(2). q(3). pick(X) :- q(X), X > 2.";
-    let (mut m, vars) = build(
-        src,
-        "pick(V)",
-        MachineConfig {
-            event_trace_depth: 64,
-            ..Default::default()
-        },
-    );
-    let o = m.run_query(&vars, false).expect("run");
-    assert!(o.success);
-    let events = m.trace_events();
-    assert!(!events.is_empty());
-    assert!(events.len() <= 64);
-    use kcm_cpu::TraceEvent;
-    assert!(events
-        .iter()
-        .any(|e| matches!(e, TraceEvent::DeepBacktrack { .. })));
-    // Same run with the tracer off: no events, same outcome.
-    let (mut m2, vars2) = build(src, "pick(V)", MachineConfig::default());
-    let o2 = m2.run_query(&vars2, false).expect("run");
-    assert!(m2.trace_events().is_empty());
-    assert_eq!(o2.solutions, o.solutions);
+    assert!(o.stats.choice_points > 0);
+    assert!(o.stats.deep_fails > 0, "deep {}", o.stats.deep_fails);
 }
 
 #[test]

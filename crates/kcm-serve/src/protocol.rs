@@ -108,7 +108,8 @@ pub const MAX_FRAME: usize = 64 * 1024 * 1024;
 /// Upper bound on the length *line* itself (digits + newline). A frame
 /// length needs at most 20 digits to express `u64::MAX`; a longer line
 /// is garbage, and bounding it keeps an unframed byte stream from
-/// buffering without limit while [`FrameBuf`] waits for a newline.
+/// buffering without limit while [`FrameBuf`] or [`read_frame`] waits
+/// for a newline.
 pub const MAX_LENGTH_LINE: usize = 32;
 
 /// Longest accepted tenant name.
@@ -181,8 +182,15 @@ pub fn encode_frame(payload: impl AsRef<[u8]>) -> Vec<u8> {
 /// Transport errors, oversized or malformed frames, and EOF mid-frame.
 pub fn read_frame(r: &mut impl BufRead) -> io::Result<Option<Vec<u8>>> {
     let mut line = String::new();
-    if r.read_line(&mut line)? == 0 {
+    let cap = MAX_LENGTH_LINE as u64 + 1;
+    if io::Read::take(&mut *r, cap).read_line(&mut line)? == 0 {
         return Ok(None);
+    }
+    if line.len() > MAX_LENGTH_LINE && !line.ends_with('\n') {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "length line exceeds the cap without a newline",
+        ));
     }
     let len = parse_length_line(&line)?;
     let mut buf = vec![0u8; len];
@@ -923,6 +931,22 @@ mod tests {
         let mut fb = FrameBuf::new();
         fb.feed(&[b'1'; MAX_LENGTH_LINE + 1]);
         assert!(fb.next_frame().is_err());
+    }
+
+    #[test]
+    fn read_frame_caps_the_length_line() {
+        /// A peer that would keep sending digits: reading past the cap
+        /// fails with a distinct error.
+        struct Endless;
+        impl io::Read for Endless {
+            fn read(&mut self, _: &mut [u8]) -> io::Result<usize> {
+                Err(io::Error::other("read past the length-line cap"))
+            }
+        }
+        let digits = [b'1'; MAX_LENGTH_LINE + 1];
+        let mut r = io::BufReader::new(io::Read::chain(&digits[..], Endless));
+        let e = read_frame(&mut r).expect_err("an unbounded length line");
+        assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}");
     }
 
     #[test]

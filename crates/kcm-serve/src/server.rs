@@ -36,7 +36,9 @@
 //!   its first quantum never gets a queue `BUSY`, and a worker's requeue
 //!   never blocks. While a connection's request is with the workers its
 //!   read interest is paused, so a pipelining client is flow-controlled
-//!   by TCP;
+//!   by TCP. If the connection closes meanwhile (a reset or a socket
+//!   error), the request is marked cancelled, and the worker that next
+//!   takes it drops it without running it further;
 //! * failures stay inside one request: every loop handler and every
 //!   worker turn runs under `catch_unwind`. A panic answers the classed
 //!   error `internal`, drops the request's session (and its cursor),
@@ -63,9 +65,10 @@
 //!
 //! Shutdown is graceful and self-contained: `SHUTDOWN` is handled on the
 //! loop itself, which stops accepting, closes idle connections, lets
-//! in-flight requests finish and flush, waits for the paused sessions of
-//! connections that went away, then tells each worker to exit. The previous thread-per-connection design had to wake
-//! its blocking accept loop by self-connecting to
+//! in-flight requests finish and flush, waits for the workers to drop
+//! the cancelled requests of connections that went away, then tells
+//! each worker to exit. The previous thread-per-connection design had
+//! to wake its blocking accept loop by self-connecting to
 //! `listener.local_addr()` — the *unspecified* address
 //! (`0.0.0.0:<port>`) for typical binds, so the wake could fail and hang
 //! the drain. The readiness loop's timed wait is the flag-check tick
@@ -84,7 +87,7 @@ use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -312,12 +315,15 @@ enum Turn {
 }
 
 /// A paused request on the workers' run queue: the task, the connection
-/// token (index + generation) its reply belongs to, and its program's
-/// in-flight claim.
+/// token (index + generation) its reply belongs to, its program's
+/// in-flight claim, and the flag the loop sets when the connection
+/// closes (it publishes no other data, so it is stored and loaded
+/// `Relaxed`).
 struct Paused {
     token: u64,
     task: Task,
     claim: Claim,
+    cancelled: Arc<AtomicBool>,
 }
 
 /// A finished request on its way back from a worker to the event loop.
@@ -464,10 +470,10 @@ impl Server {
             accepting: true,
         };
         el.run_loop()?;
-        // Every connection is gone, but sessions of connections that
-        // closed mid-request may still be paused on the workers: let them
-        // finish (their completions have no one to go to), then tell each
-        // worker to exit.
+        // Every connection is gone, but requests of connections that
+        // closed mid-request may still be on the workers' queue, marked
+        // cancelled: let the workers drop them (their completions have no
+        // one to go to), then tell each worker to exit.
         while el.in_flight > 0 && el.done_rx.recv().is_ok() {
             el.in_flight -= 1;
         }
@@ -495,10 +501,12 @@ struct Conn {
     /// tenant but never inserted into the registry, so it is private to
     /// the connection and can be neither evicted nor named.
     program: Option<Arc<Published>>,
-    /// A request is with the workers (it outlasted its first quantum);
-    /// reads are paused and no further frame is processed until its
-    /// completion, preserving per-connection FIFO order.
-    busy: bool,
+    /// The cancel flag of this connection's request with the workers,
+    /// while it has one (the request outlasted its first quantum): reads
+    /// are paused and no further frame is processed until its
+    /// completion, preserving per-connection FIFO order. Closing the
+    /// connection sets the flag.
+    busy: Option<Arc<AtomicBool>>,
     /// The peer sent EOF (or SHUTDOWN ended the session): no more input
     /// will be processed; close once in-flight work has flushed.
     read_closed: bool,
@@ -513,7 +521,7 @@ impl Conn {
 
     fn desired_interest(&self) -> Interest {
         Interest {
-            readable: !self.busy && !self.read_closed,
+            readable: self.busy.is_none() && !self.read_closed,
             writable: self.pending_write(),
         }
     }
@@ -619,7 +627,7 @@ impl EventLoop {
                         wbuf: Vec::new(),
                         wpos: 0,
                         program: None,
-                        busy: false,
+                        busy: None,
                         read_closed: false,
                         interest: Interest::READ,
                     };
@@ -704,12 +712,16 @@ impl EventLoop {
         self.slots[index].conn = Some(conn);
     }
 
-    /// Closes a connection's slot: unregisters the socket, reaps every
-    /// cursor the connection owned (an in-flight pull's session comes
-    /// back to a missing entry and is dropped there), and retires the
-    /// slot's generation so stale events and completions miss.
+    /// Closes a connection's slot: unregisters the socket, cancels the
+    /// request it has with the workers, reaps every cursor it owned (an
+    /// in-flight pull's session comes back to a missing entry and is
+    /// dropped there), and retires the slot's generation so stale events
+    /// and completions miss.
     fn close_slot(&mut self, index: usize, conn: &Conn) {
         let _ = self.poller.remove(conn.stream.as_raw_fd());
+        if let Some(cancelled) = &conn.busy {
+            cancelled.store(true, Ordering::Relaxed);
+        }
         // The owner token must be computed before the generation bump.
         let token = token_of(index, self.slots[index].gen);
         let before = self.cursors.len();
@@ -748,7 +760,7 @@ impl EventLoop {
         if keep && ev.writable && conn.pending_write() {
             keep = flush(&mut conn).is_ok();
         }
-        if keep && conn.read_closed && !conn.busy && !conn.pending_write() {
+        if keep && conn.read_closed && conn.busy.is_none() && !conn.pending_write() {
             keep = false;
         }
         self.park_conn(index, conn, keep);
@@ -781,7 +793,7 @@ impl EventLoop {
     /// Processes buffered complete frames while the connection has no
     /// request in flight. Returns whether the connection stays open.
     fn pump(&mut self, conn: &mut Conn, token: u64) -> bool {
-        while !conn.busy {
+        while conn.busy.is_none() {
             match conn.frames.next_frame() {
                 Ok(Some(payload)) => {
                     let handled = panic::catch_unwind(AssertUnwindSafe(|| {
@@ -1037,9 +1049,15 @@ impl EventLoop {
         if self.in_flight < cfg.workers.max(1) + cfg.queue_depth {
             // The receiver lives as long as the workers, which outlive
             // the loop, so the send cannot fail.
-            let _ = self.jobs.send(Some(Paused { token, task, claim }));
+            let cancelled = Arc::new(AtomicBool::new(false));
+            conn.busy = Some(Arc::clone(&cancelled));
+            let _ = self.jobs.send(Some(Paused {
+                token,
+                task,
+                claim,
+                cancelled,
+            }));
             self.in_flight += 1;
-            conn.busy = true;
             return None;
         }
         match task {
@@ -1244,12 +1262,12 @@ impl EventLoop {
             let Some((index, mut conn)) = self.take_conn(done.token) else {
                 continue; // the connection went away; the work still counted
             };
-            conn.busy = false;
+            conn.busy = None;
             let mut keep = queue_reply(&mut conn, &done.payload).is_ok();
             if keep {
                 keep = self.pump(&mut conn, done.token);
             }
-            if keep && conn.read_closed && !conn.busy && !conn.pending_write() {
+            if keep && conn.read_closed && conn.busy.is_none() && !conn.pending_write() {
                 keep = false;
             }
             self.park_conn(index, conn, keep);
@@ -1263,7 +1281,7 @@ impl EventLoop {
             let Some(conn) = self.slots[index].conn.take() else {
                 continue;
             };
-            if !conn.busy && !conn.pending_write() {
+            if conn.busy.is_none() && !conn.pending_write() {
                 self.park_conn(index, conn, false);
             } else {
                 self.slots[index].conn = Some(conn);
@@ -1316,7 +1334,10 @@ fn unknown_cursor(id: u64) -> Reply {
 /// quantum per turn, and requeues the session or sends its completion.
 /// Each turn runs under `catch_unwind`: a panic drops the session (the
 /// unwind frees its machine), answers `internal`, releases the in-flight
-/// claim and keeps the worker alive. A `None` on the queue means exit.
+/// claim and keeps the worker alive. A session whose connection closed
+/// is dropped without a turn, and its completion, which no connection
+/// will read, still goes back so the loop's in-flight count drains. A
+/// `None` on the queue means exit.
 fn worker_loop(
     rx: &Mutex<Receiver<Option<Paused>>>,
     requeue: &Sender<Option<Paused>>,
@@ -1327,40 +1348,60 @@ fn worker_loop(
     loop {
         // Hold the lock only to pop; run the quantum outside it.
         let received = rx.lock().unwrap_or_else(PoisonError::into_inner).recv();
-        let Ok(Some(Paused { token, task, claim })) = received else {
+        let Ok(Some(Paused {
+            token,
+            task,
+            claim,
+            cancelled,
+        })) = received
+        else {
             return;
         };
-        let cursor_id = match &task {
-            Task::Batch(batch) => Some(batch.cursor_id),
+        // The cursor-table update of a batch that ends without its
+        // session: cancelled, or killed by a panic.
+        let dead_cursor = match &task {
+            Task::Batch(batch) => Some(CursorReturn {
+                id: batch.cursor_id,
+                session: None,
+            }),
             Task::Query(_) => None,
         };
-        let turn = panic::catch_unwind(AssertUnwindSafe(|| {
-            #[cfg(test)]
-            tests::inject(&shared.faults.worker_turns);
-            run_turn(task, shared, &claim.program.stats)
-        }));
-        let (reply, cursor) = match turn {
-            Ok(Turn::Paused(task)) => {
-                // The loop keeps its own sender, so the queue is open.
-                let _ = requeue.send(Some(Paused { token, task, claim }));
-                continue;
-            }
-            Ok(Turn::Done(reply, cursor)) => (reply, cursor),
-            Err(cause) => (
-                panic_reply(shared, cause.as_ref()),
-                cursor_id.map(|id| CursorReturn { id, session: None }),
-            ),
+        let (payload, cursor) = if cancelled.load(Ordering::Relaxed) {
+            // No one will read a reply: drop the session unrun.
+            drop(task);
+            (Vec::new(), dead_cursor)
+        } else {
+            let turn = panic::catch_unwind(AssertUnwindSafe(|| {
+                #[cfg(test)]
+                tests::inject(&shared.faults.worker_turns);
+                run_turn(task, shared, &claim.program.stats)
+            }));
+            let (reply, cursor) = match turn {
+                Ok(Turn::Paused(task)) => {
+                    // The loop keeps its own sender, so the queue is open.
+                    let _ = requeue.send(Some(Paused {
+                        token,
+                        task,
+                        claim,
+                        cancelled,
+                    }));
+                    continue;
+                }
+                Ok(Turn::Done(reply, cursor)) => (reply, cursor),
+                Err(cause) => (panic_reply(shared, cause.as_ref()), dead_cursor),
+            };
+            (reply.encode(), cursor)
         };
         // Release the in-flight slot before the reply can reach the
         // client, so a client that reads it sees the slot free.
         drop(claim);
         let done = Completion {
             token,
-            payload: reply.encode(),
+            payload,
             cursor,
         };
-        // A gone connection is fine — the work was still done and
-        // counted; the loop drops completions with stale tokens.
+        // A gone connection is fine: the loop drops completions with
+        // stale tokens.
         let _ = done_tx.send(done);
         // Best-effort wake: if the pipe is full a wake is already
         // pending, and the loop's tick catches anything else.

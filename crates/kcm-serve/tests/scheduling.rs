@@ -3,10 +3,15 @@
 //! quantum with the other long requests. So while a 10⁸-step query holds
 //! the only worker, a 15-step lookup from another connection is answered
 //! from the loop, and a 10⁶-step query from a third connection finishes
-//! long before the 10⁸-step one does.
+//! long before the 10⁸-step one does. A long request whose connection
+//! resets stops at the worker's next turn, instead of running to its
+//! budget.
 
+use kcm_serve::protocol::encode_frame;
 use kcm_serve::server::QUANTUM;
 use kcm_serve::{Client, Reply, Request, ServeConfig, Server};
+use std::io::Write;
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -28,13 +33,31 @@ fn looping(steps: u64) -> Request {
     }
 }
 
-/// The `steps=` counter from a `STATS` body.
-fn steps(stats: &str) -> u64 {
+/// A `key=value` counter from a `STATS` body.
+fn counter(stats: &str, key: &str) -> u64 {
     stats
         .lines()
-        .find_map(|l| l.strip_prefix("steps="))
+        .find_map(|l| l.strip_prefix(key)?.strip_prefix('='))
         .and_then(|v| v.parse().ok())
-        .expect("steps= line")
+        .unwrap_or_else(|| panic!("no {key}= line in {stats}"))
+}
+
+/// The `steps=` counter from a `STATS` body.
+fn steps(stats: &str) -> u64 {
+    counter(stats, "steps")
+}
+
+/// Polls `STATS` until `ready` holds for its body, which it returns.
+fn await_stats(client: &mut Client, what: &str, ready: impl Fn(&str) -> bool) -> String {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let stats = client.stats().expect("stats");
+        if ready(&stats) {
+            return stats;
+        }
+        assert!(Instant::now() < deadline, "{what}:\n{stats}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
 }
 
 fn expect_budget(reply: &Reply, steps: u64) {
@@ -93,15 +116,9 @@ fn short_and_medium_queries_finish_while_a_long_query_holds_the_only_worker() {
         })
     };
     // Wait until the long query is with the worker.
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while !reader
-        .stats()
-        .expect("stats")
-        .contains("tenant.kb.inflight=1\n")
-    {
-        assert!(Instant::now() < deadline, "the long query never started");
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    await_stats(&mut reader, "the long query never started", |s| {
+        s.contains("tenant.kb.inflight=1\n")
+    });
 
     lookup(&mut reader);
     assert!(
@@ -119,4 +136,51 @@ fn short_and_medium_queries_finish_while_a_long_query_holds_the_only_worker() {
     reader.shutdown().expect("shutdown");
     let metrics = handle.join().expect("server thread").expect("server run");
     assert_eq!(metrics.busy, 0);
+}
+
+#[test]
+fn a_long_request_ends_with_its_connection() {
+    let server = Server::bind(
+        "127.0.0.1:0",
+        ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        },
+    )
+    .expect("bind");
+    let addr = server.local_addr().expect("addr");
+    let handle = std::thread::spawn(move || server.run());
+    let mut admin = Client::connect(addr).expect("connect admin");
+    assert!(admin
+        .publish("kb", "loop :- loop.", None)
+        .expect("publish")
+        .is_ok());
+
+    // A client asks for its statistics and then for a query of 10¹⁰
+    // steps, and closes with the first reply unread, which resets the
+    // connection while the query is with the only worker.
+    let mut client = TcpStream::connect(addr).expect("connect client");
+    let mut frames = encode_frame(Request::Stats.encode());
+    frames.extend(encode_frame(looping(10_000_000_000).encode()));
+    client.write_all(&frames).expect("send");
+    await_stats(&mut admin, "the long query never started", |s| {
+        s.contains("tenant.kb.inflight=1\n")
+    });
+    client.peek(&mut [0]).expect("the statistics reply arrives");
+    drop(client);
+
+    // The worker drops the query at its next turn; it never trips its
+    // budget.
+    let stats = await_stats(&mut admin, "the closed request kept running", |s| {
+        s.contains("tenant.kb.inflight=0\n")
+    });
+    assert_eq!(counter(&stats, "budget_stops"), 0, "{stats}");
+
+    // The worker still serves long queries.
+    const MEDIUM: u64 = 1_000_000;
+    const { assert!(MEDIUM > 10 * QUANTUM) };
+    expect_budget(&admin.request(&looping(MEDIUM)).expect("medium"), MEDIUM);
+    admin.shutdown().expect("shutdown");
+    let metrics = handle.join().expect("server thread").expect("server run");
+    assert_eq!(metrics.budget_stops, 1);
 }

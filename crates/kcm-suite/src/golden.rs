@@ -8,7 +8,7 @@
 //! counter edits the committed file, and the failure message prints the
 //! full current rendering for that.
 
-use kcm_system::{InstrClass, Profile, RunStats};
+use kcm_system::{InstrClass, Outcome, Profile, RunStats};
 use std::fmt::Write;
 
 fn lines<const N: usize>(name: &str, fields: [(&str, u64); N]) -> String {
@@ -66,10 +66,13 @@ pub fn switches(name: &str, p: &Profile) -> String {
     )
 }
 
-/// Every counter of `p`: retired instructions and cycles per class, MWAC
-/// dispatch outcomes, switch dispatch, backtracks, trail activity, the
-/// dereference-chain histogram and zone traps.
-pub fn profile(name: &str, p: &Profile) -> String {
+/// Every counter of `o`'s profile — retired instructions and cycles per
+/// class, MWAC dispatch outcomes, switch dispatch, trail checks and the
+/// dereference-chain histogram — with its backtracks, trail pushes and
+/// zone growths, which are run totals, read from `o`'s stats under the
+/// keys the profile once counted them under.
+pub fn profile(name: &str, o: &Outcome) -> String {
+    let (p, s) = (&o.profile, &o.stats);
     let mut out = String::new();
     for class in InstrClass::ALL {
         let c = p.class(class);
@@ -93,16 +96,16 @@ pub fn profile(name: &str, p: &Profile) -> String {
     out += &lines(
         name,
         [
-            ("shallow_backtracks", p.shallow_backtracks),
-            ("deep_backtracks", p.deep_backtracks),
+            ("shallow_backtracks", s.shallow_fails),
+            ("deep_backtracks", s.deep_fails),
             ("trail_checks", p.trail_checks),
-            ("trail_pushes", p.trail_pushes),
+            ("trail_pushes", s.trail_pushes),
         ],
     );
     for (links, &count) in p.deref_hist.iter().enumerate() {
         let _ = writeln!(out, "{name}.deref_hist.{links} {count}");
     }
-    out + &lines(name, [("zone_grow_traps", p.zone_grow_traps)])
+    out + &lines(name, [("zone_grow_traps", s.zone_growths)])
 }
 
 /// Asserts that `now` renders exactly the committed file at `path`.

@@ -1,6 +1,7 @@
 //! Golden cycle-tier profiles: for every suite program's `main` query,
 //! run with `profile` on, every counter of the hardware-mechanism
-//! [`Profile`] and the per-predicate cycle attribution
+//! [`Profile`](kcm_system::Profile), the run's backtracks, trail pushes
+//! and zone growths, and the per-predicate cycle attribution
 //! ([`PreparedQuery::profile`]), pinned to the committed file
 //! `golden_profile.txt` next to this test. The query is prepared once
 //! and run twice, so the file pins a fresh machine (`first`) and a
@@ -13,13 +14,13 @@
 //! moved cycles between two opcodes or two predicates fails here too.
 
 use kcm_suite::{golden, programs};
-use kcm_system::{Kcm, MachineConfig, PreparedQuery, Profile, QueryOpts};
+use kcm_system::{Kcm, MachineConfig, Outcome, PreparedQuery, QueryOpts};
 use std::fmt::Write;
 
 const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden_profile.txt");
 
-fn render(name: &str, profile: &Profile, prepared: &PreparedQuery) -> String {
-    let mut out = golden::profile(name, profile);
+fn render(name: &str, outcome: &Outcome, prepared: &PreparedQuery) -> String {
+    let mut out = golden::profile(name, outcome);
     for (pred, cycles) in prepared.profile() {
         let _ = writeln!(out, "{name}.pred.{pred} {cycles}");
     }
@@ -46,7 +47,7 @@ fn current() -> String {
             let outcome = prepared
                 .run(p.enumerate)
                 .unwrap_or_else(|e| panic!("{}: run: {e}", p.name));
-            out += &render(&format!("{}.{run}", p.name), &outcome.profile, &prepared);
+            out += &render(&format!("{}.{run}", p.name), &outcome, &prepared);
         }
     }
     out

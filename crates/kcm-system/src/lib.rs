@@ -84,8 +84,7 @@ pub mod session;
 pub use answer::Answer;
 pub use engine::{error_class, snapshot_unsupported, Engine, KcmEngine};
 pub use kcm_cpu::{
-    InstrClass, Machine, MachineConfig, MachineError, Outcome, Profile, Quantum, RunStats,
-    Solution, TraceEvent, Tracer,
+    InstrClass, Machine, MachineConfig, MachineError, Outcome, Profile, Quantum, RunStats, Solution,
 };
 pub use pool::{QueryJob, SessionPool, SessionResult};
 pub use registry::{ProgramRegistry, PublishReceipt, Published, TenantSnapshot, TenantStats};

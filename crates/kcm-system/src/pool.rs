@@ -34,7 +34,7 @@
 //! # }
 //! ```
 
-use crate::{prepare_query, Kcm, KcmError, MachineConfig, Outcome, Profile, QueryOpts, RunStats};
+use crate::{prepare_query, Kcm, KcmError, MachineConfig, Outcome, QueryOpts};
 use kcm_arch::SymbolTable;
 use kcm_compiler::CodeImage;
 use std::sync::mpsc;
@@ -76,7 +76,9 @@ pub struct SessionResult {
     pub session: usize,
     /// The query that ran.
     pub query: String,
-    /// The session's outcome: per-session [`RunStats`] live inside.
+    /// The session's outcome: per-session [`RunStats`](crate::RunStats)
+    /// live inside; [`RunStats::merged`](crate::RunStats::merged) and
+    /// [`Profile::merged`](crate::Profile::merged) sum them in job order.
     pub outcome: Result<Outcome, KcmError>,
 }
 
@@ -211,56 +213,6 @@ impl SessionPool {
             })
             .collect())
     }
-
-    /// [`SessionPool::run_queries`] plus the deterministic merged-stats
-    /// aggregate: per-session [`RunStats`] stay in the results (the Klips
-    /// tables read those), the merged stats sum every counter across the
-    /// sessions that ran to completion, in session order.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`SessionPool::run_queries`].
-    pub fn run_queries_merged(
-        &self,
-        kcm: &Kcm,
-        jobs: &[QueryJob],
-    ) -> Result<(Vec<SessionResult>, RunStats), KcmError> {
-        let results = self.run_queries(kcm, jobs)?;
-        let merged = RunStats::merged(
-            results
-                .iter()
-                .filter_map(|r| r.outcome.as_ref().ok().map(|o| &o.stats)),
-        );
-        Ok((results, merged))
-    }
-
-    /// [`SessionPool::run_queries_merged`] plus the merged execution
-    /// [`Profile`]: per-session profiles stay on their [`Outcome`]s, the
-    /// aggregate sums every counter across the sessions that ran to
-    /// completion, in session order — so the merged profile is identical
-    /// at any worker count.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`SessionPool::run_queries`].
-    pub fn run_queries_profiled(
-        &self,
-        kcm: &Kcm,
-        jobs: &[QueryJob],
-    ) -> Result<(Vec<SessionResult>, RunStats, Profile), KcmError> {
-        let results = self.run_queries(kcm, jobs)?;
-        let merged = RunStats::merged(
-            results
-                .iter()
-                .filter_map(|r| r.outcome.as_ref().ok().map(|o| &o.stats)),
-        );
-        let profile = Profile::merged(
-            results
-                .iter()
-                .filter_map(|r| r.outcome.as_ref().ok().map(|o| &o.profile)),
-        );
-        Ok((results, merged, profile))
-    }
 }
 
 impl Default for SessionPool {
@@ -290,6 +242,7 @@ pub fn run_session(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RunStats;
 
     fn consulted() -> Kcm {
         let mut kcm = Kcm::new();
@@ -390,7 +343,8 @@ mod tests {
         let jobs: Vec<QueryJob> = (1..=5)
             .map(|n| QueryJob::first_solution(format!("double({n}, Y)")))
             .collect();
-        let (results, merged) = pool.run_queries_merged(&kcm, &jobs).expect("run");
+        let results = pool.run_queries(&kcm, &jobs).expect("run");
+        let merged = RunStats::merged(results.iter().map(|r| &r.outcome.as_ref().unwrap().stats));
         let sum: u64 = results
             .iter()
             .map(|r| r.outcome.as_ref().unwrap().stats.cycles)

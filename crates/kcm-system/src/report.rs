@@ -41,6 +41,7 @@ pub fn summary(stats: &RunStats) -> String {
     );
     let _ = writeln!(out, "trail pushes  : {:>12}", stats.trail_pushes);
     let _ = writeln!(out, "deref links   : {:>12}", stats.deref_links);
+    let _ = writeln!(out, "zone growths  : {:>12}", stats.zone_growths);
     let _ = writeln!(
         out,
         "data cache    : {:>12.4} hit ratio ({} hits / {} misses, {} write-backs)",
@@ -65,8 +66,9 @@ pub fn summary(stats: &RunStats) -> String {
 }
 
 /// Formats an execution [`Profile`] as a small report: per-class retired
-/// counts and cycle shares, MWAC dispatch outcomes, backtrack and trail
-/// behaviour, and the dereference-chain histogram.
+/// counts and cycle shares, MWAC dispatch and switch outcomes, trail
+/// checks and the dereference-chain histogram. Backtracks, trail pushes
+/// and zone growths are run totals: [`summary`] prints them.
 ///
 /// # Examples
 ///
@@ -131,16 +133,7 @@ pub fn profile_summary(profile: &Profile) -> String {
         s.probes,
         s.depth2
     );
-    let _ = writeln!(
-        out,
-        "backtracks    : {:>10} shallow, {} deep",
-        profile.shallow_backtracks, profile.deep_backtracks
-    );
-    let _ = writeln!(
-        out,
-        "trail         : {:>10} checks, {} pushes",
-        profile.trail_checks, profile.trail_pushes
-    );
+    let _ = writeln!(out, "trail checks  : {:>10}", profile.trail_checks);
     let _ = write!(
         out,
         "deref chains  : {:>10}  by length:",
@@ -157,7 +150,6 @@ pub fn profile_summary(profile: &Profile) -> String {
         }
     }
     let _ = writeln!(out);
-    let _ = writeln!(out, "zone growths  : {:>10}", profile.zone_grow_traps);
     out
 }
 
@@ -172,6 +164,7 @@ mod tests {
             "cycles",
             "inferences",
             "choice points",
+            "zone growths",
             "data cache",
             "page faults",
         ] {
@@ -186,10 +179,8 @@ mod tests {
             "instruction classes",
             "mwac",
             "switch lookups",
-            "backtracks",
-            "trail",
+            "trail checks",
             "deref chains",
-            "zone",
         ] {
             assert!(text.contains(key), "missing {key}");
         }

@@ -6,7 +6,7 @@
 //! any session that ran more than one query reported inflated cache
 //! traffic from the second query on.
 
-use kcm_system::{Kcm, Profile, QueryJob, QueryOpts, RunStats, SessionPool};
+use kcm_system::{Kcm, Outcome, Profile, QueryJob, QueryOpts, RunStats, SessionPool};
 
 const NREV: &str = "app([],L,L). app([H|T],L,[H|R]) :- app(T,L,R).
                     nrev([],[]). nrev([H|T],R) :- nrev(T,RT), app(RT,[H],R).";
@@ -65,13 +65,18 @@ fn merged_pool_profile_is_identical_at_any_worker_count() {
     let jobs: Vec<QueryJob> = (1..=10)
         .map(|n| QueryJob::first_solution(format!("nrev([{n},2,3,4,5], R)")))
         .collect();
-    let reference: Option<(RunStats, Profile)> = None;
-    let mut reference = reference;
+    let mut reference: Option<(RunStats, Profile)> = None;
     for workers in [1usize, 2, 4, 8] {
-        let (results, merged, profile) = SessionPool::new(workers)
-            .run_queries_profiled(&kcm, &jobs)
+        let results = SessionPool::new(workers)
+            .run_queries(&kcm, &jobs)
             .expect("run");
         assert_eq!(results.len(), jobs.len());
+        let outcomes: Vec<&Outcome> = results
+            .iter()
+            .map(|r| r.outcome.as_ref().expect("ok"))
+            .collect();
+        let merged = RunStats::merged(outcomes.iter().map(|o| &o.stats));
+        let profile = Profile::merged(outcomes.iter().map(|o| &o.profile));
         match &reference {
             None => reference = Some((merged, profile)),
             Some((ref_stats, ref_profile)) => {
@@ -89,30 +94,4 @@ fn merged_pool_profile_is_identical_at_any_worker_count() {
     let (_, profile) = reference.expect("at least one run");
     assert!(profile.retired_total() > 0);
     assert!(profile.mwac.total() > 0);
-}
-
-#[test]
-fn merged_profile_is_the_sum_of_per_session_profiles() {
-    let mut kcm = Kcm::new();
-    kcm.load(NREV).expect("consult");
-    let jobs = vec![
-        QueryJob::first_solution("nrev([1,2,3], R)"),
-        QueryJob::first_solution("nrev([1,2,3,4,5,6], R)"),
-    ];
-    let (results, _, merged) = SessionPool::new(2)
-        .run_queries_profiled(&kcm, &jobs)
-        .expect("run");
-    let by_hand = Profile::merged(
-        results
-            .iter()
-            .map(|r| &r.outcome.as_ref().expect("ok").profile),
-    );
-    assert_eq!(merged, by_hand);
-    assert_eq!(
-        merged.retired_total(),
-        results
-            .iter()
-            .map(|r| r.outcome.as_ref().expect("ok").profile.retired_total())
-            .sum::<u64>()
-    );
 }

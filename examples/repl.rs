@@ -10,9 +10,10 @@
 //!
 //! * `[ <clauses> ]` — consult clauses, e.g. `[p(1). p(2).]`
 //! * `<goal>.` — solve; `;`-style enumeration prints every solution
-//! * `statistics.` — machine statistics of the last query (SICStus-style)
+//! * `statistics.` — machine statistics of the last query (SICStus-style:
+//!   cycles, inferences, backtracks, trail pushes, zone growths, caches)
 //! * `profile.` — execution profile of the last query (instruction
-//!   classes, MWAC dispatch, backtracks, trail, deref chains)
+//!   classes, MWAC dispatch, switch lookups, trail checks, deref chains)
 //! * `:stats` — toggle per-query machine statistics
 //! * `:listing` — disassemble the loaded image
 //! * `:halt` — leave

@@ -7,7 +7,7 @@
 //! KCM_WORKERS=1 cargo run --example sessions   # same bytes, one thread
 //! ```
 
-use kcm_system::{Kcm, QueryJob, SessionPool};
+use kcm_system::{Kcm, QueryJob, RunStats, SessionPool};
 
 fn main() -> Result<(), kcm_system::KcmError> {
     let mut kcm = Kcm::new();
@@ -31,7 +31,12 @@ fn main() -> Result<(), kcm_system::KcmError> {
         )));
     }
 
-    let (results, merged) = pool.run_queries_merged(&kcm, &jobs)?;
+    let results = pool.run_queries(&kcm, &jobs)?;
+    let merged = RunStats::merged(
+        results
+            .iter()
+            .filter_map(|r| r.outcome.as_ref().ok().map(|o| &o.stats)),
+    );
     for r in &results {
         let o = r.outcome.as_ref().expect("session ok");
         println!(
