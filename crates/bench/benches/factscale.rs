@@ -32,14 +32,23 @@
 //!   cost of the timing model, deliberately untouched — the simulated
 //!   counters it produces are the byte-identity contract);
 //! * **enumeration** — host throughput of the failure-driven loop
-//!   `fact(K, V), fail`, which visits every clause once.
+//!   `fact(K, V), fail`, which visits every clause once;
+//! * **writes** — host µs of one [`Kcm::assertz`] and one
+//!   [`Kcm::retract`] of a ground fact with a fresh key on the consulted
+//!   base, which no reader holds, so the image is patched in place: the
+//!   median over alternating pairs, each pair on a new key, after one
+//!   untimed warm-up pair. They run last, after every other measurement
+//!   of the size. What they still pay in `n` is the patch's walk of the
+//!   predicate's clause chain (`assert_fact_clause`,
+//!   `retract_fact_clause`) and the retract's search of the held clause
+//!   source.
 //!
 //! Knobs:
 //!
 //! * `KCM_FACTSCALE_SIZES=1000,10000` — comma-separated fact counts (CI
 //!   smoke runs 10³/10⁴; default is the full 10³..10⁶ sweep).
 //! * `KCM_FACTSCALE_REPS=5` — repetitions per measurement; the minimum
-//!   is reported (default 3).
+//!   is reported, the median for writes (default 3).
 //!
 //! A fourth **cold start** section measures the snapshot path: for each
 //! size, the consulted image is saved with [`Kcm::snapshot`] and
@@ -56,11 +65,12 @@
 //! decode chunks it decoded are reported, because a first query must not
 //! undo the lazy restore.
 //!
-//! JSONL schema (`BENCH_factscale.jsonl`): one `row` per size with
-//! `facts` and `consult_host_ms`, then one `row` per (size, tier) with
+//! JSONL schema (`BENCH_factscale.jsonl`): one `row` per (size, tier) with
 //! `tier` (`"cycle"` / `"native"`), `facts`, `lookup_p50_us`,
 //! `lookup_p99_us`, `e2e_p50_us`, `e2e_p99_us`, `e2e_first_ms`,
-//! `enum_host_ms` and `enum_kfacts_per_s`; one `coldstart/n=<n>` row per
+//! `enum_host_ms` and `enum_kfacts_per_s`; one `row` per size with
+//! `facts`, `consult_host_ms`, `assert_us` and `retract_us`; one
+//! `coldstart/n=<n>` row per
 //! size with `facts`, `consult_host_ms`, `snapshot_save_host_ms`,
 //! `snapshot_bytes`, `snapshot_load_host_ms`, `load_speedup`,
 //! `first_query_host_ms`, `chunks_decoded` and `chunks_total`; one final
@@ -201,6 +211,28 @@ fn e2e_percentiles(kcm: &Kcm, n: usize, tier: Tier, reps: u32) -> (f64, f64, f64
     (p50, p99, first_ms)
 }
 
+/// Median host µs of an `assertz` and of a `retract` of `fact(k, 0)`,
+/// for a fresh key `k` per pair, over `pairs` alternating pairs after one
+/// untimed warm-up pair. Each pair leaves the clause set as consulted.
+fn write_medians(kcm: &mut Kcm, n: usize, pairs: u32) -> (f64, f64) {
+    let (mut asserts, mut retracts) = (Vec::new(), Vec::new());
+    for i in 0..=pairs as usize {
+        let clause = format!("fact({}, 0)", n + i);
+        let t0 = Instant::now();
+        kcm.assertz(&clause).expect("fresh fact asserts");
+        let assert_us = t0.elapsed().as_secs_f64() * 1e6;
+        let t0 = Instant::now();
+        let removed = kcm.retract(&clause).expect("fresh fact retracts");
+        let retract_us = t0.elapsed().as_secs_f64() * 1e6;
+        assert!(removed, "{clause} was asserted, so it retracts");
+        if i > 0 {
+            asserts.push(assert_us);
+            retracts.push(retract_us);
+        }
+    }
+    (percentiles(asserts).0, percentiles(retracts).0)
+}
+
 fn main() {
     bench::banner(
         "factscale: wide fact-base scaling (consult, point lookup, enumeration)",
@@ -218,6 +250,8 @@ fn main() {
         "E2E first ms",
         "Enum ms",
         "Enum Kfacts/s",
+        "Assert us",
+        "Retract us",
     ]);
     let mut cold = Table::new(vec![
         "Facts",
@@ -241,11 +275,8 @@ fn main() {
         let t0 = Instant::now();
         kcm.load(&src).expect("fact base consults");
         let consult_ms = t0.elapsed().as_secs_f64() * 1e3;
-        jsonl.record(
-            &Record::row("factscale", &format!("n={n}"))
-                .u64("facts", n as u64)
-                .f64("consult_host_ms", consult_ms),
-        );
+        // This size's table rows, finished once the writes are measured.
+        let mut rows = Vec::new();
         for tier in [Tier::Cycle, Tier::Native] {
             let (e2e_p50, e2e_p99, e2e_first_ms) = e2e_percentiles(&kcm, n, tier, reps);
             let (p50, p99) = lookup_percentiles(&kcm, n, tier, reps);
@@ -255,7 +286,7 @@ fn main() {
             if matches!(tier, Tier::Native) {
                 native_p50s.push((n, p50, e2e_p50));
             }
-            t.row(vec![
+            rows.push(vec![
                 n.to_string(),
                 tier_name(tier).to_owned(),
                 f2(consult_ms),
@@ -347,6 +378,18 @@ fn main() {
                 .f64("first_query_host_ms", first_query_ms)
                 .u64("chunks_decoded", chunks_decoded as u64)
                 .u64("chunks_total", chunks_total as u64),
+        );
+        let (assert_us, retract_us) = write_medians(&mut kcm, n, reps);
+        for mut row in rows {
+            row.extend([f2(assert_us), f2(retract_us)]);
+            t.row(row);
+        }
+        jsonl.record(
+            &Record::row("factscale", &format!("n={n}"))
+                .u64("facts", n as u64)
+                .f64("consult_host_ms", consult_ms)
+                .f64("assert_us", assert_us)
+                .f64("retract_us", retract_us),
         );
     }
     println!("{}", t.render());

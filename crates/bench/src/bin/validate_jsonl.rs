@@ -19,8 +19,8 @@ use std::path::PathBuf;
 /// fails here instead of validating while quietly losing it:
 ///
 /// * `factscale` rows carry the cold-start comparison, the hot and
-///   end-to-end lookup percentiles per tier, and both O(1) scaling
-///   ratios;
+///   end-to-end lookup percentiles per tier, the write times per size,
+///   and both O(1) scaling ratios;
 /// * `hostperf` rows of a tier (per program, and the serial totals)
 ///   carry the run-only `host_ms` next to the end-to-end `e2e_ms`.
 fn check_shape(v: &Json) -> Result<(), String> {
@@ -51,6 +51,9 @@ fn check_shape(v: &Json) -> Result<(), String> {
             "e2e_p99_us",
             "e2e_first_ms",
         ],
+        ("factscale", l, false) if l.starts_with("n=") => {
+            &["facts", "consult_host_ms", "assert_us", "retract_us"]
+        }
         ("hostperf", _, _) if tier => &["host_ms", "e2e_ms"],
         _ => &[],
     };

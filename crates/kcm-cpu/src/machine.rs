@@ -794,14 +794,46 @@ impl<M: DataMem> Machine<M> {
         // while the machine is stepping (consulting happens between runs),
         // so the hot loop can borrow it without per-step `Arc` traffic.
         let image = Arc::clone(&self.image);
-        let mut idx = match image.index_of(self.p) {
-            Some(i) => i,
-            None => return Err(MachineError::BadCodeAddress(self.p)),
-        };
+        if self.cfg.trace_depth > 0 {
+            return self.drive_traced(&image, limit);
+        }
+        let mut idx = image
+            .index_of(self.p)
+            .ok_or(MachineError::BadCodeAddress(self.p))?;
         while let Some(next) = self.run_span(&image, image.span(idx), idx, limit)? {
             idx = next;
         }
         Ok(())
+    }
+
+    /// [`Machine::drive`] for a run that fills the macrocode monitor's
+    /// window: one instruction per [`Machine::run_span`] call, its step
+    /// limit set to pause after that instruction, and each window entry
+    /// pushed before its step. Pausing moves no counter, so the run
+    /// retires the same instructions, trips its budget at the same step
+    /// and counts the same as an untraced one, and the instruction loop
+    /// itself carries no trace test.
+    #[cold]
+    #[inline(never)]
+    fn drive_traced(&mut self, image: &CodeImage, limit: u64) -> Result<(), MachineError> {
+        loop {
+            let idx = image
+                .index_of(self.p)
+                .ok_or(MachineError::BadCodeAddress(self.p))?;
+            let span = image.span(idx);
+            let instr = &span.instrs[(idx - span.start) as usize];
+            if self.trace.len() == self.cfg.trace_depth {
+                self.trace.pop_front();
+            }
+            self.trace
+                .push_back(format!("{:6}  {}", self.p.value(), instr));
+            self.run_span(image, span, idx, self.stats.instructions)?;
+            // Not paused: the step halted or yielded.
+            if !self.paused || self.stats.instructions > limit {
+                return Ok(());
+            }
+            self.paused = false;
+        }
     }
 
     /// The step limit was passed. The budget is checked first: past its
@@ -834,7 +866,6 @@ impl<M: DataMem> Machine<M> {
         limit: u64,
     ) -> Result<Option<u32>, MachineError> {
         let (start, instrs, resolved) = (span.start, span.instrs, span.next);
-        let tracing = self.cfg.trace_depth > 0;
         loop {
             let Some(instr) = instrs.get(idx.wrapping_sub(start) as usize) else {
                 return Ok(Some(idx));
@@ -851,9 +882,6 @@ impl<M: DataMem> Machine<M> {
                 self.charge(self.cfg.cost.instr_overhead);
             }
             self.stats.instructions += 1;
-            if tracing {
-                self.trace_push(addr, instr);
-            }
             let packed = resolved[(idx - start) as usize];
             let np = packed as u32;
             self.p = CodeAddr::new(np);
@@ -892,19 +920,6 @@ impl<M: DataMem> Machine<M> {
                 }
             };
         }
-    }
-
-    /// Records an executed instruction in the macrocode monitor's
-    /// window. Out of line, so the formatting stays out of the
-    /// instruction loop's body on the runs that do not trace.
-    #[cold]
-    #[inline(never)]
-    fn trace_push(&mut self, addr: CodeAddr, instr: &Instr) {
-        if self.trace.len() == self.cfg.trace_depth {
-            self.trace.pop_front();
-        }
-        self.trace
-            .push_back(format!("{:6}  {}", addr.value(), instr));
     }
 
     /// The macrocode monitor's window: the last `trace_depth` executed

@@ -1,20 +1,23 @@
-//! The recycled-board invariant: a cycle-tier query run on a board that
-//! earlier queries on the same thread used and retired observes exactly
-//! what it observes on a brand-new board.
+//! The recycled-memory invariant: a query run on memory that earlier
+//! queries on the same thread used and retired observes exactly what it
+//! observes on new memory — a cycle-tier query on a recycled board, and
+//! a native-tier query on a recycled zone store, which is zeroed only
+//! where the new run grows into it.
 //!
 //! One thread runs the 14 suite queries and the corpus cases in a seeded
-//! random order, interleaved with runs that leave a board in unusual
+//! random order, interleaved with runs that leave memory in unusual
 //! states: non-default memory configurations, a run cut off by its step
 //! budget, runs ending in type faults and sessions dropped after their
-//! first answer. Every run's full observable result — solutions, output,
-//! all `RunStats` counters including `MemStats`, the `Profile` and the
-//! error, if any — must equal that of the same run on a freshly spawned
-//! thread, whose board pool is empty.
+//! first answer; every job runs once on each tier. Every run's full
+//! observable result — solutions, output, all `RunStats` counters
+//! including `MemStats`, the `Profile` and the error, if any — must
+//! equal that of the same run on a freshly spawned thread, whose pools
+//! are empty.
 
 use kcm_difftest::corpus::CORPUS;
 use kcm_difftest::oracle::STEP_BUDGET;
 use kcm_suite::programs;
-use kcm_system::{Kcm, MachineConfig, QueryOpts};
+use kcm_system::{Kcm, MachineConfig, QueryOpts, Tier};
 use kcm_testkit::TestRng;
 
 #[derive(Debug, Clone)]
@@ -24,6 +27,7 @@ struct Job {
     query: &'static str,
     enumerate: bool,
     config: MachineConfig,
+    tier: Tier,
     step_budget: u64,
     /// Run as a `Kcm::solutions` session and drop it after one answer.
     first_answer_only: bool,
@@ -37,6 +41,7 @@ impl Job {
             query,
             enumerate,
             config: MachineConfig::default(),
+            tier: Tier::Cycle,
             step_budget: STEP_BUDGET,
             first_answer_only: false,
         }
@@ -58,7 +63,8 @@ impl Job {
             enumerate_all: self.enumerate,
             ..QueryOpts::default()
         }
-        .with_step_budget(self.step_budget);
+        .with_step_budget(self.step_budget)
+        .with_tier(self.tier);
         if self.first_answer_only {
             let mut session = kcm
                 .solutions(self.query, &opts)
@@ -107,6 +113,11 @@ fn jobs() -> Vec<Job> {
         )
         .variant("first answer", |j| j.first_answer_only = true),
     );
+    let native: Vec<Job> = jobs
+        .iter()
+        .map(|j| j.variant("native", |j| j.tier = Tier::Native))
+        .collect();
+    jobs.extend(native);
     jobs
 }
 
@@ -128,6 +139,6 @@ fn recycled_boards_are_indistinguishable_from_new_ones() {
         let fresh = std::thread::spawn(move || job.run())
             .join()
             .expect("fresh run");
-        assert_eq!(recycled, fresh, "{label}: a recycled board changed the run");
+        assert_eq!(recycled, fresh, "{label}: recycled memory changed the run");
     }
 }

@@ -40,7 +40,9 @@ impl PhysAddr {
 }
 
 /// Words per block of a frame's written-block mask: 16 blocks of 1K words.
-const BLOCK_WORDS: usize = PAGE_SIZE_WORDS as usize / 16;
+/// Also the step in which the native tier's zone stores grow, so both
+/// tiers zero a recycled store at the same granularity.
+pub const BLOCK_WORDS: usize = PAGE_SIZE_WORDS as usize / 16;
 
 /// Frames a board keeps across a reset for later allocations (2 MiB).
 /// Frames beyond this are freed, so one giant run does not pin its

@@ -51,6 +51,7 @@
 use kcm_arch::timing::Cycles;
 use kcm_arch::zone::ZONE_GRANULARITY_WORDS;
 use kcm_arch::{Tag, VAddr, Word, Zone};
+use kcm_mem::main_memory::BLOCK_WORDS;
 use kcm_mem::{recycle, DataMem, MemConfig, MemFault, ZoneTable};
 use std::cell::RefCell;
 
@@ -67,27 +68,31 @@ pub fn native_machine(
     NativeMachine::with_backend(std::sync::Arc::new(image), symbols, cfg)
 }
 
-/// Words per allocation chunk when a zone vector grows: the simulator's
-/// page size (16K words), so first-touch granularity matches.
-const CHUNK_WORDS: usize = 16 * 1024;
-
-/// A store whose vectors total more than this many words is freed rather
-/// than pooled (a query that built a giant heap must not pin it forever).
+/// A store whose vectors' capacities total more than this many words is
+/// freed rather than pooled (a query that built a giant heap must not
+/// pin it forever).
 const POOL_MAX_TOTAL_WORDS: usize = 16 << 20;
 
 thread_local! {
     /// Retired backing stores, reused by the next [`FlatMem`] built on
     /// this thread ([`kcm_mem::recycle`], which also caps how many a
-    /// thread keeps). The arrays keep their *length* (the pages the
-    /// kernel has already faulted in and the allocator already owns); the
-    /// next owner re-zeroes them on acquisition, which is much cheaper
-    /// than first-touching fresh pages inside the query run. This is the
-    /// native tier's analogue of a runtime pre-allocating its stacks.
+    /// thread keeps). A retired zone vector keeps its *capacity* (memory
+    /// the allocator already owns and the kernel has already faulted in)
+    /// but drops its length, so it holds no word of the run that retired
+    /// it. The next owner zero-fills only the extent its own run grows
+    /// into, one [`BLOCK_WORDS`] block at a time, as the cycle tier's
+    /// board scrubs only the blocks a write landed in: a query pays for
+    /// what it touches, not for what earlier queries on the thread
+    /// touched. This is the native tier's analogue of a runtime
+    /// pre-allocating its stacks.
     static STORE_POOL: RefCell<Vec<[Vec<Word>; 16]>> = const { RefCell::new(Vec::new()) };
 }
 
 /// A flat, uncosted data memory: one growable `Vec<Word>` per zone
-/// nibble, indexed by the offset within the zone's 16M-word region.
+/// nibble, indexed by the offset within the zone's 16M-word region. A
+/// vector's length is the extent the run has written, rounded up to a
+/// [`BLOCK_WORDS`] block; a cell past it reads as zero without being
+/// stored.
 ///
 /// Fresh cells read as [`Word::ZERO`] — the integer-zero bit pattern —
 /// exactly like the simulator's zero-filled memory board, so a program
@@ -138,7 +143,9 @@ impl FlatMem {
         let (z, off) = Self::split(addr);
         let v = &mut self.store[z];
         if off >= v.len() {
-            let len = (off + 1).next_multiple_of(CHUNK_WORDS);
+            // Zero-fills only the blocks the run grows into; a recycled
+            // vector's capacity makes this a fill, not an allocation.
+            let len = (off + 1).next_multiple_of(BLOCK_WORDS);
             v.resize(len, Word::ZERO);
         }
         v[off] = w;
@@ -223,18 +230,20 @@ impl FlatMem {
 }
 
 impl Drop for FlatMem {
-    /// Retires the store to this thread's pool, unless the thread is
-    /// unwinding from a panic that may have left it mid-update: then it
-    /// is freed.
+    /// Retires the store to this thread's pool with every vector emptied
+    /// and its capacity kept, unless the thread is unwinding from a panic
+    /// that may have left it mid-update: then it is freed. So is a store
+    /// that owns no memory, or too much.
     fn drop(&mut self) {
         if std::thread::panicking() {
             return;
         }
-        let store = std::mem::take(&mut self.store);
-        let total: usize = store.iter().map(Vec::len).sum();
+        let mut store = std::mem::take(&mut self.store);
+        let total: usize = store.iter().map(Vec::capacity).sum();
         if total == 0 || total > POOL_MAX_TOTAL_WORDS {
             return;
         }
+        store.iter_mut().for_each(Vec::clear);
         recycle::retire(&STORE_POOL, store);
     }
 }
@@ -243,15 +252,8 @@ impl DataMem for FlatMem {
     const SIMULATED: bool = false;
 
     fn with_config(config: MemConfig) -> FlatMem {
-        let store = recycle::take(&STORE_POOL)
-            .map(|mut store| {
-                // Pages stay mapped; contents must read as fresh memory.
-                for v in &mut store {
-                    v.fill(Word::ZERO);
-                }
-                store
-            })
-            .unwrap_or_else(|| std::array::from_fn(|_| Vec::new()));
+        let store =
+            recycle::take(&STORE_POOL).unwrap_or_else(|| std::array::from_fn(|_| Vec::new()));
         let mut mem = FlatMem {
             zone_check: config.zone_check,
             zones: ZoneTable::new(),
@@ -483,6 +485,49 @@ mod tests {
         });
         assert!(unwound.is_err());
         assert_eq!(pooled(), before.saturating_sub(1));
+    }
+
+    #[test]
+    fn a_recycled_store_reads_as_fresh_memory() {
+        let pooled = || STORE_POOL.with(|pool| pool.borrow().len());
+        let at = |z: Zone, off: u32| VAddr::new(z.base().value() + off);
+        let written: Vec<VAddr> = Zone::DATA_ZONES
+            .into_iter()
+            .flat_map(|z| [0, 1, 1500, 40_000].map(|off| at(z, off)))
+            .collect();
+        let mut m = FlatMem::with_config(MemConfig::default());
+        for (i, &a) in written.iter().enumerate() {
+            m.poke(a, Word::int(i as i32 + 1)).unwrap();
+        }
+        drop(m);
+        assert_eq!(pooled(), 1);
+
+        let mut m = FlatMem::with_config(MemConfig::default());
+        assert_eq!(pooled(), 0, "the next store is the retired one");
+        // Past the recycled store's extent: nothing is stored there yet.
+        for &a in &written {
+            assert_eq!(m.peek(a).unwrap(), Word::ZERO, "{a:?} before growth");
+        }
+        // Growing each zone past every address written before must
+        // zero all of them, not expose the earlier run's words.
+        for z in Zone::DATA_ZONES {
+            m.poke(at(z, 50_000), Word::int(-1)).unwrap();
+        }
+        for &a in &written {
+            assert_eq!(m.peek(a).unwrap(), Word::ZERO, "{a:?} after growth");
+        }
+        drop(m);
+        assert_eq!(pooled(), 1);
+
+        // A run that writes nothing still hands the memory back.
+        drop(FlatMem::with_config(MemConfig::default()));
+        assert_eq!(pooled(), 1, "an unwritten store is retired, not freed");
+        let mut m = FlatMem::with_config(MemConfig::default());
+        for z in Zone::DATA_ZONES {
+            assert_eq!(m.peek(at(z, 50_000)).unwrap(), Word::ZERO);
+            m.poke(at(z, 60_000), Word::ZERO).unwrap();
+            assert_eq!(m.peek(at(z, 50_000)).unwrap(), Word::ZERO);
+        }
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! Since the registry PR the service is multi-tenant: `PUBLISH <name>`
 //! installs a compiled program into a shared [`kcm_system::registry`]
 //! slot, and `QUERY @<name> ...` serves it to any connection — many
-//! knowledge bases on one machine, each an immutable `Arc`'d image with
-//! its own stats and optional step budget. The front end is a single
+//! knowledge bases on one machine, each an `Arc`'d image with its own
+//! stats and optional step budget. The front end is a single
 //! nonblocking readiness loop ([`poll`] + [`server`]): connections cost
 //! a buffer, not a thread, so the server's thread count is independent
 //! of its connection count.

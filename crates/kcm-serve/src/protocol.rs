@@ -44,7 +44,8 @@
 //! through the wire without ever reparsing source. A snapshot larger
 //! than [`MAX_FRAME`] cannot be carried — million-fact images ship by
 //! file, not by frame. `ASSERT`/`RETRACT` update the named program
-//! copy-on-write: queries already running keep their image; the next
+//! copy-on-write: queries already running keep their image, which the
+//! registry copies only while one of them holds it; the next
 //! `QUERY @name` sees the new version (the reply's `version=` line).
 //! The clause text follows the same grammar `CONSULT` accepts, without
 //! the trailing period.

@@ -1,6 +1,12 @@
 //! The compiled program value behind [`crate::Kcm`] and every registry
 //! entry, and the one write path that edits it: the paper's KCM links on
 //! the host and leaves dynamic code to its front end (§4).
+//!
+//! An edit works on the program's own handles. It copies the image, the
+//! clause source or the symbol base only while a reader holds the
+//! version (a running query, a cursor, an older registry entry); a
+//! program that no one else holds is patched in place, as KCM's
+//! incremental compiler writes straight into its code space (§3.2.1).
 
 use crate::{KcmError, ProgramSource};
 use kcm_arch::SymbolTable;
@@ -13,8 +19,8 @@ use std::sync::Arc;
 /// `None` when it was restored from a binary snapshot.
 ///
 /// Every field is a sharing handle: copying the three is O(1), and an
-/// edit copies the image or the source only while another holder shares
-/// it.
+/// edit copies the image, the source or the symbol base only while
+/// another holder shares it.
 #[derive(Debug)]
 pub(crate) struct Program {
     pub(crate) image: Arc<CodeImage>,
@@ -115,14 +121,19 @@ impl Program {
                     .map(|()| true),
                 Edit::Retract => image.retract_fact_clause(entry, &fact.code),
             };
+            #[cfg(test)]
+            tests::inject_edit_fault();
             // A declined patch leaves the image unchanged: fall through
             // to the relink.
             if let Ok(changed) = patched {
                 // An assert may intern new atoms; a retract's match
                 // interned nothing new, so its probe table is dropped.
+                // The edited table replaces the held one before it is
+                // frozen, so a base no one else holds is extended in
+                // place rather than copied.
                 if edit == Edit::Assert {
-                    symbols.freeze();
                     self.symbols = symbols;
+                    self.symbols.freeze();
                 }
                 if let (true, Some(source)) = (changed, &mut self.source) {
                     edit_source(Arc::make_mut(source), term, edit);
@@ -144,12 +155,12 @@ impl Program {
         let mut symbols = self.symbols.clone();
         let mut image = CodeImage::clone(&self.image);
         Linker::relink_predicate(&mut image, &pred, &clauses, &mut symbols)?;
-        symbols.freeze();
         *self = Program {
             image: Arc::new(image),
             symbols,
             source: Some(Arc::new(all)),
         };
+        self.symbols.freeze();
         Ok(true)
     }
 }
@@ -180,5 +191,27 @@ fn same_clause(a: &Term, b: &Term) -> bool {
             f == g && xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| same_clause(x, y))
         }
         _ => a == b,
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Armed on this thread: the next in-place patch panics after it
+        /// has edited the image and before it has edited anything else.
+        static EDIT_FAULT: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// Makes the next in-place patch on this thread panic half-done.
+    pub(crate) fn arm_edit_fault() {
+        EDIT_FAULT.set(true);
+    }
+
+    pub(super) fn inject_edit_fault() {
+        if EDIT_FAULT.replace(false) {
+            panic!("injected fault in an in-place edit");
+        }
     }
 }

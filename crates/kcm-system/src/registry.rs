@@ -5,18 +5,23 @@
 //! shared back end — the BinProlog deployment experience is the
 //! literature precedent — instead keeps many *named* knowledge bases
 //! resident and lets every connection query any of them by name. The
-//! [`ProgramRegistry`] is that shape: each published program is an
-//! immutable compiled [`CodeImage`] behind an `Arc`, shared by every
-//! connection and every worker that queries it.
+//! [`ProgramRegistry`] is that shape: each published program is a
+//! compiled [`CodeImage`] behind an `Arc`, shared by every connection
+//! and every worker that queries it.
 //!
 //! Invariants:
 //!
-//! * **Published programs are immutable.** A publish compiles the full
-//!   source into a fresh image; nothing ever mutates an image in place.
-//!   Re-publishing a name is copy-on-write: a new [`Published`] entry
-//!   (version bumped) replaces the old one in the map, while in-flight
-//!   queries keep running on the `Arc` they already resolved — they
-//!   finish on the program they started on.
+//! * **A version that a reader holds never changes.** A publish compiles
+//!   the full source into a fresh image, and re-publishing a name
+//!   installs a new [`Published`] entry (version bumped) in the map,
+//!   while in-flight queries keep running on the `Arc` they already
+//!   resolved — they finish on the program they started on. An
+//!   incremental update (`assertz`/`retract`) edits the tenant's own
+//!   entry and copies the image, the clause source or the symbol base
+//!   only while a reader still holds the version; an entry no one else
+//!   holds is patched in place, so a write costs what it touches rather
+//!   than the size of the program. An update that panics half-way drops
+//!   the tenant, so a half-edited version never serves.
 //! * **Per-tenant stats survive re-publish.** The [`TenantStats`]
 //!   counters hang off the tenant name, not the version, so a deploy
 //!   doesn't zero the tenant's traffic history.
@@ -143,20 +148,21 @@ impl TenantStats {
     }
 }
 
-/// One published knowledge base: an immutable compiled program under a
-/// name and version, plus the tenant's serving policy and counters.
+/// One published knowledge base: a compiled program under a name and
+/// version, plus the tenant's serving policy and counters. A version
+/// does not change while anyone but its registry slot holds it.
 ///
 /// Everything a worker needs to run a query travels in this one `Arc`:
 /// resolving a tenant is a single map lookup, and holding the result
 /// keeps the program alive across any concurrent re-publish or
 /// eviction.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Published {
     /// The tenant name this program was published under.
     pub name: String,
     /// Publish generation: 1 on first publish, +1 per re-publish.
     pub version: u64,
-    /// The compiled, immutable program image.
+    /// The compiled program image.
     pub image: Arc<CodeImage>,
     /// The symbol table the image was compiled against, frozen: query
     /// compilation clones it per session, and the clone copies nothing.
@@ -217,7 +223,7 @@ struct Slot {
     last_used: u64,
 }
 
-/// A bounded registry of named, immutable, compiled programs.
+/// A bounded registry of named, compiled programs.
 ///
 /// All methods take `&self`; the registry is shared as-is between the
 /// server front end (publish, lookup, snapshot) and the workers (stats
@@ -267,10 +273,11 @@ impl ProgramRegistry {
         self.clock.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// The slot map, locked. Every change is copy-on-write (a new entry
-    /// is built before the map is touched), so a panic contained while
-    /// the lock was held leaves the map consistent and poisoning is
-    /// ignored.
+    /// The slot map, locked. A publish builds its entry before the map
+    /// is touched, and an update takes its entry out of the map while it
+    /// edits it, so a panic contained while the lock was held leaves the
+    /// map consistent (without the tenant whose update panicked) and
+    /// poisoning is ignored.
     fn slots(&self) -> MutexGuard<'_, HashMap<String, Slot>> {
         self.slots.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -331,11 +338,17 @@ impl ProgramRegistry {
         Ok(PublishReceipt { version, evicted })
     }
 
-    /// Applies one incremental update to a tenant copy-on-write: edits a
-    /// copy of the entry's program handles under the registry lock
-    /// (serializing concurrent updates), installs the successor version
-    /// only when the edit changed the program, and leaves in-flight
-    /// queries running on the version they already resolved.
+    /// Applies one incremental update to a tenant under the registry
+    /// lock (serializing concurrent updates) and bumps its version when
+    /// the edit changed the program.
+    ///
+    /// The entry leaves the map while it is edited, and the edit works on
+    /// its own handles: when no reader holds the version they are moved,
+    /// not shared, so the image, clause source and symbol base are
+    /// patched in place; when a reader does, the entry is cloned (O(1)
+    /// handles) and the edit copies what it changes, leaving the reader
+    /// on the version it resolved. A failed edit puts the entry back as
+    /// it was; a panic drops it, and the tenant is gone.
     fn update(
         &self,
         name: &str,
@@ -344,41 +357,42 @@ impl ProgramRegistry {
     ) -> Result<(PublishReceipt, bool), KcmError> {
         let now = self.tick();
         let mut slots = self.slots();
-        let slot = slots
-            .get_mut(name)
+        let (name, slot) = slots
+            .remove_entry(name)
             .ok_or_else(|| KcmError::UnknownProgram(name.to_owned()))?;
-        slot.last_used = now;
-        let old = &slot.entry;
+        let mut entry = Arc::unwrap_or_clone(slot.entry);
         let mut program = Program {
-            image: Arc::clone(&old.image),
-            symbols: old.symbols.clone(),
-            source: old.source.clone(),
+            image: entry.image,
+            symbols: entry.symbols,
+            source: entry.source,
         };
-        let changed = program.edit(clause, edit)?;
-        if changed {
-            slot.entry = Arc::new(Published {
-                name: old.name.clone(),
-                version: old.version + 1,
-                image: program.image,
-                symbols: program.symbols,
-                step_budget: old.step_budget,
-                stats: Arc::clone(&old.stats),
-                source: program.source,
-            });
+        let edited = program.edit(clause, edit);
+        (entry.image, entry.symbols, entry.source) =
+            (program.image, program.symbols, program.source);
+        if let Ok(true) = edited {
+            entry.version += 1;
         }
         let receipt = PublishReceipt {
-            version: slot.entry.version,
+            version: entry.version,
             evicted: None,
         };
-        Ok((receipt, changed))
+        slots.insert(
+            name,
+            Slot {
+                entry: Arc::new(entry),
+                last_used: now,
+            },
+        );
+        Ok((receipt, edited?))
     }
 
     /// Asserts one clause at the end of its predicate in the named
     /// tenant's program ([`Kcm::assertz`] semantics: in-place fact patch
-    /// with a per-predicate recompile fallback). The update is
-    /// copy-on-write — a new version serves subsequent lookups while
-    /// in-flight queries finish on the program they started on — and
-    /// visible to the next query without a re-publish.
+    /// with a per-predicate recompile fallback). A new version serves
+    /// subsequent lookups, visible to the next query without a
+    /// re-publish, while in-flight queries finish on the program they
+    /// started on: the update copies only what such a reader still
+    /// holds.
     ///
     /// # Errors
     ///
@@ -392,7 +406,8 @@ impl ProgramRegistry {
     }
 
     /// Retracts the first clause identical to `clause` from the named
-    /// tenant's program ([`Kcm::retract`] semantics), copy-on-write.
+    /// tenant's program ([`Kcm::retract`] semantics), copying only what a
+    /// reader still holds.
     /// Returns the receipt plus whether a clause was removed; when
     /// nothing matched the version is unchanged.
     ///
@@ -763,5 +778,167 @@ mod tests {
         let t = r.lookup("kb").expect("final");
         assert_eq!(t.version, 21);
         assert_eq!(t.stats.snapshot().queries, 800);
+    }
+
+    /// `kv(k<i>, v<i mod 7>)` for `i` in `0..n`.
+    fn kv_source(n: usize) -> String {
+        (0..n).map(|i| format!("kv(k{i}, v{}).\n", i % 7)).collect()
+    }
+
+    /// The tenant's answers to `query`, all solutions, on the native tier.
+    fn answers(t: &Published, query: &str) -> String {
+        let job =
+            crate::QueryJob::with_opts(query, QueryOpts::all().with_tier(crate::Tier::Native));
+        let outcome =
+            crate::pool::run_session(&t.image, &t.symbols, &MachineConfig::default(), &job);
+        format!("{:?}", outcome.expect("query runs").solutions)
+    }
+
+    /// The same program published from source and from a snapshot of it.
+    fn publish_both_forms(r: &ProgramRegistry, source: &str) -> [&'static str; 2] {
+        publish(r, "source", source);
+        let bytes = r.snapshot("source").expect("snapshot");
+        r.publish("snapshot", &bytes, &MachineConfig::default(), None)
+            .expect("publish snapshot");
+        ["source", "snapshot"]
+    }
+
+    #[test]
+    fn a_write_no_reader_sees_edits_the_version_in_place() {
+        let r = registry(4);
+        for name in publish_both_forms(&r, &kv_source(64)) {
+            let image = Arc::as_ptr(&r.lookup(name).expect("lookup").image);
+            let receipt = r.assertz(name, "kv(k_new, v_new)").expect("assert");
+            assert_eq!(receipt.version, 2);
+            let t = r.lookup(name).expect("lookup");
+            assert_eq!(
+                Arc::as_ptr(&t.image),
+                image,
+                "{name}: assert copied the image"
+            );
+            assert_eq!(answers(&t, "kv(k_new, V)"), r#"[[("V", Atom("v_new"))]]"#);
+            drop(t);
+            assert!(r.retract(name, "kv(k_new, v_new)").expect("retract").1);
+            let t = r.lookup(name).expect("lookup");
+            assert_eq!(t.version, 3);
+            assert_eq!(
+                Arc::as_ptr(&t.image),
+                image,
+                "{name}: retract copied the image"
+            );
+            assert_eq!(answers(&t, "kv(k_new, V)"), "[]");
+            assert_eq!(answers(&t, "kv(k9, V)"), r#"[[("V", Atom("v2"))]]"#);
+        }
+    }
+
+    #[test]
+    fn a_write_a_reader_sees_copies_and_the_reader_keeps_its_version() {
+        let r = registry(4);
+        for name in publish_both_forms(&r, &kv_source(64)) {
+            let held = r.lookup(name).expect("v1");
+            let before = answers(&held, "kv(K, V)");
+            r.assertz(name, "kv(k_new, v_new)").expect("assert");
+            assert!(r.retract(name, "kv(k3, v3)").expect("retract").1);
+            let now = r.lookup(name).expect("v3");
+            assert_eq!((held.version, now.version), (1, 3));
+            assert!(
+                !Arc::ptr_eq(&held.image, &now.image),
+                "{name}: edited a held image"
+            );
+            assert_eq!(
+                answers(&held, "kv(K, V)"),
+                before,
+                "{name}: the held version moved"
+            );
+            assert_eq!(answers(&held, "kv(k_new, V)"), "[]");
+            assert_eq!(answers(&now, "kv(k_new, V)"), r#"[[("V", Atom("v_new"))]]"#);
+            assert_eq!(answers(&now, "kv(k3, V)"), "[]");
+        }
+    }
+
+    #[test]
+    fn a_panic_in_an_in_place_edit_drops_the_tenant() {
+        let r = registry(4);
+        for name in publish_both_forms(&r, &kv_source(16)) {
+            crate::program::tests::arm_edit_fault();
+            let edit = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                r.assertz(name, "kv(k_new, v_new)")
+            }));
+            assert!(edit.is_err(), "{name}: the armed edit panics");
+            assert!(
+                matches!(r.lookup(name), Err(KcmError::UnknownProgram(_))),
+                "{name}: a half-edited version must not serve"
+            );
+        }
+        assert!(r.is_empty());
+        // The registry still serves and edits other tenants.
+        publish(&r, "other", &kv_source(16));
+        r.assertz("other", "kv(k_new, v_new)").expect("assert");
+        let t = r.lookup("other").expect("other serves");
+        assert_eq!(answers(&t, "kv(k_new, V)"), r#"[[("V", Atom("v_new"))]]"#);
+        assert_eq!(answers(&t, "kv(k5, V)"), r#"[[("V", Atom("v5"))]]"#);
+    }
+
+    /// Four readers and one writer on one 10³-fact tenant, in both of its
+    /// forms. The writer alternates `assertz`/`retract` of `kv(w, v0)`,
+    /// so the fact is present exactly in the even versions. Every read
+    /// must answer what a fresh publish of its version's program answers,
+    /// and no reader's versions may go backwards.
+    #[test]
+    fn concurrent_reads_answer_their_version_while_a_writer_edits() {
+        const FACTS: usize = 1_000;
+        const WRITES: u64 = 120;
+        let source = kv_source(FACTS);
+        let probes: Vec<String> = std::iter::once("kv(w, V)".to_owned())
+            .chain((0..FACTS).step_by(37).map(|i| format!("kv(k{i}, V)")))
+            .collect();
+        // Expected answers per version parity, from fresh publishes.
+        let oracle = registry(2);
+        publish(&oracle, "odd", &source);
+        publish(&oracle, "even", &format!("{source}kv(w, v0).\n"));
+        let expected: Vec<[String; 2]> = probes
+            .iter()
+            .map(|q| {
+                let even = answers(&oracle.lookup("even").expect("even"), q);
+                let odd = answers(&oracle.lookup("odd").expect("odd"), q);
+                [even, odd]
+            })
+            .collect();
+        assert_eq!(expected[0][0], r#"[[("V", Atom("v0"))]]"#);
+        assert_eq!(expected[0][1], "[]");
+
+        let r = registry(4);
+        for name in publish_both_forms(&r, &source) {
+            let done = std::sync::atomic::AtomicBool::new(false);
+            std::thread::scope(|scope| {
+                for reader in 0..4 {
+                    let (r, done, probes, expected) = (&r, &done, &probes, &expected);
+                    scope.spawn(move || {
+                        let (mut last, mut reads) = (0, 0usize);
+                        while !done.load(Ordering::Relaxed) || reads < probes.len() {
+                            let t = r.lookup(name).expect("lookup");
+                            assert!(t.version >= last, "{name}: version went backwards");
+                            last = t.version;
+                            let at = (reader + reads * 5) % probes.len();
+                            let parity = (t.version % 2) as usize;
+                            assert_eq!(
+                                answers(&t, &probes[at]),
+                                expected[at][parity],
+                                "{name} v{}: {}",
+                                t.version,
+                                probes[at]
+                            );
+                            reads += 1;
+                        }
+                    });
+                }
+                for _ in 0..WRITES / 2 {
+                    r.assertz(name, "kv(w, v0)").expect("assert");
+                    assert!(r.retract(name, "kv(w, v0)").expect("retract").1);
+                }
+                done.store(true, Ordering::Relaxed);
+            });
+            assert_eq!(r.lookup(name).expect("lookup").version, 1 + WRITES);
+        }
     }
 }
