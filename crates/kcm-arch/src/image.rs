@@ -355,6 +355,45 @@ const fn pack_next(next: u32, next_idx: u32) -> u64 {
     next as u64 | ((next_idx as u64) << 32)
 }
 
+/// A predicate's entry key, `(name, arity)`: the owned form the entry
+/// table holds and the borrowed form a lookup passes, hashed and compared
+/// alike, so a lookup builds no `String`.
+trait PredKey {
+    fn parts(&self) -> (&str, u8);
+}
+
+impl PredKey for (String, u8) {
+    fn parts(&self) -> (&str, u8) {
+        (&self.0, self.1)
+    }
+}
+
+impl PredKey for (&str, u8) {
+    fn parts(&self) -> (&str, u8) {
+        *self
+    }
+}
+
+impl<'a> std::borrow::Borrow<dyn PredKey + 'a> for (String, u8) {
+    fn borrow(&self) -> &(dyn PredKey + 'a) {
+        self
+    }
+}
+
+impl std::hash::Hash for dyn PredKey + '_ {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.parts().hash(state);
+    }
+}
+
+impl PartialEq for dyn PredKey + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.parts() == other.parts()
+    }
+}
+
+impl Eq for dyn PredKey + '_ {}
+
 /// A linked, loaded code image: the decoded instructions at their word
 /// addresses, which both execution tiers dispatch on, and the code's
 /// length in words.
@@ -479,10 +518,10 @@ impl CodeImage {
 
     /// The entry address of a predicate, if linked.
     pub fn entry(&self, name: &str, arity: u8) -> Option<CodeAddr> {
-        let key = (name.to_owned(), arity);
+        let key: &dyn PredKey = &(name, arity);
         self.entries
-            .get(&key)
-            .or_else(|| self.base.as_ref().and_then(|b| b.entries.get(&key)))
+            .get(key)
+            .or_else(|| self.base.as_ref().and_then(|b| b.entries.get(key)))
             .copied()
     }
 
@@ -710,13 +749,16 @@ impl CodeImage {
         out
     }
 
-    /// Disassembles the whole image.
+    /// Disassembles the whole image. An address that several entries
+    /// share (the `$call/N` stub) is labelled with the least of them.
     pub fn disassemble(&self, symbols: &SymbolTable) -> String {
         use std::fmt::Write;
-        let rev: HashMap<u32, (&str, u8)> = self
-            .entries()
-            .map(|(name, arity, addr)| (addr.value(), (name, arity)))
-            .collect();
+        let mut rev: HashMap<u32, (&str, u8)> = HashMap::new();
+        for (name, arity, addr) in self.entries() {
+            rev.entry(addr.value())
+                .and_modify(|label| *label = (*label).min((name, arity)))
+                .or_insert((name, arity));
+        }
         let mut out = String::new();
         for idx in 0..self.num_instrs() as u32 {
             let addr = self.addr_at_index(idx).expect("index in range");
@@ -794,6 +836,20 @@ impl CodeImage {
         }
     }
 
+    /// Reserves room for `instrs` more instructions spanning `words` more
+    /// code words, so a link grows its per-instruction tables once.
+    pub fn reserve(&mut self, instrs: usize, words: usize) {
+        self.instrs_mut().reserve(instrs);
+        self.addrs.reserve(instrs);
+        self.switch_index.reserve(instrs);
+        if let Dispatch::Eager(table) = &mut self.dispatch {
+            table.reserve(instrs);
+        }
+        let end = self.end as usize - self.first_addr as usize;
+        self.addr_index
+            .reserve((end + words).saturating_sub(self.addr_index.len()));
+    }
+
     /// Places `instr` at `addr`, which must not lie below the end of the
     /// code (layout is dense), and moves the end past it.
     ///
@@ -822,7 +878,7 @@ impl CodeImage {
     /// Removes one entry, returning its old address.
     pub fn remove_entry(&mut self, name: &str, arity: u8) -> Option<CodeAddr> {
         self.assert_flat();
-        self.entries.remove(&(name.to_owned(), arity))
+        self.entries.remove(&(name, arity) as &dyn PredKey)
     }
 
     /// Appends a predicate-size record.

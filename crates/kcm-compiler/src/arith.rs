@@ -9,38 +9,35 @@
 use kcm_arch::isa::AluOp;
 use kcm_prolog::Term;
 
-/// A natively compilable arithmetic expression.
+/// A natively compilable arithmetic expression, borrowing its variable
+/// names from the term it was parsed from.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Expr {
+pub enum Expr<'t> {
     /// An integer literal.
     Int(i32),
     /// A float literal.
     Float(f32),
     /// A Prolog variable (must be bound to a number at run time).
-    Var(String),
+    Var(&'t str),
     /// A binary operation.
-    Bin(AluOp, Box<Expr>, Box<Expr>),
+    Bin(AluOp, Box<Expr<'t>>, Box<Expr<'t>>),
     /// Arithmetic negation.
-    Neg(Box<Expr>),
+    Neg(Box<Expr<'t>>),
 }
 
-impl Expr {
-    /// Variables of the expression, left-to-right with duplicates.
-    pub fn variables(&self) -> Vec<&str> {
-        let mut out = Vec::new();
-        fn walk<'a>(e: &'a Expr, out: &mut Vec<&'a str>) {
-            match e {
-                Expr::Var(v) => out.push(v),
-                Expr::Bin(_, a, b) => {
-                    walk(a, out);
-                    walk(b, out);
-                }
-                Expr::Neg(a) => walk(a, out),
-                _ => {}
+impl<'t> Expr<'t> {
+    /// Visits the variables of the expression, left-to-right with
+    /// duplicates.
+    pub fn each_var(&self, visit: &mut impl FnMut(&'t str)) {
+        match self {
+            Expr::Var(v) => visit(v),
+            Expr::Bin(_, a, b) => {
+                a.each_var(visit);
+                b.each_var(visit);
             }
+            Expr::Neg(a) => a.each_var(visit),
+            Expr::Int(_) | Expr::Float(_) => {}
         }
-        walk(self, &mut out);
-        out
     }
 
     /// Number of ALU operations in the expression (for cost estimates).
@@ -73,11 +70,11 @@ fn binop(name: &str) -> Option<AluOp> {
 
 /// Parses a term as a native arithmetic expression; `None` if any part is
 /// not natively compilable (then the generic `is/2` escape takes over).
-pub fn parse_expr(t: &Term) -> Option<Expr> {
+pub fn parse_expr(t: &Term) -> Option<Expr<'_>> {
     match t {
         Term::Int(v) => Some(Expr::Int(*v)),
         Term::Float(v) => Some(Expr::Float(*v)),
-        Term::Var(v) => Some(Expr::Var(v.clone())),
+        Term::Var(v) => Some(Expr::Var(v)),
         Term::Struct(n, args) if args.len() == 2 => {
             let op = binop(n)?;
             let a = parse_expr(&args[0])?;
@@ -106,48 +103,54 @@ mod tests {
     use super::*;
     use kcm_prolog::read_term;
 
-    fn e(src: &str) -> Option<Expr> {
-        parse_expr(&read_term(src).unwrap())
+    /// Parses an expression read from `src`; the term lives to the end
+    /// of the enclosing statement.
+    macro_rules! e {
+        ($src:expr) => {
+            parse_expr(&read_term($src).unwrap())
+        };
     }
 
     #[test]
     fn literals_and_vars() {
-        assert_eq!(e("42"), Some(Expr::Int(42)));
-        assert_eq!(e("-3"), Some(Expr::Int(-3)));
-        assert_eq!(e("X"), Some(Expr::Var("X".into())));
-        assert_eq!(e("2.5"), Some(Expr::Float(2.5)));
+        assert_eq!(e!("42"), Some(Expr::Int(42)));
+        assert_eq!(e!("-3"), Some(Expr::Int(-3)));
+        assert_eq!(e!("X"), Some(Expr::Var("X")));
+        assert_eq!(e!("2.5"), Some(Expr::Float(2.5)));
     }
 
     #[test]
     fn nested_operations() {
-        let expr = e("X + Y * 2").unwrap();
+        let t = read_term("X + Y * 2").unwrap();
+        let expr = parse_expr(&t).unwrap();
         assert_eq!(expr.op_count(), 2);
-        assert_eq!(expr.variables(), vec!["X", "Y"]);
+        let mut vars = Vec::new();
+        expr.each_var(&mut |v| vars.push(v));
+        assert_eq!(vars, vec!["X", "Y"]);
     }
 
     #[test]
     fn unary_minus_and_plus() {
-        assert!(matches!(e("-(X)"), Some(Expr::Neg(_))));
-        assert_eq!(e("+(X)"), Some(Expr::Var("X".into())));
+        assert!(matches!(e!("-(X)"), Some(Expr::Neg(_))));
+        assert_eq!(e!("+(X)"), Some(Expr::Var("X")));
     }
 
     #[test]
     fn abs_desugars() {
-        let expr = e("abs(X)").unwrap();
-        assert!(matches!(expr, Expr::Bin(AluOp::Max, _, _)));
+        assert!(matches!(e!("abs(X)"), Some(Expr::Bin(AluOp::Max, _, _))));
     }
 
     #[test]
     fn non_native_terms_rejected() {
-        assert_eq!(e("foo(X)"), None);
-        assert_eq!(e("X + foo"), None);
-        assert_eq!(e("atom"), None);
-        assert_eq!(e("sin(X)"), None);
+        assert_eq!(e!("foo(X)"), None);
+        assert_eq!(e!("X + foo"), None);
+        assert_eq!(e!("atom"), None);
+        assert_eq!(e!("sin(X)"), None);
     }
 
     #[test]
     fn integer_division_forms() {
-        assert!(matches!(e("X // 2"), Some(Expr::Bin(AluOp::Div, _, _))));
-        assert!(matches!(e("X mod 2"), Some(Expr::Bin(AluOp::Mod, _, _))));
+        assert!(matches!(e!("X // 2"), Some(Expr::Bin(AluOp::Div, _, _))));
+        assert!(matches!(e!("X mod 2"), Some(Expr::Bin(AluOp::Mod, _, _))));
     }
 }

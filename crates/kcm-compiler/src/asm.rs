@@ -144,7 +144,7 @@ pub fn assemble(
     };
 
     // Pass 2: emit.
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(items.len());
     let mut offset = 0u32;
     for item in items {
         let addr = start.offset(offset as i64);

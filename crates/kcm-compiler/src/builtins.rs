@@ -6,34 +6,33 @@
 //! arithmetic" compilation mode the benchmarks used, §4).
 
 use crate::arith::{self, Expr};
-use crate::ir::PredId;
 use kcm_arch::isa::Builtin;
 use kcm_arch::Cond;
 use kcm_prolog::Term;
 
-/// A classified goal.
+/// A classified goal, borrowing its arguments from the goal term.
 #[derive(Debug, Clone, PartialEq)]
-pub enum GoalKind {
+pub enum GoalKind<'t> {
     /// `true` — no code.
     True,
     /// `fail` / `false`.
     Fail,
     /// `!`.
     Cut,
-    /// A call to a user predicate with the given arguments.
-    UserCall(PredId, Vec<Term>),
+    /// A call to the user predicate `name/args.len()`.
+    UserCall(&'t str, &'t [Term]),
     /// An escape to a host built-in with the given arguments.
-    Escape(Builtin, Vec<Term>),
+    Escape(Builtin, &'t [Term]),
     /// `=/2` compiled as inline unification.
-    Unify(Term, Term),
+    Unify(&'t Term, &'t Term),
     /// `Lhs is Expr` with a natively inlinable expression.
-    Is(Term, Expr),
+    Is(&'t Term, Expr<'t>),
     /// An arithmetic comparison with both sides natively inlinable. The
     /// condition holds when `lhs cond rhs`.
-    Compare(Cond, Expr, Expr),
+    Compare(Cond, Expr<'t>, Expr<'t>),
 }
 
-impl GoalKind {
+impl GoalKind<'_> {
     /// Whether this goal transfers control to another predicate (and thus
     /// clobbers CP/B0 and ends a chunk for register allocation).
     pub fn is_user_call(&self) -> bool {
@@ -44,8 +43,7 @@ impl GoalKind {
     /// and escapes).
     pub fn call_arity(&self) -> usize {
         match self {
-            GoalKind::UserCall(id, _) => id.arity as usize,
-            GoalKind::Escape(_, args) => args.len(),
+            GoalKind::UserCall(_, args) | GoalKind::Escape(_, args) => args.len(),
             _ => 0,
         }
     }
@@ -132,12 +130,12 @@ fn arith_escape(name: &str) -> Option<(Builtin, Cond)> {
 }
 
 /// Classifies one body goal term with KCM's default options.
-pub fn classify(goal: &Term) -> GoalKind {
+pub fn classify(goal: &Term) -> GoalKind<'_> {
     classify_with(goal, &crate::CompileOptions::default())
 }
 
 /// Classifies one body goal term for a given target configuration.
-pub fn classify_with(goal: &Term, options: &crate::CompileOptions) -> GoalKind {
+pub fn classify_with<'t>(goal: &'t Term, options: &crate::CompileOptions) -> GoalKind<'t> {
     let (name, args): (&str, &[Term]) = match goal {
         Term::Atom(n) => (n.as_str(), &[]),
         Term::Struct(n, a) => (n.as_str(), a.as_slice()),
@@ -148,26 +146,18 @@ pub fn classify_with(goal: &Term, options: &crate::CompileOptions) -> GoalKind {
         ("true", 0) => return GoalKind::True,
         ("fail", 0) | ("false", 0) => return GoalKind::Fail,
         ("!", 0) => return GoalKind::Cut,
-        ("=", 2) => return GoalKind::Unify(args[0].clone(), args[1].clone()),
+        ("=", 2) => return GoalKind::Unify(&args[0], &args[1]),
         // The meta-call becomes a real call to the runtime's $call/N
         // trampoline (it clobbers CP like any call). call/2.. appends the
         // extra arguments to the goal.
-        ("call", n) if (1..=8).contains(&n) => {
-            return GoalKind::UserCall(
-                PredId {
-                    name: "$call".to_owned(),
-                    arity: n as u8,
-                },
-                args.to_vec(),
-            )
-        }
+        ("call", n) if (1..=8).contains(&n) => return GoalKind::UserCall("$call", args),
         ("is", 2) => {
             if options.inline_arith {
                 if let Some(e) = arith::parse_expr(&args[1]) {
-                    return GoalKind::Is(args[0].clone(), e);
+                    return GoalKind::Is(&args[0], e);
                 }
             }
-            return GoalKind::Escape(Builtin::Is, args.to_vec());
+            return GoalKind::Escape(Builtin::Is, args);
         }
         _ => {}
     }
@@ -180,19 +170,13 @@ pub fn classify_with(goal: &Term, options: &crate::CompileOptions) -> GoalKind {
                     return GoalKind::Compare(cond, l, r);
                 }
             }
-            return GoalKind::Escape(esc, args.to_vec());
+            return GoalKind::Escape(esc, args);
         }
     }
     if let Some(b) = escape_for(name, args.len()) {
-        return GoalKind::Escape(b, args.to_vec());
+        return GoalKind::Escape(b, args);
     }
-    GoalKind::UserCall(
-        PredId {
-            name: name.to_owned(),
-            arity: args.len() as u8,
-        },
-        args.to_vec(),
-    )
+    GoalKind::UserCall(name, args)
 }
 
 #[cfg(test)]
@@ -200,48 +184,58 @@ mod tests {
     use super::*;
     use kcm_prolog::read_term;
 
-    fn k(src: &str) -> GoalKind {
-        classify(&read_term(src).unwrap())
+    /// Classifies a goal read from `src`; the term lives to the end of
+    /// the enclosing statement.
+    macro_rules! k {
+        ($src:expr) => {
+            classify(&read_term($src).unwrap())
+        };
     }
 
     #[test]
     fn control_goals() {
-        assert_eq!(k("true"), GoalKind::True);
-        assert_eq!(k("fail"), GoalKind::Fail);
-        assert_eq!(k("!"), GoalKind::Cut);
+        assert_eq!(k!("true"), GoalKind::True);
+        assert_eq!(k!("fail"), GoalKind::Fail);
+        assert_eq!(k!("!"), GoalKind::Cut);
     }
 
     #[test]
     fn unification_goal() {
-        assert!(matches!(k("X = f(Y)"), GoalKind::Unify(..)));
+        assert!(matches!(k!("X = f(Y)"), GoalKind::Unify(..)));
     }
 
     #[test]
     fn inline_is_when_expression_is_native() {
-        assert!(matches!(k("X is Y + 1"), GoalKind::Is(..)));
-        assert!(matches!(k("X is Y * Z mod 7"), GoalKind::Is(..)));
+        assert!(matches!(k!("X is Y + 1"), GoalKind::Is(..)));
+        assert!(matches!(k!("X is Y * Z mod 7"), GoalKind::Is(..)));
         // An unbound expression variable body cannot be inlined at compile
         // time if the term is not arithmetic shaped.
-        assert!(matches!(k("X is foo(Y)"), GoalKind::Escape(Builtin::Is, _)));
+        assert!(matches!(
+            k!("X is foo(Y)"),
+            GoalKind::Escape(Builtin::Is, _)
+        ));
     }
 
     #[test]
     fn inline_comparison() {
-        assert!(matches!(k("X < Y + 1"), GoalKind::Compare(Cond::Lt, _, _)));
-        assert!(matches!(k("X >= 3"), GoalKind::Compare(Cond::Ge, _, _)));
+        assert!(matches!(k!("X < Y + 1"), GoalKind::Compare(Cond::Lt, _, _)));
+        assert!(matches!(k!("X >= 3"), GoalKind::Compare(Cond::Ge, _, _)));
         assert!(matches!(
-            k("f(X) < 2"),
+            k!("f(X) < 2"),
             GoalKind::Escape(Builtin::ArithLt, _)
         ));
     }
 
     #[test]
     fn escapes() {
-        assert!(matches!(k("write(X)"), GoalKind::Escape(Builtin::Write, _)));
-        assert!(matches!(k("nl"), GoalKind::Escape(Builtin::Nl, _)));
-        assert!(matches!(k("X == Y"), GoalKind::Escape(Builtin::TermEq, _)));
         assert!(matches!(
-            k("functor(T, F, A)"),
+            k!("write(X)"),
+            GoalKind::Escape(Builtin::Write, _)
+        ));
+        assert!(matches!(k!("nl"), GoalKind::Escape(Builtin::Nl, _)));
+        assert!(matches!(k!("X == Y"), GoalKind::Escape(Builtin::TermEq, _)));
+        assert!(matches!(
+            k!("functor(T, F, A)"),
             GoalKind::Escape(Builtin::Functor, _)
         ));
     }
@@ -249,16 +243,16 @@ mod tests {
     #[test]
     fn arity_overload_falls_back_to_user_call() {
         // write/2 is not a known builtin.
-        assert!(matches!(k("write(X, Y)"), GoalKind::UserCall(..)));
-        assert!(matches!(k("append(X, Y, Z)"), GoalKind::UserCall(..)));
+        assert!(matches!(k!("write(X, Y)"), GoalKind::UserCall(..)));
+        assert!(matches!(k!("append(X, Y, Z)"), GoalKind::UserCall(..)));
     }
 
     #[test]
     fn guard_safety() {
-        assert!(k("X < 3").is_guard_safe());
-        assert!(k("!").is_guard_safe());
-        assert!(!k("X is 3").is_guard_safe());
-        assert!(!k("integer(X)").is_guard_safe());
-        assert!(!k("p(X)").is_guard_safe());
+        assert!(k!("X < 3").is_guard_safe());
+        assert!(k!("!").is_guard_safe());
+        assert!(!k!("X is 3").is_guard_safe());
+        assert!(!k!("integer(X)").is_guard_safe());
+        assert!(!k!("p(X)").is_guard_safe());
     }
 }

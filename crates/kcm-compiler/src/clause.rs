@@ -35,7 +35,7 @@ use std::collections::HashMap;
 /// Maximum predicate arity under the A1..A16 convention.
 pub const MAX_ARITY: usize = 16;
 
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, Copy)]
 struct VarInfo {
     perm: Option<u8>,
     /// X register currently holding the value (temporaries; also head
@@ -49,6 +49,12 @@ struct VarInfo {
     head_seen: bool,
     /// Total occurrences in the clause (1 = void).
     occurrences: usize,
+    /// The chunk of the first occurrence; chunk 0 is the head plus the
+    /// goals up to and including the first user call.
+    first_chunk: usize,
+    /// Whether the variable occurs in a later chunk too (it is then
+    /// permanent).
+    multi_chunk: bool,
 }
 
 /// Compiles one clause to symbolic code.
@@ -68,22 +74,34 @@ pub fn compile_clause(
     statics: &mut crate::link::StaticImage,
     options: &crate::CompileOptions,
 ) -> Result<Vec<AsmItem>, CompileError> {
-    let mut c = Compiler::new(pred, clause, multi, symbols, statics, options)?;
+    let kinds: Vec<GoalKind> = clause
+        .goals
+        .iter()
+        .map(|g| match g {
+            Goal::Cut => GoalKind::Cut,
+            Goal::Term(t) => crate::builtins::classify_with(t, options),
+        })
+        .collect();
+    let mut c = Compiler::new(pred, clause, &kinds, multi, symbols, statics, options)?;
     c.run()?;
     Ok(c.items)
 }
 
+/// The clause compiler's state. It borrows the clause's terms and their
+/// classification for the whole compile; variables are keyed by the
+/// names in the terms.
 struct Compiler<'a> {
-    options: crate::CompileOptions,
-    pred: PredId,
-    head_args: Vec<Term>,
-    kinds: Vec<GoalKind>,
+    options: &'a crate::CompileOptions,
+    pred: &'a PredId,
+    head_args: &'a [Term],
+    kinds: &'a [GoalKind<'a>],
     multi: bool,
     symbols: &'a mut SymbolTable,
     statics: &'a mut crate::link::StaticImage,
     items: Vec<AsmItem>,
-    vars: HashMap<String, VarInfo>,
-    perm_order: Vec<String>,
+    vars: HashMap<&'a str, VarInfo>,
+    /// The permanent variables in Y-slot order.
+    perm_order: Vec<&'a str>,
     next_temp: u8,
     temp_base: u8,
     free_temps: Vec<u8>,
@@ -94,29 +112,22 @@ struct Compiler<'a> {
 
 impl<'a> Compiler<'a> {
     fn new(
-        pred: &PredId,
-        clause: &Clause,
+        pred: &'a PredId,
+        clause: &'a Clause,
+        kinds: &'a [GoalKind<'a>],
         multi: bool,
         symbols: &'a mut SymbolTable,
         statics: &'a mut crate::link::StaticImage,
-        options: &crate::CompileOptions,
+        options: &'a crate::CompileOptions,
     ) -> Result<Compiler<'a>, CompileError> {
-        let head_args: Vec<Term> = clause.head_args().to_vec();
+        let head_args = clause.head_args();
         if head_args.len() > MAX_ARITY {
             return Err(CompileError::ArityTooLarge {
                 pred: pred.name.clone(),
                 arity: head_args.len(),
             });
         }
-        let kinds: Vec<GoalKind> = clause
-            .goals
-            .iter()
-            .map(|g| match g {
-                Goal::Cut => GoalKind::Cut,
-                Goal::Term(t) => crate::builtins::classify_with(t, options),
-            })
-            .collect();
-        for k in &kinds {
+        for k in kinds {
             if k.call_arity() > MAX_ARITY {
                 return Err(CompileError::ArityTooLarge {
                     pred: pred.name.clone(),
@@ -127,84 +138,47 @@ impl<'a> Compiler<'a> {
 
         // Environment analysis: an environment is needed unless the body's
         // only user call (if any) is the final goal (pure last-call shape).
-        let call_positions: Vec<usize> = kinds
-            .iter()
-            .enumerate()
-            .filter(|(_, k)| k.is_user_call())
-            .map(|(i, _)| i)
-            .collect();
-        // Written as "some calls, and not the pure last-call shape" — the
-        // de-Morganised form clippy suggests obscures the rule.
-        #[allow(clippy::nonminimal_bool)]
-        let needs_env = !call_positions.is_empty()
-            && !(call_positions.len() == 1 && call_positions[0] == kinds.len() - 1);
-
-        // Occurrence and permanence analysis. Chunk 0 is the head plus the
-        // goals up to and including the first user call.
-        let mut occurrences: HashMap<String, (usize, Vec<usize>)> = HashMap::new();
-        let mut note = |name: &str, chunk: usize| {
-            let e = occurrences.entry(name.to_owned()).or_default();
-            e.0 += 1;
-            if !e.1.contains(&chunk) {
-                e.1.push(chunk);
-            }
+        let mut calls = kinds.iter().enumerate().filter(|(_, k)| k.is_user_call());
+        let needs_env = match (calls.next(), calls.next()) {
+            (None, _) => false,
+            (Some((i, _)), None) => i + 1 != kinds.len(),
+            (Some(_), Some(_)) => true,
         };
-        for a in &head_args {
-            for v in all_var_occurrences(a) {
-                note(v, 0);
-            }
+
+        // Occurrence and permanence analysis, in one walk over the head
+        // and the goals: a variable is permanent when it occurs in more
+        // than one chunk, and Y slots go in order of first occurrence.
+        let mut vars: HashMap<&'a str, VarInfo> = HashMap::new();
+        let mut order: Vec<&'a str> = Vec::new();
+        let mut note = |name: &'a str, chunk: usize| {
+            let info = vars.entry(name).or_insert_with(|| {
+                order.push(name);
+                VarInfo {
+                    first_chunk: chunk,
+                    ..VarInfo::default()
+                }
+            });
+            info.occurrences += 1;
+            info.multi_chunk |= info.first_chunk != chunk;
+        };
+        for a in head_args {
+            each_var(a, &mut |v| note(v, 0));
         }
-        let mut chunk = 0usize;
-        for k in &kinds {
-            for v in goal_var_occurrences(k) {
-                note(v, chunk);
-            }
+        let mut chunk = 0;
+        for k in kinds {
+            each_goal_var(k, &mut |v| note(v, chunk));
             if k.is_user_call() {
                 chunk += 1;
             }
         }
-
-        let mut vars: HashMap<String, VarInfo> = HashMap::new();
-        let mut perm_order = Vec::new();
-        // Permanent variables in order of first occurrence: walk head then
-        // goals once more.
-        let mut order: Vec<String> = Vec::new();
-        for a in &head_args {
-            for v in all_var_occurrences(a) {
-                if !order.iter().any(|x| x == v) {
-                    order.push(v.to_owned());
-                }
-            }
+        order.retain(|name| vars[name].multi_chunk);
+        if order.len() > 256 {
+            return Err(CompileError::TooManyPermanents {
+                pred: pred.name.clone(),
+            });
         }
-        for k in &kinds {
-            for v in goal_var_occurrences(k) {
-                if !order.iter().any(|x| x == v) {
-                    order.push(v.to_owned());
-                }
-            }
-        }
-        for name in &order {
-            let (count, chunks) = &occurrences[name];
-            let perm = if chunks.len() >= 2 {
-                let y = perm_order.len();
-                if y > 255 {
-                    return Err(CompileError::TooManyPermanents {
-                        pred: pred.name.clone(),
-                    });
-                }
-                perm_order.push(name.clone());
-                Some(y as u8)
-            } else {
-                None
-            };
-            vars.insert(
-                name.clone(),
-                VarInfo {
-                    perm,
-                    occurrences: *count,
-                    ..VarInfo::default()
-                },
-            );
+        for (y, name) in order.iter().enumerate() {
+            vars.get_mut(name).expect("noted above").perm = Some(y as u8);
         }
 
         let temp_base = head_args
@@ -213,8 +187,8 @@ impl<'a> Compiler<'a> {
             as u8;
 
         Ok(Compiler {
-            options: options.clone(),
-            pred: pred.clone(),
+            options,
+            pred,
             head_args,
             kinds,
             multi,
@@ -222,7 +196,7 @@ impl<'a> Compiler<'a> {
             statics,
             items: Vec::new(),
             vars,
-            perm_order,
+            perm_order: order,
             next_temp: temp_base,
             temp_base,
             free_temps: Vec::new(),
@@ -282,13 +256,13 @@ impl<'a> Compiler<'a> {
 
     fn run(&mut self) -> Result<(), CompileError> {
         // --- head ---
-        let head_args = self.head_args.clone();
+        let head_args = self.head_args;
         for (j, arg) in head_args.iter().enumerate() {
             self.compile_get(arg, Reg::new(j as u8))?;
         }
 
         // --- guard: inline comparisons and cut before the neck ---
-        let kinds = self.kinds.clone();
+        let kinds = self.kinds;
         let mut i = 0;
         while i < kinds.len() && kinds[i].is_guard_safe() {
             self.compile_inline_goal(&kinds[i], i)?;
@@ -307,8 +281,11 @@ impl<'a> Compiler<'a> {
             });
             self.env_active = true;
             // Move head-resident permanent variables to their Y slots.
-            for (y, name) in self.perm_order.clone().into_iter().enumerate() {
-                let info = self.vars.get_mut(&name).expect("perm var recorded");
+            for y in 0..self.perm_order.len() {
+                let info = self
+                    .vars
+                    .get_mut(self.perm_order[y])
+                    .expect("perm var recorded");
                 if info.seen {
                     let loc = info.loc.take().expect("head var has a register");
                     self.emit(Instr::GetVariableY {
@@ -338,12 +315,15 @@ impl<'a> Compiler<'a> {
                     break;
                 }
                 GoalKind::Escape(b, args) => {
-                    self.put_args(&args.clone(), i, false)?;
+                    self.put_args(args, i, false)?;
                     self.emit(Instr::Escape { builtin: *b });
                 }
-                GoalKind::UserCall(pid, args) => {
-                    let pid = pid.clone();
-                    self.put_args(&args.clone(), i, last && self.needs_env)?;
+                GoalKind::UserCall(name, args) => {
+                    self.put_args(args, i, last && self.needs_env)?;
+                    let pid = PredId {
+                        name: (*name).to_owned(),
+                        arity: args.len() as u8,
+                    };
                     if last {
                         if self.needs_env {
                             self.emit(Instr::Deallocate);
@@ -374,7 +354,11 @@ impl<'a> Compiler<'a> {
         Ok(())
     }
 
-    fn compile_inline_goal(&mut self, k: &GoalKind, goal_idx: usize) -> Result<(), CompileError> {
+    fn compile_inline_goal(
+        &mut self,
+        k: &'a GoalKind<'a>,
+        goal_idx: usize,
+    ) -> Result<(), CompileError> {
         match k {
             GoalKind::True => Ok(()),
             GoalKind::Cut => {
@@ -415,11 +399,10 @@ impl<'a> Compiler<'a> {
             }
             GoalKind::Unify(a, b) => {
                 self.emit(Instr::Mark);
-                let (a, b) = (a.clone(), b.clone());
                 // Compile the side that is cheaper to materialise first;
                 // prefer materialising an already-seen variable.
-                let t = self.put_term_to_reg(&a, goal_idx)?;
-                self.compile_get(&b, t)
+                let t = self.put_term_to_reg(a, goal_idx)?;
+                self.compile_get(b, t)
             }
             _ => unreachable!("not an inline goal"),
         }
@@ -429,10 +412,10 @@ impl<'a> Compiler<'a> {
 
     /// Unifies `term` against the value in register `a` (head argument
     /// compilation; also used for `=/2` and `is/2` result binding).
-    fn compile_get(&mut self, term: &Term, a: Reg) -> Result<(), CompileError> {
+    fn compile_get(&mut self, term: &'a Term, a: Reg) -> Result<(), CompileError> {
         match term {
             Term::Var(v) => {
-                let info = self.vars.get(v).cloned().unwrap_or_default();
+                let info = self.info(v);
                 if !info.seen {
                     self.mark_seen(v, !self.first_call_done && !self.env_active);
                     if let (Some(y), true) = (info.perm, self.env_active) {
@@ -464,7 +447,7 @@ impl<'a> Compiler<'a> {
                     return Ok(());
                 }
                 self.emit(Instr::GetList { a });
-                self.compile_get_spine(&args[0].clone(), &args[1].clone())
+                self.compile_get_spine(&args[0], &args[1])
             }
             Term::Struct(n, args) => {
                 if let Some(c) = self.static_literal(term) {
@@ -473,7 +456,7 @@ impl<'a> Compiler<'a> {
                 }
                 let f = self.symbols.functor(n, args.len() as u8);
                 self.emit(Instr::GetStructure { f, a });
-                self.compile_unify_args_get(&args.clone())
+                self.compile_unify_args_get(args)
             }
             t => {
                 if t.is_nil() {
@@ -490,27 +473,28 @@ impl<'a> Compiler<'a> {
     /// Emits the unify sequence for a list spine in get mode: items are
     /// unified cell by cell, with `unify_tail_list` chaining statically
     /// known tails (two instructions per static cell, §4.1).
-    fn compile_get_spine(&mut self, head: &Term, tail: &Term) -> Result<(), CompileError> {
-        let mut queue: Vec<(Reg, Term)> = Vec::new();
-        let mut head = head.clone();
-        let mut tail = tail.clone();
+    fn compile_get_spine(
+        &mut self,
+        mut head: &'a Term,
+        mut tail: &'a Term,
+    ) -> Result<(), CompileError> {
+        let mut queue: Vec<(Reg, &'a Term)> = Vec::new();
         loop {
-            self.emit_read_item(&head, &mut queue)?;
+            self.emit_read_item(head, &mut queue)?;
             match tail {
-                Term::Struct(ref n, ref args) if n == "." && args.len() == 2 => {
+                Term::Struct(n, args) if n == "." && args.len() == 2 => {
                     self.emit(Instr::UnifyTailList);
-                    let (h, t) = (args[0].clone(), args[1].clone());
-                    head = h;
-                    tail = t;
+                    head = &args[0];
+                    tail = &args[1];
                 }
                 other => {
-                    self.emit_read_item(&other, &mut queue)?;
+                    self.emit_read_item(other, &mut queue)?;
                     break;
                 }
             }
         }
         for (r, t) in queue {
-            self.compile_get(&t, r)?;
+            self.compile_get(t, r)?;
             self.free_temp(r);
         }
         Ok(())
@@ -520,12 +504,12 @@ impl<'a> Compiler<'a> {
     /// list-cell argument, queueing nested compounds.
     fn emit_read_item(
         &mut self,
-        sub: &Term,
-        queue: &mut Vec<(Reg, Term)>,
+        sub: &'a Term,
+        queue: &mut Vec<(Reg, &'a Term)>,
     ) -> Result<(), CompileError> {
         match sub {
             Term::Var(v) => {
-                let info = self.vars.get(v).cloned().unwrap_or_default();
+                let info = self.info(v);
                 if info.occurrences == 1 {
                     self.emit(Instr::UnifyVoid { n: 1 });
                     return Ok(());
@@ -565,7 +549,7 @@ impl<'a> Compiler<'a> {
                 }
                 let t = self.alloc_temp()?;
                 self.emit(Instr::UnifyVariable { x: t });
-                queue.push((t, sub.clone()));
+                queue.push((t, sub));
                 Ok(())
             }
             t => {
@@ -582,8 +566,8 @@ impl<'a> Compiler<'a> {
 
     /// Emits the unify sequence for the arguments of a get-mode structure,
     /// queueing nested compounds (breadth-first, the standard WAM scheme).
-    fn compile_unify_args_get(&mut self, args: &[Term]) -> Result<(), CompileError> {
-        let mut queue: Vec<(Reg, Term)> = Vec::new();
+    fn compile_unify_args_get(&mut self, args: &'a [Term]) -> Result<(), CompileError> {
+        let mut queue: Vec<(Reg, &'a Term)> = Vec::new();
         let mut voids = 0u8;
         let flush_voids = |me: &mut Self, voids: &mut u8| {
             if *voids > 0 {
@@ -594,7 +578,7 @@ impl<'a> Compiler<'a> {
         for sub in args {
             match sub {
                 Term::Var(v) => {
-                    let info = self.vars.get(v).cloned().unwrap_or_default();
+                    let info = self.info(v);
                     if info.occurrences == 1 {
                         voids += 1;
                         continue;
@@ -635,7 +619,7 @@ impl<'a> Compiler<'a> {
                     }
                     let t = self.alloc_temp()?;
                     self.emit(Instr::UnifyVariable { x: t });
-                    queue.push((t, sub.clone()));
+                    queue.push((t, sub));
                 }
                 t => {
                     flush_voids(self, &mut voids);
@@ -650,7 +634,7 @@ impl<'a> Compiler<'a> {
         }
         flush_voids(self, &mut voids);
         for (r, t) in queue {
-            self.compile_get(&t, r)?;
+            self.compile_get(t, r)?;
             self.free_temp(r);
         }
         Ok(())
@@ -659,34 +643,9 @@ impl<'a> Compiler<'a> {
     // ------------------------------------------------------------- put side
 
     /// Materialises `term` in some register, for `=/2` left sides.
-    fn put_term_to_reg(&mut self, term: &Term, goal_idx: usize) -> Result<Reg, CompileError> {
+    fn put_term_to_reg(&mut self, term: &'a Term, goal_idx: usize) -> Result<Reg, CompileError> {
         match term {
-            Term::Var(v) => {
-                let info = self.vars.get(v).cloned().unwrap_or_default();
-                if info.seen {
-                    if let Some(loc) = info.loc {
-                        return Ok(Reg::new(loc));
-                    }
-                    let y = info.perm.expect("seen var without loc is permanent");
-                    let t = self.alloc_temp()?;
-                    self.emit(Instr::PutValueY { y, a: t });
-                    self.set_loc(v, t.index() as u8);
-                    return Ok(t);
-                }
-                self.mark_seen(v, false);
-                if let (Some(y), true) = (info.perm, self.env_active) {
-                    let t = self.alloc_temp()?;
-                    self.emit(Instr::PutVariableY { y, a: t });
-                    self.set_loc(v, t.index() as u8);
-                    Ok(t)
-                } else {
-                    let t = self.alloc_temp()?;
-                    self.emit(Instr::PutVariable { x: t, a: t });
-                    self.set_loc(v, t.index() as u8);
-                    self.set_globalized(v);
-                    Ok(t)
-                }
-            }
+            Term::Var(v) => self.put_var_to_reg(v),
             Term::Struct(..) => {
                 if let Some(c) = self.static_literal(term) {
                     let r = self.alloc_temp()?;
@@ -706,36 +665,61 @@ impl<'a> Compiler<'a> {
         }
     }
 
+    /// Materialises variable `v` in some register (`=/2` left sides and
+    /// arithmetic operands).
+    fn put_var_to_reg(&mut self, v: &'a str) -> Result<Reg, CompileError> {
+        let info = self.info(v);
+        if info.seen {
+            if let Some(loc) = info.loc {
+                return Ok(Reg::new(loc));
+            }
+            let y = info.perm.expect("seen var without loc is permanent");
+            let t = self.alloc_temp()?;
+            self.emit(Instr::PutValueY { y, a: t });
+            self.set_loc(v, t.index() as u8);
+            return Ok(t);
+        }
+        self.mark_seen(v, false);
+        let t = self.alloc_temp()?;
+        if let (Some(y), true) = (info.perm, self.env_active) {
+            self.emit(Instr::PutVariableY { y, a: t });
+        } else {
+            self.emit(Instr::PutVariable { x: t, a: t });
+            self.set_globalized(v);
+        }
+        self.set_loc(v, t.index() as u8);
+        Ok(t)
+    }
+
     /// Emits the argument puts for a call-like goal of arity
     /// `args.len()`, relocating conflicting argument registers first.
     /// `unsafe_ctx` is set for the final call before `deallocate`.
     fn put_args(
         &mut self,
-        args: &[Term],
+        args: &'a [Term],
         goal_idx: usize,
         unsafe_ctx: bool,
     ) -> Result<(), CompileError> {
         let k = args.len();
         // Relocate variables resident in A1..Ak that are still needed in a
-        // different role.
-        let resident: Vec<(String, u8)> = self
+        // different role, in ascending register order (ties, after `=/2`
+        // put two variables in one register, by name) so the code does
+        // not depend on the table's hash order.
+        let mut resident: Vec<(u8, &'a str)> = self
             .vars
             .iter()
-            .filter_map(|(name, info)| {
-                info.loc
-                    .filter(|&l| (l as usize) < k)
-                    .map(|l| (name.clone(), l))
-            })
+            .filter_map(|(&name, info)| info.loc.filter(|&l| (l as usize) < k).map(|l| (l, name)))
             .collect();
-        for (name, loc) in resident {
-            let in_place = matches!(args.get(loc as usize), Some(Term::Var(v)) if *v == name);
+        resident.sort_unstable();
+        for (loc, name) in resident {
+            let in_place = matches!(args.get(loc as usize), Some(Term::Var(v)) if v == name);
             let other_use_here = args
                 .iter()
                 .enumerate()
-                .any(|(j, t)| j != loc as usize && term_uses_var(t, &name));
+                .any(|(j, t)| j != loc as usize && term_uses_var(t, name));
             let nested_use_here = matches!(args.get(loc as usize), Some(t)
-                if !matches!(t, Term::Var(_)) && term_uses_var(t, &name));
-            let used_later = self.used_in_goals_after(&name, goal_idx);
+                if !matches!(t, Term::Var(_)) && term_uses_var(t, name));
+            let used_later = self.used_in_goals_after(name, goal_idx);
             // Two distinct relocation rules (displaced vs in-place), kept
             // separate for readability.
             #[allow(clippy::nonminimal_bool)]
@@ -743,7 +727,7 @@ impl<'a> Compiler<'a> {
                 && (other_use_here
                     || nested_use_here
                     || used_later
-                    || term_uses_var_anywhere(args, &name)))
+                    || term_uses_var_anywhere(args, name)))
                 || (in_place && (other_use_here || used_later));
             if must_relocate {
                 let t = self.alloc_temp()?;
@@ -751,11 +735,11 @@ impl<'a> Compiler<'a> {
                     x: t,
                     a: Reg::new(loc),
                 });
-                self.set_loc(&name, t.index() as u8);
+                self.set_loc(name, t.index() as u8);
             } else if !in_place {
                 // Resident but unused from here on: drop the stale mapping
                 // before the put overwrites the register.
-                if let Some(info) = self.vars.get_mut(&name) {
+                if let Some(info) = self.vars.get_mut(name) {
                     info.loc = None;
                 }
             }
@@ -768,14 +752,14 @@ impl<'a> Compiler<'a> {
 
     fn compile_put(
         &mut self,
-        term: &Term,
+        term: &'a Term,
         a: Reg,
         goal_idx: usize,
         unsafe_ctx: bool,
     ) -> Result<(), CompileError> {
         match term {
             Term::Var(v) => {
-                let info = self.vars.get(v).cloned().unwrap_or_default();
+                let info = self.info(v);
                 if !info.seen {
                     self.mark_seen(v, false);
                     if let (Some(y), true) = (info.perm, self.env_active) {
@@ -827,7 +811,12 @@ impl<'a> Compiler<'a> {
     /// Builds a compound term bottom-up in write mode into `dst`. List
     /// spines are built iteratively (innermost cell first) so that a long
     /// list literal needs a constant number of temporaries.
-    fn put_compound(&mut self, term: &Term, dst: Reg, goal_idx: usize) -> Result<(), CompileError> {
+    fn put_compound(
+        &mut self,
+        term: &'a Term,
+        dst: Reg,
+        goal_idx: usize,
+    ) -> Result<(), CompileError> {
         if let Some(c) = self.static_literal(term) {
             self.emit(Instr::PutConstant { c, a: dst });
             return Ok(());
@@ -835,9 +824,8 @@ impl<'a> Compiler<'a> {
         if term.is_cons() {
             return self.put_list_spine(term, dst, goal_idx);
         }
-        let (name, args) = match term {
-            Term::Struct(n, a) => (n.clone(), a.clone()),
-            _ => unreachable!("put_compound on non-compound"),
+        let Term::Struct(name, args) = term else {
+            unreachable!("put_compound on non-compound")
         };
         // Children first (into temporaries).
         let mut child_locs: Vec<Option<Reg>> = vec![None; args.len()];
@@ -848,7 +836,7 @@ impl<'a> Compiler<'a> {
                 child_locs[idx] = Some(t);
             }
         }
-        let f = self.symbols.functor(&name, args.len() as u8);
+        let f = self.symbols.functor(name, args.len() as u8);
         self.emit(Instr::PutStructure { f, a: dst });
         for (idx, sub) in args.iter().enumerate() {
             self.emit_write_arg(sub, child_locs[idx])?;
@@ -863,11 +851,11 @@ impl<'a> Compiler<'a> {
     /// stream stays contiguous.
     fn put_list_spine(
         &mut self,
-        term: &Term,
+        term: &'a Term,
         dst: Reg,
         goal_idx: usize,
     ) -> Result<(), CompileError> {
-        let mut items: Vec<&Term> = Vec::new();
+        let mut items: Vec<&'a Term> = Vec::new();
         let mut tail = term;
         while let Term::Struct(n, args) = tail {
             if n != "." || args.len() != 2 {
@@ -876,8 +864,6 @@ impl<'a> Compiler<'a> {
             items.push(&args[0]);
             tail = &args[1];
         }
-        let tail = tail.clone();
-        let items: Vec<Term> = items.into_iter().cloned().collect();
         // Prebuild compounds (elements and a compound tail). If that
         // would exhaust the register file, fall back to the bottom-up
         // two-temporary scheme.
@@ -887,7 +873,7 @@ impl<'a> Compiler<'a> {
             .filter(|t| matches!(t, Term::Struct(..)))
             .count();
         if compound_count + 2 + (self.next_temp as usize) >= kcm_arch::isa::NUM_REGS {
-            return self.put_list_spine_bottom_up(&items, &tail, dst, goal_idx);
+            return self.put_list_spine_bottom_up(&items, tail, dst, goal_idx);
         }
         let mut prebuilt: Vec<Option<Reg>> = Vec::with_capacity(items.len());
         for item in &items {
@@ -901,7 +887,7 @@ impl<'a> Compiler<'a> {
         }
         let tail_reg = if matches!(tail, Term::Struct(..)) {
             let t = self.alloc_temp()?;
-            self.put_compound(&tail, t, goal_idx)?;
+            self.put_compound(tail, t, goal_idx)?;
             Some(t)
         } else {
             None
@@ -914,7 +900,7 @@ impl<'a> Compiler<'a> {
                 self.emit(Instr::UnifyTailList);
             }
         }
-        self.emit_write_arg(&tail, tail_reg)?;
+        self.emit_write_arg(tail, tail_reg)?;
         Ok(())
     }
 
@@ -923,8 +909,8 @@ impl<'a> Compiler<'a> {
     /// three instructions per cell).
     fn put_list_spine_bottom_up(
         &mut self,
-        items: &[Term],
-        tail: &Term,
+        items: &[&'a Term],
+        tail: &'a Term,
         dst: Reg,
         goal_idx: usize,
     ) -> Result<(), CompileError> {
@@ -956,7 +942,7 @@ impl<'a> Compiler<'a> {
     /// Emits the write-mode unify instruction for one argument of a cell
     /// or structure being built. `prebuilt` carries the register of an
     /// already-constructed compound argument (freed here).
-    fn emit_write_arg(&mut self, sub: &Term, prebuilt: Option<Reg>) -> Result<(), CompileError> {
+    fn emit_write_arg(&mut self, sub: &'a Term, prebuilt: Option<Reg>) -> Result<(), CompileError> {
         match sub {
             Term::Struct(..) => {
                 if prebuilt.is_none() {
@@ -977,7 +963,7 @@ impl<'a> Compiler<'a> {
                 self.free_temp(r);
             }
             Term::Var(v) => {
-                let info = self.vars.get(v).cloned().unwrap_or_default();
+                let info = self.info(v);
                 if !info.seen {
                     self.mark_seen(v, false);
                     if let (Some(y), true) = (info.perm, self.env_active) {
@@ -1037,7 +1023,7 @@ impl<'a> Compiler<'a> {
         }
     }
 
-    fn eval_expr(&mut self, e: &Expr) -> Result<Reg, CompileError> {
+    fn eval_expr(&mut self, e: &Expr<'a>) -> Result<Reg, CompileError> {
         match e {
             Expr::Int(v) => {
                 let t = self.alloc_temp()?;
@@ -1056,7 +1042,7 @@ impl<'a> Compiler<'a> {
                 Ok(t)
             }
             Expr::Var(v) => {
-                let src = self.put_term_to_reg(&Term::Var(v.clone()), usize::MAX)?;
+                let src = self.put_var_to_reg(v)?;
                 let t = self.alloc_temp()?;
                 self.emit(Instr::Deref { d: t, s: src });
                 Ok(t)
@@ -1093,27 +1079,33 @@ impl<'a> Compiler<'a> {
 
     // ------------------------------------------------------------- helpers
 
-    fn mark_seen(&mut self, v: &str, head: bool) {
-        let info = self.vars.entry(v.to_owned()).or_default();
+    /// What is known about variable `v` so far.
+    fn info(&self, v: &str) -> VarInfo {
+        self.vars.get(v).copied().unwrap_or_default()
+    }
+
+    fn mark_seen(&mut self, v: &'a str, head: bool) {
+        let info = self.vars.entry(v).or_default();
         info.seen = true;
         if head {
             info.head_seen = true;
         }
     }
 
-    fn set_loc(&mut self, v: &str, loc: u8) {
-        self.vars.entry(v.to_owned()).or_default().loc = Some(loc);
+    fn set_loc(&mut self, v: &'a str, loc: u8) {
+        self.vars.entry(v).or_default().loc = Some(loc);
     }
 
-    fn set_globalized(&mut self, v: &str) {
-        self.vars.entry(v.to_owned()).or_default().globalized = true;
+    fn set_globalized(&mut self, v: &'a str) {
+        self.vars.entry(v).or_default().globalized = true;
     }
 
     fn used_in_goals_after(&self, v: &str, goal_idx: usize) -> bool {
-        self.kinds
-            .iter()
-            .skip(goal_idx + 1)
-            .any(|k| goal_var_occurrences(k).contains(&v))
+        self.kinds.iter().skip(goal_idx + 1).any(|k| {
+            let mut used = false;
+            each_goal_var(k, &mut |x| used |= x == v);
+            used
+        })
     }
 }
 
@@ -1129,48 +1121,40 @@ fn term_uses_var_anywhere(args: &[Term], v: &str) -> bool {
     args.iter().any(|t| term_uses_var(t, v))
 }
 
-fn all_var_occurrences(t: &Term) -> Vec<&str> {
-    let mut out = Vec::new();
-    fn walk<'a>(t: &'a Term, out: &mut Vec<&'a str>) {
-        match t {
-            Term::Var(v) => out.push(v),
-            Term::Struct(_, args) => {
-                for a in args {
-                    walk(a, out);
-                }
+/// Visits every variable occurrence in `t`, left to right.
+fn each_var<'t>(t: &'t Term, visit: &mut impl FnMut(&'t str)) {
+    match t {
+        Term::Var(v) => visit(v),
+        Term::Struct(_, args) => {
+            for a in args {
+                each_var(a, visit);
             }
-            _ => {}
         }
+        _ => {}
     }
-    walk(t, &mut out);
-    out
 }
 
-fn goal_var_occurrences(k: &GoalKind) -> Vec<&str> {
+/// Visits every variable occurrence in a classified goal, left to right.
+fn each_goal_var<'t>(k: &GoalKind<'t>, visit: &mut impl FnMut(&'t str)) {
     match k {
         GoalKind::UserCall(_, args) | GoalKind::Escape(_, args) => {
-            let mut out = Vec::new();
-            for a in args {
-                out.extend(all_var_occurrences(a));
+            for a in *args {
+                each_var(a, visit);
             }
-            out
         }
         GoalKind::Unify(a, b) => {
-            let mut out = all_var_occurrences(a);
-            out.extend(all_var_occurrences(b));
-            out
+            each_var(a, visit);
+            each_var(b, visit);
         }
         GoalKind::Is(lhs, e) => {
-            let mut out = all_var_occurrences(lhs);
-            out.extend(e.variables());
-            out
+            each_var(lhs, visit);
+            e.each_var(visit);
         }
         GoalKind::Compare(_, l, r) => {
-            let mut out = l.variables();
-            out.extend(r.variables());
-            out
+            l.each_var(visit);
+            r.each_var(visit);
         }
-        _ => Vec::new(),
+        GoalKind::True | GoalKind::Fail | GoalKind::Cut => {}
     }
 }
 

@@ -85,12 +85,45 @@ impl Program {
     /// Same as [`Program::from_clauses`].
     pub fn from_clauses_named(clauses: &[Term], aux_prefix: &str) -> Result<Program, CompileError> {
         let mut b = Builder {
-            aux_prefix: aux_prefix.to_owned(),
+            aux_prefix,
             ..Builder::default()
         };
         for c in clauses {
             b.add_clause_term(c)?;
         }
+        Ok(b.finish())
+    }
+
+    /// The program of a query: `$query :- Goal, $report(Vars)`, with the
+    /// goal flattened as a clause body is and `Vars` the variables the
+    /// query reports, plus the auxiliaries its control constructs need.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Program::from_clauses`] for the clause above.
+    pub(crate) fn query(
+        goal: &Term,
+        vars: &[&str],
+        aux_prefix: &str,
+    ) -> Result<Program, CompileError> {
+        let mut b = Builder {
+            aux_prefix,
+            ..Builder::default()
+        };
+        let mut goals = Vec::new();
+        b.flatten(goal, &mut goals)?;
+        goals.push(Goal::Term(if vars.is_empty() {
+            Term::Atom("$report".to_owned())
+        } else {
+            let args = vars.iter().map(|v| Term::Var((*v).to_owned())).collect();
+            Term::Struct("$report".to_owned(), args)
+        }));
+        let id = PredId {
+            name: "$query".to_owned(),
+            arity: 0,
+        };
+        let head = Term::Atom(id.name.clone());
+        b.push_clause(id, Clause { head, goals }, false);
         Ok(b.finish())
     }
 
@@ -103,10 +136,10 @@ impl Program {
 }
 
 #[derive(Default)]
-struct Builder {
+struct Builder<'p> {
     predicates: Vec<Predicate>,
     aux_counter: u32,
-    aux_prefix: String,
+    aux_prefix: &'p str,
 }
 
 /// The predicate a clause term defines: its head's functor, where
@@ -136,7 +169,7 @@ pub fn clause_pred(clause: &Term) -> Result<PredId, CompileError> {
     }
 }
 
-impl Builder {
+impl Builder<'_> {
     fn add_clause_term(&mut self, t: &Term) -> Result<(), CompileError> {
         if matches!(t, Term::Struct(n, args) if (n == ":-" || n == "?-") && args.len() == 1) {
             return Err(CompileError::UnsupportedDirective(t.to_string()));

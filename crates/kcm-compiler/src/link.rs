@@ -34,7 +34,9 @@ use std::sync::Arc;
 pub struct StaticImage {
     base: VAddr,
     words: Vec<Word>,
-    interned: std::collections::HashMap<String, Word>,
+    /// Interned compounds, keyed by their functor word (nil for a list
+    /// cell) followed by their arguments' words.
+    interned: std::collections::HashMap<Vec<Word>, Word>,
 }
 
 impl StaticImage {
@@ -69,6 +71,11 @@ impl StaticImage {
     /// Interns a ground term, returning the tagged word that denotes it.
     /// Identical subterms are shared.
     ///
+    /// A compound is keyed by its functor and its arguments' words, so
+    /// its arguments are interned first. When the compound itself is
+    /// already interned, so are they: looking them up adds no word and
+    /// no symbol.
+    ///
     /// # Panics
     ///
     /// Panics if the term is not ground (the compiler checks first).
@@ -79,37 +86,27 @@ impl StaticImage {
             Term::Atom(n) if n == "[]" => Word::nil(),
             Term::Atom(n) => Word::atom(symbols.atom(n)),
             Term::Var(_) => panic!("interning a non-ground term"),
-            Term::Struct(..) => {
-                let key = t.to_string();
+            Term::Struct(n, args) => {
+                let mut key = Vec::with_capacity(1 + args.len());
+                key.push(Word::nil());
+                for a in args {
+                    key.push(self.intern(a, symbols));
+                }
+                let list = t.is_cons();
+                if !list {
+                    key[0] = Word::functor(symbols.functor(n, args.len() as u8));
+                }
                 if let Some(w) = self.interned.get(&key) {
                     return *w;
                 }
-                let w = self.build_compound(t, symbols);
+                let addr = self.next_addr();
+                // A list cell is its two arguments; a structure starts
+                // with its functor.
+                self.words.extend(&key[usize::from(list)..]);
+                let w = Word::ptr(if list { Tag::List } else { Tag::Struct }, addr);
                 self.interned.insert(key, w);
                 w
             }
-        }
-    }
-
-    fn build_compound(&mut self, t: &Term, symbols: &mut SymbolTable) -> Word {
-        match t {
-            Term::Struct(n, args) if n == "." && args.len() == 2 => {
-                let head = self.intern(&args[0], symbols);
-                let tail = self.intern(&args[1], symbols);
-                let addr = self.next_addr();
-                self.words.push(head);
-                self.words.push(tail);
-                Word::ptr(Tag::List, addr)
-            }
-            Term::Struct(n, args) => {
-                let built: Vec<Word> = args.iter().map(|a| self.intern(a, symbols)).collect();
-                let f = symbols.functor(n, args.len() as u8);
-                let addr = self.next_addr();
-                self.words.push(Word::functor(f));
-                self.words.extend(built);
-                Word::ptr(Tag::Struct, addr)
-            }
-            _ => unreachable!("compound expected"),
         }
     }
 }
@@ -194,31 +191,15 @@ impl Linker {
         goal: &Term,
         symbols: &mut SymbolTable,
     ) -> Result<(CodeImage, Vec<String>), CompileError> {
-        let vars: Vec<String> = goal.variables().iter().map(|s| s.to_string()).collect();
+        let vars = goal.variables();
         if vars.len() > crate::clause::MAX_ARITY {
             return Err(CompileError::TooManyQueryVars(vars.len()));
         }
         let mut image = CodeImage::overlay(base);
         let round = image.bump_aux_round();
-
-        let report = if vars.is_empty() {
-            Term::Atom("$report".into())
-        } else {
-            Term::Struct(
-                "$report".into(),
-                vars.iter().cloned().map(Term::Var).collect(),
-            )
-        };
-        let query_clause = Term::Struct(
-            ":-".into(),
-            vec![
-                Term::Atom("$query".into()),
-                Term::Struct(",".into(), vec![goal.clone(), report]),
-            ],
-        );
-        let prefix = format!("$q{round}aux");
-        let program = Program::from_clauses_named(&[query_clause], &prefix)?;
+        let program = Program::query(goal, &vars, &format!("$q{round}aux"))?;
         Self::link_into(&mut image, &program, symbols)?;
+        let vars: Vec<String> = vars.into_iter().map(str::to_owned).collect();
         image.set_query_vars(vars.clone());
         Ok((image, vars))
     }
@@ -234,14 +215,20 @@ impl Linker {
         let options = image.options().clone();
         let (static_at, static_words) = image.take_static_data();
         let mut statics = StaticImage::resume(static_at, static_words);
+        let mut instrs = 0;
         for pred in &program.predicates {
             let items = compile_predicate(pred, symbols, &mut statics, &options)?;
             let size: usize = items.iter().map(AsmItem::size_words).sum();
+            instrs += items
+                .iter()
+                .filter(|i| !matches!(i, AsmItem::Label(_)))
+                .count();
             let entry = CodeAddr::new(start);
             image.set_entry(pred.id.name.clone(), pred.id.arity, entry);
             compiled.push((pred, items, entry));
             start += size as u32;
         }
+        image.reserve(instrs, start as usize - image.len_words());
 
         // Pass 2: assemble with full symbol knowledge.
         for (pred, items, entry) in compiled {
@@ -586,6 +573,20 @@ mod tests {
                 assert!(image.switch_index(idx).is_none());
             }
         }
+    }
+
+    #[test]
+    fn code_generation_is_deterministic() {
+        // Each compile draws a fresh hash seed for its tables; the
+        // relocating moves of the swap and the `$call/N` label must not
+        // follow it.
+        let listings: std::collections::HashSet<String> = (0..32)
+            .map(|_| {
+                let (image, symbols) = link("p(X, Y) :- q(Y, X). q(a, b).");
+                image.disassemble(&symbols)
+            })
+            .collect();
+        assert_eq!(listings.len(), 1, "{listings:#?}");
     }
 
     #[test]

@@ -86,12 +86,12 @@ impl Parser {
             .map_or(0, |(_, l)| *l)
     }
 
+    /// Takes the next token out (each position is consumed once, and
+    /// [`Parser::line`] reads only line numbers), leaving a `Dot` behind.
     fn advance(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).map(|(t, _)| t.clone());
-        if t.is_some() {
-            self.pos += 1;
-        }
-        t
+        let (t, _) = self.tokens.get_mut(self.pos)?;
+        self.pos += 1;
+        Some(std::mem::replace(t, Token::Dot))
     }
 
     fn error<T>(&self, message: impl Into<String>) -> Result<T, ParseError> {
@@ -162,16 +162,14 @@ impl Parser {
         let (mut left, mut left_prec) = self.parse_primary(max_prec)?;
         loop {
             // Comma acts as an infix operator only above priority 999.
-            let (name, def) = match self.peek() {
+            let def = match self.peek() {
                 Some(Token::Comma) if max_prec >= 1000 => {
-                    (",".to_owned(), self.ops.infix(",").expect("',' in table"))
+                    self.ops.infix(",").expect("',' in table")
                 }
-                Some(Token::Bar) if max_prec >= 1100 => {
-                    // '|' at term level is an alias for ';'.
-                    (";".to_owned(), self.ops.infix(";").expect("';' in table"))
-                }
+                // '|' at term level is an alias for ';'.
+                Some(Token::Bar) if max_prec >= 1100 => self.ops.infix(";").expect("';' in table"),
                 Some(Token::Atom(a)) => match self.ops.infix(a) {
-                    Some(def) => (a.clone(), def),
+                    Some(def) => def,
                     None => break,
                 },
                 _ => break,
@@ -188,7 +186,12 @@ impl Parser {
             if left_prec > left_max {
                 break;
             }
-            self.pos += 1;
+            let name = match self.advance() {
+                Some(Token::Atom(a)) => a,
+                Some(Token::Comma) => ",".to_owned(),
+                Some(Token::Bar) => ";".to_owned(),
+                other => unreachable!("peeked an infix operator, took {other:?}"),
+            };
             let right = self.parse(right_max)?;
             left = Term::Struct(name, vec![left, right]);
             left_prec = def.priority;
