@@ -26,6 +26,7 @@
 
 use crate::addr::{CodeAddr, VAddr};
 use crate::isa::Instr;
+use crate::shape::ShapeTable;
 use crate::swindex::SwitchIndex;
 use crate::symbol::SymbolTable;
 use crate::word::Word;
@@ -445,12 +446,14 @@ pub struct CodeImage {
     pub(crate) entries: HashMap<(String, u8), CodeAddr>,
     pub(crate) sizes: Vec<PredSize>,
     pub(crate) warnings: Vec<String>,
-    pub(crate) query_vars: Vec<String>,
     pub(crate) aux_round: u32,
     pub(crate) options: CompileOptions,
     /// This image's own static data words, from [`STATIC_DATA_BASE`]: an
     /// overlay's continue the base's area.
     pub(crate) static_data: Vec<Word>,
+    /// The compiled query shapes of a flat image ([`crate::shape`]):
+    /// empty in a clone, and emptied by every change to the image.
+    pub(crate) shapes: ShapeTable,
 }
 
 impl CodeImage {
@@ -470,10 +473,10 @@ impl CodeImage {
             entries: HashMap::new(),
             sizes: Vec::new(),
             warnings: Vec::new(),
-            query_vars: Vec::new(),
             aux_round: 0,
             options,
             static_data: Vec::new(),
+            shapes: ShapeTable::default(),
         }
     }
 
@@ -663,6 +666,7 @@ impl CodeImage {
     /// the first time it is mutated; after that every mutation keeps the
     /// table in step itself.
     fn instrs_mut(&mut self) -> &mut Vec<Instr> {
+        self.shapes.clear();
         if let CodeStore::Lazy(_) = self.instrs {
             self.instrs.force_mut();
             let table = (0..self.instrs.len())
@@ -698,11 +702,6 @@ impl CodeImage {
             .flat_map(|b| b.warnings.iter())
             .chain(&self.warnings)
             .map(String::as_str)
-    }
-
-    /// For query images: the reported variable names, in A1..An order.
-    pub fn query_vars(&self) -> &[String] {
-        &self.query_vars
     }
 
     /// The `$query/0` entry of a query image.
@@ -780,6 +779,28 @@ impl CodeImage {
             };
             let _ = writeln!(out, "  {addr:6}  {text}");
         }
+        out
+    }
+
+    /// Lists what this image holds itself, an overlay what it adds to
+    /// its base: its instructions at their addresses, its entries, size
+    /// records, warnings, static-data words, code length and
+    /// auxiliary-naming round. Two overlays on one base with the same
+    /// listing hold the same code.
+    pub fn own_listing(&self) -> String {
+        use std::fmt::Write;
+        let lines = self.instrs.len() + self.static_data.len() + self.entries.len() + 8;
+        let mut out = String::with_capacity(80 * lines);
+        for (addr, instr) in self.addrs.iter().zip(self.instrs.iter()) {
+            let _ = writeln!(out, "{addr:6}  {instr:?}");
+        }
+        let mut entries: Vec<_> = self.entries.iter().collect();
+        entries.sort();
+        let _ = writeln!(out, "entries {entries:?}");
+        let _ = writeln!(out, "sizes {:?}", self.sizes);
+        let _ = writeln!(out, "warnings {:?}", self.warnings);
+        let _ = writeln!(out, "static {:?}", self.static_data);
+        let _ = writeln!(out, "end {} round {}", self.end, self.aux_round);
         out
     }
 
@@ -866,18 +887,21 @@ impl CodeImage {
     /// Moves the end of the code up to `len` words (the stub area, whose
     /// instructions are placed, not emitted).
     pub fn pad_words_to(&mut self, len: usize) {
+        self.shapes.clear();
         self.end = self.end.max(len as u32);
     }
 
     /// Registers (or replaces) a predicate entry point. An overlay's
     /// entry shadows a base entry of the same name.
     pub fn set_entry(&mut self, name: String, arity: u8, addr: CodeAddr) {
+        self.shapes.clear();
         self.entries.insert((name, arity), addr);
     }
 
     /// Removes one entry, returning its old address.
     pub fn remove_entry(&mut self, name: &str, arity: u8) -> Option<CodeAddr> {
         self.assert_flat();
+        self.shapes.clear();
         self.entries.remove(&(name, arity) as &dyn PredKey)
     }
 
@@ -891,13 +915,9 @@ impl CodeImage {
         self.warnings.push(warning);
     }
 
-    /// Sets the reported query-variable names (query images).
-    pub fn set_query_vars(&mut self, vars: Vec<String>) {
-        self.query_vars = vars;
-    }
-
     /// Bumps and returns the auxiliary-naming round counter.
     pub fn bump_aux_round(&mut self) -> u32 {
+        self.shapes.clear();
         self.aux_round += 1;
         self.aux_round
     }
@@ -915,6 +935,7 @@ impl CodeImage {
     /// Restores the (extended) own static data taken with
     /// [`CodeImage::take_static_data`].
     pub fn set_static_data(&mut self, words: Vec<Word>) {
+        self.shapes.clear();
         self.static_data = words;
     }
 

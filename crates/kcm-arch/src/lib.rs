@@ -39,6 +39,7 @@
 pub mod addr;
 pub mod image;
 pub mod isa;
+pub mod shape;
 pub mod snapshot;
 pub mod swindex;
 pub mod symbol;

@@ -2,7 +2,7 @@
 //! [`SymbolTable`]) to a self-contained byte artifact and restore it
 //! without recompiling — SICStus-style saved states for the KCM image.
 //!
-//! # Format (version 2, all integers little-endian)
+//! # Format (version 3, all integers little-endian)
 //!
 //! ```text
 //! header   magic "KCMSNAP\0" · version u32 · flags u32 · body_len u64
@@ -16,7 +16,7 @@
 //!                       capacity, raw hash slots (key, target, ordinal)
 //!          entries      sorted by (name, arity) for deterministic output
 //!          sizes        per-predicate static size records
-//!          warnings · query vars · aux round · static data
+//!          warnings · aux round · static data
 //! trailer  checksum u64 over header + body
 //! ```
 //!
@@ -59,7 +59,7 @@ use std::sync::{Arc, OnceLock};
 /// Magic bytes opening every snapshot.
 pub const MAGIC: [u8; 8] = *b"KCMSNAP\0";
 /// The (only) format version this build reads and writes.
-pub const VERSION: u32 = 2;
+pub const VERSION: u32 = 3;
 
 const HEADER_LEN: usize = 8 + 4 + 4 + 8;
 const TRAILER_LEN: usize = 8;
@@ -307,14 +307,10 @@ pub fn save(image: &CodeImage, symbols: &SymbolTable) -> Vec<u8> {
         w.u32(s.end);
     }
 
-    // Warnings, query vars, aux round, static data.
+    // Warnings, aux round, static data.
     w.u64(image.warnings.len() as u64);
     for warning in &image.warnings {
         w.str(warning);
-    }
-    w.u64(image.query_vars.len() as u64);
-    for var in &image.query_vars {
-        w.str(var);
     }
     w.u32(image.aux_round);
     w.u64(image.static_data.len() as u64);
@@ -545,16 +541,11 @@ pub fn load(bytes: &[u8]) -> Result<(Arc<CodeImage>, SymbolTable), SnapshotError
         });
     }
 
-    // Warnings, query vars, aux round, static data.
+    // Warnings, aux round, static data.
     let warning_count = r.count(4)?;
     let mut warnings = Vec::with_capacity(warning_count);
     for _ in 0..warning_count {
         warnings.push(r.str()?);
-    }
-    let var_count = r.count(4)?;
-    let mut query_vars = Vec::with_capacity(var_count);
-    for _ in 0..var_count {
-        query_vars.push(r.str()?);
     }
     let aux_round = r.u32()?;
     let static_len = r.count(8)?;
@@ -584,10 +575,10 @@ pub fn load(bytes: &[u8]) -> Result<(Arc<CodeImage>, SymbolTable), SnapshotError
         entries,
         sizes,
         warnings,
-        query_vars,
         aux_round,
         options,
         static_data,
+        shapes: Default::default(),
     };
     Ok((Arc::new(image), symbols))
 }

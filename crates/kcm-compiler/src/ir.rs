@@ -272,15 +272,11 @@ impl Builder<'_> {
     fn aux_head(&mut self, parts: &[&Term]) -> (String, Vec<Term>) {
         self.aux_counter += 1;
         let name = format!("{}{}", self.aux_prefix, self.aux_counter);
-        let mut vars: Vec<String> = Vec::new();
+        let (mut seen, mut vars) = (std::collections::HashSet::new(), Vec::new());
         for p in parts {
-            for v in p.variables() {
-                if !vars.iter().any(|x| x == v) {
-                    vars.push(v.to_owned());
-                }
-            }
+            p.collect_variables(&mut seen, &mut vars);
         }
-        let args: Vec<Term> = vars.into_iter().map(Term::Var).collect();
+        let args = vars.into_iter().map(|v| Term::Var(v.to_owned())).collect();
         (name, args)
     }
 

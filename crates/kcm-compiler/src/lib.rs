@@ -50,6 +50,7 @@ pub mod index;
 pub mod ir;
 pub mod kasm;
 pub mod link;
+mod shape;
 
 pub use asm::AsmItem;
 pub use builtins::GoalKind;

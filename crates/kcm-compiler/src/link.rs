@@ -182,11 +182,35 @@ impl Linker {
     /// copied — O(query), as in a real incremental loader. Returns the
     /// overlay and the reported variable names.
     ///
+    /// On a flat `base` the link goes through the image's table of
+    /// compiled query shapes ([`kcm_arch::shape`]): a query whose shape was
+    /// compiled on this image before is a copy of that code with its
+    /// atoms written in.
+    ///
     /// # Errors
     ///
     /// Propagates compilation errors; rejects queries with more than 16
     /// variables ([`CompileError::TooManyQueryVars`]).
     pub fn link_query(
+        base: &Arc<CodeImage>,
+        goal: &Term,
+        symbols: &mut SymbolTable,
+    ) -> Result<(CodeImage, Vec<String>), CompileError> {
+        if base.base().is_some() {
+            return Self::link_query_directly(base, goal, symbols);
+        }
+        crate::shape::compile(base, goal, symbols)
+    }
+
+    /// [`Linker::link_query`] without the table of shapes: compiles and
+    /// links `goal`. What a query compiles to on an image whose table
+    /// does not hold its shape, and the reference the table's replays
+    /// are checked against.
+    ///
+    /// # Errors
+    ///
+    /// As [`Linker::link_query`].
+    pub fn link_query_directly(
         base: &Arc<CodeImage>,
         goal: &Term,
         symbols: &mut SymbolTable,
@@ -199,9 +223,7 @@ impl Linker {
         let round = image.bump_aux_round();
         let program = Program::query(goal, &vars, &format!("$q{round}aux"))?;
         Self::link_into(&mut image, &program, symbols)?;
-        let vars: Vec<String> = vars.into_iter().map(str::to_owned).collect();
-        image.set_query_vars(vars.clone());
-        Ok((image, vars))
+        Ok((image, vars.into_iter().map(str::to_owned).collect()))
     }
 
     fn link_into(

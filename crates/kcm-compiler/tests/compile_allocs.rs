@@ -4,10 +4,13 @@
 //! calling thread.
 //!
 //! Compiling is the host's share of every served read (it runs once per
-//! request), and a count repeats exactly where a time does not. The
-//! budgets are half of what the compiler made before it borrowed the
-//! parsed goal instead of copying it at every pass (94 allocations for
-//! the lookup, 221 for the `nrev` query).
+//! request), and a count repeats exactly where a time does not. A query
+//! whose shape was compiled on the image before is a *hit*: a copy of
+//! that code with its atoms written in. Its budgets are what the copy
+//! needs (the overlay's tables, entry and size records, and the reported
+//! variables). A *miss* compiles the shape once and keeps it; its
+//! budgets are twice what a direct compile made before the table of
+//! shapes (35 allocations for the lookup, 72 for the `nrev` query).
 
 use kcm_arch::SymbolTable;
 use kcm_compiler::{compile_program, compile_query, CodeImage};
@@ -61,50 +64,87 @@ fn program(src: &str) -> (Arc<CodeImage>, SymbolTable) {
     (Arc::new(image), symbols)
 }
 
-/// The allocations one `compile_query` of `query` makes: parsing, the
-/// symbol-table clone and dropping the result stay outside the count,
-/// and a first compile settles any lazily built state.
+/// The allocations one `compile_query` of `query` on `image` makes:
+/// parsing, the symbol-table clone and dropping the result stay outside
+/// the count.
 fn compile_allocs(image: &Arc<CodeImage>, symbols: &SymbolTable, query: &str) -> u64 {
     let goal = kcm_prolog::read_term(query).expect("query parses");
-    let compile = || {
-        let mut symbols = symbols.clone();
-        let before = CALLS.with(Cell::get);
-        let compiled = compile_query(image, &goal, &mut symbols).expect("query compiles");
-        let calls = CALLS.with(Cell::get) - before;
-        drop(compiled);
-        calls
-    };
-    compile();
-    compile()
+    let mut symbols = symbols.clone();
+    let before = CALLS.with(Cell::get);
+    let compiled = compile_query(image, &goal, &mut symbols).expect("query compiles");
+    let calls = CALLS.with(Cell::get) - before;
+    drop(compiled);
+    calls
 }
 
-/// Fails unless `calls` is at most half of `before`, the count while the
-/// compiler copied the goal, printing both counts.
-fn assert_halved(what: &str, calls: u64, before: u64) {
+/// Fails unless a miss of `query` — compiled on a copy of `image`, whose
+/// table of shapes is empty, after a first miss on another copy settles
+/// this thread's reused buffers — makes at most twice `direct`, the
+/// count of a direct compile before the table. A debug build also
+/// compiles every miss directly to check it, so there the budget allows
+/// one more direct compile.
+fn assert_miss(image: &Arc<CodeImage>, symbols: &SymbolTable, query: &str, direct: u64) {
+    let fresh = || Arc::new(CodeImage::clone(image));
+    compile_allocs(&fresh(), symbols, query);
+    let calls = compile_allocs(&fresh(), symbols, query);
+    let budget = 2 * direct + if cfg!(debug_assertions) { direct } else { 0 };
     assert!(
-        calls <= before / 2,
-        "compile_query of {what} made {calls} allocations; it made {before} while it \
-         copied the goal, and the budget is half that"
+        calls <= budget,
+        "a miss of {query} made {calls} allocations; a direct compile made {direct}, and \
+         the budget is {budget}"
     );
 }
 
-#[test]
-fn fact_lookup_compiles_within_budget() {
+/// Fails unless a hit of `query`, compiled after `first` on `image`,
+/// makes at most `budget` allocations.
+fn assert_hit(
+    image: &Arc<CodeImage>,
+    symbols: &SymbolTable,
+    first: &str,
+    query: &str,
+    budget: u64,
+) {
+    compile_allocs(image, symbols, first);
+    let hits = image.shape_stats().hits;
+    let calls = compile_allocs(image, symbols, query);
+    assert_eq!(
+        image.shape_stats().hits,
+        hits + 1,
+        "{query} after {first} is a hit"
+    );
+    assert!(
+        calls <= budget,
+        "a hit of {query} made {calls} allocations; the budget is {budget}"
+    );
+}
+
+fn kv_program() -> (Arc<CodeImage>, SymbolTable) {
     let src: String = (0..1000).map(|i| format!("kv(k{i}, v{i}).\n")).collect();
-    let (image, symbols) = program(&src);
-    assert_halved(
-        "kv(k42, V) on 10^3 facts",
-        compile_allocs(&image, &symbols, "kv(k42, V)"),
-        94,
-    );
+    program(&src)
+}
+
+const NREV: &str = "nrev([1,2,3,4,5,6,7,8,9,10], R)";
+
+#[test]
+fn fact_lookup_hits_within_budget() {
+    let (image, symbols) = kv_program();
+    assert_hit(&image, &symbols, "kv(k42, V)", "kv(k43, V)", 12);
 }
 
 #[test]
-fn nrev_query_compiles_within_budget() {
+fn nrev_query_hits_within_budget() {
     let (image, symbols) = program(kcm_suite::programs::NREV1.source);
-    assert_halved(
-        "the nrev query on nrev1",
-        compile_allocs(&image, &symbols, "nrev([1,2,3,4,5,6,7,8,9,10], R)"),
-        221,
-    );
+    assert_hit(&image, &symbols, NREV, NREV, 14);
+}
+
+#[test]
+fn fact_lookup_misses_within_budget() {
+    let (image, symbols) = kv_program();
+    assert_miss(&image, &symbols, "kv(k42, V)", 35);
+}
+
+#[test]
+fn nrev_query_misses_within_budget() {
+    let (image, symbols) = program(kcm_suite::programs::NREV1.source);
+    assert_miss(&image, &symbols, NREV, 72);
 }

@@ -155,10 +155,11 @@ pub fn normalize_output(s: &str) -> String {
 }
 
 /// A KCM session variant as an oracle engine: a fresh [`Kcm`] per case,
-/// with four choices on top of the reference [`KcmEngine`] — the tier,
+/// with five choices on top of the reference [`KcmEngine`] — the tier,
 /// materializing or draining a cursor, one unbounded run or quanta of a
-/// few steps, and one run or replicas on a [`SessionPool`]. Every variant
-/// must agree with every other engine.
+/// few steps, one run or replicas on a [`SessionPool`], and whether the
+/// query runs once or twice. Every variant must agree with every other
+/// engine.
 pub struct SessionEngine {
     /// Which execution tier runs the case, whatever the caller's options
     /// say — which lets one shared [`QueryOpts`] drive a roster that
@@ -184,6 +185,11 @@ pub struct SessionEngine {
     /// same answers, output and inferences, and a budget trip at the same
     /// step. `None` runs each unbounded.
     pub quantum: Option<u64>,
+    /// Run the case's query twice on the one loaded program and report
+    /// the second run, whose code is the program image's compiled shape
+    /// of the first (or a direct compile where the shape is not
+    /// cacheable): a replayed shape must be invisible.
+    pub twice: bool,
 }
 
 /// Identical runs submitted per case by a pooled [`SessionEngine`], so a
@@ -269,6 +275,7 @@ impl Engine for SessionEngine {
             Tier::Native => "native",
         };
         let name = match (self.cursor, self.workers) {
+            (false, None) if self.twice => format!("kcm-{tier}[twice]"),
             (false, None) => format!("kcm-{tier}"),
             (false, Some(n)) => format!("kcm-pool(workers={n})"),
             (true, None) => format!("kcm-cursor({tier})"),
@@ -292,6 +299,9 @@ impl Engine for SessionEngine {
         };
         let mut kcm = Kcm::new();
         kcm.load(source)?;
+        if self.twice {
+            let _ = self.run(&kcm, query, &opts);
+        }
         self.run(&kcm, query, &opts)
     }
 }
@@ -303,8 +313,10 @@ impl Engine for SessionEngine {
 /// enumeration-fidelity oracle for `kcm-serve` cursors), the machine
 /// paused after every instruction (one-shot runs on the cycle tier,
 /// cursor pulls on the native tier — the fidelity oracle for `kcm-serve`
-/// time slicing), the generic standard WAM, the Quintus-class software
-/// WAM and the PLM byte-code machine.
+/// time slicing), the native tier running each query twice on one
+/// program (the oracle for the image's table of compiled query shapes),
+/// the generic standard WAM, the Quintus-class software WAM and the PLM
+/// byte-code machine.
 pub fn standard_engines() -> Vec<Box<dyn Engine>> {
     let session = |tier, cursor, workers, quantum| -> Box<dyn Engine> {
         Box::new(SessionEngine {
@@ -312,6 +324,7 @@ pub fn standard_engines() -> Vec<Box<dyn Engine>> {
             cursor,
             workers,
             quantum,
+            twice: false,
         })
     };
     vec![
@@ -325,6 +338,13 @@ pub fn standard_engines() -> Vec<Box<dyn Engine>> {
         session(Tier::Cycle, true, Some(4), None),
         session(Tier::Cycle, false, None, Some(1)),
         session(Tier::Native, true, None, Some(1)),
+        Box::new(SessionEngine {
+            tier: Tier::Native,
+            cursor: false,
+            workers: None,
+            quantum: None,
+            twice: true,
+        }),
         Box::new(wam_baseline::BaselineModel::standard_wam(
             "wam-baseline",
             100.0,

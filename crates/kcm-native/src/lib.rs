@@ -89,10 +89,11 @@ thread_local! {
 }
 
 /// A flat, uncosted data memory: one growable `Vec<Word>` per zone
-/// nibble, indexed by the offset within the zone's 16M-word region. A
-/// vector's length is the extent the run has written, rounded up to a
-/// [`BLOCK_WORDS`] block; a cell past it reads as zero without being
-/// stored.
+/// nibble, holding the zone's 16M-word region from the [`BLOCK_WORDS`]
+/// block of the run's first write to the zone (its *origin*) up to the
+/// extent the run has written, rounded up to a block. A cell outside it
+/// reads as zero without being stored, so the blocks below a stack's
+/// spread base are never filled; a write below the origin moves it down.
 ///
 /// Fresh cells read as [`Word::ZERO`] — the integer-zero bit pattern —
 /// exactly like the simulator's zero-filled memory board, so a program
@@ -123,6 +124,9 @@ pub struct FlatMem {
     /// five data zones are ever touched by checked accesses; the host
     /// back-door (`peek`/`poke`) is as permissive as the simulator's.
     store: [Vec<Word>; 16],
+    /// Per zone nibble, the zone offset of `store[z][0]` while the
+    /// vector is not empty.
+    origin: [usize; 16],
 }
 
 impl FlatMem {
@@ -135,20 +139,35 @@ impl FlatMem {
     #[inline]
     fn load(&self, addr: VAddr) -> Word {
         let (z, off) = Self::split(addr);
-        self.store[z].get(off).copied().unwrap_or(Word::ZERO)
+        self.read(z, off)
+    }
+
+    /// The word at offset `off` of zone nibble `z`.
+    #[inline]
+    fn read(&self, z: usize, off: usize) -> Word {
+        let at = off.wrapping_sub(self.origin[z]);
+        self.store[z].get(at).copied().unwrap_or(Word::ZERO)
     }
 
     #[inline]
     fn store_word(&mut self, addr: VAddr, w: Word) {
         let (z, off) = Self::split(addr);
         let v = &mut self.store[z];
-        if off >= v.len() {
+        let block = off - off % BLOCK_WORDS;
+        if v.is_empty() {
+            self.origin[z] = block;
+        } else if block < self.origin[z] {
+            let below = self.origin[z] - block;
+            v.splice(0..0, std::iter::repeat_n(Word::ZERO, below));
+            self.origin[z] = block;
+        }
+        let at = off - self.origin[z];
+        if at >= v.len() {
             // Zero-fills only the blocks the run grows into; a recycled
             // vector's capacity makes this a fill, not an allocation.
-            let len = (off + 1).next_multiple_of(BLOCK_WORDS);
-            v.resize(len, Word::ZERO);
+            v.resize((at + 1).next_multiple_of(BLOCK_WORDS), Word::ZERO);
         }
-        v[off] = w;
+        v[at] = w;
     }
 
     /// Rebuilds the admitted-window mirror from the zone table. The
@@ -202,8 +221,7 @@ impl FlatMem {
             let z = ((v >> 24) & 0xF) as usize;
             let (lo, span) = self.read_win[z];
             if v.wrapping_sub(lo) < span {
-                let off = (v & 0x00FF_FFFF) as usize;
-                return Ok((self.store[z].get(off).copied().unwrap_or(Word::ZERO), 0));
+                return Ok((self.read(z, (v & 0x00FF_FFFF) as usize), 0));
             }
         }
         self.read_ptr(Word::ptr(Tag::DataPtr, addr))
@@ -261,6 +279,7 @@ impl DataMem for FlatMem {
             read_win: [(0, 0); 16],
             write_win: [(0, 0); 16],
             store,
+            origin: [0; 16],
         };
         mem.refresh();
         mem
@@ -306,8 +325,7 @@ impl DataMem for FlatMem {
         let z = ((v >> 24) & 0xF) as usize;
         let (lo, span) = self.read_win[z];
         if v.wrapping_sub(lo) < span {
-            let off = (v & 0x00FF_FFFF) as usize;
-            return Ok((self.store[z].get(off).copied().unwrap_or(Word::ZERO), 0));
+            return Ok((self.read(z, (v & 0x00FF_FFFF) as usize), 0));
         }
         self.read_slow(addr)
     }
@@ -318,8 +336,8 @@ impl DataMem for FlatMem {
         let z = ((v >> 24) & 0xF) as usize;
         let (lo, span) = self.write_win[z];
         if v.wrapping_sub(lo) < span {
-            let off = (v & 0x00FF_FFFF) as usize;
-            if let Some(slot) = self.store[z].get_mut(off) {
+            let at = ((v & 0x00FF_FFFF) as usize).wrapping_sub(self.origin[z]);
+            if let Some(slot) = self.store[z].get_mut(at) {
                 *slot = value;
                 return Ok(0);
             }
@@ -528,6 +546,45 @@ mod tests {
             m.poke(at(z, 60_000), Word::ZERO).unwrap();
             assert_eq!(m.peek(at(z, 50_000)).unwrap(), Word::ZERO);
         }
+    }
+
+    #[test]
+    fn a_zone_vector_starts_at_the_block_of_its_first_write() {
+        // A recycled store, as every native run after a thread's first
+        // gets: the stack base's write fills its own block, not the
+        // blocks below the base.
+        drop(FlatMem::with_config(MemConfig::default()));
+        let mut m = FlatMem::with_config(MemConfig::default());
+        let base = kcm_mem::MemorySystem::stack_base(Zone::Local, true);
+        assert!(base.value() - Zone::Local.base().value() >= 2 * BLOCK_WORDS as u32);
+        m.write_data_addr(base, Word::int(7)).unwrap();
+        let (z, _) = FlatMem::split(base);
+        assert_eq!(m.store[z].len(), BLOCK_WORDS, "one block");
+        assert_eq!(m.peek(base).unwrap(), Word::int(7));
+        assert_eq!(m.peek(base.offset(-1)).unwrap(), Word::ZERO);
+    }
+
+    #[test]
+    fn a_write_below_a_zones_first_block_moves_its_origin_down() {
+        let mut m = FlatMem::with_config(MemConfig::default());
+        let at = |off: u32| VAddr::new(Zone::Global.base().value() + off);
+        let (high, low) = (at(5 * BLOCK_WORDS as u32 + 3), at(BLOCK_WORDS as u32 + 1));
+        m.poke(high, Word::int(1)).unwrap();
+        m.poke(low, Word::int(2)).unwrap();
+        assert_eq!(m.peek(high).unwrap(), Word::int(1));
+        assert_eq!(m.peek(low).unwrap(), Word::int(2));
+        for off in [
+            0,
+            BLOCK_WORDS as u32,
+            3 * BLOCK_WORDS as u32,
+            6 * BLOCK_WORDS as u32,
+        ] {
+            assert_eq!(m.peek(at(off)).unwrap(), Word::ZERO, "offset {off}");
+        }
+        let between = (low.value() + 1..high.value()).map(VAddr::new);
+        assert!(between
+            .into_iter()
+            .all(|a| m.peek(a).unwrap() == Word::ZERO));
     }
 
     #[test]

@@ -14,6 +14,8 @@
 #![cfg(unix)]
 
 use std::io;
+#[cfg(target_os = "linux")]
+use std::mem::MaybeUninit;
 use std::os::unix::io::RawFd;
 use std::time::Duration;
 
@@ -179,12 +181,15 @@ impl Poller {
     pub fn wait(&self, out: &mut Vec<Event>, timeout: Duration) -> io::Result<()> {
         out.clear();
         const CAP: usize = 1024;
-        let mut buf = [sys::EpollEvent { events: 0, data: 0 }; CAP];
+        // Left uninitialized: the kernel writes the first `n` entries,
+        // and only those are read.
+        let mut buf = [MaybeUninit::<sys::EpollEvent>::uninit(); CAP];
         let millis = i32::try_from(timeout.as_millis())
             .unwrap_or(i32::MAX)
             .max(1);
         let n = loop {
-            let rc = unsafe { sys::epoll_wait(self.epfd, buf.as_mut_ptr(), CAP as i32, millis) };
+            let rc =
+                unsafe { sys::epoll_wait(self.epfd, buf.as_mut_ptr().cast(), CAP as i32, millis) };
             if rc >= 0 {
                 break rc as usize;
             }
@@ -193,7 +198,9 @@ impl Poller {
                 return Err(e);
             }
         };
-        for ev in &buf[..n] {
+        for slot in &buf[..n] {
+            // SAFETY: `epoll_wait` wrote the first `n` entries.
+            let ev = unsafe { slot.assume_init_read() };
             // Copy out of the (possibly packed) struct before use.
             let (events, data) = (ev.events, ev.data);
             out.push(Event {

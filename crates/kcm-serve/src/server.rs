@@ -468,6 +468,7 @@ impl Server {
             in_flight: 0,
             shutting_down: false,
             accepting: true,
+            rbuf: vec![0; READ_CHUNK].into_boxed_slice(),
         };
         el.run_loop()?;
         // Every connection is gone, but requests of connections that
@@ -581,14 +582,21 @@ struct EventLoop {
     in_flight: usize,
     shutting_down: bool,
     accepting: bool,
+    /// The socket read buffer, one for the loop's life.
+    rbuf: Box<[u8]>,
 }
+
+/// Bytes one socket read takes at most.
+const READ_CHUNK: usize = 16 * 1024;
 
 impl EventLoop {
     fn run_loop(&mut self) -> std::io::Result<()> {
+        // One event list for the loop's life: each pass drains it and
+        // the next wait refills it.
         let mut events: Vec<Event> = Vec::new();
         loop {
             self.poller.wait(&mut events, READ_TICK)?;
-            for ev in std::mem::take(&mut events) {
+            for ev in events.drain(..) {
                 match ev.token {
                     TOKEN_LISTENER => self.accept_ready()?,
                     TOKEN_WAKE => self.drain_wake(),
@@ -769,9 +777,9 @@ impl EventLoop {
     /// Reads whatever the socket has, feeds the decoder, and processes
     /// complete frames. Returns whether the connection stays open.
     fn do_read(&mut self, conn: &mut Conn, token: u64) -> bool {
-        let mut buf = [0u8; 16 * 1024];
+        let buf = &mut self.rbuf;
         loop {
-            match conn.stream.read(&mut buf) {
+            match conn.stream.read(buf) {
                 Ok(0) => {
                     conn.read_closed = true;
                     break;
@@ -1615,6 +1623,10 @@ fn stats_body(shared: &Shared) -> String {
             "tenant.{n}.inflight={}\n",
             t.stats.inflight.load(Ordering::Relaxed)
         ));
+        let shapes = t.image.shape_stats();
+        body.push_str(&format!("tenant.{n}.shape_hits={}\n", shapes.hits));
+        body.push_str(&format!("tenant.{n}.shape_misses={}\n", shapes.misses));
+        body.push_str(&format!("tenant.{n}.shapes={}\n", shapes.shapes));
     }
     body
 }

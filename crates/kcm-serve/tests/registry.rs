@@ -145,6 +145,35 @@ fn republish_swaps_the_program_without_disturbing_other_tenants() {
 }
 
 #[test]
+fn stats_count_each_versions_compiled_query_shapes() {
+    let _serial = serial();
+    let (addr, server) = spawn_server(ServeConfig::default());
+    let mut c = Client::connect(addr).expect("connect");
+    let facts = "kv(k1, v1). kv(k2, v2).";
+    assert!(c.publish("kb", facts, None).expect("publish").is_ok());
+    // Two lookups of one shape: the first compiles it, the second
+    // copies it.
+    for key in ["k1", "k2"] {
+        let body = body_of(
+            c.query_tenant("kb", &format!("kv({key}, V)"))
+                .expect("query"),
+        );
+        assert!(body.contains("V=v"), "{body}");
+    }
+    let stats = c.stats().expect("stats");
+    for line in ["shape_hits=1\n", "shape_misses=1\n", "shapes=1\n"] {
+        assert!(stats.contains(&format!("tenant.kb.{line}")), "{stats}");
+    }
+    // An edit of the version forgets its shapes.
+    assert!(c.assertz("kb", "kv(k3, v3)").expect("assert").is_ok());
+    let stats = c.stats().expect("stats");
+    assert!(stats.contains("tenant.kb.version=2\n"), "{stats}");
+    assert!(stats.contains("tenant.kb.shapes=0\n"), "{stats}");
+    c.shutdown().expect("shutdown");
+    server.join().expect("server thread").expect("run");
+}
+
+#[test]
 fn full_registry_evicts_the_least_recently_used_tenant() {
     let _serial = serial();
     let (addr, server) = spawn_server(ServeConfig {

@@ -807,7 +807,16 @@ mod tests {
     fn a_write_no_reader_sees_edits_the_version_in_place() {
         let r = registry(4);
         for name in publish_both_forms(&r, &kv_source(64)) {
-            let image = Arc::as_ptr(&r.lookup(name).expect("lookup").image);
+            // Queries first: the version's table of shapes keeps theirs,
+            // and holds nothing that makes the write copy the image.
+            let t = r.lookup(name).expect("lookup");
+            let image = Arc::as_ptr(&t.image);
+            for _ in 0..2 {
+                assert_eq!(answers(&t, "kv(k9, V)"), r#"[[("V", Atom("v2"))]]"#);
+            }
+            let shapes = t.image.shape_stats();
+            assert_eq!((shapes.hits, shapes.shapes), (1, 1), "{name}");
+            drop(t);
             let receipt = r.assertz(name, "kv(k_new, v_new)").expect("assert");
             assert_eq!(receipt.version, 2);
             let t = r.lookup(name).expect("lookup");
@@ -815,6 +824,11 @@ mod tests {
                 Arc::as_ptr(&t.image),
                 image,
                 "{name}: assert copied the image"
+            );
+            assert_eq!(
+                t.image.shape_stats().shapes,
+                0,
+                "{name}: the edit kept shapes"
             );
             assert_eq!(answers(&t, "kv(k_new, V)"), r#"[[("V", Atom("v_new"))]]"#);
             drop(t);
