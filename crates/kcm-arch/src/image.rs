@@ -11,6 +11,11 @@
 //! patch fact predicates without a recompile — B-Prolog-style index
 //! maintenance over the switch tables.
 //!
+//! Every image holds its own code as `Arc` chunks of at most 2¹⁵
+//! instructions ([`CodeImage::span`]): linked chunks are built decoded,
+//! restored ones decode on first touch, and a write copies only the
+//! chunks it touches while another image shares them.
+//!
 //! A query is linked as an *overlay* ([`CodeImage::overlay`]): a small
 //! image holding only the `$query/0` clause and its auxiliaries, which
 //! shares the program image behind an `Arc` and continues its code
@@ -33,6 +38,7 @@ use crate::word::Word;
 use crate::zone::Zone;
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 /// A predicate identifier: name and arity.
@@ -176,169 +182,195 @@ struct KeyPlan {
     found: Option<(usize, Vec<CodeAddr>)>,
 }
 
-/// Power-of-two instruction granularity of lazy snapshot decoding: 2^15
-/// instructions per chunk keeps a chunk's decode under a millisecond
-/// while a million-fact image still amortizes the per-chunk bookkeeping
-/// over ~150 chunks.
-pub(crate) const LAZY_CHUNK_SHIFT: u32 = 15;
+/// Power-of-two instruction count of a code chunk: 2^15 instructions
+/// keeps a restored chunk's decode under a millisecond while a
+/// million-fact image still amortizes the per-chunk bookkeeping over
+/// ~150 chunks.
+pub(crate) const CHUNK_SHIFT: u32 = 15;
+const CHUNK_MASK: usize = (1 << CHUNK_SHIFT) - 1;
 
-/// Lazily decoded instruction storage restored from a snapshot: the
-/// encoded word stream plus the word offset of each chunk's first
-/// instruction, with each chunk's decoded instructions materialized on
-/// first touch. The snapshot loader scan-validates the entire stream
-/// ([`Instr::scan`]) before constructing this, so chunk decoding is
-/// infallible — an image restored from hostile bytes can never panic
-/// later, it is rejected at load.
-#[derive(Debug)]
-pub(crate) struct LazyCode {
-    stream: Vec<u64>,
-    /// Word offset of chunk `c`'s first instruction; chunk `c` covers
-    /// instruction indices `c << SHIFT .. min((c + 1) << SHIFT, count)`.
-    chunk_offsets: Vec<usize>,
-    chunks: Vec<OnceLock<Box<[Instr]>>>,
-    count: usize,
+/// A chunk's hash side tables, by position in the chunk: only as long as
+/// its last indexed switch, so a chunk without one allocates nothing.
+pub(crate) type Sides = Vec<Option<Arc<SwitchIndex>>>;
+
+/// A restored chunk's part of its snapshot's scan-validated instruction
+/// stream: the stream, which all the image's restored chunks share, and
+/// the chunk's range in it.
+#[derive(Clone)]
+pub(crate) struct Words(pub(crate) Arc<Vec<u64>>, pub(crate) Range<usize>);
+
+impl Words {
+    fn get(&self) -> &[u64] {
+        &self.0[self.1.clone()]
+    }
 }
 
-impl LazyCode {
-    /// Lazy storage over a scan-validated stream. `chunk_offsets[c]` must
-    /// be the word offset of instruction `c << LAZY_CHUNK_SHIFT`.
-    pub(crate) fn new(stream: Vec<u64>, chunk_offsets: Vec<usize>, count: usize) -> LazyCode {
-        debug_assert_eq!(chunk_offsets.len(), count.div_ceil(1 << LAZY_CHUNK_SHIFT));
-        let chunks = (0..chunk_offsets.len()).map(|_| OnceLock::new()).collect();
-        LazyCode {
-            stream,
-            chunk_offsets,
-            chunks,
-            count,
+impl std::fmt::Debug for Words {
+    /// The range only: every chunk shares the whole stream.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Words({:?})", self.1)
+    }
+}
+
+/// Up to 2^[`CHUNK_SHIFT`] consecutive instructions of an image's own
+/// code, with what the image keeps per instruction. Images share chunks
+/// behind `Arc`s; a write copies the chunk it touches first while
+/// another image holds it ([`CodeImage::write`]).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Chunk {
+    /// The chunk's encoded words as its snapshot held them, kept until
+    /// the chunk is first written: a restored chunk decodes from them on
+    /// first touch, and a save writes them back as loaded. The loader
+    /// scan-validates the whole stream ([`Instr::scan`]) before any
+    /// chunk holds it, so decoding is infallible — an image restored
+    /// from hostile bytes can never panic later, it is rejected at load.
+    words: Option<Words>,
+    /// The decoded instructions: set when linked, on first touch when
+    /// restored.
+    instrs: OnceLock<Vec<Instr>>,
+    /// Word address of each instruction (sorted).
+    pub(crate) addrs: Vec<u32>,
+    /// Link-time hash side tables: wide `switch_on_constant` /
+    /// `switch_on_structure` tables get an open-addressing index here so
+    /// dispatch is O(1) instead of a linear scan. `Arc` so chunk copies
+    /// share the tables.
+    pub(crate) sides: Sides,
+    /// The resolved-dispatch entries, parallel to the instructions: built
+    /// on the chunk's first run, and kept in step by every write after.
+    next: OnceLock<Vec<u64>>,
+}
+
+impl Chunk {
+    /// A restored chunk over `words`, a scan-validated part of its
+    /// snapshot's stream holding one instruction per address in
+    /// `addrs`: decoded, and its dispatch entries built, on first use.
+    pub(crate) fn restored(words: Words, addrs: Vec<u32>) -> Chunk {
+        Chunk {
+            words: Some(words),
+            addrs,
+            ..Chunk::default()
         }
     }
 
-    fn chunk(&self, c: usize) -> &[Instr] {
-        self.chunks[c].get_or_init(|| {
-            let start = c << LAZY_CHUNK_SHIFT;
-            let n = ((c + 1) << LAZY_CHUNK_SHIFT).min(self.count) - start;
-            let word_end = self
-                .chunk_offsets
-                .get(c + 1)
-                .copied()
-                .unwrap_or(self.stream.len());
-            let mut out = Vec::with_capacity(n);
-            let mut pos = self.chunk_offsets[c];
-            for _ in 0..n {
-                let (instr, used) = Instr::decode(&self.stream[pos..word_end])
-                    .expect("stream was scan-validated at load");
+    /// Number of instructions in the chunk.
+    #[inline]
+    fn len(&self) -> usize {
+        self.addrs.len()
+    }
+
+    /// The decoded instructions, decoded from the chunk's words on first
+    /// touch.
+    #[inline]
+    pub(crate) fn instrs(&self) -> &[Instr] {
+        self.instrs.get_or_init(|| {
+            let words = self.words.as_ref().map_or(&[][..], Words::get);
+            let mut out = Vec::with_capacity(self.len());
+            let mut pos = 0;
+            for _ in 0..self.len() {
+                let (instr, used) =
+                    Instr::decode(&words[pos..]).expect("stream was scan-validated at load");
                 pos += used;
                 out.push(instr);
             }
-            out.into_boxed_slice()
+            out
         })
     }
 
-    #[inline]
-    fn get(&self, idx: usize) -> &Instr {
-        assert!(idx < self.count, "instruction index out of range");
-        &self.chunk(idx >> LAZY_CHUNK_SHIFT)[idx & ((1usize << LAZY_CHUNK_SHIFT) - 1)]
-    }
-}
-
-/// Decoded-instruction storage behind [`CodeImage`]: a plain vector for
-/// freshly linked images, or chunk-lazy decoding over a snapshot's
-/// encoded stream — what lets a million-fact snapshot restore without
-/// paying to decode five million instructions up front. Indexing reads
-/// through either representation; any mutation forces full
-/// materialization first ([`CodeImage::instrs_mut`]), so patched images
-/// behave exactly like linked ones.
-#[derive(Debug, Clone)]
-pub(crate) enum CodeStore {
-    Eager(Vec<Instr>),
-    /// `Arc` so image clones share materialized chunks.
-    Lazy(Arc<LazyCode>),
-}
-
-impl CodeStore {
-    #[inline]
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            CodeStore::Eager(v) => v.len(),
-            CodeStore::Lazy(l) => l.count,
+    /// Appends the chunk's encoded words to `out`: as loaded while it has
+    /// not been written, else its instructions encoded.
+    pub(crate) fn encode(&self, out: &mut Vec<u64>) {
+        match &self.words {
+            Some(words) => out.extend_from_slice(words.get()),
+            None => self.instrs().iter().for_each(|instr| instr.encode(out)),
         }
     }
 
-    pub(crate) fn iter(&self) -> Box<dyn Iterator<Item = &Instr> + '_> {
-        match self {
-            CodeStore::Eager(v) => Box::new(v.iter()),
-            CodeStore::Lazy(l) => Box::new((0..l.chunks.len()).flat_map(|c| l.chunk(c).iter())),
+    /// The chunk's parts, open for writing: decodes a restored chunk and
+    /// drops its words, which no longer describe it.
+    fn open(&mut self) -> ChunkMut<'_> {
+        self.instrs();
+        self.words = None;
+        ChunkMut {
+            instrs: self.instrs.get_mut().expect("decoded above"),
+            addrs: &mut self.addrs,
+            sides: &mut self.sides,
         }
     }
 
-    /// Full materialization: a lazy store becomes eager (decoding every
-    /// untouched chunk), after which reads and writes are plain vector
-    /// accesses.
-    fn force_mut(&mut self) -> &mut Vec<Instr> {
-        if let CodeStore::Lazy(l) = self {
-            let mut v = Vec::with_capacity(l.count);
-            for c in 0..l.chunks.len() {
-                v.extend_from_slice(l.chunk(c));
+    /// Keeps a built dispatch table in step after instruction `j` was
+    /// written: its entry, and when it was just appended, also its
+    /// predecessor's, which may fall through to it.
+    fn refresh(&mut self, j: usize, addr_index: &[u32], first_addr: u32) {
+        let (Some(instrs), Some(next)) = (self.instrs.get(), self.next.get_mut()) else {
+            return;
+        };
+        let entry = |k: usize| resolve(addr_index, first_addr, self.addrs[k], &instrs[k]);
+        if j == next.len() {
+            next.push(entry(j));
+            if let Some(prev) = j.checked_sub(1) {
+                next[prev] = entry(prev);
             }
-            *self = CodeStore::Eager(v);
-        }
-        match self {
-            CodeStore::Eager(v) => v,
-            CodeStore::Lazy(_) => unreachable!("just forced eager"),
-        }
-    }
-
-    /// How many lazy decode chunks have been materialized, out of how
-    /// many (an eager store counts as fully decoded).
-    fn decoded_chunks(&self) -> (usize, usize) {
-        match self {
-            CodeStore::Eager(v) => {
-                let n = v.len().div_ceil(1 << LAZY_CHUNK_SHIFT);
-                (n, n)
-            }
-            CodeStore::Lazy(l) => (
-                l.chunks.iter().filter(|c| c.get().is_some()).count(),
-                l.chunks.len(),
-            ),
+        } else {
+            next[j] = entry(j);
         }
     }
 }
 
-impl std::ops::Index<usize> for CodeStore {
-    type Output = Instr;
-    #[inline]
-    fn index(&self, idx: usize) -> &Instr {
-        match self {
-            CodeStore::Eager(v) => &v[idx],
-            CodeStore::Lazy(l) => l.get(idx),
-        }
+/// One chunk's parts, open for writing ([`CodeImage::write`]).
+pub(crate) struct ChunkMut<'a> {
+    pub(crate) instrs: &'a mut Vec<Instr>,
+    addrs: &'a mut Vec<u32>,
+    sides: &'a mut Sides,
+}
+
+/// Chunk `c` of `chunks`, unshared for writing: created, empty and
+/// decoded, when `c` is one past the last, and copied first while
+/// another image holds it (`Arc::make_mut`), so a write copies only the
+/// chunks it touches.
+fn unshared(chunks: &mut Vec<Arc<Chunk>>, c: usize) -> &mut Chunk {
+    if c == chunks.len() {
+        let instrs = OnceLock::from(Vec::new());
+        chunks.push(Arc::new(Chunk {
+            instrs,
+            ..Chunk::default()
+        }));
+    }
+    Arc::make_mut(&mut chunks[c])
+}
+
+/// Sets the side table at position `j`, growing `sides` only to hold one.
+pub(crate) fn set_side(sides: &mut Sides, j: usize, side: Option<Arc<SwitchIndex>>) {
+    if side.is_some() && sides.len() <= j {
+        sides.resize(j + 1, None);
+    }
+    if let Some(slot) = sides.get_mut(j) {
+        *slot = side;
     }
 }
 
-/// The resolved-dispatch table, parallel to the decoded stream, that
-/// the machine's one instruction loop steps through on both tiers: per
-/// instruction, its fall-through address (low 32 bits) and the stream
-/// index of the instruction there (high 32 bits), packed so the loop
-/// pays one load per step and never recomputes an instruction size. An
-/// index of `u32::MAX` means "not resolved here": no instruction starts
-/// there, or one was placed there after the entry was computed (a
-/// program's last instruction falls through to the first word of a
-/// query overlay) — the dispatcher then looks the address up, so a
-/// stale entry is never wrong, just a miss.
+/// The resolved-dispatch entry of `instr` at `addr` in an image whose
+/// own code starts at `first_addr`, with that image's address index:
+/// the instruction's fall-through address (low 32 bits) and the stream
+/// index of the instruction there (high 32 bits).
 ///
-/// Built once per image and shared by every machine through the image's
-/// `Arc`; an eager image maintains it on every mutation, a lazily
-/// restored image builds it one decode chunk at a time alongside the
-/// chunk's instructions.
-#[derive(Debug, Clone)]
-pub(crate) enum Dispatch {
-    Eager(Vec<u64>),
-    /// One table per lazy decode chunk, built on the chunk's first run.
-    Lazy(Arc<[OnceLock<Box<[u64]>>]>),
+/// The machine's one instruction loop steps through these entries on
+/// both tiers, so it pays one load per step and never recomputes an
+/// instruction size. An index of `u32::MAX` means "not resolved here":
+/// no instruction starts there, or one was placed there after the entry
+/// was computed (a program's last instruction falls through to the
+/// first word of a query overlay) — the dispatcher then looks the
+/// address up, so a stale entry is never wrong, just a miss.
+fn resolve(addr_index: &[u32], first_addr: u32, addr: u32, instr: &Instr) -> u64 {
+    let next = addr + instr.size_words() as u32;
+    let idx = addr_index
+        .get((next - first_addr) as usize)
+        .copied()
+        .unwrap_or(u32::MAX);
+    next as u64 | ((idx as u64) << 32)
 }
 
-/// A contiguous stretch of an image's decoded stream and its
-/// resolved-dispatch entries ([`CodeImage::span`]).
+/// One chunk of an image's decoded stream and its resolved-dispatch
+/// entries ([`CodeImage::span`]).
 #[derive(Debug, Clone, Copy)]
 pub struct Span<'a> {
     /// Stream index of `instrs[0]`.
@@ -350,10 +382,6 @@ pub struct Span<'a> {
     /// when not resolved — look the address up with
     /// [`CodeImage::index_of`]).
     pub next: &'a [u64],
-}
-
-const fn pack_next(next: u32, next_idx: u32) -> u64 {
-    next as u64 | ((next_idx as u64) << 32)
 }
 
 /// A predicate's entry key, `(name, arity)`: the owned form the entry
@@ -424,22 +452,13 @@ pub struct CodeImage {
     /// 0 for a flat image).
     pub(crate) first_index: u32,
     pub(crate) first_addr: u32,
-    /// This image's own instructions (stream indices from
-    /// `first_index`).
-    pub(crate) instrs: CodeStore,
-    /// Word address of each instruction in `instrs` (sorted).
-    pub(crate) addrs: Vec<u32>,
+    /// This image's own code (stream indices from `first_index`): every
+    /// chunk but the last holds 2^[`CHUNK_SHIFT`] instructions.
+    pub(crate) chunks: Vec<Arc<Chunk>>,
     /// Dense map word address − `first_addr` → stream index (`u32::MAX`
     /// = not an instruction start). Dense because the machine consults
     /// it on every taken control transfer.
     pub(crate) addr_index: Vec<u32>,
-    /// Link-time hash side table, parallel to `instrs`: wide
-    /// `switch_on_constant` / `switch_on_structure` tables get an
-    /// open-addressing index here so dispatch is O(1) instead of a
-    /// linear scan. `Arc` so image clones share the tables.
-    pub(crate) switch_index: Vec<Option<Arc<SwitchIndex>>>,
-    /// The resolved-dispatch table, parallel to `instrs`.
-    pub(crate) dispatch: Dispatch,
     /// One past the last code word: the code's length in words, an
     /// overlay's counting its base's.
     pub(crate) end: u32,
@@ -464,11 +483,8 @@ impl CodeImage {
             base: None,
             first_index: 0,
             first_addr: 0,
-            instrs: CodeStore::Eager(Vec::new()),
-            addrs: Vec::new(),
+            chunks: Vec::new(),
             addr_index: Vec::new(),
-            switch_index: Vec::new(),
-            dispatch: Dispatch::Eager(Vec::new()),
             end: 0,
             entries: HashMap::new(),
             sizes: Vec::new(),
@@ -573,50 +589,38 @@ impl CodeImage {
     #[inline]
     pub fn instr_at_index(&self, idx: u32) -> &Instr {
         let (image, i) = self.layer(idx);
-        &image.instrs[i]
+        image.own_instr(i)
     }
 
-    /// The contiguous stretch of the decoded stream holding stream index
-    /// `idx`, with its resolved-dispatch entries: the whole own stream of
-    /// the layer holding `idx` (the program's, or a query overlay's), or
-    /// for a lazily restored image the decode chunk — decoded and
-    /// resolved on first use. The machine's instruction loop steps
-    /// through a span without consulting the image, and asks for the next
-    /// span only when control leaves it (an overlay boundary or a lazy
-    /// chunk edge).
+    /// Own instruction `i`, decoding its chunk on first touch.
+    #[inline]
+    fn own_instr(&self, i: usize) -> &Instr {
+        &self.chunks[i >> CHUNK_SHIFT].instrs()[i & CHUNK_MASK]
+    }
+
+    /// The chunk of the decoded stream holding stream index `idx`, with
+    /// its resolved-dispatch entries — resolved on first use (and
+    /// decoded then, when restored). The machine's instruction loop
+    /// steps through a span without consulting the image, and asks for
+    /// the next span only when control leaves it (a chunk edge or an
+    /// overlay boundary).
     ///
     /// # Panics
     ///
     /// Panics if `idx` is out of range.
     pub fn span(&self, idx: u32) -> Span<'_> {
         let (image, i) = self.layer(idx);
-        match (&image.instrs, &image.dispatch) {
-            (CodeStore::Eager(instrs), Dispatch::Eager(next)) => Span {
-                start: image.first_index,
-                instrs,
-                next,
-            },
-            (CodeStore::Lazy(code), Dispatch::Lazy(tables)) => {
-                let c = i >> LAZY_CHUNK_SHIFT;
-                Span {
-                    start: image.first_index + (c << LAZY_CHUNK_SHIFT) as u32,
-                    instrs: code.chunk(c),
-                    next: tables[c].get_or_init(|| {
-                        let start = c << LAZY_CHUNK_SHIFT;
-                        let end = (start + (1 << LAZY_CHUNK_SHIFT)).min(image.instrs.len());
-                        (start..end).map(|i| image.resolve_next(i)).collect()
-                    }),
-                }
-            }
-            _ => unreachable!("a store and its dispatch table are eager or lazy together"),
+        let c = i >> CHUNK_SHIFT;
+        let chunk = &image.chunks[c];
+        let instrs = chunk.instrs();
+        Span {
+            start: image.first_index + (c << CHUNK_SHIFT) as u32,
+            instrs,
+            next: chunk.next.get_or_init(|| {
+                let at = |(&addr, instr)| resolve(&image.addr_index, image.first_addr, addr, instr);
+                chunk.addrs.iter().zip(instrs).map(at).collect()
+            }),
         }
-    }
-
-    /// Computes the dispatch entry of own instruction `i` from scratch.
-    fn resolve_next(&self, i: usize) -> u64 {
-        let next = self.addrs[i] + self.instrs[i].size_words() as u32;
-        let next_idx = self.index_of(CodeAddr::new(next)).unwrap_or(u32::MAX);
-        pack_next(next, next_idx)
     }
 
     /// The word address of the instruction at stream index `idx`, if any
@@ -626,14 +630,22 @@ impl CodeImage {
     #[inline]
     pub fn addr_at_index(&self, idx: u32) -> Option<u32> {
         let (image, i) = self.layer(idx);
-        image.addrs.get(i).copied()
+        let chunk = image.chunks.get(i >> CHUNK_SHIFT)?;
+        chunk.addrs.get(i & CHUNK_MASK).copied()
     }
 
     /// Number of decoded instructions in the stream (valid stream indices
     /// are `0..num_instrs`).
     #[inline]
     pub fn num_instrs(&self) -> usize {
-        self.first_index as usize + self.instrs.len()
+        self.first_index as usize + self.own_len()
+    }
+
+    /// Number of instructions this image holds itself.
+    pub(crate) fn own_len(&self) -> usize {
+        self.chunks.last().map_or(0, |last| {
+            ((self.chunks.len() - 1) << CHUNK_SHIFT) + last.len()
+        })
     }
 
     /// The link-time hash index of the switch instruction at stream index
@@ -642,47 +654,27 @@ impl CodeImage {
     #[inline]
     pub fn switch_index(&self, idx: u32) -> Option<&SwitchIndex> {
         let (image, i) = self.layer(idx);
-        image.switch_index.get(i).and_then(|s| s.as_deref())
+        let chunk = image.chunks.get(i >> CHUNK_SHIFT)?;
+        chunk.sides.get(i & CHUNK_MASK)?.as_deref()
     }
 
-    /// How many of a lazily restored image's decode chunks have been
-    /// materialized, out of how many. Diagnostic for tests of snapshot
-    /// laziness; an eagerly linked image reports every chunk decoded.
+    /// How many of the program image's chunks are decoded, out of how
+    /// many: a restored chunk decodes on first touch, a linked one is
+    /// built decoded. Diagnostic for tests of snapshot laziness.
     #[doc(hidden)]
     pub fn decoded_chunks(&self) -> (usize, usize) {
         match &self.base {
             Some(base) => base.decoded_chunks(),
-            None => self.instrs.decoded_chunks(),
+            None => {
+                let decoded = self.chunks.iter().filter(|c| c.instrs.get().is_some());
+                (decoded.count(), self.chunks.len())
+            }
         }
     }
 
     /// Total code length in words.
     pub fn len_words(&self) -> usize {
         self.end as usize
-    }
-
-    /// The own instruction stream as a mutable vector. A lazily restored
-    /// image is decoded in full, and its dispatch table rebuilt whole,
-    /// the first time it is mutated; after that every mutation keeps the
-    /// table in step itself.
-    fn instrs_mut(&mut self) -> &mut Vec<Instr> {
-        self.shapes.clear();
-        if let CodeStore::Lazy(_) = self.instrs {
-            self.instrs.force_mut();
-            let table = (0..self.instrs.len())
-                .map(|i| self.resolve_next(i))
-                .collect();
-            self.dispatch = Dispatch::Eager(table);
-        }
-        self.instrs.force_mut()
-    }
-
-    /// Recomputes own instruction `i`'s dispatch entry after it changed.
-    fn refresh_dispatch(&mut self, i: usize) {
-        let entry = self.resolve_next(i);
-        if let Dispatch::Eager(table) = &mut self.dispatch {
-            table[i] = entry;
-        }
     }
 
     /// Per-predicate static sizes, in layout order (an overlay's after
@@ -789,9 +781,9 @@ impl CodeImage {
     /// listing hold the same code.
     pub fn own_listing(&self) -> String {
         use std::fmt::Write;
-        let lines = self.instrs.len() + self.static_data.len() + self.entries.len() + 8;
+        let lines = self.own_len() + self.static_data.len() + self.entries.len() + 8;
         let mut out = String::with_capacity(80 * lines);
-        for (addr, instr) in self.addrs.iter().zip(self.instrs.iter()) {
+        for (addr, instr) in (self.chunks.iter()).flat_map(|c| c.addrs.iter().zip(c.instrs())) {
             let _ = writeln!(out, "{addr:6}  {instr:?}");
         }
         let mut entries: Vec<_> = self.entries.iter().collect();
@@ -830,41 +822,48 @@ impl CodeImage {
         self.push_instr(addr, instr, side);
     }
 
+    /// The one write path into this image's own code: `edit` gets the
+    /// parts of the chunk holding own instruction `i` and `i`'s position
+    /// in it (one past its last instruction to append). The chunk is
+    /// unshared first ([`unshared`]) and decoded if restored, and
+    /// afterwards a built dispatch table is kept in step. Every change to
+    /// the image empties its shape table.
+    pub(crate) fn write(&mut self, i: usize, edit: impl FnOnce(ChunkMut<'_>, usize)) {
+        self.shapes.clear();
+        let (c, j) = (i >> CHUNK_SHIFT, i & CHUNK_MASK);
+        let chunk = unshared(&mut self.chunks, c);
+        edit(chunk.open(), j);
+        chunk.refresh(j, &self.addr_index, self.first_addr);
+    }
+
     /// Appends one instruction with its side table, keeping the address
-    /// index and the dispatch table in step: the new instruction's entry,
-    /// and its predecessor's when that falls through to `addr`.
+    /// index in step (and, through [`CodeImage::write`], the dispatch
+    /// table: the new instruction's entry, and its predecessor's, which
+    /// may fall through to `addr`).
     fn push_instr(&mut self, addr: CodeAddr, instr: Instr, side: Option<Arc<SwitchIndex>>) {
-        self.instrs_mut();
         let at = self.own_offset(addr);
         if self.addr_index.len() <= at {
             self.addr_index.resize(at + 1, u32::MAX);
         }
-        let idx = self.num_instrs() as u32;
-        self.addr_index[at] = idx;
-        self.addrs.push(addr.value());
-        self.switch_index.push(side);
-        self.instrs_mut().push(instr);
-        let own = self.instrs.len() - 1;
-        let entry = self.resolve_next(own);
-        let Dispatch::Eager(table) = &mut self.dispatch else {
-            unreachable!("instrs_mut left the image eager");
-        };
-        table.push(entry);
-        if let Some(prev) = own.checked_sub(1).map(|p| &mut table[p]) {
-            if *prev as u32 == addr.value() {
-                *prev = pack_next(addr.value(), idx);
-            }
-        }
+        let own = self.own_len();
+        self.addr_index[at] = self.first_index + own as u32;
+        self.write(own, |c, j| {
+            c.addrs.push(addr.value());
+            c.instrs.push(instr);
+            set_side(c.sides, j, side);
+        });
     }
 
     /// Reserves room for `instrs` more instructions spanning `words` more
-    /// code words, so a link grows its per-instruction tables once.
+    /// code words, so a link grows its per-instruction tables once (up to
+    /// the end of the chunk they start in).
     pub fn reserve(&mut self, instrs: usize, words: usize) {
-        self.instrs_mut().reserve(instrs);
-        self.addrs.reserve(instrs);
-        self.switch_index.reserve(instrs);
-        if let Dispatch::Eager(table) = &mut self.dispatch {
-            table.reserve(instrs);
+        let own = self.own_len();
+        let n = instrs.min((1 << CHUNK_SHIFT) - (own & CHUNK_MASK));
+        if n > 0 {
+            let c = unshared(&mut self.chunks, own >> CHUNK_SHIFT).open();
+            c.instrs.reserve(n);
+            c.addrs.reserve(n);
         }
         let end = self.end as usize - self.first_addr as usize;
         self.addr_index
@@ -962,8 +961,7 @@ impl CodeImage {
     /// entry follows the new instruction's size.
     fn patch_instr(&mut self, addr: CodeAddr, instr: Instr) {
         let idx = self.index_of(addr).expect("patching a placed instruction") as usize;
-        self.instrs_mut()[idx] = instr;
-        self.refresh_dispatch(idx);
+        self.write(idx, |c, j| c.instrs[j] = instr);
     }
 
     /// Walks a `try_me_else` / `retry_me_else`* / `trust_me` chain from
@@ -979,7 +977,7 @@ impl CodeImage {
         };
         clauses.push(at.offset(1));
         let mut next = *alt;
-        for _ in 0..self.instrs.len() {
+        for _ in 0..self.own_len() {
             at = next;
             match self.instr_at(at) {
                 Some(Instr::RetryMeElse { alt }) => {
@@ -1065,7 +1063,7 @@ impl CodeImage {
         let idx =
             self.index_of(table_addr)
                 .ok_or_else(|| unsup("constant table is not an instruction"))? as usize;
-        match &self.instrs[idx] {
+        match self.own_instr(idx) {
             Instr::SwitchOnConstant { default: None, .. } => Ok(idx),
             Instr::SwitchOnConstant { .. } => Err(unsup("constant table has a variable default")),
             _ => Err(unsup("expected switch_on_constant")),
@@ -1076,12 +1074,12 @@ impl CodeImage {
     /// through its hash side table when it has one, else by a linear
     /// scan. Returns the key's table ordinal and dispatch target.
     fn constant_target(&self, idx: usize, key: Word) -> Option<(usize, CodeAddr)> {
-        if let Some(side) = self.switch_index[idx].as_deref() {
+        if let Some(side) = self.switch_index(idx as u32) {
             return side
                 .lookup(key.switch_key())
                 .map(|(target, ord)| (ord as usize, target));
         }
-        let Instr::SwitchOnConstant { table, .. } = &self.instrs[idx] else {
+        let Instr::SwitchOnConstant { table, .. } = self.own_instr(idx) else {
             return None;
         };
         let ord = table.iter().position(|(k, _)| k.same_constant(key))?;
@@ -1109,39 +1107,34 @@ impl CodeImage {
         match found {
             Some((ord, targets)) => {
                 let new_target = self.relocate_targets(targets, c_new);
-                let Instr::SwitchOnConstant { table, .. } = &mut self.instrs_mut()[idx] else {
-                    unreachable!("planned on a constant switch");
-                };
-                table[ord].1 = new_target;
-                if let Some(side) = &mut self.switch_index[idx] {
-                    Arc::make_mut(side).set_target(key.switch_key(), new_target);
-                }
+                self.write(idx, |c, j| {
+                    let Instr::SwitchOnConstant { table, .. } = &mut c.instrs[j] else {
+                        unreachable!("planned on a constant switch");
+                    };
+                    table[ord].1 = new_target;
+                    if let Some(Some(side)) = c.sides.get_mut(j) {
+                        Arc::make_mut(side).set_target(key.switch_key(), new_target);
+                    }
+                });
             }
-            None => {
-                // Split borrows of the stream and the side tables: the
-                // store is made eager (with its dispatch table) first.
-                self.instrs_mut();
-                let Instr::SwitchOnConstant { table, .. } = &mut self.instrs.force_mut()[idx]
-                else {
+            // The grown table is a longer instruction: the write moves its
+            // fall-through.
+            None => self.write(idx, |c, j| {
+                let Instr::SwitchOnConstant { table, .. } = &mut c.instrs[j] else {
                     unreachable!("planned on a constant switch");
                 };
                 table.push((key, c_new));
-                let len = table.len();
-                match &mut self.switch_index[idx] {
-                    Some(side) => {
-                        Arc::make_mut(side).push_key(key.switch_key(), c_new);
+                match c.sides.get_mut(j) {
+                    Some(Some(side)) => Arc::make_mut(side).push_key(key.switch_key(), c_new),
+                    // The table just crossed the side-table threshold:
+                    // build the index exactly as a fresh link would.
+                    _ if table.len() >= HASH_INDEX_MIN_ENTRIES => {
+                        let side = SwitchIndex::for_constants(table);
+                        set_side(c.sides, j, Some(Arc::new(side)));
                     }
-                    None if len >= HASH_INDEX_MIN_ENTRIES => {
-                        // The table just crossed the side-table threshold:
-                        // build the index exactly as a fresh link would.
-                        self.switch_index[idx] = Some(Arc::new(SwitchIndex::for_constants(table)));
-                    }
-                    None => {}
+                    _ => {}
                 }
-                // The grown table is a longer instruction: its
-                // fall-through moved.
-                self.refresh_dispatch(idx);
-            }
+            }),
         }
     }
 
@@ -1366,8 +1359,8 @@ impl CodeImage {
     pub fn retarget_calls(&mut self, old: CodeAddr, new: CodeAddr) -> usize {
         self.assert_flat();
         let mut patched = 0;
-        for i in 0..self.instrs.len() {
-            let replacement = match &self.instrs[i] {
+        for i in 0..self.own_len() {
+            let replacement = match self.own_instr(i) {
                 Instr::Call { addr, arity } if *addr == old => Instr::Call {
                     addr: new,
                     arity: *arity,
@@ -1378,7 +1371,7 @@ impl CodeImage {
                 },
                 _ => continue,
             };
-            self.instrs_mut()[i] = replacement;
+            self.write(i, |c, j| c.instrs[j] = replacement);
             patched += 1;
         }
         patched
@@ -1395,5 +1388,75 @@ impl CodeImage {
             }
         }
         true
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const CHUNK: usize = 1 << CHUNK_SHIFT;
+
+    /// An image of four chunks, the last one short: one-word `proceed`s
+    /// from [`CODE_BASE`], but for a `call` of `callee` at own index
+    /// `call_at`.
+    fn image_with_call(callee: CodeAddr, call_at: usize) -> CodeImage {
+        let mut image = CodeImage::new(CompileOptions::default());
+        image.pad_words_to(CODE_BASE as usize);
+        for i in 0..3 * CHUNK + 10 {
+            let instr = if i == call_at {
+                Instr::Call {
+                    addr: callee,
+                    arity: 0,
+                }
+            } else {
+                Instr::Proceed
+            };
+            image.emit(CodeAddr::new(image.len_words() as u32), instr);
+        }
+        image
+    }
+
+    #[test]
+    fn a_write_copies_only_the_chunks_it_patches() {
+        let (old, new) = (CodeAddr::new(CODE_BASE), CodeAddr::new(CODE_BASE + 1));
+        let call_at = CHUNK + CHUNK / 2;
+        let mut image = image_with_call(old, call_at);
+        assert_eq!(image.chunks.len(), 4);
+        let reader = image.clone();
+        let listing = reader.own_listing();
+
+        assert_eq!(image.retarget_calls(old, new), 1);
+        for (c, (mine, theirs)) in image.chunks.iter().zip(&reader.chunks).enumerate() {
+            assert_eq!(Arc::ptr_eq(mine, theirs), c != 1, "chunk {c}");
+        }
+        assert_eq!(reader.own_listing(), listing, "the reader's code moved");
+        let patched = Instr::Call {
+            addr: new,
+            arity: 0,
+        };
+        assert_eq!(image.instr_at_index(call_at as u32), &patched);
+    }
+
+    #[test]
+    fn every_chunk_is_one_span_and_resolves_across_its_edges() {
+        let image = image_with_call(CodeAddr::new(CODE_BASE), CHUNK);
+        for c in 0..image.chunks.len() {
+            let first = (c * CHUNK) as u32;
+            let span = image.span(first + 3);
+            assert_eq!(span.start, first);
+            assert_eq!(span.instrs.len(), image.chunks[c].len());
+            // A resolved entry names the instruction at its fall-through,
+            // in this chunk or the next.
+            for (j, &packed) in span.next.iter().enumerate() {
+                let idx = first + j as u32;
+                let next = packed as u32;
+                assert_eq!(Some(next), image.addr_at_index(idx).map(|a| a + 1));
+                let resolved = (packed >> 32) as u32;
+                if resolved != u32::MAX {
+                    assert_eq!(image.index_of(CodeAddr::new(next)), Some(resolved));
+                }
+            }
+        }
     }
 }

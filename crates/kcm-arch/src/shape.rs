@@ -15,7 +15,7 @@
 //! table never keeps a program version alive and an image or symbol
 //! base that nobody else holds is still edited in place.
 
-use crate::image::{CodeImage, CodeStore};
+use crate::image::CodeImage;
 use crate::isa::Instr;
 use crate::symbol::{AtomId, SymbolTable};
 use crate::word::Word;
@@ -84,18 +84,17 @@ impl QueryTemplate {
                 .filter(|a| placeholders.contains(a))
                 .map(|a| (a - placeholders.start) as u32)
         };
-        let CodeStore::Eager(instrs) = &mut overlay.instrs else {
-            unreachable!("a linked overlay is eager");
-        };
         let mut sites = Vec::new();
-        for (i, instr) in instrs.iter_mut().enumerate() {
-            if let Some(c) = constant_mut(instr) {
-                if let Some(h) = hole(c) {
-                    sites.push((i as u32, h));
-                }
-                continue;
-            }
+        for (i, instr) in overlay.chunks.iter().flat_map(|c| c.instrs()).enumerate() {
             let stray = match instr {
+                Instr::GetConstant { c, .. }
+                | Instr::PutConstant { c, .. }
+                | Instr::UnifyConstant { c } => {
+                    if let Some(h) = hole(c) {
+                        sites.push((i as u32, h));
+                    }
+                    false
+                }
                 Instr::LoadConst { c, .. } => hole(c).is_some(),
                 Instr::SwitchOnConstant { table, .. } => {
                     table.iter().any(|(k, _)| hole(k).is_some())
@@ -125,23 +124,24 @@ impl QueryTemplate {
             base: Some(Arc::clone(base)),
             ..self.overlay.clone()
         };
-        if let CodeStore::Eager(instrs) = &mut overlay.instrs {
-            for &(i, h) in &self.sites {
-                if let Some(c) = constant_mut(&mut instrs[i as usize]) {
+        for &(i, h) in &self.sites {
+            overlay.write(i as usize, |code, j| {
+                if let Some(c) = constant_mut(&mut code.instrs[j]) {
                     *c = Word::atom(holes[h as usize]);
                 }
-            }
+            });
         }
         (overlay, self.vars.clone())
     }
 
-    /// The bytes the template holds, estimated from its lengths: what
-    /// the table's byte bound counts.
+    /// The bytes the template holds, estimated from its lengths (an
+    /// instruction with its address, dispatch entry and side-table slot):
+    /// what the table's byte bound counts.
     pub fn bytes(&self) -> usize {
         let o = &self.overlay;
         let strings = |s: &mut dyn Iterator<Item = &str>| s.map(|s| s.len() + 24).sum::<usize>();
         std::mem::size_of::<QueryTemplate>()
-            + o.instrs.len() * (std::mem::size_of::<Instr>() + 4 + 8 + 8)
+            + o.own_len() * (std::mem::size_of::<Instr>() + 4 + 8 + 8)
             + o.addr_index.len() * 4
             + o.static_data.len() * 8
             + self.sites.len() * 8

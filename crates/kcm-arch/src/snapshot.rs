@@ -29,10 +29,11 @@
 //! skips the rehash. [`load`] does not decode the instruction stream at
 //! all: it *scan-validates* every instruction ([`Instr::scan`]) — so
 //! hostile bytes are rejected up front and decoding can never fail
-//! later — and hands the validated stream to chunk-lazy storage that
-//! materializes instructions on first execution. Everything else is a
-//! bounds check away from `memcpy`, which is what makes a million-fact
-//! image restore in milliseconds where a consult takes seconds.
+//! later — and builds the image's chunks over the validated stream,
+//! each decoding its part on first touch ([`save`] writes an unwritten
+//! one back as loaded). Everything else is a bounds check away from
+//! `memcpy`, which is what makes a million-fact image restore in
+//! milliseconds where a consult takes seconds.
 //!
 //! The checksum catches damage, not intent: anyone holding the format
 //! can recompute it. So every field the loader trusts is checked past
@@ -48,13 +49,13 @@
 
 use crate::addr::CodeAddr;
 use crate::image::{
-    CodeImage, CodeStore, CompileOptions, Dispatch, LazyCode, PredId, PredSize, LAZY_CHUNK_SHIFT,
+    set_side, Chunk, CodeImage, CompileOptions, PredId, PredSize, Words, CHUNK_SHIFT,
 };
 use crate::isa::Instr;
 use crate::swindex::SwitchIndex;
 use crate::symbol::{AtomId, SymbolTable};
 use crate::word::Word;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Magic bytes opening every snapshot.
 pub const MAGIC: [u8; 8] = *b"KCMSNAP\0";
@@ -249,24 +250,23 @@ pub fn save(image: &CodeImage, symbols: &SymbolTable) -> Vec<u8> {
     }
 
     // Code: addresses, the encoded instruction stream, the code length.
-    w.u64(image.instrs.len() as u64);
-    for a in &image.addrs {
-        w.u32(*a);
-    }
+    w.u64(image.num_instrs() as u64);
+    let addrs = image.chunks.iter().flat_map(|c| &c.addrs);
+    addrs.for_each(|a| w.u32(*a));
     let mut stream: Vec<u64> = Vec::with_capacity(image.len_words());
-    for i in image.instrs.iter() {
-        i.encode(&mut stream);
+    for chunk in &image.chunks {
+        chunk.encode(&mut stream);
     }
     w.u64(stream.len() as u64);
     w.u64_slice(&stream);
     w.u64(image.len_words() as u64);
 
     // Switch hash side tables, raw.
-    let indexed: Vec<(usize, &SwitchIndex)> = image
-        .switch_index
-        .iter()
-        .enumerate()
-        .filter_map(|(i, s)| s.as_deref().map(|s| (i, s)))
+    let indexed: Vec<(usize, &SwitchIndex)> = (image.chunks.iter().enumerate())
+        .flat_map(|(c, chunk)| {
+            let sides = chunk.sides.iter().enumerate();
+            sides.filter_map(move |(j, s)| s.as_deref().map(|s| ((c << CHUNK_SHIFT) + j, s)))
+        })
         .collect();
     w.u64(indexed.len() as u64);
     for (idx, side) in indexed {
@@ -457,24 +457,29 @@ pub fn load(bytes: &[u8]) -> Result<(Arc<CodeImage>, SymbolTable), SnapshotError
     }
     let symbols = SymbolTable::from_raw(atoms, functors);
 
-    // Code.
+    // Code, as chunks that each decode, and build their dispatch
+    // entries, on first use.
     let instr_count = r.count(4)?;
-    let addr_bytes = r.take(instr_count * 4)?;
-    let (addr_chunks, _) = addr_bytes.as_chunks::<4>();
-    let addrs: Vec<u32> = addr_chunks.iter().map(|c| u32::from_le_bytes(*c)).collect();
+    let (addr_bytes, _) = r.take(instr_count * 4)?.as_chunks::<4>();
     let stream_len = r.count(8)?;
-    let stream = r.u64_vec(stream_len)?;
+    let stream = Arc::new(r.u64_vec(stream_len)?);
     let (chunk_offsets, switches) = scan_stream(instr_count, &stream)?;
+    let ranges = chunk_offsets.windows(2).map(|w| w[0]..w[1]);
+    let mut chunks: Vec<Chunk> = (addr_bytes.chunks(1 << CHUNK_SHIFT).zip(ranges))
+        .map(|(addrs, range)| {
+            let addrs = addrs.iter().map(|a| u32::from_le_bytes(*a)).collect();
+            Chunk::restored(Words(Arc::clone(&stream), range), addrs)
+        })
+        .collect();
     let len_words = r.u64()?;
     if len_words > (stream.len() + WORDS_PAD_MAX) as u64 {
         return Err(corrupt("code length past the end of the stream"));
     }
     let len_words = len_words as usize;
-    let addr_index = address_index(&addrs, len_words)?;
+    let addr_index = address_index(&chunks, len_words)?;
 
     // Side tables.
     let side_count = r.count(24)?;
-    let mut switch_index: Vec<Option<Arc<SwitchIndex>>> = vec![None; instr_count];
     for _ in 0..side_count {
         let idx = r.u32()? as usize;
         let table_len = r.u64()? as usize;
@@ -492,9 +497,9 @@ pub fn load(bytes: &[u8]) -> Result<(Arc<CodeImage>, SymbolTable), SnapshotError
             }),
         )
         .map_err(corrupt)?;
-        let slot = switch_index
-            .get_mut(idx)
-            .ok_or_else(|| corrupt("side table for an unknown instruction"))?;
+        if idx >= instr_count {
+            return Err(corrupt("side table for an unknown instruction"));
+        }
         match switches.binary_search_by_key(&idx, |&(i, _)| i) {
             Ok(at) if switches[at].1 == table_len => {}
             Ok(_) => return Err(corrupt("side-table length differs from its switch's table")),
@@ -504,7 +509,8 @@ pub fn load(bytes: &[u8]) -> Result<(Arc<CodeImage>, SymbolTable), SnapshotError
                 ))
             }
         }
-        *slot = Some(Arc::new(side));
+        let sides = &mut chunks[idx >> CHUNK_SHIFT].sides;
+        set_side(sides, idx & ((1 << CHUNK_SHIFT) - 1), Some(Arc::new(side)));
     }
 
     // Entries.
@@ -559,18 +565,12 @@ pub fn load(bytes: &[u8]) -> Result<(Arc<CodeImage>, SymbolTable), SnapshotError
         return Err(corrupt("unconsumed bytes in the snapshot body"));
     }
 
-    // The dispatch table starts empty and is built one decode chunk at a
-    // time, as chunks first run.
-    let chunks = chunk_offsets.len();
     let image = CodeImage {
         base: None,
         first_index: 0,
         first_addr: 0,
-        instrs: CodeStore::Lazy(Arc::new(LazyCode::new(stream, chunk_offsets, instr_count))),
-        addrs,
+        chunks: chunks.into_iter().map(Arc::new).collect(),
         addr_index,
-        switch_index,
-        dispatch: Dispatch::Lazy((0..chunks).map(|_| OnceLock::new()).collect()),
         end: len_words as u32,
         entries,
         sizes,
@@ -583,24 +583,23 @@ pub fn load(bytes: &[u8]) -> Result<(Arc<CodeImage>, SymbolTable), SnapshotError
     Ok((Arc::new(image), symbols))
 }
 
-/// A validated stream's decode-chunk offsets, and its table switches as
-/// `(stream index, table length)` in stream order.
+/// A validated stream's chunk offsets, its length last, and its table
+/// switches as `(stream index, table length)` in stream order.
 type Scanned = (Vec<usize>, Vec<(usize, usize)>);
 
 /// Validates the instruction stream without materializing it: walks the
 /// whole stream with [`Instr::scan`] (proved instruction-for-instruction
 /// equivalent to [`Instr::decode`]) and returns the word offset of each
-/// lazy decode chunk (every `1 << LAZY_CHUNK_SHIFT` instructions) and
-/// the table switches that side tables may index. After this pass a
-/// corrupt stream has already been rejected, so the lazy store's
-/// deferred per-chunk decode cannot fail.
+/// chunk (every `1 << CHUNK_SHIFT` instructions) and the table switches
+/// that side tables may index. After this pass a corrupt stream has
+/// already been rejected, so a chunk's deferred decode cannot fail.
 fn scan_stream(instr_count: usize, stream: &[u64]) -> Result<Scanned, SnapshotError> {
-    let lazy_chunk = 1usize << LAZY_CHUNK_SHIFT;
-    let mut offsets = Vec::with_capacity(instr_count.div_ceil(lazy_chunk));
+    let chunk = 1usize << CHUNK_SHIFT;
+    let mut offsets = Vec::with_capacity(instr_count.div_ceil(chunk) + 1);
     let mut switches = Vec::new();
     let mut pos = 0usize;
     for idx in 0..instr_count {
-        if idx % lazy_chunk == 0 {
+        if idx % chunk == 0 {
             offsets.push(pos);
         }
         let used = Instr::scan(&stream[pos..])
@@ -613,6 +612,7 @@ fn scan_stream(instr_count: usize, stream: &[u64]) -> Result<Scanned, SnapshotEr
     if pos != stream.len() {
         return Err(corrupt("stream words after the last instruction"));
     }
+    offsets.push(pos);
     Ok((offsets, switches))
 }
 
@@ -625,14 +625,15 @@ fn scan_stream(instr_count: usize, stream: &[u64]) -> Result<Scanned, SnapshotEr
 /// successor of stream index `i` is `i + 1`. They need not be disjoint,
 /// as a switch grown in place overlaps the words after it. The loop
 /// takes no branch per address.
-fn address_index(addrs: &[u32], len_words: usize) -> Result<Vec<u32>, SnapshotError> {
+fn address_index(chunks: &[Chunk], len_words: usize) -> Result<Vec<u32>, SnapshotError> {
     let mut index = vec![u32::MAX; len_words + 1];
     let (mut prev, mut ascending) = (-1i64, true);
-    for (i, &a) in addrs.iter().enumerate() {
+    let addrs = chunks.iter().flat_map(|c| &c.addrs);
+    addrs.enumerate().for_each(|(i, &a)| {
         index[(a as usize).min(len_words)] = i as u32;
         ascending &= i64::from(a) > prev;
         prev = i64::from(a);
-    }
+    });
     if index.pop() != Some(u32::MAX) {
         return Err(corrupt("instruction address outside the code"));
     }

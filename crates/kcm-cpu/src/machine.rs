@@ -782,9 +782,8 @@ impl<M: DataMem> Machine<M> {
     /// instruction, whichever comes first.
     ///
     /// The decoded stream is run one [`kcm_arch::image::Span`] at a
-    /// time — the program's code, a query overlay's, or a lazily
-    /// restored image's decode chunk — so leaving a span costs one
-    /// predictable range check per step.
+    /// time — one code chunk of the program or of a query overlay — so
+    /// leaving a span costs one predictable range check per step.
     fn drive(&mut self, quantum: u64) -> Result<(), MachineError> {
         let limit = self
             .budget_from
