@@ -1,5 +1,6 @@
 //! The `kcm-serve` binary: bind, announce the address, serve until a
-//! client sends SHUTDOWN, then print the final metrics.
+//! client sends SHUTDOWN, then print the final metrics
+//! ([`kcm_serve::ServeMetrics`], one field per line).
 //!
 //! ```text
 //! kcm-serve [addr]      default 127.0.0.1:7878; use port 0 for ephemeral
@@ -55,6 +56,6 @@ fn main() -> std::io::Result<()> {
     use std::io::Write as _;
     std::io::stdout().flush()?;
     let metrics = server.run()?;
-    print!("kcm-serve: drained\n{}", metrics.render());
+    println!("kcm-serve: drained\n{metrics:#?}");
     Ok(())
 }

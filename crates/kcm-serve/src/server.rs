@@ -78,8 +78,8 @@ use crate::poll::{Event, Interest, Poller};
 use crate::protocol::{encode_frame, render_batch, render_outcome, FrameBuf, Reply, Request};
 use kcm_system::registry::{ProgramRegistry, Published, TenantStats};
 use kcm_system::{
-    error_class, prepare_query, KcmError, MachineConfig, Outcome, PreparedQuery, ProgramSource,
-    Quantum, QueryOpts, RunStats, Solution, Solutions, Tier,
+    error_class, prepare_query, KcmError, MachineConfig, PreparedQuery, ProgramSource, Quantum,
+    QueryOpts, RunStats, Solution, Solutions, Tier,
 };
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -87,9 +87,9 @@ use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// The event loop's wait tick: bounds how long a missed wake byte can
@@ -179,9 +179,11 @@ impl Default for ServeConfig {
     }
 }
 
-/// Server-wide aggregate metrics, reported by `STATS` and returned by
-/// [`Server::run`]. `STATS` additionally renders per-tenant counters
-/// from the registry (`tenant.<name>.<counter>=` lines).
+/// The server-wide counters [`Server::run`] returns: the aggregate block
+/// of `STATS`, read once after the drain. The request counters are the
+/// server's total [`TenantStats`], whose fields say what counts; the
+/// others belong to no program. `STATS` also prints each tenant's own
+/// [`TenantStats`] (`tenant.<name>.<counter>=` lines).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServeMetrics {
     /// Connections accepted.
@@ -190,41 +192,37 @@ pub struct ServeMetrics {
     pub consults: u64,
     /// Programs published into the shared registry.
     pub publishes: u64,
-    /// Queries accepted: answered from the event loop or admitted to the
-    /// workers (a `BUSY` is not counted).
+    /// Queries accepted (a `BUSY` is not counted).
     pub queries: u64,
     /// Queries answered with a completed outcome.
     pub served: u64,
-    /// Requests rejected with `BUSY` (workers full, or a cap reached).
+    /// Requests rejected with `BUSY`.
     pub busy: u64,
-    /// Queries stopped by the step budget.
+    /// Requests stopped by the step budget.
     pub budget_stops: u64,
     /// Requests failed with any other error, panics included.
     pub errors: u64,
-    /// Requests whose handler or worker turn panicked; each was answered
-    /// with the error class `internal` and counted under `errors` too.
+    /// Requests that panicked, answered with the error class `internal`.
     pub panics: u64,
-    /// Solutions across served queries.
+    /// Queries dropped unrun: their connection closed.
+    pub cancelled: u64,
+    /// Solutions across served queries and cursor batches.
     pub solutions: u64,
-    /// Logical inferences across served queries.
+    /// Logical inferences, likewise.
     pub inferences: u64,
-    /// Simulated KCM cycles across served queries; stays 0 when serving
-    /// on the (default) native tier, which has no clock.
+    /// Simulated KCM cycles, likewise (0 on the default native tier).
     pub cycles: u64,
-    /// Retired machine instructions across served queries — the
-    /// tier-independent work counter (nonzero on both tiers).
+    /// Retired machine instructions, likewise (on both tiers).
     pub steps: u64,
-    /// Clause-indexing switch dispatches that found their key, across
-    /// served queries (tier-independent, like `steps`).
+    /// Switch dispatches that found their key, across served queries.
     pub switch_hits: u64,
     /// Switch dispatches that missed their table.
     pub switch_misses: u64,
-    /// Switch table probes charged (the simulated linear-scan cost the
-    /// hash side table avoids paying on the host).
+    /// Switch table probes charged.
     pub switch_probes: u64,
     /// Second-level (depth-2) switch dispatches taken.
     pub switch_depth2: u64,
-    /// Cursors opened (`QUERY … CURSOR` that compiled and suspended).
+    /// Cursors opened.
     pub cursors_opened: u64,
     /// `NEXT` batches served from cursors.
     pub cursor_batches: u64,
@@ -235,42 +233,11 @@ pub struct ServeMetrics {
     pub cursors_reaped: u64,
 }
 
-impl ServeMetrics {
-    /// The `STATS` reply's aggregate section: one `key=value` line per
-    /// counter.
-    pub fn render(&self) -> String {
-        format!(
-            "connections={}\nconsults={}\npublishes={}\nqueries={}\nserved={}\nbusy={}\nbudget_stops={}\nerrors={}\npanics={}\nsolutions={}\ninferences={}\ncycles={}\nsteps={}\nswitch_hits={}\nswitch_misses={}\nswitch_probes={}\nswitch_depth2={}\ncursors_opened={}\ncursor_batches={}\ncursor_answers={}\ncursors_reaped={}\n",
-            self.connections,
-            self.consults,
-            self.publishes,
-            self.queries,
-            self.served,
-            self.busy,
-            self.budget_stops,
-            self.errors,
-            self.panics,
-            self.solutions,
-            self.inferences,
-            self.cycles,
-            self.steps,
-            self.switch_hits,
-            self.switch_misses,
-            self.switch_probes,
-            self.switch_depth2,
-            self.cursors_opened,
-            self.cursor_batches,
-            self.cursor_answers,
-            self.cursors_reaped
-        )
-    }
-}
-
 /// A claimed in-flight slot on a program ([`TenantStats::try_start_inflight`]).
 /// Dropping the claim releases the slot, so a request gives its slot back
 /// however it ends: answered, rejected, or dropped by a panic. Holding
 /// the `Arc` also keeps the program alive across re-publish, eviction and
-/// re-consult, and routes the request's per-program accounting.
+/// re-consult, and names the program the request's events count against.
 struct Claim {
     program: Arc<Published>,
 }
@@ -299,10 +266,10 @@ struct Batch {
     /// Answers wanted (already clamped to the batch cap).
     count: u64,
     answers: Vec<Solution>,
-    /// The session's totals and output length when the batch began, so
-    /// the batch reports its own deltas.
+    /// The session's totals when the batch began, so the batch reports
+    /// its own deltas. Its output needs no such mark: every batch that
+    /// replies takes the session's output.
     before_stats: RunStats,
-    before_output: usize,
 }
 
 /// What one quantum of a task came to.
@@ -347,7 +314,17 @@ struct CursorReturn {
 
 struct Shared {
     cfg: ServeConfig,
-    metrics: Mutex<ServeMetrics>,
+    /// The request counters summed over every program, plus the
+    /// requests that never resolved one.
+    total: TenantStats,
+    /// Connections accepted.
+    connections: AtomicU64,
+    /// Programs consulted.
+    consults: AtomicU64,
+    /// Programs published.
+    publishes: AtomicU64,
+    /// Cursors released by the server: idle, or their connection closed.
+    cursors_reaped: AtomicU64,
     registry: ProgramRegistry,
     /// Armed fault injections (unit tests only).
     #[cfg(test)]
@@ -355,10 +332,14 @@ struct Shared {
 }
 
 impl Shared {
-    /// The metrics, locked. A panic contained while the lock was held
-    /// leaves counters that are still counters, so poisoning is ignored.
-    fn metrics(&self) -> MutexGuard<'_, ServeMetrics> {
-        self.metrics.lock().unwrap_or_else(PoisonError::into_inner)
+    /// Counts one request event in the server total and, when the
+    /// request's program is known, in the program's counters. Every
+    /// count lands before the request's reply is queued.
+    fn count(&self, program: Option<&TenantStats>, event: impl Fn(&TenantStats)) {
+        event(&self.total);
+        if let Some(program) = program {
+            event(program);
+        }
     }
 }
 
@@ -395,7 +376,11 @@ impl Server {
         wake_rx.set_nonblocking(true)?;
         let shared = Arc::new(Shared {
             registry: ProgramRegistry::new(cfg.max_programs),
-            metrics: Mutex::new(ServeMetrics::default()),
+            total: TenantStats::default(),
+            connections: AtomicU64::new(0),
+            consults: AtomicU64::new(0),
+            publishes: AtomicU64::new(0),
+            cursors_reaped: AtomicU64::new(0),
             cfg,
             #[cfg(test)]
             faults: tests::Faults::default(),
@@ -484,8 +469,32 @@ impl Server {
         for w in workers {
             let _ = w.join();
         }
-        let metrics = shared.metrics().clone();
-        Ok(metrics)
+        let get = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        let t = &shared.total;
+        Ok(ServeMetrics {
+            connections: get(&shared.connections),
+            consults: get(&shared.consults),
+            publishes: get(&shared.publishes),
+            queries: get(&t.queries),
+            served: get(&t.served),
+            busy: get(&t.busy),
+            budget_stops: get(&t.budget_stops),
+            errors: get(&t.errors),
+            panics: get(&t.panics),
+            cancelled: get(&t.cancelled),
+            solutions: get(&t.solutions),
+            inferences: get(&t.inferences),
+            cycles: get(&t.cycles),
+            steps: get(&t.steps),
+            switch_hits: get(&t.switch_hits),
+            switch_misses: get(&t.switch_misses),
+            switch_probes: get(&t.switch_probes),
+            switch_depth2: get(&t.switch_depth2),
+            cursors_opened: get(&t.cursors_opened),
+            cursor_batches: get(&t.cursor_batches),
+            cursor_answers: get(&t.cursor_answers),
+            cursors_reaped: get(&shared.cursors_reaped),
+        })
     }
 }
 
@@ -551,8 +560,8 @@ struct Cursor {
     /// by a request that passes the owner check — except through a
     /// closed-then-reused id, which the never-reused id space rules out.
     session: Option<Box<Solutions>>,
-    /// Pinned program handle (keeps the image alive across republish and
-    /// routes per-program accounting).
+    /// Pinned program handle (keeps the image alive across republish, and
+    /// names the program its batches count against).
     program: Arc<Published>,
     /// Last open/pull touch, for the idle reaper. A session paused
     /// mid-pull (its batch replied early under a full queue) idles and is
@@ -628,7 +637,7 @@ impl EventLoop {
                         continue;
                     }
                     let _ = stream.set_nodelay(true);
-                    self.shared.metrics().connections += 1;
+                    self.shared.connections.fetch_add(1, Ordering::Relaxed);
                     let conn = Conn {
                         stream,
                         frames: FrameBuf::new(),
@@ -735,9 +744,9 @@ impl EventLoop {
         let before = self.cursors.len();
         self.cursors.retain(|_, c| c.owner != token);
         let reaped = (before - self.cursors.len()) as u64;
-        if reaped > 0 {
-            self.shared.metrics().cursors_reaped += reaped;
-        }
+        self.shared
+            .cursors_reaped
+            .fetch_add(reaped, Ordering::Relaxed);
         self.slots[index].gen = self.slots[index].gen.wrapping_add(1);
         self.free.push(index);
         self.live -= 1;
@@ -752,9 +761,9 @@ impl EventLoop {
         self.cursors
             .retain(|_, c| c.session.is_none() || c.last_used.elapsed() <= idle);
         let reaped = (before - self.cursors.len()) as u64;
-        if reaped > 0 {
-            self.shared.metrics().cursors_reaped += reaped;
-        }
+        self.shared
+            .cursors_reaped
+            .fetch_add(reaped, Ordering::Relaxed);
     }
 
     fn conn_ready(&mut self, token: u64, ev: Event) {
@@ -838,7 +847,7 @@ impl EventLoop {
     ) -> bool {
         self.cursors
             .retain(|_, c| c.owner != token || c.session.is_some());
-        queue_reply(conn, &panic_reply(&self.shared, cause).encode()).is_ok()
+        queue_reply(conn, &panic_reply(&self.shared, None, cause).encode()).is_ok()
     }
 
     /// Handles one request frame. Returns whether the connection stays
@@ -863,7 +872,7 @@ impl EventLoop {
                 match Published::load("", source.as_str(), None) {
                     Ok(program) => {
                         conn.program = Some(Arc::new(program));
-                        self.shared.metrics().consults += 1;
+                        self.shared.consults.fetch_add(1, Ordering::Relaxed);
                         Reply::Ok {
                             body: String::new(),
                         }
@@ -909,11 +918,9 @@ impl EventLoop {
                     Err(e) => error_reply(&e, &self.shared, None),
                 }
             }
-            Request::Stats => {
-                let mut body = stats_body(&self.shared);
-                body.push_str(&format!("cursors_open={}\n", self.cursors.len()));
-                Reply::Ok { body }
-            }
+            Request::Stats => Reply::Ok {
+                body: stats_body(&self.shared, self.cursors.len()),
+            },
             Request::Shutdown => {
                 self.shutting_down = true;
                 if self.accepting {
@@ -974,7 +981,7 @@ impl EventLoop {
             .publish(name, source, &self.shared.cfg.machine, step_budget)
         {
             Ok(receipt) => {
-                self.shared.metrics().publishes += 1;
+                self.shared.publishes.fetch_add(1, Ordering::Relaxed);
                 let mut body = format!("name={name}\nversion={}\n", receipt.version);
                 if let Some(evicted) = receipt.evicted {
                     body.push_str(&format!("evicted={evicted}\n"));
@@ -1013,7 +1020,7 @@ impl EventLoop {
     }
 
     /// Claims an in-flight slot on a resolved program. `None` has
-    /// already been accounted as a BUSY.
+    /// already been counted as a BUSY.
     fn claim_inflight(&self, program: &Arc<Published>) -> Option<Claim> {
         if program
             .stats
@@ -1023,8 +1030,8 @@ impl EventLoop {
                 program: Arc::clone(program),
             });
         }
-        self.shared.metrics().busy += 1;
-        program.stats.busy.fetch_add(1, Ordering::Relaxed);
+        self.shared
+            .count(Some(&program.stats), TenantStats::on_busy);
         None
     }
 
@@ -1082,8 +1089,8 @@ impl EventLoop {
                         session: Some(batch.session),
                     });
                 }
-                self.shared.metrics().busy += 1;
-                claim.program.stats.busy.fetch_add(1, Ordering::Relaxed);
+                self.shared
+                    .count(Some(&claim.program.stats), TenantStats::on_busy);
                 Some(Reply::Busy)
             }
         }
@@ -1116,8 +1123,8 @@ impl EventLoop {
             Err(e) => Some(error_reply(&e, &self.shared, Some(&program.stats))),
         };
         if !matches!(reply, Some(Reply::Busy)) {
-            self.shared.metrics().queries += 1;
-            program.stats.queries.fetch_add(1, Ordering::Relaxed);
+            self.shared
+                .count(Some(&program.stats), TenantStats::on_query);
         }
         reply
     }
@@ -1158,7 +1165,7 @@ impl EventLoop {
     ) -> Reply {
         let open_here = self.cursors.values().filter(|c| c.owner == token).count();
         if open_here >= self.shared.cfg.cursors_per_conn {
-            self.shared.metrics().busy += 1;
+            self.shared.count(None, TenantStats::on_busy);
             return Reply::Busy;
         }
         let (program, budget) = match self.resolve_program(conn, tenant.as_deref(), step_budget) {
@@ -1168,15 +1175,17 @@ impl EventLoop {
         let Some(claim) = self.claim_inflight(&program) else {
             return Reply::Busy;
         };
-        self.shared.metrics().queries += 1;
-        program.stats.queries.fetch_add(1, Ordering::Relaxed);
         // A session enumerates by construction.
         let session = self
             .prepare(&program, query, true, budget)
             .and_then(PreparedQuery::into_session);
         drop(claim);
+        self.shared
+            .count(Some(&program.stats), TenantStats::on_query);
         match session {
             Ok(session) => {
+                self.shared
+                    .count(Some(&program.stats), TenantStats::on_cursor);
                 let cursor_id = self.next_cursor_id;
                 self.next_cursor_id += 1;
                 self.cursors.insert(
@@ -1188,7 +1197,6 @@ impl EventLoop {
                         last_used: Instant::now(),
                     },
                 );
-                self.shared.metrics().cursors_opened += 1;
                 Reply::Ok {
                     body: format!("cursor={cursor_id}\n"),
                 }
@@ -1233,7 +1241,6 @@ impl EventLoop {
         let batch = Batch {
             cursor_id: id,
             before_stats: *session.totals(),
-            before_output: session.output().len(),
             session,
             count,
             answers: Vec::new(),
@@ -1375,7 +1382,11 @@ fn worker_loop(
             Task::Query(_) => None,
         };
         let (payload, cursor) = if cancelled.load(Ordering::Relaxed) {
-            // No one will read a reply: drop the session unrun.
+            // No one will read a reply: drop the session unrun. A batch's
+            // cursor was counted when its connection's close reaped it.
+            if let Task::Query(_) = task {
+                shared.count(Some(&claim.program.stats), TenantStats::on_cancelled);
+            }
             drop(task);
             (Vec::new(), dead_cursor)
         } else {
@@ -1396,7 +1407,10 @@ fn worker_loop(
                     continue;
                 }
                 Ok(Turn::Done(reply, cursor)) => (reply, cursor),
-                Err(cause) => (panic_reply(shared, cause.as_ref()), dead_cursor),
+                Err(cause) => {
+                    let reply = panic_reply(shared, Some(&claim.program.stats), cause.as_ref());
+                    (reply, dead_cursor)
+                }
             };
             (reply.encode(), cursor)
         };
@@ -1418,14 +1432,14 @@ fn worker_loop(
 }
 
 /// Runs one quantum of a task, on the loop or a worker, and renders the
-/// reply of a finished request, accounting it against the aggregate and
-/// per-program counters.
+/// reply of a finished request, counting it in the server total and the
+/// program's counters.
 fn run_turn(task: Task, shared: &Shared, stats: &TenantStats) -> Turn {
     match task {
         Task::Query(mut query) => match query.run_quantum(QUANTUM) {
             Ok(Quantum::Paused) => Turn::Paused(Task::Query(query)),
             Ok(Quantum::Done(outcome)) => {
-                account_served(shared, stats, &outcome);
+                shared.count(Some(stats), |s| s.on_served(&outcome));
                 let body = render_outcome(&outcome);
                 Turn::Done(Reply::Ok { body }, None)
             }
@@ -1470,7 +1484,7 @@ impl Batch {
     /// session is parked back unless the enumeration is exhausted or a
     /// slice error killed it.
     fn finish(
-        self,
+        mut self,
         exhausted: bool,
         failure: Option<KcmError>,
         shared: &Shared,
@@ -1485,15 +1499,15 @@ impl Batch {
                 // Deltas come off the session's running totals so the
                 // slice that discovers exhaustion is still charged.
                 let batch_stats = self.session.totals().delta_since(&self.before_stats);
-                let batch_output = &self.session.output()[self.before_output..];
-                account_batch(shared, stats, self.answers.len() as u64, &batch_stats);
+                let answers = self.answers.len() as u64;
+                shared.count(Some(stats), |s| s.on_batch(answers, &batch_stats));
                 Reply::Ok {
                     body: render_batch(
                         self.cursor_id,
                         &self.answers,
                         exhausted,
                         &batch_stats,
-                        batch_output,
+                        &self.session.take_output(),
                     ),
                 }
             }
@@ -1508,126 +1522,70 @@ impl Batch {
 }
 
 /// The reply to a request whose handler or worker turn panicked: the
-/// classed error `internal`, counted under `panics` and `errors`.
-fn panic_reply(shared: &Shared, cause: &(dyn std::any::Any + Send)) -> Reply {
-    {
-        let mut m = shared.metrics();
-        m.panics += 1;
-        m.errors += 1;
-    }
+/// classed error `internal`, counted under `panics` and `errors` in the
+/// total and, on a worker, in the request's program. A panic on the loop
+/// counts in the total only: the unwind took the handler's program
+/// handle with it.
+fn panic_reply(
+    shared: &Shared,
+    program: Option<&TenantStats>,
+    cause: &(dyn std::any::Any + Send),
+) -> Reply {
+    let class = "internal";
+    shared.count(program, |s| s.on_error(class));
     let why = cause
         .downcast_ref::<&str>()
         .copied()
         .or_else(|| cause.downcast_ref::<String>().map(String::as_str))
         .unwrap_or("panic");
     Reply::Err {
-        class: "internal".to_owned(),
+        class: class.to_owned(),
         message: format!("internal error: {why}"),
     }
 }
 
-/// Accounts one served cursor batch into the aggregate and per-program
-/// counters. Cursor batches count work (`solutions`, `inferences`,
-/// `cycles`, `steps`) like queries do, but under the `cursor_*` serving
-/// counters instead of `served`.
-fn account_batch(shared: &Shared, program: &TenantStats, answers: u64, stats: &RunStats) {
-    {
-        let mut m = shared.metrics();
-        m.cursor_batches += 1;
-        m.cursor_answers += answers;
-        m.solutions += answers;
-        m.inferences += stats.inferences;
-        m.cycles += stats.cycles;
-        m.steps += stats.instructions;
-    }
-    program.solutions.fetch_add(answers, Ordering::Relaxed);
-    program
-        .inferences
-        .fetch_add(stats.inferences, Ordering::Relaxed);
-    program.cycles.fetch_add(stats.cycles, Ordering::Relaxed);
-    program
-        .steps
-        .fetch_add(stats.instructions, Ordering::Relaxed);
-}
-
-fn account_served(shared: &Shared, program: &TenantStats, outcome: &Outcome) {
-    let solutions = outcome.solutions.len() as u64;
-    {
-        let mut m = shared.metrics();
-        m.served += 1;
-        m.solutions += solutions;
-        m.inferences += outcome.stats.inferences;
-        m.cycles += outcome.stats.cycles;
-        m.steps += outcome.stats.instructions;
-        m.switch_hits += outcome.profile.switches.hits;
-        m.switch_misses += outcome.profile.switches.misses;
-        m.switch_probes += outcome.profile.switches.probes;
-        m.switch_depth2 += outcome.profile.switches.depth2;
-    }
-    program.served.fetch_add(1, Ordering::Relaxed);
-    program.solutions.fetch_add(solutions, Ordering::Relaxed);
-    program
-        .inferences
-        .fetch_add(outcome.stats.inferences, Ordering::Relaxed);
-    program
-        .cycles
-        .fetch_add(outcome.stats.cycles, Ordering::Relaxed);
-    program
-        .steps
-        .fetch_add(outcome.stats.instructions, Ordering::Relaxed);
-}
-
-fn error_reply(e: &KcmError, shared: &Shared, tenant: Option<&TenantStats>) -> Reply {
+/// The reply to a failed request, counted by its class in the total and,
+/// when the request resolved one, in its program.
+fn error_reply(e: &KcmError, shared: &Shared, program: Option<&TenantStats>) -> Reply {
     let class = error_class(e);
-    {
-        let mut m = shared.metrics();
-        if class == "budget" {
-            m.budget_stops += 1;
-        } else {
-            m.errors += 1;
-        }
-    }
-    if let Some(t) = tenant {
-        if class == "budget" {
-            t.budget_stops.fetch_add(1, Ordering::Relaxed);
-        } else {
-            t.errors.fetch_add(1, Ordering::Relaxed);
-        }
-    }
+    shared.count(program, |s| s.on_error(class));
     Reply::Err {
         class: class.to_owned(),
         message: e.to_string(),
     }
 }
 
-/// The full `STATS` body: the aggregate counters, the registry size, and
-/// per-tenant counters sorted by name.
-fn stats_body(shared: &Shared) -> String {
-    let mut body = shared.metrics().render();
+/// The full `STATS` body: the aggregate counters, the registry size,
+/// per-tenant counters sorted by name, and the open cursors.
+fn stats_body(shared: &Shared, cursors_open: usize) -> String {
+    let get = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+    let mut body = format!(
+        "connections={}\nconsults={}\npublishes={}\n",
+        get(&shared.connections),
+        get(&shared.consults),
+        get(&shared.publishes)
+    );
+    shared.total.render("", &mut body);
     let tenants = shared.registry.tenants();
-    body.push_str(&format!("programs={}\n", tenants.len()));
+    body.push_str(&format!(
+        "cursors_reaped={}\nprograms={}\n",
+        get(&shared.cursors_reaped),
+        tenants.len()
+    ));
     for t in tenants {
-        let s = t.stats.snapshot();
         let n = &t.name;
         body.push_str(&format!("tenant.{n}.version={}\n", t.version));
-        body.push_str(&format!("tenant.{n}.queries={}\n", s.queries));
-        body.push_str(&format!("tenant.{n}.served={}\n", s.served));
-        body.push_str(&format!("tenant.{n}.busy={}\n", s.busy));
-        body.push_str(&format!("tenant.{n}.budget_stops={}\n", s.budget_stops));
-        body.push_str(&format!("tenant.{n}.errors={}\n", s.errors));
-        body.push_str(&format!("tenant.{n}.solutions={}\n", s.solutions));
-        body.push_str(&format!("tenant.{n}.inferences={}\n", s.inferences));
-        body.push_str(&format!("tenant.{n}.cycles={}\n", s.cycles));
-        body.push_str(&format!("tenant.{n}.steps={}\n", s.steps));
-        body.push_str(&format!(
-            "tenant.{n}.inflight={}\n",
-            t.stats.inflight.load(Ordering::Relaxed)
-        ));
+        t.stats.render(&format!("tenant.{n}."), &mut body);
         let shapes = t.image.shape_stats();
-        body.push_str(&format!("tenant.{n}.shape_hits={}\n", shapes.hits));
-        body.push_str(&format!("tenant.{n}.shape_misses={}\n", shapes.misses));
-        body.push_str(&format!("tenant.{n}.shapes={}\n", shapes.shapes));
+        body.push_str(&format!(
+            "tenant.{n}.inflight={}\ntenant.{n}.shape_hits={}\ntenant.{n}.shape_misses={}\ntenant.{n}.shapes={}\n",
+            get(&t.stats.inflight),
+            shapes.hits,
+            shapes.misses,
+            shapes.shapes
+        ));
     }
+    body.push_str(&format!("cursors_open={cursors_open}\n"));
     body
 }
 
@@ -1636,6 +1594,7 @@ mod tests {
     use super::*;
     use crate::client::Client;
     use std::sync::atomic::AtomicU32;
+    use std::sync::MutexGuard;
 
     /// Armed fault injections: each count makes that many of the next
     /// first quanta on the loop, or worker turns, panic.
@@ -1653,6 +1612,13 @@ mod tests {
         {
             panic!("injected fault");
         }
+    }
+
+    /// Serializes the tests that start a server: one counts the process's
+    /// worker threads.
+    fn serial() -> MutexGuard<'static, ()> {
+        static SERIAL: Mutex<()> = Mutex::new(());
+        SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Live worker threads in this process, by thread name.
@@ -1686,6 +1652,7 @@ mod tests {
 
     #[test]
     fn panics_on_the_loop_and_in_a_worker_are_contained_to_their_request() {
+        let _serial = serial();
         let server = Server::bind(
             "127.0.0.1:0",
             ServeConfig {
@@ -1753,9 +1720,145 @@ mod tests {
         assert_eq!(worker_threads(), threads);
         let stats = client.stats().expect("stats");
         assert!(stats.contains("\npanics=4\n"), "{stats}");
+        // The two worker turns resolved the program; the loop panics
+        // count in the total only.
+        assert!(stats.contains("tenant.t.panics=2\n"), "{stats}");
         assert!(stats.contains("tenant.t.inflight=0\n"), "{stats}");
         client.shutdown().expect("shutdown");
         let metrics = handle.join().expect("server thread").expect("server run");
         assert_eq!(metrics.panics, 4);
+    }
+
+    /// Polls `STATS` until `ready` holds for its body, which it returns.
+    fn await_stats(client: &mut Client, ready: impl Fn(&str) -> bool) -> String {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        loop {
+            let stats = client.stats().expect("stats");
+            if ready(&stats) {
+                return stats;
+            }
+            assert!(Instant::now() < deadline, "never ready:\n{stats}");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    #[test]
+    fn every_event_counts_in_the_total_and_in_its_program() {
+        let _serial = serial();
+        let server = Server::bind(
+            "127.0.0.1:0",
+            ServeConfig {
+                workers: 1,
+                ..ServeConfig::default()
+            },
+        )
+        .expect("bind");
+        let addr = server.local_addr().expect("addr");
+        let shared = Arc::clone(&server.shared);
+        let handle = std::thread::spawn(move || server.run());
+        let mut client = Client::connect(addr).expect("connect");
+        let program = "loop :- loop. two(1). two(2).";
+        assert!(client.publish("t", program, None).expect("publish").is_ok());
+
+        // Two queries served, a budget stop, a parse error and a panic
+        // in a worker turn.
+        let reply = client.query_tenant("t", "two(X)").expect("query");
+        assert!(matches!(&reply, Reply::Ok { body } if body.contains("X=1")));
+        let reply = client.query_tenant_all("t", "two(X)").expect("queryall");
+        assert!(matches!(&reply, Reply::Ok { body } if body.contains("X=2")));
+        let reply = client.request(&query("t", "loop", 50_000)).expect("budget");
+        assert_eq!(class_of(&reply), "budget");
+        let reply = client.query_tenant("t", "two(").expect("parse");
+        assert_eq!(class_of(&reply), "parse");
+        shared.faults.worker_turns.store(1, Ordering::Relaxed);
+        let reply = client
+            .request(&query("t", "loop", 1_000_000))
+            .expect("panic");
+        assert_eq!(class_of(&reply), "internal");
+        // A cursor drained to its end.
+        let id = client.open_cursor(Some("t"), "two(X)", None).expect("open");
+        match client.next(id, Some(5)).expect("next") {
+            Reply::Ok { body } => assert!(body.contains("answers=2 done=true"), "{body}"),
+            other => panic!("next answered {other:?}"),
+        }
+        // A query cancelled by its connection's reset: the client closes
+        // with a reply unread while the query is with the only worker.
+        let mut doomed = TcpStream::connect(addr).expect("connect");
+        let mut frames = encode_frame(Request::Stats.encode());
+        frames.extend(encode_frame(query("t", "loop", 10_000_000_000).encode()));
+        doomed.write_all(&frames).expect("send");
+        await_stats(&mut client, |s| s.contains("tenant.t.inflight=1\n"));
+        doomed.peek(&mut [0]).expect("the statistics reply arrives");
+        drop(doomed);
+
+        // Quiet: the worker counts the cancel, in the total and then in
+        // the program, before it releases the in-flight slot.
+        let stats = await_stats(&mut client, |s| {
+            [
+                "\ncancelled=1\n",
+                "tenant.t.cancelled=1\n",
+                "tenant.t.inflight=0\n",
+            ]
+            .iter()
+            .all(|line| s.contains(line))
+        });
+        let counts: HashMap<&str, u64> = stats
+            .lines()
+            .filter_map(|l| l.split_once('='))
+            .map(|(key, value)| (key, value.parse().expect("a count")))
+            .collect();
+        let tenant = |key: &str| counts[format!("tenant.t.{key}").as_str()];
+        for (key, _) in TenantStats::default().counters() {
+            assert_eq!(counts[key], tenant(key), "{key}:\n{stats}");
+        }
+        let outcomes = [
+            "served",
+            "cursors_opened",
+            "budget_stops",
+            "errors",
+            "cancelled",
+        ];
+        assert_eq!(
+            tenant("queries"),
+            outcomes.iter().map(|key| tenant(key)).sum::<u64>(),
+            "{stats}"
+        );
+        let events = [
+            "queries",
+            "served",
+            "budget_stops",
+            "errors",
+            "panics",
+            "cancelled",
+            "cursors_opened",
+            "cursor_batches",
+            "cursor_answers",
+        ];
+        assert_eq!(events.map(tenant), [7, 2, 1, 2, 1, 1, 1, 1, 2], "{stats}");
+        client.shutdown().expect("shutdown");
+        let metrics = handle.join().expect("server thread").expect("server run");
+        assert_eq!((metrics.queries, metrics.cancelled), (7, 1));
+    }
+
+    #[test]
+    fn a_cursor_batch_reports_the_output_of_its_own_answers() {
+        let _serial = serial();
+        let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
+        let addr = server.local_addr().expect("addr");
+        let handle = std::thread::spawn(move || server.run());
+        let mut client = Client::connect(addr).expect("connect");
+        let program = "d(0). d(1). d(2). d(3). d(4). d(5). w(X) :- d(X), write(X).";
+        assert!(client.publish("t", program, None).expect("publish").is_ok());
+        let id = client.open_cursor(Some("t"), "w(X)", None).expect("open");
+        for output in ["012", "345"] {
+            match client.next(id, Some(3)).expect("next") {
+                Reply::Ok { body } => {
+                    assert!(body.ends_with(&format!("output=\"{output}\"\n")), "{body}");
+                }
+                other => panic!("next answered {other:?}"),
+            }
+        }
+        client.shutdown().expect("shutdown");
+        handle.join().expect("server thread").expect("server run");
     }
 }

@@ -180,7 +180,13 @@ fn a_long_request_ends_with_its_connection() {
     const MEDIUM: u64 = 1_000_000;
     const { assert!(MEDIUM > 10 * QUANTUM) };
     expect_budget(&admin.request(&looping(MEDIUM)).expect("medium"), MEDIUM);
+    // The dropped query counts as cancelled, in the total and for its
+    // program.
+    let stats = admin.stats().expect("stats");
+    assert_eq!(counter(&stats, "cancelled"), 1, "{stats}");
+    assert_eq!(counter(&stats, "tenant.kb.cancelled"), 1, "{stats}");
     admin.shutdown().expect("shutdown");
     let metrics = handle.join().expect("server thread").expect("server run");
     assert_eq!(metrics.budget_stops, 1);
+    assert_eq!(metrics.cancelled, 1);
 }

@@ -87,7 +87,7 @@ pub use kcm_cpu::{
     InstrClass, Machine, MachineConfig, MachineError, Outcome, Profile, Quantum, RunStats, Solution,
 };
 pub use pool::{QueryJob, SessionPool, SessionResult};
-pub use registry::{ProgramRegistry, PublishReceipt, Published, TenantSnapshot, TenantStats};
+pub use registry::{ProgramRegistry, PublishReceipt, Published, TenantStats};
 pub use session::{open_session, prepare_query, PreparedQuery, SolutionStep, Solutions};
 
 use kcm_arch::snapshot::SnapshotError;

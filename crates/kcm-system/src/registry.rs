@@ -32,7 +32,7 @@
 //!   still hold their `Arc` and complete normally.
 
 use crate::program::{Edit, Program};
-use crate::{KcmError, MachineConfig, ProgramSource};
+use crate::{KcmError, MachineConfig, Outcome, ProgramSource, RunStats};
 use kcm_arch::SymbolTable;
 use kcm_compiler::CodeImage;
 use kcm_prolog::Term;
@@ -40,77 +40,164 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-/// Per-tenant serving counters, updated lock-free by the workers that
-/// execute the tenant's queries and snapshotted for `STATS`.
+/// Serving counters: a program's, or a server's total over every
+/// program. Each request event is counted by one method, lock-free, from
+/// the event loop and the workers alike; the counters are read relaxed,
+/// since `STATS` is advisory, not a synchronization point.
 ///
 /// `steps` counts retired machine instructions — the tier-independent
 /// work counter: the native tier has no clock, so `cycles` reads 0
 /// there, but both tiers retire the same instruction stream.
 #[derive(Debug, Default)]
 pub struct TenantStats {
-    /// Queries accepted onto the queue for this tenant.
+    /// Queries accepted: one-shot queries answered or admitted to the
+    /// workers, and cursors past their in-flight claim (not a `BUSY`).
     pub queries: AtomicU64,
-    /// Queries answered with a completed outcome.
+    /// One-shot queries answered with a completed outcome.
     pub served: AtomicU64,
-    /// Queries rejected with `BUSY` (queue full).
+    /// Requests rejected with `BUSY` (workers full, or a cap reached).
     pub busy: AtomicU64,
-    /// Queries stopped by the step budget.
+    /// Requests stopped by the step budget.
     pub budget_stops: AtomicU64,
-    /// Queries failed with any other error.
+    /// Requests failed with any other error, panics included.
     pub errors: AtomicU64,
-    /// Solutions across served queries.
+    /// Requests that panicked, answered with the error class `internal`.
+    pub panics: AtomicU64,
+    /// One-shot queries dropped unrun: their connection closed.
+    pub cancelled: AtomicU64,
+    /// Solutions across served queries and cursor batches.
     pub solutions: AtomicU64,
-    /// Logical inferences across served queries.
+    /// Logical inferences across served queries and cursor batches.
     pub inferences: AtomicU64,
-    /// Simulated KCM cycles across served queries (0 on the native tier).
+    /// Simulated KCM cycles, likewise (0 on the native tier).
     pub cycles: AtomicU64,
-    /// Retired machine instructions across served queries.
+    /// Retired machine instructions, likewise.
     pub steps: AtomicU64,
+    /// Clause-indexing switch dispatches that found their key, across
+    /// served queries.
+    pub switch_hits: AtomicU64,
+    /// Switch dispatches that missed their table, likewise.
+    pub switch_misses: AtomicU64,
+    /// Switch table probes charged (the simulated linear-scan cost the
+    /// hash side table avoids paying on the host), likewise.
+    pub switch_probes: AtomicU64,
+    /// Second-level (depth-2) switch dispatches, likewise.
+    pub switch_depth2: AtomicU64,
+    /// Cursors opened (`QUERY … CURSOR` that compiled and suspended).
+    pub cursors_opened: AtomicU64,
+    /// Cursor batches served.
+    pub cursor_batches: AtomicU64,
+    /// Answers streamed across all cursor batches.
+    pub cursor_answers: AtomicU64,
     /// Work items currently executing or queued for this tenant —
     /// maintained by [`TenantStats::try_start_inflight`] /
     /// [`TenantStats::finish_inflight`], which a server uses to bound how
-    /// much of its worker fleet one hot tenant can occupy.
+    /// much of its worker fleet one hot tenant can occupy. A gauge, not
+    /// a counter: [`TenantStats::counters`] leaves it out, and a total
+    /// over programs leaves it at 0.
     pub inflight: AtomicU64,
 }
 
-/// A point-in-time copy of one tenant's [`TenantStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TenantSnapshot {
-    /// Queries accepted onto the queue.
-    pub queries: u64,
-    /// Queries answered with a completed outcome.
-    pub served: u64,
-    /// Queries rejected with `BUSY`.
-    pub busy: u64,
-    /// Queries stopped by the step budget.
-    pub budget_stops: u64,
-    /// Queries failed with any other error.
-    pub errors: u64,
-    /// Solutions across served queries.
-    pub solutions: u64,
-    /// Logical inferences across served queries.
-    pub inferences: u64,
-    /// Simulated cycles across served queries.
-    pub cycles: u64,
-    /// Retired machine instructions across served queries.
-    pub steps: u64,
+/// Adds `n` to a counter. Most of a request's counts are 0 (`cycles` on
+/// the native tier, most switch outcomes), and skip the atomic add.
+fn bump(counter: &AtomicU64, n: u64) {
+    if n != 0 {
+        counter.fetch_add(n, Ordering::Relaxed);
+    }
 }
 
 impl TenantStats {
-    /// Reads every counter (relaxed; the snapshot is advisory, not a
-    /// synchronization point).
-    pub fn snapshot(&self) -> TenantSnapshot {
-        TenantSnapshot {
-            queries: self.queries.load(Ordering::Relaxed),
-            served: self.served.load(Ordering::Relaxed),
-            busy: self.busy.load(Ordering::Relaxed),
-            budget_stops: self.budget_stops.load(Ordering::Relaxed),
-            errors: self.errors.load(Ordering::Relaxed),
-            solutions: self.solutions.load(Ordering::Relaxed),
-            inferences: self.inferences.load(Ordering::Relaxed),
-            cycles: self.cycles.load(Ordering::Relaxed),
-            steps: self.steps.load(Ordering::Relaxed),
+    /// Every counter under its `STATS` key, in the order `STATS` prints
+    /// them.
+    pub fn counters(&self) -> [(&'static str, &AtomicU64); 18] {
+        [
+            ("queries", &self.queries),
+            ("served", &self.served),
+            ("busy", &self.busy),
+            ("budget_stops", &self.budget_stops),
+            ("errors", &self.errors),
+            ("panics", &self.panics),
+            ("cancelled", &self.cancelled),
+            ("solutions", &self.solutions),
+            ("inferences", &self.inferences),
+            ("cycles", &self.cycles),
+            ("steps", &self.steps),
+            ("switch_hits", &self.switch_hits),
+            ("switch_misses", &self.switch_misses),
+            ("switch_probes", &self.switch_probes),
+            ("switch_depth2", &self.switch_depth2),
+            ("cursors_opened", &self.cursors_opened),
+            ("cursor_batches", &self.cursor_batches),
+            ("cursor_answers", &self.cursor_answers),
+        ]
+    }
+
+    /// Appends one `<prefix><key>=<value>` line per counter.
+    pub fn render(&self, prefix: &str, out: &mut String) {
+        for (key, counter) in self.counters() {
+            let value = counter.load(Ordering::Relaxed);
+            out.push_str(&format!("{prefix}{key}={value}\n"));
         }
+    }
+
+    /// A query accepted.
+    pub fn on_query(&self) {
+        bump(&self.queries, 1);
+    }
+
+    /// A request answered `BUSY`.
+    pub fn on_busy(&self) {
+        bump(&self.busy, 1);
+    }
+
+    /// A one-shot query answered with its outcome.
+    pub fn on_served(&self, outcome: &Outcome) {
+        let switches = &outcome.profile.switches;
+        bump(&self.served, 1);
+        bump(&self.solutions, outcome.solutions.len() as u64);
+        self.on_work(&outcome.stats);
+        bump(&self.switch_hits, switches.hits);
+        bump(&self.switch_misses, switches.misses);
+        bump(&self.switch_probes, switches.probes);
+        bump(&self.switch_depth2, switches.depth2);
+    }
+
+    /// A cursor batch that streamed `answers` answers at the cost
+    /// `stats`. It counts its work like a served query, but under the
+    /// `cursor_*` counters instead of `served`.
+    pub fn on_batch(&self, answers: u64, stats: &RunStats) {
+        bump(&self.cursor_batches, 1);
+        bump(&self.cursor_answers, answers);
+        bump(&self.solutions, answers);
+        self.on_work(stats);
+    }
+
+    /// The machine work of a served query or a cursor batch.
+    fn on_work(&self, stats: &RunStats) {
+        bump(&self.inferences, stats.inferences);
+        bump(&self.cycles, stats.cycles);
+        bump(&self.steps, stats.instructions);
+    }
+
+    /// A request failed with the error class `class`: `budget` is a
+    /// budget stop, any other class an error, and `internal` (a contained
+    /// panic) a panic too.
+    pub fn on_error(&self, class: &str) {
+        if class == "budget" {
+            return bump(&self.budget_stops, 1);
+        }
+        bump(&self.errors, 1);
+        bump(&self.panics, u64::from(class == "internal"));
+    }
+
+    /// A one-shot query dropped unrun: its connection closed.
+    pub fn on_cancelled(&self) {
+        bump(&self.cancelled, 1);
+    }
+
+    /// A cursor opened.
+    pub fn on_cursor(&self) {
+        bump(&self.cursors_opened, 1);
     }
 
     /// Claims one in-flight slot if fewer than `cap` are taken, lock-free
@@ -523,7 +610,7 @@ mod tests {
         let new = crate::pool::run_session(&v2.image, &v2.symbols, &cfg, &job).expect("new run");
         assert_eq!(new.solutions.len(), 2);
         // …and the tenant's stats survived the deploy.
-        assert_eq!(v2.stats.snapshot().served, 7);
+        assert_eq!(v2.stats.served.load(Ordering::Relaxed), 7);
     }
 
     #[test]
@@ -777,7 +864,7 @@ mod tests {
         });
         let t = r.lookup("kb").expect("final");
         assert_eq!(t.version, 21);
-        assert_eq!(t.stats.snapshot().queries, 800);
+        assert_eq!(t.stats.queries.load(Ordering::Relaxed), 800);
     }
 
     /// `kv(k<i>, v<i mod 7>)` for `i` in `0..n`.

@@ -268,9 +268,17 @@ impl Solutions {
         &self.totals
     }
 
-    /// Accumulated host output over every slice pulled so far.
+    /// Accumulated host output over every slice pulled so far, or since
+    /// the last [`Solutions::take_output`].
     pub fn output(&self) -> &str {
         &self.output
+    }
+
+    /// Takes the accumulated output, leaving the session none: a host
+    /// that streams a long enumeration's output holds only what it has
+    /// not yet taken.
+    pub fn take_output(&mut self) -> String {
+        std::mem::take(&mut self.output)
     }
 }
 

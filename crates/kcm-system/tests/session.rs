@@ -127,6 +127,42 @@ fn session_early_stop_is_bounded() {
 }
 
 #[test]
+fn a_session_whose_output_is_taken_holds_one_batch_of_it() {
+    // A 10^4-answer generator writing one 5-byte line per answer, pulled
+    // in batches of 100 with the output taken after each: the session
+    // never holds more than one batch's output, and the taken output
+    // concatenates to the one-shot run's.
+    const BATCH: usize = 100;
+    const LINE: usize = "0123\n".len();
+    let kcm = consulted(
+        "d(0). d(1). d(2). d(3). d(4). d(5). d(6). d(7). d(8). d(9).
+         w :- d(A), d(B), d(C), d(D), write(A), write(B), write(C), write(D), nl.",
+    );
+    let opts = QueryOpts {
+        tier: Tier::Native,
+        ..QueryOpts::all()
+    };
+    let oracle = kcm.query("w", &opts).expect("all() run");
+    let mut session = kcm.solutions("w", &opts).expect("open session");
+    let (mut answers, mut taken) = (0, String::new());
+    while !session.exhausted() {
+        for _ in 0..BATCH {
+            if session.next_step().expect("pull").is_none() {
+                break;
+            }
+            answers += 1;
+        }
+        let held = session.output().len();
+        assert!(held <= BATCH * LINE, "{held} bytes held after a batch");
+        taken.push_str(&session.take_output());
+        assert_eq!(session.output(), "");
+    }
+    assert_eq!(answers, 10_000);
+    assert_eq!(taken.len(), 10_000 * LINE);
+    assert_eq!(taken, oracle.output);
+}
+
+#[test]
 fn session_budget_slice_kills_cleanly() {
     // An infinite search after the first solution: a per-slice step
     // budget must kill the second pull, and the session must be cleanly
