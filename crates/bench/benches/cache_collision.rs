@@ -24,7 +24,6 @@ fn config(sectioned: bool, spread: bool) -> MachineConfig {
     MachineConfig {
         mem: MemConfig {
             sectioned_data_cache: sectioned,
-            ..MemConfig::default()
         },
         spread_stack_bases: spread,
         ..MachineConfig::default()

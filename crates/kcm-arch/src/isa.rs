@@ -1423,27 +1423,6 @@ impl Instr {
             _ => None,
         }
     }
-
-    /// Whether this instruction redirects the instruction prefetch stream
-    /// (used by the prefetch unit's predecoding hardware, §3.1.3).
-    pub fn is_branching(&self) -> bool {
-        matches!(
-            self,
-            Instr::Call { .. }
-                | Instr::Execute { .. }
-                | Instr::Proceed
-                | Instr::Try { .. }
-                | Instr::Retry { .. }
-                | Instr::Trust { .. }
-                | Instr::Jump { .. }
-                | Instr::Branch { .. }
-                | Instr::SwitchOnTerm { .. }
-                | Instr::SwitchOnConstant { .. }
-                | Instr::SwitchOnStructure { .. }
-                | Instr::Fail
-                | Instr::Halt { .. }
-        )
-    }
 }
 
 impl std::fmt::Display for Instr {
@@ -1875,18 +1854,6 @@ mod tests {
         };
         assert_eq!(soc.size_words(), 11);
         assert_eq!(Instr::Proceed.size_words(), 1);
-    }
-
-    #[test]
-    fn branch_classification() {
-        assert!(Instr::Call {
-            addr: CodeAddr::new(0),
-            arity: 0
-        }
-        .is_branching());
-        assert!(Instr::Proceed.is_branching());
-        assert!(!Instr::Allocate { n: 0 }.is_branching());
-        assert!(!Instr::UnifyNil.is_branching());
     }
 
     #[test]

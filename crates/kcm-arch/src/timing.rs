@@ -25,13 +25,26 @@ pub const CYCLE_NS: f64 = 80.0;
 /// A cycle count.
 pub type Cycles = u64;
 
+/// Data cache miss penalty: page-mode fill of one 64-bit word as two
+/// 32-bit accesses (§3.2.4, §3.2.6). A dirty victim adds
+/// [`DCACHE_WRITEBACK`].
+pub const DCACHE_MISS: Cycles = 4;
+
+/// Additional penalty when the evicted data cache line is dirty
+/// (store-in cache).
+pub const DCACHE_WRITEBACK: Cycles = 2;
+
+/// Code cache miss penalty (write-through cache; page-mode prefetch
+/// hides part of the latency, §3.2.4).
+pub const ICACHE_MISS: Cycles = 4;
+
 /// The per-micro-operation cost table of the KCM simulator.
 ///
 /// The [`Default`] instance is the paper-calibrated model. Ablation benches
 /// construct variants (e.g. no shallow backtracking, no trail hardware) by
 /// adjusting fields. Cache miss and write-back penalties are not here:
-/// the memory system charges them from its own configuration
-/// (`kcm_mem::MemConfig`).
+/// the memory system charges the constants [`DCACHE_MISS`],
+/// [`DCACHE_WRITEBACK`] and [`ICACHE_MISS`].
 ///
 /// # Examples
 ///

@@ -205,16 +205,6 @@ impl ZoneLimits {
         self.write_protected
     }
 
-    /// Grows or shrinks the zone's end address (stack growth / garbage
-    /// collection trigger support).
-    pub fn set_end(&mut self, end: VAddr) {
-        assert!(
-            self.start.value() <= end.value(),
-            "zone start above zone end"
-        );
-        self.end = end;
-    }
-
     /// The hardware check: the address' 4K-word block must lie inside the
     /// configured block range.
     #[inline]
@@ -288,15 +278,6 @@ mod tests {
         let lim = ZoneLimits::new(VAddr::new(base), VAddr::new(base + 100));
         assert!(lim.contains(VAddr::new(base + 4095)));
         assert!(!lim.contains(VAddr::new(base + 4096)));
-    }
-
-    #[test]
-    fn set_end_moves_the_boundary() {
-        let base = Zone::Local.base().value();
-        let mut lim = ZoneLimits::new(VAddr::new(base), VAddr::new(base + 0x1000));
-        assert!(!lim.contains(VAddr::new(base + 0x2000)));
-        lim.set_end(VAddr::new(base + 0x4000));
-        assert!(lim.contains(VAddr::new(base + 0x2000)));
     }
 
     #[test]

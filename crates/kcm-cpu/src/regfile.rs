@@ -74,21 +74,6 @@ impl RegisterFile {
         self.regs[i] = w;
     }
 
-    /// RAC block read: the first `n` argument registers (a choice-point
-    /// save loop, one register per cycle).
-    pub fn save_args(&self, n: usize) -> Vec<Word> {
-        self.regs[..n].to_vec()
-    }
-
-    /// RAC block write: restore the first `n` argument registers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `saved.len() > 64`.
-    pub fn restore_args(&mut self, saved: &[Word]) {
-        self.regs[..saved.len()].copy_from_slice(saved);
-    }
-
     /// The four-address double move of figure 5: two register-to-register
     /// transfers in one cycle.
     pub fn move2(&mut self, s1: Reg, d1: Reg, s2: Reg, d2: Reg) {
@@ -110,22 +95,6 @@ mod tests {
         assert_eq!(rf.arg(0).as_int(), Some(1));
         rf.set_arg(5, Word::int(6));
         assert_eq!(rf.get(Reg::new(5)).as_int(), Some(6));
-    }
-
-    #[test]
-    fn save_restore_roundtrip() {
-        let mut rf = RegisterFile::new();
-        for i in 0..4 {
-            rf.set_arg(i, Word::int(i as i32));
-        }
-        let saved = rf.save_args(4);
-        for i in 0..4 {
-            rf.set_arg(i, Word::int(-1));
-        }
-        rf.restore_args(&saved);
-        for i in 0..4 {
-            assert_eq!(rf.arg(i).as_int(), Some(i as i32));
-        }
     }
 
     #[test]

@@ -9,20 +9,8 @@
 use crate::machine::{Machine, MachineError};
 use kcm_arch::{Tag, Word};
 use kcm_mem::DataMem;
-use kcm_prolog::Term;
+use kcm_prolog::{Term, MAX_DEPTH};
 use std::collections::HashMap;
-
-/// Maximum decoding depth before a term is declared cyclic.
-///
-/// Decoding itself walks an explicit work stack, but `Display`, `Drop`
-/// and comparison of the decoded [`Term`] still recurse on the host
-/// stack — the budget must keep those well inside the smallest stack
-/// the machine runs on (2 MiB scoped pool workers, with debug-build
-/// frame sizes). The deepest legitimate term in the tree is the
-/// scaling bench's 600-cell list; rational trees from occurs-check-free
-/// unification (`X = [X|X]`) are unbounded and must fault, not
-/// overflow.
-const MAX_DEPTH: usize = 1_000;
 
 /// One step of the iterative decoder: either decode a machine word at a
 /// given depth, or assemble a composite from already-decoded children
@@ -39,8 +27,8 @@ impl<M: DataMem> Machine<M> {
     ///
     /// # Errors
     ///
-    /// Returns [`MachineError::TermDepth`] on terms deeper than the decode
-    /// limit (for example rational trees created by occurs-check-free
+    /// Returns [`MachineError::TermDepth`] on terms deeper than
+    /// [`MAX_DEPTH`] (for example rational trees created by occurs-check-free
     /// unification).
     pub fn decode_term(&mut self, w: Word) -> Result<Term, MachineError> {
         let mut work = vec![DecodeTask::Decode(w, 0)];

@@ -88,12 +88,12 @@ fn jobs() -> Vec<Job> {
     );
     let suite = jobs[..programs::suite().len()].to_vec();
     for (i, p) in suite.iter().enumerate() {
-        jobs.push(match i % 3 {
-            0 => p.variant("unsectioned", |j| {
+        jobs.push(if i % 2 == 0 {
+            p.variant("unsectioned", |j| {
                 j.config.mem.sectioned_data_cache = false;
-            }),
-            1 => p.variant("zone check off", |j| j.config.mem.zone_check = false),
-            _ => p.variant("profiled", |j| j.config.profile = true),
+            })
+        } else {
+            p.variant("profiled", |j| j.config.profile = true)
         });
         jobs.push(p.variant("budget", |j| j.step_budget = 300));
         jobs.push(p.variant("first answer", |j| j.first_answer_only = true));

@@ -12,8 +12,8 @@
 //! and what each fetch costs.
 
 use crate::page_table::Mmu;
-use crate::{MemConfig, MemStats};
-use kcm_arch::timing::Cycles;
+use crate::MemStats;
+use kcm_arch::timing::{Cycles, ICACHE_MISS};
 use kcm_arch::CodeAddr;
 
 /// Code cache size in words.
@@ -87,13 +87,7 @@ impl CodeCache {
     /// prefetches the next [`PREFETCH_WORDS`]`- 1` sequential words using
     /// the memory's page mode.
     #[inline]
-    pub fn fetch(
-        &mut self,
-        addr: CodeAddr,
-        mmu: &mut Mmu,
-        config: &MemConfig,
-        stats: &mut MemStats,
-    ) -> Cycles {
+    pub fn fetch(&mut self, addr: CodeAddr, mmu: &mut Mmu, stats: &mut MemStats) -> Cycles {
         let idx = Self::index(addr);
         if self.lines[idx].valid && self.lines[idx].addr == addr {
             stats.icache_hits += 1;
@@ -108,7 +102,7 @@ impl CodeCache {
             let a = addr.offset(i as i64);
             self.fill(Self::index(a), a);
         }
-        config.icache_miss
+        ICACHE_MISS
     }
 
     /// Times the fetch of `words` sequential code words starting at
@@ -123,21 +117,13 @@ impl CodeCache {
         addr: CodeAddr,
         words: usize,
         mmu: &mut Mmu,
-        config: &MemConfig,
         stats: &mut MemStats,
     ) -> Cycles {
         let mut extra = 0;
         for i in 0..words {
-            extra += self.fetch(addr.offset(i as i64), mmu, config, stats);
+            extra += self.fetch(addr.offset(i as i64), mmu, stats);
         }
         extra
-    }
-
-    /// Write-through store into the code space (incremental compilation
-    /// writes "directly to the code cache", §3.2.1): the line becomes
-    /// resident; memory is updated by the caller's code store.
-    pub fn write_through(&mut self, addr: CodeAddr) {
-        self.fill(Self::index(addr), addr);
     }
 
     /// Invalidates the whole cache: its power-on state. Clears only the
@@ -153,59 +139,44 @@ impl CodeCache {
 mod tests {
     use super::*;
 
-    fn setup() -> (CodeCache, Mmu, MemConfig, MemStats) {
-        (
-            CodeCache::new(),
-            Mmu::new(),
-            MemConfig::default(),
-            MemStats::default(),
-        )
+    fn setup() -> (CodeCache, Mmu, MemStats) {
+        (CodeCache::new(), Mmu::new(), MemStats::default())
     }
 
     #[test]
     fn sequential_fetches_benefit_from_prefetch() {
-        let (mut c, mut mmu, cfg, mut s) = setup();
-        assert!(c.fetch(CodeAddr::new(100), &mut mmu, &cfg, &mut s) > 0);
-        assert_eq!(c.fetch(CodeAddr::new(101), &mut mmu, &cfg, &mut s), 0);
+        let (mut c, mut mmu, mut s) = setup();
+        assert!(c.fetch(CodeAddr::new(100), &mut mmu, &mut s) > 0);
+        assert_eq!(c.fetch(CodeAddr::new(101), &mut mmu, &mut s), 0);
         // Beyond the prefetch window: miss again.
-        assert!(c.fetch(CodeAddr::new(102), &mut mmu, &cfg, &mut s) > 0);
+        assert!(c.fetch(CodeAddr::new(102), &mut mmu, &mut s) > 0);
     }
 
     #[test]
     fn aliasing_addresses_evict() {
-        let (mut c, mut mmu, cfg, mut s) = setup();
+        let (mut c, mut mmu, mut s) = setup();
         let a = CodeAddr::new(5);
         let b = CodeAddr::new(5 + ICACHE_WORDS as u32);
-        c.fetch(a, &mut mmu, &cfg, &mut s);
-        c.fetch(b, &mut mmu, &cfg, &mut s);
-        assert!(
-            c.fetch(a, &mut mmu, &cfg, &mut s) > 0,
-            "a must have been evicted"
-        );
-    }
-
-    #[test]
-    fn write_through_makes_line_resident() {
-        let (mut c, mut mmu, cfg, mut s) = setup();
-        c.write_through(CodeAddr::new(33));
-        assert_eq!(c.fetch(CodeAddr::new(33), &mut mmu, &cfg, &mut s), 0);
+        c.fetch(a, &mut mmu, &mut s);
+        c.fetch(b, &mut mmu, &mut s);
+        assert!(c.fetch(a, &mut mmu, &mut s) > 0, "a must have been evicted");
     }
 
     #[test]
     fn invalidate_empties_cache() {
-        let (mut c, mut mmu, cfg, mut s) = setup();
-        c.fetch(CodeAddr::new(1), &mut mmu, &cfg, &mut s);
+        let (mut c, mut mmu, mut s) = setup();
+        c.fetch(CodeAddr::new(1), &mut mmu, &mut s);
         c.invalidate();
         assert!(c.filled.is_empty());
         assert!(c.lines.iter().all(|l| !l.valid));
-        assert!(c.fetch(CodeAddr::new(1), &mut mmu, &cfg, &mut s) > 0);
+        assert!(c.fetch(CodeAddr::new(1), &mut mmu, &mut s) > 0);
     }
 
     #[test]
     fn hit_ratio_accounting() {
-        let (mut c, mut mmu, cfg, mut s) = setup();
+        let (mut c, mut mmu, mut s) = setup();
         for _ in 0..4 {
-            c.fetch(CodeAddr::new(9), &mut mmu, &cfg, &mut s);
+            c.fetch(CodeAddr::new(9), &mut mmu, &mut s);
         }
         assert_eq!(s.icache_misses, 1);
         assert_eq!(s.icache_hits, 3);

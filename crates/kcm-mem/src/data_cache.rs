@@ -10,8 +10,8 @@
 
 use crate::main_memory::MainMemory;
 use crate::page_table::Mmu;
-use crate::{MemConfig, MemFault, MemStats};
-use kcm_arch::timing::Cycles;
+use crate::{MemFault, MemStats};
+use kcm_arch::timing::{Cycles, DCACHE_MISS, DCACHE_WRITEBACK};
 use kcm_arch::{VAddr, Word, Zone};
 
 /// Total cache size in words (8K × 64 bits).
@@ -148,7 +148,6 @@ impl DataCache {
         addr: VAddr,
         memory: &mut MainMemory,
         mmu: &mut Mmu,
-        config: &MemConfig,
         stats: &mut MemStats,
     ) -> Result<(Word, Cycles), MemFault> {
         if let Some((_, line)) = self.last_line_hit(addr) {
@@ -162,8 +161,7 @@ impl DataCache {
             return Ok((self.lines[idx].data, 0));
         }
         stats.dcache_misses += 1;
-        let mut extra = config.dcache_miss;
-        extra += self.evict(idx, memory, mmu, config, stats)?;
+        let extra = DCACHE_MISS + self.evict(idx, memory, mmu, stats)?;
         let phys = mmu.translate_data(addr, memory, stats)?;
         let data = memory.read(phys);
         self.fill(
@@ -193,7 +191,6 @@ impl DataCache {
         value: Word,
         memory: &mut MainMemory,
         mmu: &mut Mmu,
-        config: &MemConfig,
         stats: &mut MemStats,
     ) -> Result<Cycles, MemFault> {
         if let Some((idx, _)) = self.last_line_hit(addr) {
@@ -214,7 +211,7 @@ impl DataCache {
         // Write-allocate with no fill: the line size is one word, so the
         // write fully covers the line and no memory read is needed — the
         // allocation is free beyond a possible dirty-victim write-back.
-        let extra = self.evict(idx, memory, mmu, config, stats)?;
+        let extra = self.evict(idx, memory, mmu, stats)?;
         self.fill(
             idx,
             Line {
@@ -234,7 +231,6 @@ impl DataCache {
         idx: usize,
         memory: &mut MainMemory,
         mmu: &mut Mmu,
-        config: &MemConfig,
         stats: &mut MemStats,
     ) -> Result<Cycles, MemFault> {
         let line = self.lines[idx];
@@ -243,33 +239,9 @@ impl DataCache {
             memory.write(phys, line.data);
             mmu.mark_data_dirty(line.addr);
             stats.dcache_writebacks += 1;
-            return Ok(config.dcache_writeback);
+            return Ok(DCACHE_WRITEBACK);
         }
         Ok(0)
-    }
-
-    /// Writes back every dirty line.
-    ///
-    /// # Errors
-    ///
-    /// Propagates physical-page allocation failure.
-    pub fn flush(
-        &mut self,
-        memory: &mut MainMemory,
-        mmu: &mut Mmu,
-        stats: &mut MemStats,
-    ) -> Result<(), MemFault> {
-        for idx in 0..self.lines.len() {
-            let line = self.lines[idx];
-            if line.valid && line.dirty {
-                let phys = mmu.translate_data(line.addr, memory, stats)?;
-                memory.write(phys, line.data);
-                mmu.mark_data_dirty(line.addr);
-                self.lines[idx].dirty = false;
-                stats.dcache_writebacks += 1;
-            }
-        }
-        Ok(())
     }
 
     /// Untimed lookup: the cached word for `addr`, if present.
@@ -293,12 +265,11 @@ impl DataCache {
 mod tests {
     use super::*;
 
-    fn setup() -> (DataCache, MainMemory, Mmu, MemConfig, MemStats) {
+    fn setup() -> (DataCache, MainMemory, Mmu, MemStats) {
         (
             DataCache::new(true),
             MainMemory::new(),
             Mmu::new(),
-            MemConfig::default(),
             MemStats::default(),
         )
     }
@@ -309,11 +280,11 @@ mod tests {
 
     #[test]
     fn read_after_write_hits() {
-        let (mut c, mut m, mut mmu, cfg, mut s) = setup();
+        let (mut c, mut m, mut mmu, mut s) = setup();
         let addr = a(Zone::Global, 5);
-        c.write(addr, Word::int(1), &mut m, &mut mmu, &cfg, &mut s)
+        c.write(addr, Word::int(1), &mut m, &mut mmu, &mut s)
             .unwrap();
-        let (w, extra) = c.read(addr, &mut m, &mut mmu, &cfg, &mut s).unwrap();
+        let (w, extra) = c.read(addr, &mut m, &mut mmu, &mut s).unwrap();
         assert_eq!(w.as_int(), Some(1));
         assert_eq!(extra, 0);
         assert_eq!(s.dcache_hits, 1);
@@ -321,30 +292,28 @@ mod tests {
 
     #[test]
     fn store_in_defers_memory_write() {
-        let (mut c, mut m, mut mmu, cfg, mut s) = setup();
+        let (mut c, mut m, mut mmu, mut s) = setup();
         let addr = a(Zone::Global, 9);
-        c.write(addr, Word::int(42), &mut m, &mut mmu, &cfg, &mut s)
+        c.write(addr, Word::int(42), &mut m, &mut mmu, &mut s)
             .unwrap();
         // The page was allocated but not written.
         let phys = mmu.translate_data(addr, &mut m, &mut s).unwrap();
         assert_eq!(m.read(phys), Word::ZERO);
         // Eviction via a colliding address in the same section flushes it.
         let collide = a(Zone::Global, 9 + SECTION_WORDS as u32);
-        c.read(collide, &mut m, &mut mmu, &cfg, &mut s).unwrap();
+        c.read(collide, &mut m, &mut mmu, &mut s).unwrap();
         assert_eq!(m.read(phys).as_int(), Some(42));
         assert_eq!(s.dcache_writebacks, 1);
     }
 
     #[test]
     fn sectioned_cache_separates_zones() {
-        let (mut c, mut m, mut mmu, cfg, mut s) = setup();
+        let (mut c, mut m, mut mmu, mut s) = setup();
         // Same in-section offset in two zones: no collision when sectioned.
         let g = a(Zone::Global, 7);
         let l = a(Zone::Local, 7);
-        c.write(g, Word::int(1), &mut m, &mut mmu, &cfg, &mut s)
-            .unwrap();
-        c.write(l, Word::int(2), &mut m, &mut mmu, &cfg, &mut s)
-            .unwrap();
+        c.write(g, Word::int(1), &mut m, &mut mmu, &mut s).unwrap();
+        c.write(l, Word::int(2), &mut m, &mut mmu, &mut s).unwrap();
         assert_eq!(c.peek(g).unwrap().as_int(), Some(1));
         assert_eq!(c.peek(l).unwrap().as_int(), Some(2));
     }
@@ -354,70 +323,49 @@ mod tests {
         let mut c = DataCache::new(false);
         let mut m = MainMemory::new();
         let mut mmu = Mmu::new();
-        let cfg = MemConfig::default();
         let mut s = MemStats::default();
         // Zone bases are 16M apart → equal modulo 8K: they collide.
         let g = a(Zone::Global, 7);
         let l = a(Zone::Local, 7);
-        c.write(g, Word::int(1), &mut m, &mut mmu, &cfg, &mut s)
-            .unwrap();
-        c.write(l, Word::int(2), &mut m, &mut mmu, &cfg, &mut s)
-            .unwrap();
+        c.write(g, Word::int(1), &mut m, &mut mmu, &mut s).unwrap();
+        c.write(l, Word::int(2), &mut m, &mut mmu, &mut s).unwrap();
         assert_eq!(c.peek(g), None, "global line must have been evicted");
         assert_eq!(c.peek(l).unwrap().as_int(), Some(2));
         assert_eq!(s.dcache_writebacks, 1);
     }
 
     #[test]
-    fn flush_clears_dirt_without_invalidating() {
-        let (mut c, mut m, mut mmu, _cfg, mut s) = setup();
-        let addr = a(Zone::Trail, 3);
-        let cfg = MemConfig::default();
-        c.write(addr, Word::int(5), &mut m, &mut mmu, &cfg, &mut s)
-            .unwrap();
-        c.flush(&mut m, &mut mmu, &mut s).unwrap();
-        // Still cached (a flush is not an invalidate).
-        assert_eq!(c.peek(addr).unwrap().as_int(), Some(5));
-        // Flushing twice writes back nothing new.
-        let wb = s.dcache_writebacks;
-        c.flush(&mut m, &mut mmu, &mut s).unwrap();
-        assert_eq!(s.dcache_writebacks, wb);
-    }
-
-    #[test]
     fn reset_invalidates_filled_lines_and_allows_a_mode_change() {
-        let (mut c, mut m, mut mmu, cfg, mut s) = setup();
+        let (mut c, mut m, mut mmu, mut s) = setup();
         let g = a(Zone::Global, 7);
-        c.write(g, Word::int(1), &mut m, &mut mmu, &cfg, &mut s)
-            .unwrap();
-        c.read(a(Zone::Local, 7), &mut m, &mut mmu, &cfg, &mut s)
-            .unwrap();
+        c.write(g, Word::int(1), &mut m, &mut mmu, &mut s).unwrap();
+        c.read(a(Zone::Local, 7), &mut m, &mut mmu, &mut s).unwrap();
         c.reset();
         c.set_sectioned(false);
         assert!(c.filled.is_empty());
         assert!(c.lines.iter().all(|l| !l.valid));
         assert!(!c.is_sectioned());
         assert_eq!(c.peek(g), None);
-        let (_, extra) = c.read(g, &mut m, &mut mmu, &cfg, &mut s).unwrap();
-        assert_eq!(extra, cfg.dcache_miss);
+        let (_, extra) = c.read(g, &mut m, &mut mmu, &mut s).unwrap();
+        assert_eq!(extra, DCACHE_MISS);
     }
 
     #[test]
     fn miss_penalty_reported() {
-        let (mut c, mut m, mut mmu, cfg, mut s) = setup();
+        let (mut c, mut m, mut mmu, mut s) = setup();
         let addr = a(Zone::Global, 11);
-        let (_, extra) = c.read(addr, &mut m, &mut mmu, &cfg, &mut s).unwrap();
-        assert_eq!(extra, cfg.dcache_miss);
+        let (_, extra) = c.read(addr, &mut m, &mut mmu, &mut s).unwrap();
+        assert_eq!(extra, DCACHE_MISS);
     }
 
     #[test]
     fn dirty_eviction_costs_more() {
-        let (mut c, mut m, mut mmu, cfg, mut s) = setup();
+        let (mut c, mut m, mut mmu, mut s) = setup();
         let addr = a(Zone::Global, 0);
         let collide = a(Zone::Global, SECTION_WORDS as u32);
-        c.write(addr, Word::int(1), &mut m, &mut mmu, &cfg, &mut s)
+        c.write(addr, Word::int(1), &mut m, &mut mmu, &mut s)
             .unwrap();
-        let (_, extra) = c.read(collide, &mut m, &mut mmu, &cfg, &mut s).unwrap();
-        assert_eq!(extra, cfg.dcache_miss + cfg.dcache_writeback);
+        let (_, extra) = c.read(collide, &mut m, &mut mmu, &mut s).unwrap();
+        assert_eq!(extra, DCACHE_MISS + DCACHE_WRITEBACK);
     }
 }

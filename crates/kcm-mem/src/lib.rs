@@ -31,17 +31,17 @@
 //! matches that per host thread: a dropped [`MemorySystem`] resets its
 //! board — the frames, the MMU and both caches — to power-on and retires
 //! it to a pool owned by the thread ([`recycle`]); the next
-//! [`MemorySystem::new`] on that thread takes it back. The reset clears
+//! [`MemorySystem`] built on that thread takes it back. The reset clears
 //! only what the run touched, so a short query pays for a short reset,
 //! and a recycled board is indistinguishable from a new one.
 //!
 //! # Examples
 //!
 //! ```
-//! use kcm_mem::{MemorySystem, MemConfig};
+//! use kcm_mem::{DataMem, MemorySystem, MemConfig};
 //! use kcm_arch::{Word, Tag, VAddr, Zone};
 //!
-//! let mut mem = MemorySystem::new(MemConfig::default());
+//! let mut mem = MemorySystem::with_config(MemConfig::default());
 //! let cell = VAddr::new(Zone::Global.base().value() + 5);
 //! let ptr = Word::ptr(Tag::Ref, cell);
 //! mem.write_ptr(ptr, Word::int(11)).unwrap();
@@ -75,29 +75,12 @@ pub struct MemConfig {
     /// (§3.2.4). Disabling reproduces the plain direct-mapped cache of the
     /// paper's internal collision experiment.
     pub sectioned_data_cache: bool,
-    /// Whether the zone check is active. Disabling it models running with
-    /// protection off (used by ablation benches; real code keeps it on).
-    pub zone_check: bool,
-    /// Data cache miss penalty in cycles: page-mode fill of one 64-bit
-    /// word as two 32-bit accesses (§3.2.4, §3.2.6). A dirty victim adds
-    /// [`MemConfig::dcache_writeback`].
-    pub dcache_miss: Cycles,
-    /// Additional penalty when the evicted line is dirty (store-in
-    /// cache).
-    pub dcache_writeback: Cycles,
-    /// Code cache miss penalty in cycles (write-through cache; page-mode
-    /// prefetch hides part of the latency, §3.2.4).
-    pub icache_miss: Cycles,
 }
 
 impl Default for MemConfig {
     fn default() -> MemConfig {
         MemConfig {
             sectioned_data_cache: true,
-            zone_check: true,
-            dcache_miss: 4,
-            dcache_writeback: 2,
-            icache_miss: 4,
         }
     }
 }
@@ -221,11 +204,11 @@ pub trait DataMem: std::fmt::Debug + Send {
     /// monomorphization time, so the native tier pays nothing for it.
     const SIMULATED: bool;
 
-    /// Creates a backend from the memory configuration. Backends that do
-    /// not model the hierarchy may ignore most fields but must honor
-    /// `zone_check`. Both backends reuse host memory retired on the same
-    /// thread ([`recycle`]); what they return is indistinguishable from
-    /// a backend built from scratch.
+    /// Creates a backend from the memory configuration, at power-on
+    /// with default zone limits. Backends that do not model the
+    /// hierarchy may ignore it. Both backends reuse host memory retired
+    /// on the same thread ([`recycle`]); what they return is
+    /// indistinguishable from a backend built from scratch.
     fn with_config(config: MemConfig) -> Self;
 
     /// The zone table (limits may be changed dynamically, §3.2.3).
@@ -306,49 +289,6 @@ pub trait DataMem: std::fmt::Debug + Send {
     }
 }
 
-impl DataMem for MemorySystem {
-    const SIMULATED: bool = true;
-
-    fn with_config(config: MemConfig) -> MemorySystem {
-        MemorySystem::new(config)
-    }
-
-    fn zones(&self) -> &ZoneTable {
-        MemorySystem::zones(self)
-    }
-
-    fn zones_mut(&mut self) -> &mut ZoneTable {
-        MemorySystem::zones_mut(self)
-    }
-
-    #[inline]
-    fn read_ptr(&mut self, ptr: Word) -> Result<(Word, Cycles), MemFault> {
-        MemorySystem::read_ptr(self, ptr)
-    }
-
-    #[inline]
-    fn write_ptr(&mut self, ptr: Word, value: Word) -> Result<Cycles, MemFault> {
-        MemorySystem::write_ptr(self, ptr, value)
-    }
-
-    fn peek(&mut self, addr: VAddr) -> Result<Word, MemFault> {
-        MemorySystem::peek(self, addr)
-    }
-
-    fn poke(&mut self, addr: VAddr, value: Word) -> Result<(), MemFault> {
-        MemorySystem::poke(self, addr, value)
-    }
-
-    #[inline]
-    fn fetch_code_seq(&mut self, addr: CodeAddr, words: usize) -> Cycles {
-        MemorySystem::fetch_code_seq(self, addr, words)
-    }
-
-    fn stats(&self) -> MemStats {
-        MemorySystem::stats(self)
-    }
-}
-
 /// The simulated hardware that holds state between accesses: the memory
 /// board's frames, the translation RAM and both caches.
 #[derive(Debug)]
@@ -389,7 +329,7 @@ impl Board {
 
 thread_local! {
     /// Boards retired on this thread, at power-on, for the next
-    /// [`MemorySystem::new`] here.
+    /// [`MemorySystem`] built here.
     static BOARDS: RefCell<Vec<Board>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -406,7 +346,6 @@ thread_local! {
 /// say was touched.
 #[derive(Debug)]
 pub struct MemorySystem {
-    config: MemConfig,
     board: Board,
     zones: ZoneTable,
     stats: MemStats,
@@ -423,155 +362,57 @@ impl Drop for MemorySystem {
     }
 }
 
-impl MemorySystem {
-    /// Creates a memory system at power-on: empty caches, an unmapped
-    /// page table, no frame allocated, zero counters and default zone
-    /// limits. The board is this thread's most recently retired one if
-    /// there is one, set to the modes `config` selects.
-    pub fn new(config: MemConfig) -> MemorySystem {
+impl DataMem for MemorySystem {
+    const SIMULATED: bool = true;
+
+    /// A memory system at power-on: empty caches, an unmapped page
+    /// table, no frame allocated, zero counters and default zone limits.
+    /// The board is this thread's most recently retired one if there is
+    /// one, set to the modes `config` selects.
+    fn with_config(config: MemConfig) -> MemorySystem {
         let mut board = recycle::take(&BOARDS).unwrap_or_else(Board::new);
         board.dcache.set_sectioned(config.sectioned_data_cache);
         MemorySystem {
-            config,
             board,
             zones: ZoneTable::new(),
             stats: MemStats::default(),
         }
     }
 
-    /// The zone table (limits may be changed dynamically, §3.2.3).
-    pub fn zones(&self) -> &ZoneTable {
+    fn zones(&self) -> &ZoneTable {
         &self.zones
     }
 
-    /// Mutable access to the zone table.
-    pub fn zones_mut(&mut self) -> &mut ZoneTable {
+    fn zones_mut(&mut self) -> &mut ZoneTable {
         &mut self.zones
     }
 
-    /// Statistics gathered so far.
-    pub fn stats(&self) -> MemStats {
-        self.stats
-    }
-
-    /// Reads the data word addressed by the tagged pointer `ptr`,
-    /// returning the word and the extra cycle penalty (0 on a cache hit).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemFault::NotAnAddress`] if `ptr` is not a pointer type
-    /// and a zone fault if the access violates the zone rules.
+    /// Reads through the data cache: the extra penalty is 0 on a hit.
     #[inline]
-    pub fn read_ptr(&mut self, ptr: Word) -> Result<(Word, Cycles), MemFault> {
+    fn read_ptr(&mut self, ptr: Word) -> Result<(Word, Cycles), MemFault> {
         let addr = ptr.as_addr().ok_or(MemFault::NotAnAddress(ptr))?;
-        if self.config.zone_check {
-            self.zones.check_read(ptr)?;
-        }
-        self.read_checked(addr)
+        self.zones.check_read(ptr)?;
+        let b = &mut self.board;
+        b.dcache
+            .read(addr, &mut b.memory, &mut b.mmu, &mut self.stats)
     }
 
-    /// Writes `value` through the tagged pointer `ptr`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemFault::NotAnAddress`] or a zone fault — in particular
-    /// a write-protection fault on a protected zone: "Without protection on
-    /// the level of the logical caches the data will simply be stored in
-    /// the cache" (§3.2.3) — KCM checks before the cache absorbs the write.
+    /// Writes into the data cache after the zone check, write
+    /// protection included: "Without protection on the level of the
+    /// logical caches the data will simply be stored in the cache"
+    /// (§3.2.3) — KCM checks before the cache absorbs the write.
     #[inline]
-    pub fn write_ptr(&mut self, ptr: Word, value: Word) -> Result<Cycles, MemFault> {
+    fn write_ptr(&mut self, ptr: Word, value: Word) -> Result<Cycles, MemFault> {
         let addr = ptr.as_addr().ok_or(MemFault::NotAnAddress(ptr))?;
-        if self.config.zone_check {
-            self.zones.check_write(ptr)?;
-        }
-        self.write_checked(addr, value)
-    }
-
-    /// The dereference assist of the data cache (§3.1.4): if `w` is a
-    /// pointer the cache performs the read; if not, it aborts and returns
-    /// `None` — "random data used as an address may cause a cache-miss and
-    /// even a page fault which certainly is not tolerable".
-    pub fn deref_assist(&mut self, w: Word) -> Option<Result<(Word, Cycles), MemFault>> {
-        if w.tag_checked().is_some_and(Tag::is_pointer) {
-            Some(self.read_ptr(w))
-        } else {
-            None
-        }
-    }
-
-    #[inline]
-    fn read_checked(&mut self, addr: VAddr) -> Result<(Word, Cycles), MemFault> {
+        self.zones.check_write(ptr)?;
         let b = &mut self.board;
-        b.dcache.read(
-            addr,
-            &mut b.memory,
-            &mut b.mmu,
-            &self.config,
-            &mut self.stats,
-        )
+        b.dcache
+            .write(addr, value, &mut b.memory, &mut b.mmu, &mut self.stats)
     }
 
-    #[inline]
-    fn write_checked(&mut self, addr: VAddr, value: Word) -> Result<Cycles, MemFault> {
-        let b = &mut self.board;
-        b.dcache.write(
-            addr,
-            value,
-            &mut b.memory,
-            &mut b.mmu,
-            &self.config,
-            &mut self.stats,
-        )
-    }
-
-    /// Times an instruction fetch from `addr` in the code space, returning
-    /// the extra penalty (0 on a code cache hit). The paper's write-through
-    /// code cache prefetches "a few words ahead when a miss occurs"; the
-    /// model fills the missed word plus the next.
-    #[inline]
-    pub fn fetch_code(&mut self, addr: CodeAddr) -> Cycles {
-        let b = &mut self.board;
-        b.icache
-            .fetch(addr, &mut b.mmu, &self.config, &mut self.stats)
-    }
-
-    /// Times the fetch of `words` sequential code words starting at
-    /// `addr` — one instruction's worth — in a single call. Counter-exact
-    /// equivalent of `words` individual [`MemorySystem::fetch_code`]
-    /// calls; the returned penalty is their sum.
-    #[inline]
-    pub fn fetch_code_seq(&mut self, addr: CodeAddr, words: usize) -> Cycles {
-        let b = &mut self.board;
-        b.icache
-            .fetch_seq(addr, words, &mut b.mmu, &self.config, &mut self.stats)
-    }
-
-    /// Invalidates the code cache — used when compiled code is moved from
-    /// the data space into the code space (§3.2.1: the memory management
-    /// "can invalidate the virtual data page and attach the physical page
-    /// to the code space").
-    pub fn invalidate_code_cache(&mut self) {
-        self.board.icache.invalidate();
-    }
-
-    /// Writes back all dirty data cache lines (used before the host reads
-    /// simulated memory directly).
-    ///
-    /// # Errors
-    ///
-    /// Propagates page-allocation failure.
-    pub fn flush_data_cache(&mut self) -> Result<(), MemFault> {
-        let b = &mut self.board;
-        b.dcache.flush(&mut b.memory, &mut b.mmu, &mut self.stats)
-    }
-
-    /// Host back-door read bypassing timing and checks. Reads through the
-    /// cache's current contents, so no flush is needed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates page-allocation failure.
-    pub fn peek(&mut self, addr: VAddr) -> Result<Word, MemFault> {
+    /// Reads through the cache's current contents, so no flush is
+    /// needed.
+    fn peek(&mut self, addr: VAddr) -> Result<Word, MemFault> {
         let b = &mut self.board;
         if let Some(w) = b.dcache.peek(addr) {
             return Ok(w);
@@ -580,13 +421,8 @@ impl MemorySystem {
         Ok(b.memory.read(phys))
     }
 
-    /// Host back-door write bypassing timing (still keeps the cache
-    /// coherent by updating a present line in place).
-    ///
-    /// # Errors
-    ///
-    /// Propagates page-allocation failure.
-    pub fn poke(&mut self, addr: VAddr, value: Word) -> Result<(), MemFault> {
+    /// Keeps the cache coherent by updating a present line in place.
+    fn poke(&mut self, addr: VAddr, value: Word) -> Result<(), MemFault> {
         let b = &mut self.board;
         let phys = b.mmu.translate_data(addr, &mut b.memory, &mut self.stats)?;
         b.memory.write(phys, value);
@@ -594,6 +430,21 @@ impl MemorySystem {
         Ok(())
     }
 
+    /// The paper's write-through code cache prefetches "a few words
+    /// ahead when a miss occurs"; the model fills each missed word plus
+    /// the next.
+    #[inline]
+    fn fetch_code_seq(&mut self, addr: CodeAddr, words: usize) -> Cycles {
+        let b = &mut self.board;
+        b.icache.fetch_seq(addr, words, &mut b.mmu, &mut self.stats)
+    }
+
+    fn stats(&self) -> MemStats {
+        self.stats
+    }
+}
+
+impl MemorySystem {
     /// Initial stack base for a zone: when `spread` is set the bases are
     /// offset by distinct multiples of 1K words so they map to different
     /// cells even in an unsectioned direct-mapped cache — the two
@@ -619,7 +470,7 @@ mod tests {
 
     #[test]
     fn write_then_read_roundtrips() {
-        let mut mem = MemorySystem::new(MemConfig::default());
+        let mut mem = MemorySystem::with_config(MemConfig::default());
         let ptr = Word::ptr(Tag::Ref, gaddr(100));
         mem.write_ptr(ptr, Word::int(7)).unwrap();
         let (w, _) = mem.read_ptr(ptr).unwrap();
@@ -628,26 +479,14 @@ mod tests {
 
     #[test]
     fn non_pointer_address_faults() {
-        let mut mem = MemorySystem::new(MemConfig::default());
+        let mut mem = MemorySystem::with_config(MemConfig::default());
         let err = mem.read_ptr(Word::int(123)).unwrap_err();
         assert!(matches!(err, MemFault::NotAnAddress(_)));
     }
 
     #[test]
-    fn deref_assist_aborts_on_non_pointers() {
-        // §3.1.4: a float used as an address must not cause a cache miss.
-        let mut mem = MemorySystem::new(MemConfig::default());
-        assert!(mem.deref_assist(Word::float(3.25)).is_none());
-        let before = mem.stats();
-        assert_eq!(before.dcache_misses, 0);
-        let ptr = Word::ptr(Tag::Ref, gaddr(0));
-        mem.write_ptr(ptr, Word::int(1)).unwrap();
-        assert!(mem.deref_assist(ptr).is_some());
-    }
-
-    #[test]
     fn first_touch_allocates_a_page() {
-        let mut mem = MemorySystem::new(MemConfig::default());
+        let mut mem = MemorySystem::with_config(MemConfig::default());
         assert_eq!(mem.stats().data_page_faults, 0);
         mem.write_ptr(Word::ptr(Tag::Ref, gaddr(0)), Word::int(1))
             .unwrap();
@@ -660,7 +499,7 @@ mod tests {
 
     #[test]
     fn peek_sees_unflushed_writes() {
-        let mut mem = MemorySystem::new(MemConfig::default());
+        let mut mem = MemorySystem::with_config(MemConfig::default());
         let a = gaddr(4);
         mem.write_ptr(Word::ptr(Tag::Ref, a), Word::int(99))
             .unwrap();
@@ -682,11 +521,11 @@ mod tests {
 
     #[test]
     fn code_fetch_misses_then_hits() {
-        let mut mem = MemorySystem::new(MemConfig::default());
+        let mut mem = MemorySystem::with_config(MemConfig::default());
         let a = CodeAddr::new(0x40);
-        let miss = mem.fetch_code(a);
+        let miss = mem.fetch_code_seq(a, 1);
         assert!(miss > 0);
-        let hit = mem.fetch_code(a);
+        let hit = mem.fetch_code_seq(a, 1);
         assert_eq!(hit, 0);
         assert_eq!(mem.stats().icache_misses, 1);
         assert_eq!(mem.stats().icache_hits, 1);
@@ -694,12 +533,12 @@ mod tests {
 
     #[test]
     fn code_prefetch_covers_next_word() {
-        let mut mem = MemorySystem::new(MemConfig::default());
+        let mut mem = MemorySystem::with_config(MemConfig::default());
         let a = CodeAddr::new(0x80);
-        mem.fetch_code(a);
+        mem.fetch_code_seq(a, 1);
         // Page-mode prefetch fetched a few words ahead: the sequentially
         // next word hits.
-        assert_eq!(mem.fetch_code(a.offset(1)), 0);
+        assert_eq!(mem.fetch_code_seq(a.offset(1), 1), 0);
     }
 
     fn pooled_boards() -> usize {
@@ -715,7 +554,7 @@ mod tests {
         let stat = VAddr::new(Zone::Static.base().value() + 9);
         let code = CodeAddr::new(7 * kcm_arch::PAGE_SIZE_WORDS);
 
-        let mut mem = MemorySystem::new(config.clone());
+        let mut mem = MemorySystem::with_config(config.clone());
         mem.write_ptr(Word::ptr(Tag::Ref, g), Word::int(11))
             .unwrap();
         // Evicts the dirty line for `g` into its frame; the lines for `g2`
@@ -726,7 +565,7 @@ mod tests {
         mem.write_ptr(Word::ptr(Tag::DataPtr, trail), Word::int(44))
             .unwrap();
         assert!(mem.board.mmu.move_data_page_to_code(trail, code));
-        mem.fetch_code(code);
+        mem.fetch_code_seq(code, 1);
         let grown = kcm_arch::ZoneLimits::new(Zone::Global.base(), gaddr(4 * DEFAULT_ZONE_WORDS));
         mem.zones_mut().set_limits(Zone::Global, grown);
         assert_ne!(mem.stats(), MemStats::default());
@@ -734,7 +573,7 @@ mod tests {
         let pooled = pooled_boards();
         drop(mem);
         assert_eq!(pooled_boards(), pooled + 1, "the board was retired");
-        let mut mem = MemorySystem::new(config.clone());
+        let mut mem = MemorySystem::with_config(config.clone());
         assert_eq!(pooled_boards(), pooled, "the board was taken back");
 
         assert_eq!(mem.stats(), MemStats::default());
@@ -746,12 +585,12 @@ mod tests {
         // The first access misses, faults in physical page 0 (the TLB
         // forgot every page) and reads zero.
         let (w, extra) = mem.read_ptr(Word::ptr(Tag::Ref, g)).unwrap();
-        assert_eq!((w, extra), (Word::ZERO, config.dcache_miss));
+        assert_eq!((w, extra), (Word::ZERO, kcm_arch::timing::DCACHE_MISS));
         assert_eq!(mem.stats().dcache_misses, 1);
         assert_eq!(mem.stats().data_page_faults, 1);
         assert!(mem.board.mmu.data_page_mapped(g));
         assert_eq!(mem.board.memory.allocated_pages(), 1);
-        assert!(mem.fetch_code(code) > 0);
+        assert!(mem.fetch_code_seq(code, 1) > 0);
         assert_eq!(mem.stats().code_page_faults, 1);
         for a in [g, g2, trail, stat] {
             assert_eq!(mem.peek(a).unwrap(), Word::ZERO, "{a}");
@@ -762,7 +601,7 @@ mod tests {
     fn a_board_dropped_while_unwinding_is_freed_not_retired() {
         let pooled = pooled_boards();
         let unwound = std::panic::catch_unwind(|| {
-            let mut mem = MemorySystem::new(MemConfig::default());
+            let mut mem = MemorySystem::with_config(MemConfig::default());
             mem.write_ptr(Word::ptr(Tag::Ref, gaddr(1)), Word::int(1))
                 .unwrap();
             panic!("mid-run");
@@ -775,15 +614,13 @@ mod tests {
     fn a_recycled_board_takes_the_new_configuration() {
         let plain = MemConfig {
             sectioned_data_cache: false,
-            zone_check: false,
-            ..MemConfig::default()
         };
-        let mut mem = MemorySystem::new(plain);
+        let mut mem = MemorySystem::with_config(plain);
         assert!(!mem.board.dcache.is_sectioned());
         mem.write_ptr(Word::ptr(Tag::Ref, gaddr(1)), Word::int(1))
             .unwrap();
         drop(mem);
-        let mem = MemorySystem::new(MemConfig::default());
+        let mem = MemorySystem::with_config(MemConfig::default());
         assert!(mem.board.dcache.is_sectioned());
     }
 
@@ -797,23 +634,13 @@ mod tests {
         }
         std::thread::spawn(|| {
             PARKED.with(|_| {});
-            let mut mem = MemorySystem::new(MemConfig::default());
+            let mut mem = MemorySystem::with_config(MemConfig::default());
             mem.write_ptr(Word::ptr(Tag::Ref, gaddr(1)), Word::int(1))
                 .unwrap();
-            drop(MemorySystem::new(MemConfig::default()));
+            drop(MemorySystem::with_config(MemConfig::default()));
             PARKED.with(|p| *p.borrow_mut() = Some(mem));
         })
         .join()
         .expect("the thread exits cleanly");
-    }
-
-    #[test]
-    fn invalidate_code_cache_forces_miss() {
-        let mut mem = MemorySystem::new(MemConfig::default());
-        let a = CodeAddr::new(0x10);
-        mem.fetch_code(a);
-        assert_eq!(mem.fetch_code(a), 0);
-        mem.invalidate_code_cache();
-        assert!(mem.fetch_code(a) > 0);
     }
 }

@@ -6,6 +6,7 @@
 //! (type-restricted addresses), and catching bad writes before the
 //! store-in cache absorbs them.
 
+use kcm_arch::zone::ZONE_GRANULARITY_WORDS;
 use kcm_arch::{Tag, VAddr, Word, Zone, ZoneLimits};
 
 /// A fault detected by the zone checker.
@@ -58,6 +59,12 @@ impl std::error::Error for ZoneFault {}
 
 /// The per-zone limit RAM plus admitted-type logic.
 ///
+/// Beside the limits the table keeps, per address nibble, the windows
+/// its limits admit a [`Tag::DataPtr`] read or write into: the machine's
+/// own data accesses test one window instead of the whole check chain
+/// ([`ZoneTable::admits_read`]). [`ZoneTable::set_limits`] recomputes
+/// the windows of the zone it changes, so they never go stale.
+///
 /// # Examples
 ///
 /// ```
@@ -71,12 +78,26 @@ impl std::error::Error for ZoneFault {}
 #[derive(Debug, Clone)]
 pub struct ZoneTable {
     limits: [ZoneLimits; 5],
+    /// Per address nibble, the window `[lo, lo + span)` of addresses a
+    /// `DataPtr` read is admitted into; empty (`span == 0`) where the
+    /// checked path must decide.
+    read_win: [(u32, u32); 16],
+    /// The same for writes: empty for a write-protected zone.
+    write_win: [(u32, u32); 16],
 }
 
 impl Default for ZoneTable {
     fn default() -> ZoneTable {
         ZoneTable::new()
     }
+}
+
+/// Whether `addr` lies in the window its nibble has in `windows`.
+#[inline]
+fn in_window(windows: &[(u32, u32); 16], addr: VAddr) -> bool {
+    let v = addr.value();
+    let (lo, span) = windows[(v >> 24) as usize & 0xF];
+    v.wrapping_sub(lo) < span
 }
 
 /// Default size of each zone at reset: 1M words (grown on demand by the
@@ -86,17 +107,16 @@ pub const DEFAULT_ZONE_WORDS: u32 = 1 << 20;
 impl ZoneTable {
     /// Creates a table with every data zone spanning its default extent.
     pub fn new() -> ZoneTable {
-        let lim =
-            |z: Zone| ZoneLimits::new(z.base(), VAddr::new(z.base().value() + DEFAULT_ZONE_WORDS));
-        ZoneTable {
-            limits: [
-                lim(Zone::Static),
-                lim(Zone::Global),
-                lim(Zone::Local),
-                lim(Zone::Control),
-                lim(Zone::Trail),
-            ],
+        let mut table = ZoneTable {
+            limits: [ZoneLimits::new(VAddr::new(0), VAddr::new(0)); 5],
+            read_win: [(0, 0); 16],
+            write_win: [(0, 0); 16],
+        };
+        for z in Zone::DATA_ZONES {
+            let end = VAddr::new(z.base().value() + DEFAULT_ZONE_WORDS);
+            table.set_limits(z, ZoneLimits::new(z.base(), end));
         }
+        table
     }
 
     /// Current limits of a data zone.
@@ -118,6 +138,36 @@ impl ZoneTable {
     pub fn set_limits(&mut self, zone: Zone, limits: ZoneLimits) {
         assert!(zone != Zone::Code, "code space has no data zone limits");
         self.limits[zone.bits() as usize] = limits;
+        // The window is the block-granular range `contains` admits, kept
+        // only when it lies inside the zone's own region: the limits of
+        // a zone apply only to addresses whose nibble names it.
+        const G: u32 = ZONE_GRANULARITY_WORDS;
+        let lo = (limits.start().value() / G) * G;
+        let hi = limits.end().value().div_ceil(G) * G;
+        let nib = zone.bits() as usize;
+        let span = if lo >= zone.base().value() && hi <= zone.region_end().value() {
+            hi - lo
+        } else {
+            0
+        };
+        self.read_win[nib] = (lo, span);
+        self.write_win[nib] = (lo, if limits.is_write_protected() { 0 } else { span });
+    }
+
+    /// Whether a [`Tag::DataPtr`] read of `addr` lies in its nibble's
+    /// read window. `true` means [`ZoneTable::check_read`] admits it;
+    /// `false` leaves the decision to that check.
+    #[inline]
+    pub fn admits_read(&self, addr: VAddr) -> bool {
+        in_window(&self.read_win, addr)
+    }
+
+    /// Whether a [`Tag::DataPtr`] write to `addr` lies in its nibble's
+    /// write window; the same contract as [`ZoneTable::admits_read`]
+    /// with [`ZoneTable::check_write`].
+    #[inline]
+    pub fn admits_write(&self, addr: VAddr) -> bool {
+        in_window(&self.write_win, addr)
     }
 
     fn check_common(&self, ptr: Word) -> Result<(Zone, VAddr), ZoneFault> {
@@ -256,5 +306,52 @@ mod tests {
             ),
         );
         assert!(t.check_write(w).is_ok());
+    }
+
+    #[test]
+    fn the_windows_admit_exactly_what_the_checks_admit() {
+        const G: u32 = ZONE_GRANULARITY_WORDS;
+        for z in Zone::DATA_ZONES {
+            let base = z.base().value();
+            let end = |off: u32| ZoneLimits::new(z.base(), VAddr::new(base + off));
+            let cases = [
+                ("default", ZoneTable::new().limits(z)),
+                ("grown", end(4 * DEFAULT_ZONE_WORDS)),
+                ("unaligned end", end(3 * G + 100)),
+                (
+                    "write-protected",
+                    ZoneTable::new().limits(z).write_protected(),
+                ),
+                ("region end", ZoneLimits::new(z.base(), z.region_end())),
+            ];
+            for (case, limits) in cases {
+                let mut t = ZoneTable::new();
+                t.set_limits(z, limits);
+                // Every block boundary ±1 across the zone's region and the
+                // neighbouring nibbles that hold a zone.
+                let first = base.saturating_sub(1 << 24);
+                let last =
+                    (z.region_end().value() + (1 << 24)).min(Zone::Code.region_end().value());
+                for block in (first..last).step_by(G as usize) {
+                    for v in [block.wrapping_sub(1), block, block + 1] {
+                        if v < first || v >= last {
+                            continue;
+                        }
+                        let addr = VAddr::new(v);
+                        let ptr = Word::ptr(Tag::DataPtr, addr);
+                        assert_eq!(
+                            t.admits_read(addr),
+                            t.check_read(ptr).is_ok(),
+                            "{z} {case}: read of {addr}"
+                        );
+                        assert_eq!(
+                            t.admits_write(addr),
+                            t.check_write(ptr).is_ok(),
+                            "{z} {case}: write to {addr}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

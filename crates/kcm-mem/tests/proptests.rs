@@ -3,7 +3,7 @@
 //! oracle. (Deterministic `kcm-testkit` generators.)
 
 use kcm_arch::{Tag, VAddr, Word, Zone};
-use kcm_mem::{MemConfig, MemorySystem};
+use kcm_mem::{DataMem, MemConfig, MemorySystem};
 use kcm_testkit::{cases, TestRng};
 use std::collections::HashMap;
 
@@ -34,9 +34,8 @@ fn addr_of(zone_idx: u8, off: u16) -> VAddr {
 }
 
 fn run_ops(sectioned: bool, ops: &[Op]) -> Vec<Option<i32>> {
-    let mut mem = MemorySystem::new(MemConfig {
+    let mut mem = MemorySystem::with_config(MemConfig {
         sectioned_data_cache: sectioned,
-        ..MemConfig::default()
     });
     let mut oracle: HashMap<u32, i32> = HashMap::new();
     let mut reads = Vec::new();
@@ -89,10 +88,10 @@ fn both_geometries_read_identically() {
 }
 
 #[test]
-fn flush_then_peek_agrees() {
+fn peek_agrees_with_unflushed_writes() {
     cases(64, |rng| {
         let ops = arb_ops(rng, 1, 150);
-        let mut mem = MemorySystem::new(MemConfig::default());
+        let mut mem = MemorySystem::with_config(MemConfig::default());
         let mut oracle: HashMap<u32, i32> = HashMap::new();
         for op in &ops {
             if let Op::Write(z, o, v) = op {
@@ -102,7 +101,6 @@ fn flush_then_peek_agrees() {
                 oracle.insert(a.value(), *v);
             }
         }
-        mem.flush_data_cache().expect("flush");
         for (raw, v) in oracle {
             let got = mem.peek(VAddr::new(raw)).expect("peek");
             assert_eq!(got.as_int(), Some(v));

@@ -49,8 +49,7 @@
 #![warn(missing_docs)]
 
 use kcm_arch::timing::Cycles;
-use kcm_arch::zone::ZONE_GRANULARITY_WORDS;
-use kcm_arch::{Tag, VAddr, Word, Zone};
+use kcm_arch::{Tag, VAddr, Word};
 use kcm_mem::main_memory::BLOCK_WORDS;
 use kcm_mem::{recycle, DataMem, MemConfig, MemFault, ZoneTable};
 use std::cell::RefCell;
@@ -100,26 +99,13 @@ thread_local! {
 /// that (illegally but observably) reads never-written memory sees the
 /// same words on both tiers. Zone checking reuses the simulator's
 /// [`ZoneTable`] verbatim: same limits, same growth protocol, same
-/// faults. The machine's own data accesses additionally take a fast
-/// path (see [`DataMem::read_data_addr`]): per-zone admitted windows
-/// are mirrored out of the zone table into two flat range arrays, so
-/// the common in-limits access costs one compare instead of the full
-/// check chain; any access outside its window falls back to the exact
-/// checked path, and any mutation of the zone table (growth, write
-/// protection) invalidates the mirror.
+/// faults. The machine's own data accesses take a fast path (see
+/// [`DataMem::read_data_addr`]): an access inside the table's admitted
+/// window ([`ZoneTable::admits_read`]) costs one compare instead of the
+/// full check chain, and any other goes through the checked path.
 #[derive(Debug)]
 pub struct FlatMem {
-    zone_check: bool,
     zones: ZoneTable,
-    /// Mirror of the zone table is out of date (`zones_mut` was handed
-    /// out since the last refresh).
-    stale: bool,
-    /// Per address-nibble window `[lo, lo+span)` of values a `DataPtr`
-    /// read is admitted into without consulting the zone table. Empty
-    /// (`span == 0`) for nibbles that must take the slow path.
-    read_win: [(u32, u32); 16],
-    /// Same for writes (empty when the zone is write-protected).
-    write_win: [(u32, u32); 16],
     /// One store per 4-bit zone field of the virtual address. Only the
     /// five data zones are ever touched by checked accesses; the host
     /// back-door (`peek`/`poke`) is as permissive as the simulator's.
@@ -136,15 +122,10 @@ impl FlatMem {
         (((v >> 24) & 0xF) as usize, (v & 0x00FF_FFFF) as usize)
     }
 
+    /// The word at `addr`.
     #[inline]
     fn load(&self, addr: VAddr) -> Word {
         let (z, off) = Self::split(addr);
-        self.read(z, off)
-    }
-
-    /// The word at offset `off` of zone nibble `z`.
-    #[inline]
-    fn read(&self, z: usize, off: usize) -> Word {
         let at = off.wrapping_sub(self.origin[z]);
         self.store[z].get(at).copied().unwrap_or(Word::ZERO)
     }
@@ -170,79 +151,19 @@ impl FlatMem {
         v[at] = w;
     }
 
-    /// Rebuilds the admitted-window mirror from the zone table. The
-    /// windows reproduce [`ZoneTable`]'s acceptance for `DataPtr`
-    /// accesses exactly: block-granular limits when the zone check is
-    /// on, the whole populated region when it is off (protection off
-    /// admits everything the address map can reach). A window that
-    /// would not sit inside its zone's region is left empty, so the
-    /// slow path — not the mirror — decides the odd cases.
-    fn refresh(&mut self) {
-        self.stale = false;
-        self.read_win = [(0, 0); 16];
-        self.write_win = [(0, 0); 16];
-        const G: u32 = ZONE_GRANULARITY_WORDS;
-        for z in Zone::DATA_ZONES {
-            let nib = (z.base().value() >> 24) as usize & 0xF;
-            if self.zone_check {
-                let lim = self.zones.limits(z);
-                let lo = (lim.start().value() / G) * G;
-                let hi = lim.end().value().div_ceil(G) * G;
-                if lo >= z.base().value() && hi <= z.region_end().value() && lo <= hi {
-                    self.read_win[nib] = (lo, hi - lo);
-                    self.write_win[nib] = (lo, if lim.is_write_protected() { 0 } else { hi - lo });
-                }
-            } else {
-                let lo = z.base().value();
-                let span = z.region_end().value() - lo;
-                self.read_win[nib] = (lo, span);
-                self.write_win[nib] = (lo, span);
-            }
-        }
-        if !self.zone_check {
-            // With protection off the checked path also admits DataPtr
-            // accesses into the code region (it only validates the tag).
-            let nib = (Zone::Code.base().value() >> 24) as usize & 0xF;
-            let lo = Zone::Code.base().value();
-            let span = Zone::Code.region_end().value() - lo;
-            self.read_win[nib] = (lo, span);
-            self.write_win[nib] = (lo, span);
-        }
-    }
-
-    /// Off-window read: rebuild a stale mirror and retry, else take the
-    /// checked path. Kept out of line so [`DataMem::read_data_addr`]'s
-    /// body stays small enough to inline into the interpreter.
+    /// The checked path of a machine read outside its window. Kept out
+    /// of line so [`DataMem::read_data_addr`]'s body stays small enough
+    /// to inline into the interpreter.
     #[inline(never)]
     fn read_slow(&mut self, addr: VAddr) -> Result<(Word, Cycles), MemFault> {
-        if self.stale {
-            self.refresh();
-            let v = addr.value();
-            let z = ((v >> 24) & 0xF) as usize;
-            let (lo, span) = self.read_win[z];
-            if v.wrapping_sub(lo) < span {
-                return Ok((self.read(z, (v & 0x00FF_FFFF) as usize), 0));
-            }
-        }
         self.read_ptr(Word::ptr(Tag::DataPtr, addr))
     }
 
-    /// Off-window or beyond-populated-prefix write: rebuild a stale
-    /// mirror, grow the zone vector for an admitted write past its
-    /// current length, else take the checked path. Out of line for the
-    /// same reason as [`FlatMem::read_slow`].
+    /// The checked path of a machine write outside its window or past
+    /// the stored extent (which `store_word` grows). Out of line for
+    /// the same reason as [`FlatMem::read_slow`].
     #[inline(never)]
     fn write_slow(&mut self, addr: VAddr, value: Word) -> Result<Cycles, MemFault> {
-        if self.stale {
-            self.refresh();
-        }
-        let v = addr.value();
-        let z = ((v >> 24) & 0xF) as usize;
-        let (lo, span) = self.write_win[z];
-        if v.wrapping_sub(lo) < span {
-            self.store_word(addr, value);
-            return Ok(0);
-        }
         self.write_ptr(Word::ptr(Tag::DataPtr, addr), value)
     }
 }
@@ -269,20 +190,13 @@ impl Drop for FlatMem {
 impl DataMem for FlatMem {
     const SIMULATED: bool = false;
 
-    fn with_config(config: MemConfig) -> FlatMem {
-        let store =
-            recycle::take(&STORE_POOL).unwrap_or_else(|| std::array::from_fn(|_| Vec::new()));
-        let mut mem = FlatMem {
-            zone_check: config.zone_check,
+    fn with_config(_config: MemConfig) -> FlatMem {
+        FlatMem {
             zones: ZoneTable::new(),
-            stale: false,
-            read_win: [(0, 0); 16],
-            write_win: [(0, 0); 16],
-            store,
+            store: recycle::take(&STORE_POOL)
+                .unwrap_or_else(|| std::array::from_fn(|_| Vec::new())),
             origin: [0; 16],
-        };
-        mem.refresh();
-        mem
+        }
     }
 
     fn zones(&self) -> &ZoneTable {
@@ -290,54 +204,37 @@ impl DataMem for FlatMem {
     }
 
     fn zones_mut(&mut self) -> &mut ZoneTable {
-        // Empty the windows as well as flagging the mirror stale: the hot
-        // paths then need no staleness test at all — a stale mirror admits
-        // nothing, so every access funnels into the slow helpers, and the
-        // first one rebuilds the mirror.
-        self.stale = true;
-        self.read_win = [(0, 0); 16];
-        self.write_win = [(0, 0); 16];
         &mut self.zones
     }
 
     #[inline]
     fn read_ptr(&mut self, ptr: Word) -> Result<(Word, Cycles), MemFault> {
         let addr = ptr.as_addr().ok_or(MemFault::NotAnAddress(ptr))?;
-        if self.zone_check {
-            self.zones.check_read(ptr)?;
-        }
+        self.zones.check_read(ptr)?;
         Ok((self.load(addr), 0))
     }
 
     #[inline]
     fn write_ptr(&mut self, ptr: Word, value: Word) -> Result<Cycles, MemFault> {
         let addr = ptr.as_addr().ok_or(MemFault::NotAnAddress(ptr))?;
-        if self.zone_check {
-            self.zones.check_write(ptr)?;
-        }
+        self.zones.check_write(ptr)?;
         self.store_word(addr, value);
         Ok(0)
     }
 
     #[inline]
     fn read_data_addr(&mut self, addr: VAddr) -> Result<(Word, Cycles), MemFault> {
-        let v = addr.value();
-        let z = ((v >> 24) & 0xF) as usize;
-        let (lo, span) = self.read_win[z];
-        if v.wrapping_sub(lo) < span {
-            return Ok((self.read(z, (v & 0x00FF_FFFF) as usize), 0));
+        if self.zones.admits_read(addr) {
+            return Ok((self.load(addr), 0));
         }
         self.read_slow(addr)
     }
 
     #[inline]
     fn write_data_addr(&mut self, addr: VAddr, value: Word) -> Result<Cycles, MemFault> {
-        let v = addr.value();
-        let z = ((v >> 24) & 0xF) as usize;
-        let (lo, span) = self.write_win[z];
-        if v.wrapping_sub(lo) < span {
-            let at = ((v & 0x00FF_FFFF) as usize).wrapping_sub(self.origin[z]);
-            if let Some(slot) = self.store[z].get_mut(at) {
+        if self.zones.admits_write(addr) {
+            let (z, off) = Self::split(addr);
+            if let Some(slot) = self.store[z].get_mut(off.wrapping_sub(self.origin[z])) {
                 *slot = value;
                 return Ok(0);
             }

@@ -29,7 +29,7 @@ pub mod term;
 pub use lexer::{LexError, Lexer, Token};
 pub use ops::{OpTable, OpType};
 pub use parser::{ParseError, Parser};
-pub use term::Term;
+pub use term::{Term, MAX_DEPTH};
 
 /// Reads a complete Prolog program: a sequence of `.`-terminated clauses.
 ///

@@ -2,7 +2,7 @@
 
 use crate::lexer::{LexError, Lexer, Token};
 use crate::ops::{OpTable, OpType};
-use crate::term::Term;
+use crate::term::{Term, MAX_DEPTH};
 
 /// A syntax error with the 1-based line it occurred on.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,6 +45,14 @@ pub struct Parser {
     pos: usize,
     ops: &'static OpTable,
     anon_counter: u32,
+    /// How deep the term being read is nested here: each argument, list
+    /// cell, parenthesis and operator operand is one level.
+    depth: usize,
+    /// The deepest level the term being read reaches so far.
+    deepest: usize,
+    /// The constructs the reader is inside, innermost last, each with
+    /// the parse it belongs to.
+    frames: Vec<(Scope, Frame)>,
 }
 
 /// The standard operator table, built once per process and borrowed by
@@ -68,6 +76,9 @@ impl Parser {
             pos: 0,
             ops: standard_ops(),
             anon_counter: 0,
+            depth: 0,
+            deepest: 0,
+            frames: Vec::new(),
         })
     }
 
@@ -157,115 +168,92 @@ impl Parser {
         )
     }
 
-    /// Operator-precedence parse with a maximum priority.
+    /// Operator-precedence parse with a maximum priority, at the current
+    /// nesting.
+    ///
+    /// The reader keeps the constructs it is inside on a stack of its own
+    /// ([`Frame`]) rather than on the host's, so a term costs no host
+    /// stack however deep it nests; [`MAX_DEPTH`] bounds what it builds.
     fn parse(&mut self, max_prec: u16) -> Result<Term, ParseError> {
-        let (mut left, mut left_prec) = self.parse_primary(max_prec)?;
+        self.frames.clear();
+        let mut step = Step::Begin(max_prec);
         loop {
-            // Comma acts as an infix operator only above priority 999.
-            let def = match self.peek() {
-                Some(Token::Comma) if max_prec >= 1000 => {
-                    self.ops.infix(",").expect("',' in table")
+            step = match step {
+                Step::Begin(max_prec) => {
+                    if self.depth > MAX_DEPTH {
+                        return self.too_deep();
+                    }
+                    let outer = std::mem::replace(&mut self.deepest, self.depth);
+                    self.primary(Scope { max_prec, outer })?
                 }
-                // '|' at term level is an alias for ';'.
-                Some(Token::Bar) if max_prec >= 1100 => self.ops.infix(";").expect("';' in table"),
-                Some(Token::Atom(a)) => match self.ops.infix(a) {
-                    Some(def) => def,
-                    None => break,
-                },
-                _ => break,
+                Step::Done(t) if self.frames.is_empty() => return Ok(t),
+                Step::Done(t) => self.resume(t)?,
             };
-            if def.priority > max_prec {
-                break;
-            }
-            let (left_max, right_max) = match def.op_type {
-                OpType::Xfx => (def.priority - 1, def.priority - 1),
-                OpType::Xfy => (def.priority - 1, def.priority),
-                OpType::Yfx => (def.priority, def.priority - 1),
-                _ => break,
-            };
-            if left_prec > left_max {
-                break;
-            }
-            let name = match self.advance() {
-                Some(Token::Atom(a)) => a,
-                Some(Token::Comma) => ",".to_owned(),
-                Some(Token::Bar) => ";".to_owned(),
-                other => unreachable!("peeked an infix operator, took {other:?}"),
-            };
-            let right = self.parse(right_max)?;
-            left = Term::Struct(name, vec![left, right]);
-            left_prec = def.priority;
         }
-        Ok((left, left_prec).0)
     }
 
-    /// Parses a primary: literal, variable, compound, list, paren group or
-    /// prefix-operator application. Returns the term and its priority.
-    fn parse_primary(&mut self, max_prec: u16) -> Result<(Term, u16), ParseError> {
+    #[cold]
+    fn too_deep<T>(&self) -> Result<T, ParseError> {
+        self.error(format!("term nested deeper than {MAX_DEPTH} levels"))
+    }
+
+    /// Opens `frame` of the parse `scope` around a term of at most
+    /// `max_prec` one level deeper.
+    fn open(&mut self, scope: Scope, frame: Frame, max_prec: u16) -> Step {
+        self.frames.push((scope, frame));
+        self.depth += 1;
+        Step::Begin(max_prec)
+    }
+
+    /// Reads a primary of the parse `scope`: literal, variable, or the
+    /// start of a compound, list, paren group or prefix-operator
+    /// application.
+    fn primary(&mut self, scope: Scope) -> Result<Step, ParseError> {
         let tok = match self.advance() {
             Some(t) => t,
             None => return self.error("unexpected end of input"),
         };
-        match tok {
-            Token::Int(v) => Ok((Term::Int(v), 0)),
-            Token::Float(v) => Ok((Term::Float(v), 0)),
+        let leaf = match tok {
+            Token::Int(v) => Term::Int(v),
+            Token::Float(v) => Term::Float(v),
             Token::Var(name) => {
                 if name == "_" {
                     self.anon_counter += 1;
-                    Ok((Term::Var(format!("_G{}", self.anon_counter)), 0))
+                    Term::Var(format!("_G{}", self.anon_counter))
                 } else {
-                    Ok((Term::Var(name), 0))
+                    Term::Var(name)
                 }
             }
             Token::Str(s) => {
                 // Double-quoted string = list of character codes.
-                let items = s.chars().map(|c| Term::Int(c as i32)).collect();
-                Ok((Term::list(items, None), 0))
-            }
-            Token::LParen => {
-                let t = self.parse(1200)?;
-                self.expect(&Token::RParen, "')'")?;
-                Ok((t, 0))
-            }
-            Token::LBrace => {
-                if self.peek() == Some(&Token::RBrace) {
-                    self.pos += 1;
-                    return Ok((Term::Atom("{}".into()), 0));
+                let len = s.chars().count();
+                if self.depth + len > MAX_DEPTH {
+                    return self.too_deep();
                 }
-                let t = self.parse(1200)?;
-                self.expect(&Token::RBrace, "'}'")?;
-                Ok((Term::Struct("{}".into(), vec![t]), 0))
+                self.deepest = self.deepest.max(self.depth + len);
+                Term::list(s.chars().map(|c| Term::Int(c as i32)).collect(), None)
+            }
+            Token::LParen => return Ok(self.open(scope, Frame::Paren, 1200)),
+            Token::LBrace => {
+                if self.peek() != Some(&Token::RBrace) {
+                    return Ok(self.open(scope, Frame::Braces, 1200));
+                }
+                self.pos += 1;
+                Term::Atom("{}".into())
             }
             Token::LBracket => {
-                if self.peek() == Some(&Token::RBracket) {
-                    self.pos += 1;
-                    return Ok((Term::nil(), 0));
+                if self.peek() != Some(&Token::RBracket) {
+                    let frame = Frame::List(Vec::new(), self.depth);
+                    return Ok(self.open(scope, frame, 999));
                 }
-                let mut items = vec![self.parse(999)?];
-                while self.peek() == Some(&Token::Comma) {
-                    self.pos += 1;
-                    items.push(self.parse(999)?);
-                }
-                let tail = if self.peek() == Some(&Token::Bar) {
-                    self.pos += 1;
-                    Some(self.parse(999)?)
-                } else {
-                    None
-                };
-                self.expect(&Token::RBracket, "']'")?;
-                Ok((Term::list(items, tail), 0))
+                self.pos += 1;
+                Term::nil()
             }
             Token::Atom(name) => {
                 // Compound term: atom immediately followed by '('.
                 if self.peek() == Some(&Token::FunctorParen) {
                     self.pos += 1;
-                    let mut args = vec![self.parse(999)?];
-                    while self.peek() == Some(&Token::Comma) {
-                        self.pos += 1;
-                        args.push(self.parse(999)?);
-                    }
-                    self.expect(&Token::RParen, "')'")?;
-                    return Ok((Term::Struct(name, args), 0));
+                    return Ok(self.open(scope, Frame::Args(name, Vec::new()), 999));
                 }
                 // Prefix operator application.
                 if let Some(def) = self.ops.prefix(&name) {
@@ -280,33 +268,177 @@ impl Parser {
                             if self.ops.infix(a).is_some()
                                 && self.ops.prefix(a).is_none()
                                 && self.peek2() != Some(&Token::FunctorParen));
-                    if def.priority <= max_prec && arg_ok {
+                    if def.priority <= scope.max_prec && arg_ok {
                         // Fold negative numeric literals.
                         if name == "-" {
-                            if let Some(Token::Int(v)) = self.peek() {
-                                let v = *v;
+                            if let Some(&Token::Int(v)) = self.peek() {
                                 self.pos += 1;
-                                return Ok((Term::Int(-v), 0));
+                                return self.operator(Term::Int(-v), 0, scope);
                             }
-                            if let Some(Token::Float(v)) = self.peek() {
-                                let v = *v;
+                            if let Some(&Token::Float(v)) = self.peek() {
                                 self.pos += 1;
-                                return Ok((Term::Float(-v), 0));
+                                return self.operator(Term::Float(-v), 0, scope);
                             }
                         }
                         let arg_max = match def.op_type {
                             OpType::Fy => def.priority,
                             _ => def.priority - 1,
                         };
-                        let arg = self.parse(arg_max)?;
-                        return Ok((Term::Struct(name, vec![arg]), def.priority));
+                        let frame = Frame::Prefix(name, def.priority);
+                        return Ok(self.open(scope, frame, arg_max));
                     }
                 }
-                Ok((Term::Atom(name), 0))
+                Term::Atom(name)
             }
-            other => self.error(format!("unexpected {other:?}")),
-        }
+            other => return self.error(format!("unexpected {other:?}")),
+        };
+        self.operator(leaf, 0, scope)
     }
+
+    /// After a primary or an operator term `left` of priority
+    /// `left_prec`: reads the next infix operator of the parse `scope` if
+    /// it binds here, else finishes that parse with `left`.
+    fn operator(&mut self, left: Term, left_prec: u16, scope: Scope) -> Result<Step, ParseError> {
+        let max_prec = scope.max_prec;
+        // Comma acts as an infix operator only above priority 999.
+        let def = match self.peek() {
+            Some(Token::Comma) if max_prec >= 1000 => self.ops.infix(","),
+            // '|' at term level is an alias for ';'.
+            Some(Token::Bar) if max_prec >= 1100 => self.ops.infix(";"),
+            Some(Token::Atom(a)) => self.ops.infix(a),
+            _ => None,
+        };
+        let bounds = def.filter(|def| def.priority <= max_prec).and_then(|def| {
+            let (left_max, right_max) = match def.op_type {
+                OpType::Xfx => (def.priority - 1, def.priority - 1),
+                OpType::Xfy => (def.priority - 1, def.priority),
+                OpType::Yfx => (def.priority, def.priority - 1),
+                _ => return None,
+            };
+            (left_prec <= left_max).then_some((def.priority, right_max))
+        });
+        let Some((priority, right_max)) = bounds else {
+            self.deepest = self.deepest.max(scope.outer);
+            return Ok(Step::Done(left));
+        };
+        let name = match self.advance() {
+            Some(Token::Atom(a)) => a,
+            Some(Token::Comma) => ",".to_owned(),
+            Some(Token::Bar) => ";".to_owned(),
+            other => unreachable!("peeked an infix operator, took {other:?}"),
+        };
+        // The operator's term holds everything read so far one level
+        // deeper.
+        self.deepest += 1;
+        if self.deepest > MAX_DEPTH {
+            return self.too_deep();
+        }
+        Ok(self.open(scope, Frame::Operator(left, name, priority), right_max))
+    }
+
+    /// Hands the term `t` just read to the innermost construct.
+    fn resume(&mut self, t: Term) -> Result<Step, ParseError> {
+        // Another argument or list element: the construct stays open.
+        if self.peek() == Some(&Token::Comma) {
+            match self.frames.last_mut() {
+                Some((_, Frame::Args(_, args))) => {
+                    args.push(t);
+                    self.pos += 1;
+                    return Ok(Step::Begin(999));
+                }
+                // Element `i` sits in the list's `i`-th cell, `i + 1`
+                // levels below the list, and the tail in the last cell.
+                Some((_, Frame::List(items, _))) => {
+                    items.push(t);
+                    self.pos += 1;
+                    self.depth += 1;
+                    return Ok(Step::Begin(999));
+                }
+                _ => {}
+            }
+        }
+        let (scope, frame) = self.frames.pop().expect("a construct to resume");
+        let (primary, prec) = match frame {
+            Frame::Operator(left, name, priority) => {
+                self.depth -= 1;
+                (Term::Struct(name, vec![left, t]), priority)
+            }
+            Frame::Paren => {
+                self.depth -= 1;
+                self.expect(&Token::RParen, "')'")?;
+                (t, 0)
+            }
+            Frame::Braces => {
+                self.depth -= 1;
+                self.expect(&Token::RBrace, "'}'")?;
+                (Term::Struct("{}".into(), vec![t]), 0)
+            }
+            Frame::Args(name, mut args) => {
+                self.depth -= 1;
+                args.push(t);
+                self.expect(&Token::RParen, "')'")?;
+                (Term::Struct(name, args), 0)
+            }
+            Frame::List(mut items, depth) => {
+                items.push(t);
+                if self.peek() == Some(&Token::Bar) {
+                    self.pos += 1;
+                    self.frames.push((scope, Frame::Tail(items, depth)));
+                    return Ok(Step::Begin(999));
+                }
+                self.depth = depth;
+                self.expect(&Token::RBracket, "']'")?;
+                (Term::list(items, None), 0)
+            }
+            Frame::Tail(items, depth) => {
+                self.depth = depth;
+                self.expect(&Token::RBracket, "']'")?;
+                (Term::list(items, Some(t)), 0)
+            }
+            Frame::Prefix(name, priority) => {
+                self.depth -= 1;
+                (Term::Struct(name, vec![t]), priority)
+            }
+        };
+        self.operator(primary, prec, scope)
+    }
+}
+
+/// An operator-precedence parse: its maximum priority, and the
+/// enclosing term's deepest level.
+#[derive(Debug, Clone, Copy)]
+struct Scope {
+    max_prec: u16,
+    outer: usize,
+}
+
+/// The reader's next move.
+enum Step {
+    /// Start a term of at most this priority.
+    Begin(u16),
+    /// The innermost parse finished with this term.
+    Done(Term),
+}
+
+/// A construct the reader is inside, waiting for the term read within
+/// it.
+#[derive(Debug)]
+enum Frame {
+    /// The left operand, and the infix operator of this priority whose
+    /// right operand is being read.
+    Operator(Term, String, u16),
+    /// `(`, closed by `)`.
+    Paren,
+    /// `{`, closed by `}`: the term `{}(T)`.
+    Braces,
+    /// `name(` and the arguments read so far.
+    Args(String, Vec<Term>),
+    /// `[`, the elements read so far, and the nesting of the list.
+    List(Vec<Term>, usize),
+    /// `[…|`, reading the tail.
+    Tail(Vec<Term>, usize),
+    /// A prefix operator of this priority, reading its argument.
+    Prefix(String, u16),
 }
 
 #[cfg(test)]
@@ -417,5 +549,54 @@ mod tests {
     #[test]
     fn missing_dot_is_an_error() {
         assert!(Parser::new("a :- b").unwrap().parse_program().is_err());
+    }
+
+    /// One term of each way of nesting, `n` levels deep.
+    fn nestings(n: usize) -> Vec<(&'static str, String)> {
+        let ints = |sep: &str| (0..=n).map(|i| i.to_string()).collect::<Vec<_>>().join(sep);
+        vec![
+            ("arguments", format!("{}a{}", "f(".repeat(n), ")".repeat(n))),
+            (
+                "parentheses",
+                format!("{}a{}", "(".repeat(n), ")".repeat(n)),
+            ),
+            ("braces", format!("{}a{}", "{".repeat(n), "}".repeat(n))),
+            ("prefix operands", format!("{}a", "\\+ ".repeat(n))),
+            ("left operands", ints("+")),
+            ("right operands", ints("^")),
+            ("list cells", format!("[{}]", ints(",")[2..].to_owned())),
+            ("a list tail", format!("[{}|T]", ints(",")[2..].to_owned())),
+            ("string codes", format!("\"{}\"", "x".repeat(n))),
+            // `b` sits in `h`'s argument, in the tail of a one-cell list,
+            // inside `g`'s arguments.
+            (
+                "mixed",
+                format!(
+                    "{}[a|{}b{}]{}",
+                    "g(".repeat(n / 2),
+                    "h(".repeat(n - n / 2 - 1),
+                    ")".repeat(n - n / 2 - 1),
+                    ")".repeat(n / 2)
+                ),
+            ),
+        ]
+    }
+
+    #[test]
+    fn terms_nest_up_to_the_bound() {
+        for (how, src) in nestings(MAX_DEPTH) {
+            assert!(read(&src).is_ok(), "{how} at the bound");
+        }
+        for (how, src) in nestings(MAX_DEPTH + 1) {
+            let err = read(&src).expect_err(how);
+            assert!(err.message.contains("nested deeper"), "{how}: {err}");
+        }
+        // A long list fails fast: no element past the bound is read.
+        let long = format!("p([{}])", vec!["1"; 100_000].join(","));
+        assert!(read(&long).is_err());
+    }
+
+    fn read(src: &str) -> Result<Term, ParseError> {
+        Parser::new(src)?.parse_single_term()
     }
 }

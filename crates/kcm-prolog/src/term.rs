@@ -36,6 +36,17 @@ pub const CONS: &str = ".";
 /// The empty-list atom name.
 pub const NIL: &str = "[]";
 
+/// The deepest a term may nest: the reader refuses deeper source, and
+/// the machine's term decoder deeper heap terms.
+///
+/// Compiling, printing, comparing and dropping a [`Term`] recurse on the
+/// host stack once per level, so the bound keeps them well inside the
+/// smallest stack the system runs on (a 2 MiB thread, with debug-build
+/// frame sizes). The deepest legitimate term in the tree is the scaling
+/// bench's 600-cell list; rational trees from occurs-check-free
+/// unification (`X = [X|X]`) are unbounded and must fault, not overflow.
+pub const MAX_DEPTH: usize = 1_000;
+
 impl Term {
     /// Builds a (possibly partial) list from items and an optional tail.
     /// Without a tail the list is proper (nil-terminated).

@@ -60,7 +60,7 @@
 //! reply is `cursor=<id>`, and the enumeration streams on demand through
 //! `NEXT <id> [count]` — each pull resumes the suspended machine through
 //! its normal backtrack path and returns up to `count` answers (default
-//! 1, clamped to the server's batch cap). The `NEXT` reply body starts
+//! 1, clamped to [`crate::server::CURSOR_BATCH_CAP`]). The `NEXT` reply body starts
 //! `cursor=<id> answers=<k> done=<bool> inferences=<n> cycles=<n>`
 //! followed by one line per answer and the slice's `output=` line; when
 //! `done=true` the enumeration is exhausted and the cursor is already
@@ -239,11 +239,6 @@ impl FrameBuf {
     /// Appends transport bytes to the decode buffer.
     pub fn feed(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
-    }
-
-    /// Whether any undecoded bytes (a partial frame) are buffered.
-    pub fn has_partial(&self) -> bool {
-        !self.buf.is_empty() || self.pending.is_some()
     }
 
     /// Pops the next complete frame, or `Ok(None)` when more bytes are
@@ -865,7 +860,6 @@ mod tests {
         );
         assert_eq!(fb.next_frame().expect("b").as_deref(), Some(b"".as_slice()));
         assert_eq!(fb.next_frame().expect("c"), None);
-        assert!(!fb.has_partial());
     }
 
     #[test]
@@ -894,26 +888,7 @@ mod tests {
                 ],
                 "chunk size {chunk}"
             );
-            assert!(!fb.has_partial(), "chunk size {chunk}");
         }
-    }
-
-    #[test]
-    fn frame_buf_reports_partial_state() {
-        let mut fb = FrameBuf::new();
-        assert!(!fb.has_partial());
-        fb.feed(b"1");
-        assert!(fb.has_partial());
-        assert_eq!(fb.next_frame().expect("need more"), None);
-        fb.feed(b"0\n");
-        assert_eq!(fb.next_frame().expect("need payload"), None);
-        assert!(fb.has_partial(), "a parsed length line is partial state");
-        fb.feed(b"0123456789");
-        assert_eq!(
-            fb.next_frame().expect("frame").as_deref(),
-            Some(b"0123456789".as_slice())
-        );
-        assert!(!fb.has_partial());
     }
 
     #[test]

@@ -78,8 +78,8 @@ use crate::poll::{Event, Interest, Poller};
 use crate::protocol::{encode_frame, render_batch, render_outcome, FrameBuf, Reply, Request};
 use kcm_system::registry::{ProgramRegistry, Published, TenantStats};
 use kcm_system::{
-    error_class, prepare_query, KcmError, MachineConfig, PreparedQuery, ProgramSource, Quantum,
-    QueryOpts, RunStats, Solution, Solutions, Tier,
+    error_class, prepare_query, KcmError, MachineConfig, MachineError, PreparedQuery,
+    ProgramSource, Quantum, QueryOpts, RunStats, Solution, Solutions, Tier,
 };
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -103,6 +103,10 @@ const READ_TICK: Duration = Duration::from_millis(100);
 /// holds the loop, or a worker's turn, for a fraction of a millisecond on
 /// the native tier.
 pub const QUANTUM: u64 = 10_000;
+
+/// Largest batch one `NEXT` may pull; bigger requests are clamped
+/// (visible to the client through the reply's `answers=` count).
+pub const CURSOR_BATCH_CAP: u64 = 256;
 
 /// Name of the worker threads (visible in `/proc/<pid>/task/*/comm`).
 const WORKER_NAME: &str = "kcm-worker";
@@ -140,8 +144,6 @@ pub struct ServeConfig {
     /// must reflect the simulated machine (it reads 0 under the native
     /// tier; the `steps` counter is the tier-independent work measure).
     pub tier: Tier,
-    /// Machine configuration for every session.
-    pub machine: MachineConfig,
     /// Open cursors allowed per connection; the next `QUERY … CURSOR`
     /// past the cap answers `BUSY` until one is released.
     pub cursors_per_conn: usize,
@@ -149,9 +151,6 @@ pub struct ServeConfig {
     /// loop's tick reaps it. Bounds the suspended-machine memory an
     /// abandoned-but-connected client can pin.
     pub cursor_idle: Duration,
-    /// Largest batch one `NEXT` may pull; bigger requests are clamped
-    /// (visible to the client through the reply's `answers=` count).
-    pub cursor_batch_cap: u64,
     /// Requests (queries, cursor opens, cursor pulls) running at once per
     /// program — a registry tenant or a connection's `CONSULT`ed program
     /// — whether on the event loop or with the workers; past the cap the
@@ -170,10 +169,8 @@ impl Default for ServeConfig {
             default_step_budget: Some(50_000_000),
             max_programs: 64,
             tier: Tier::Native,
-            machine: MachineConfig::default(),
             cursors_per_conn: 16,
             cursor_idle: Duration::from_secs(30),
-            cursor_batch_cap: 256,
             tenant_inflight_cap: None,
         }
     }
@@ -212,7 +209,8 @@ pub struct ServeMetrics {
     pub inferences: u64,
     /// Simulated KCM cycles, likewise (0 on the default native tier).
     pub cycles: u64,
-    /// Retired machine instructions, likewise (on both tiers).
+    /// Retired machine instructions, likewise (on both tiers), plus those
+    /// of the runs the step budget stopped.
     pub steps: u64,
     /// Switch dispatches that found their key, across served queries.
     pub switch_hits: u64,
@@ -877,7 +875,7 @@ impl EventLoop {
                             body: String::new(),
                         }
                     }
-                    Err(e) => error_reply(&e, &self.shared, None),
+                    Err(e) => error_reply(&e, 0, &self.shared, None),
                 }
             }
             Request::Publish {
@@ -897,14 +895,14 @@ impl EventLoop {
             // never see a half-updated image.
             Request::Snapshot { name } => match self.shared.registry.snapshot(&name) {
                 Ok(bytes) => Reply::Snapshot { bytes },
-                Err(e) => error_reply(&e, &self.shared, None),
+                Err(e) => error_reply(&e, 0, &self.shared, None),
             },
             Request::Assert { name, clause } => {
                 match self.shared.registry.assertz(&name, &clause) {
                     Ok(receipt) => Reply::Ok {
                         body: format!("name={name}\nversion={}\n", receipt.version),
                     },
-                    Err(e) => error_reply(&e, &self.shared, None),
+                    Err(e) => error_reply(&e, 0, &self.shared, None),
                 }
             }
             Request::Retract { name, clause } => {
@@ -915,7 +913,7 @@ impl EventLoop {
                             receipt.version
                         ),
                     },
-                    Err(e) => error_reply(&e, &self.shared, None),
+                    Err(e) => error_reply(&e, 0, &self.shared, None),
                 }
             }
             Request::Stats => Reply::Ok {
@@ -978,7 +976,7 @@ impl EventLoop {
         match self
             .shared
             .registry
-            .publish(name, source, &self.shared.cfg.machine, step_budget)
+            .publish(name, source, &MachineConfig::default(), step_budget)
         {
             Ok(receipt) => {
                 self.shared.publishes.fetch_add(1, Ordering::Relaxed);
@@ -988,7 +986,7 @@ impl EventLoop {
                 }
                 Reply::Ok { body }
             }
-            Err(e) => error_reply(&e, &self.shared, None),
+            Err(e) => error_reply(&e, 0, &self.shared, None),
         }
     }
 
@@ -1007,11 +1005,11 @@ impl EventLoop {
                 .shared
                 .registry
                 .lookup(name)
-                .map_err(|e| error_reply(&e, &self.shared, None))?,
+                .map_err(|e| error_reply(&e, 0, &self.shared, None))?,
             None => conn
                 .program
                 .clone()
-                .ok_or_else(|| error_reply(&KcmError::NoProgram, &self.shared, None))?,
+                .ok_or_else(|| error_reply(&KcmError::NoProgram, 0, &self.shared, None))?,
         };
         let budget = step_budget
             .or(program.step_budget)
@@ -1118,9 +1116,9 @@ impl EventLoop {
         let reply = match self.prepare(&program, query, enumerate_all, budget) {
             Ok(mut prepared) => match prepared.begin_run(enumerate_all) {
                 Ok(()) => self.first_quantum(conn, token, Task::Query(Box::new(prepared)), claim),
-                Err(e) => Some(error_reply(&e, &self.shared, Some(&program.stats))),
+                Err(e) => Some(error_reply(&e, 0, &self.shared, Some(&program.stats))),
             },
-            Err(e) => Some(error_reply(&e, &self.shared, Some(&program.stats))),
+            Err(e) => Some(error_reply(&e, 0, &self.shared, Some(&program.stats))),
         };
         if !matches!(reply, Some(Reply::Busy)) {
             self.shared
@@ -1129,8 +1127,8 @@ impl EventLoop {
         reply
     }
 
-    /// [`prepare_query`] against a resolved program, under the server's
-    /// machine configuration and tier and the request's budget.
+    /// [`prepare_query`] against a resolved program, under the default
+    /// machine configuration, the server's tier and the request's budget.
     fn prepare(
         &self,
         program: &Published,
@@ -1147,7 +1145,7 @@ impl EventLoop {
         prepare_query(
             &program.image,
             &program.symbols,
-            &self.shared.cfg.machine,
+            &MachineConfig::default(),
             query,
             &opts,
         )
@@ -1201,7 +1199,7 @@ impl EventLoop {
                     body: format!("cursor={cursor_id}\n"),
                 }
             }
-            Err(e) => error_reply(&e, &self.shared, Some(&program.stats)),
+            Err(e) => error_reply(&e, 0, &self.shared, Some(&program.stats)),
         }
     }
 
@@ -1235,9 +1233,7 @@ impl EventLoop {
             }
             return Some(Reply::Busy);
         };
-        let count = count
-            .unwrap_or(1)
-            .min(self.shared.cfg.cursor_batch_cap.max(1));
+        let count = count.unwrap_or(1).min(CURSOR_BATCH_CAP);
         let batch = Batch {
             cursor_id: id,
             before_stats: *session.totals(),
@@ -1443,7 +1439,7 @@ fn run_turn(task: Task, shared: &Shared, stats: &TenantStats) -> Turn {
                 let body = render_outcome(&outcome);
                 Turn::Done(Reply::Ok { body }, None)
             }
-            Err(e) => Turn::Done(error_reply(&e, shared, Some(stats)), None),
+            Err(e) => Turn::Done(error_reply(&e, 0, shared, Some(stats)), None),
         },
         Task::Batch(mut batch) => {
             // One quantum spans the batch's pulls: each pull gets what the
@@ -1494,7 +1490,12 @@ impl Batch {
             // A slice error kills the cursor; answers pulled earlier in
             // this batch die with it (the client never saw them, and the
             // dead session cannot be resumed to re-derive them).
-            Some(e) => error_reply(e, shared, Some(stats)),
+            // A budget stop counts the steps of the batch's earlier pulls
+            // beside those of the failing one.
+            Some(e) => {
+                let earlier = self.session.totals().delta_since(&self.before_stats);
+                error_reply(e, earlier.instructions, shared, Some(stats))
+            }
             None => {
                 // Deltas come off the session's running totals so the
                 // slice that discovers exhaustion is still charged.
@@ -1532,7 +1533,7 @@ fn panic_reply(
     cause: &(dyn std::any::Any + Send),
 ) -> Reply {
     let class = "internal";
-    shared.count(program, |s| s.on_error(class));
+    shared.count(program, |s| s.on_error(class, 0));
     let why = cause
         .downcast_ref::<&str>()
         .copied()
@@ -1545,10 +1546,22 @@ fn panic_reply(
 }
 
 /// The reply to a failed request, counted by its class in the total and,
-/// when the request resolved one, in its program.
-fn error_reply(e: &KcmError, shared: &Shared, program: Option<&TenantStats>) -> Reply {
+/// when the request resolved one, in its program. A budget stop also
+/// counts the steps its run retired, plus `earlier`: those of a cursor
+/// batch's earlier pulls. Other failures count no steps, because their
+/// error does not say how many ran.
+fn error_reply(
+    e: &KcmError,
+    earlier: u64,
+    shared: &Shared,
+    program: Option<&TenantStats>,
+) -> Reply {
     let class = error_class(e);
-    shared.count(program, |s| s.on_error(class));
+    let steps = match e {
+        KcmError::Machine(MachineError::BudgetExhausted { steps }) => earlier + steps,
+        _ => 0,
+    };
+    shared.count(program, |s| s.on_error(class, steps));
     Reply::Err {
         class: class.to_owned(),
         message: e.to_string(),
@@ -1856,6 +1869,114 @@ mod tests {
                     assert!(body.ends_with(&format!("output=\"{output}\"\n")), "{body}");
                 }
                 other => panic!("next answered {other:?}"),
+            }
+        }
+        client.shutdown().expect("shutdown");
+        handle.join().expect("server thread").expect("server run");
+    }
+
+    /// A counter's value in a `STATS` body.
+    fn counter(stats: &str, key: &str) -> u64 {
+        stats
+            .lines()
+            .find_map(|line| line.strip_prefix(key)?.strip_prefix('='))
+            .unwrap_or_else(|| panic!("no {key} in:\n{stats}"))
+            .parse()
+            .expect("a count")
+    }
+
+    #[test]
+    fn budget_stops_count_the_steps_they_ran() {
+        let _serial = serial();
+        let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
+        let addr = server.local_addr().expect("addr");
+        let handle = std::thread::spawn(move || server.run());
+        let mut client = Client::connect(addr).expect("connect");
+        let program = "loop :- loop. kv(k1, v1). d(1). d(2) :- loop.";
+        assert!(client
+            .publish("kb", program, None)
+            .expect("publish")
+            .is_ok());
+
+        // A one-shot query stopped by its budget, then four short ones.
+        let reply = client
+            .request(&query("kb", "loop", 20_000))
+            .expect("budget");
+        assert_eq!(class_of(&reply), "budget");
+        for _ in 0..4 {
+            assert!(client
+                .query_tenant("kb", "kv(k1, V)")
+                .expect("query")
+                .is_ok());
+        }
+        let stats = client.stats().expect("stats");
+        for key in ["steps", "tenant.kb.steps"] {
+            assert!(counter(&stats, key) >= 20_001, "{key}:\n{stats}");
+        }
+        // A cursor batch whose second pull runs into its budget counts
+        // the first pull's steps too.
+        let id = client
+            .open_cursor(Some("kb"), "d(X)", Some(20_000))
+            .expect("open");
+        let reply = client.next(id, Some(2)).expect("next");
+        assert_eq!(class_of(&reply), "budget");
+        let after = client.stats().expect("stats");
+        for key in ["steps", "tenant.kb.steps"] {
+            assert!(
+                counter(&after, key) > counter(&stats, key) + 20_001,
+                "{key}:\n{after}"
+            );
+        }
+        // Inferences count completed work only.
+        assert_eq!(
+            counter(&after, "inferences"),
+            counter(&stats, "inferences"),
+            "{after}"
+        );
+        client.shutdown().expect("shutdown");
+        handle.join().expect("server thread").expect("server run");
+    }
+
+    #[test]
+    fn a_term_too_deep_to_read_is_a_parse_error() {
+        use kcm_prolog::MAX_DEPTH;
+        let _serial = serial();
+        let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
+        let addr = server.local_addr().expect("addr");
+        // Queries are read and compiled on the loop's thread: give it the
+        // smallest stack a thread gets.
+        let handle = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || server.run())
+            .expect("spawn");
+        let mut client = Client::connect(addr).expect("connect");
+        assert!(client
+            .publish("kb", "p(_). kv(k1, v1).", None)
+            .expect("publish")
+            .is_ok());
+        let ints = |n: usize| (1..=n).map(|i| i.to_string()).collect::<Vec<_>>();
+
+        let long = format!("p([{}])", ints(100_000).join(", "));
+        let reply = client.query_tenant("kb", &long).expect("long list");
+        assert_eq!(class_of(&reply), "parse");
+        let reply = client.query_tenant("kb", "kv(k1, V)").expect("after");
+        assert!(matches!(&reply, Reply::Ok { body } if body.contains("V=v1")));
+
+        // `X` is one level below the query's root, so its last list
+        // element or innermost argument sits `levels + 1` deep.
+        for levels in [MAX_DEPTH - 1, MAX_DEPTH] {
+            let list = format!("X = [{}]", ints(levels).join(", "));
+            let nested = format!("X = {}a{}", "f(".repeat(levels), ")".repeat(levels));
+            for query in [list, nested] {
+                let reply = client.query_tenant("kb", &query).expect("deep");
+                if levels < MAX_DEPTH {
+                    assert!(
+                        matches!(&reply, Reply::Ok { body } if body.contains("X=")),
+                        "{reply:?}"
+                    );
+                } else {
+                    assert_eq!(class_of(&reply), "parse");
+                }
             }
         }
         client.shutdown().expect("shutdown");

@@ -71,7 +71,8 @@ pub struct TenantStats {
     pub inferences: AtomicU64,
     /// Simulated KCM cycles, likewise (0 on the native tier).
     pub cycles: AtomicU64,
-    /// Retired machine instructions, likewise.
+    /// Retired machine instructions, likewise, plus those of the runs
+    /// the step budget stopped.
     pub steps: AtomicU64,
     /// Clause-indexing switch dispatches that found their key, across
     /// served queries.
@@ -179,10 +180,13 @@ impl TenantStats {
         bump(&self.steps, stats.instructions);
     }
 
-    /// A request failed with the error class `class`: `budget` is a
-    /// budget stop, any other class an error, and `internal` (a contained
-    /// panic) a panic too.
-    pub fn on_error(&self, class: &str) {
+    /// A request failed with the error class `class` after retiring
+    /// `steps` machine instructions: `budget` is a budget stop, any other
+    /// class an error, and `internal` (a contained panic) a panic too.
+    /// Its inferences and cycles are not counted: a failed run reports
+    /// only its steps.
+    pub fn on_error(&self, class: &str, steps: u64) {
+        bump(&self.steps, steps);
         if class == "budget" {
             return bump(&self.budget_stops, 1);
         }

@@ -105,7 +105,6 @@ fn machine_ablations_preserve_semantics() {
         MachineConfig {
             mem: MemConfig {
                 sectioned_data_cache: false,
-                ..MemConfig::default()
             },
             spread_stack_bases: false,
             ..Default::default()
@@ -186,7 +185,6 @@ fn whole_suite_is_ablation_stable() {
             MachineConfig {
                 mem: MemConfig {
                     sectioned_data_cache: false,
-                    ..MemConfig::default()
                 },
                 spread_stack_bases: false,
                 ..Default::default()

@@ -154,7 +154,6 @@ fn cache_collision_experiment_shape() {
     let aligned_engine = KcmEngine::with_config(MachineConfig {
         mem: MemConfig {
             sectioned_data_cache: false,
-            ..MemConfig::default()
         },
         spread_stack_bases: false,
         ..MachineConfig::default()
